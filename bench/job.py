@@ -11,8 +11,11 @@ The job imports the library from src/ of the checkout, builds its inputs,
 reports "ready" and waits for a line on stdin, runs the timed operation
 (traced if the spec asks), then checks every output outside the timed
 region.  It prints one JSON line: time.monotonic
-stamps, which run.py compares across processes, the peak RSS of this
-process, the operations attempted and failed, and the spans if traced.
+stamps, which run.py compares across processes, the host speed during the
+timed work, the peak RSS of this process, the operations attempted and
+failed, and the spans if traced.  Its times are in reference seconds
+(speed.py): the speed sampler starts before the library is imported and
+runs until the job ends.
 """
 
 import json
@@ -27,6 +30,10 @@ SRC = ROOT / "src"
 if not (SRC / "lattice_equiv" / "__init__.py").is_file():
     sys.exit(f"job: no lattice_equiv package under {SRC}")
 sys.path.insert(0, str(SRC))
+
+import speed  # noqa: E402
+
+speed.start()
 
 import gen  # noqa: E402
 import tracing  # noqa: E402
@@ -66,25 +73,34 @@ def attempt(fn, *args):
 
 
 def decide_all(pairs, checks=None):
-    """Decide every (P, Q, mode) pair, timing each call in seconds.
+    """Decide every (P, Q, mode) pair, timing each call.  Returns the
+    results and each call's (start, end) monotonic stamps; latency_ms()
+    turns those into latencies once the speed samples around the last
+    call exist.
 
     With `checks`, each answer is checked right after its call, outside
-    the timing, so that the timed calls spread over the whole job and one
-    burst of machine noise cannot cover all of them."""
+    the timing, so that the timed calls spread over the whole job."""
     eq = tracing.module("equivalence")  # looked up now: maybe traced
     deciders = {"affine": eq.affine_equivalent,
                 "unimodular": eq.unimodular_equivalent,
                 "det_one": eq.unimodular_affine_equivalent}
-    results, seconds = [], []
+    results, stamps = [], []
     for p, q, mode in pairs:
         decide = deciders[mode]
-        start = time.perf_counter()
-        result = attempt(decide, p, q)
-        seconds.append(time.perf_counter() - start)
+        with speed.deferred():
+            start = time.monotonic()
+            result = attempt(decide, p, q)
+            end = time.monotonic()
+        stamps.append((start, end))
         results.append(result)
         if checks is not None:
             checks.record(attempt(decision_problem, p, q, mode, result))
-    return results, seconds
+    return results, stamps
+
+
+def latency_ms(stamps):
+    """Each call's latency in reference milliseconds."""
+    return [speed.reference_seconds(t0, t1) * 1e3 for t0, t1 in stamps]
 
 
 def decision_problem(p, q, mode, result):
@@ -189,10 +205,10 @@ def decide_operate(spec, pairs, checks):
 
 
 def decide_check(spec, pairs, result, checks):
-    results, seconds = result
+    results, stamps = result
     if spec.get("trace"):
         check_decisions(checks, pairs, results)
-    return {"latency_ms": [s * 1e3 for s in seconds],
+    return {"latency_ms": latency_ms(stamps),
             "answers": [answer(r) for r in results]}
 
 
@@ -208,7 +224,8 @@ KINDS = {
 def main(spec):
     prepare, operate, check = KINDS[spec["job"]]
     inputs = prepare(spec)
-    report = {"setup_s": time.monotonic() - spec["spawned"]}
+    report = {"setup_s": speed.reference_seconds(spec["spawned"],
+                                                 time.monotonic())}
     if spec.get("setup_only"):
         return report
     # Jobs of one round start their timed work together (see run.py).
@@ -220,26 +237,30 @@ def main(spec):
         report["t_start"] = time.monotonic()
         result = operate(spec, inputs, checks)
         report["t_end"] = time.monotonic()
-    report["wall_s"] = report["t_end"] - report["t_start"]
-    if spec["job"] == "decide":
-        report["wall_s"] = sum(result[1])  # the calls only, not the checks
+    report["speed"] = speed.speed(report["t_start"], report["t_end"])
+    report["wall_s"] = (report["t_end"] - report["t_start"]) * report["speed"]
     report["rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if tracer:
         # Taken before checking, which adds cache entries of its own.
         report["trace"] = tracer.dump()
         report["cache_entries"] = tracing.cache_entries()
     report["output"] = check(spec, inputs, result, checks)
+    if spec["job"] == "decide":
+        # The calls only, not the checks between them.
+        report["wall_s"] = sum(report["output"]["latency_ms"]) / 1e3
     if spec.get("probe"):
         # Cold decider calls in the process the job leaves behind, with
         # every memo cache the job filled still alive.
         probe = gen.stream(spec["seed"], f"probe:{spec['round']}",
                            spec["probe"])
-        _, seconds = decide_all(probe, checks)
-        report["probe_latency_ms"] = [s * 1e3 for s in seconds]
+        _, stamps = decide_all(probe, checks)
+        report["probe_latency_ms"] = latency_ms(stamps)
     report.update(attempted=checks.attempted, failed=checks.failed,
-                  problems=checks.problems)
+                  problems=checks.problems, speed_samples=speed.samples())
     return report
 
 
 if __name__ == "__main__":
-    print(json.dumps(main(json.loads(sys.argv[1]))))
+    report = main(json.loads(sys.argv[1]))
+    speed.stop()
+    print(json.dumps(report))

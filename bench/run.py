@@ -46,7 +46,6 @@ FULL = {
     "volumes_expected": [9, 17],
     "decide_pairs": 1000,  # per round; 10 % of the pairs are 3d
     "probe_pairs": 3000,   # at least 1,000 so that 10 lie beyond p99
-    "window": 500,         # calls per window for decide_ms_p50
     "setup_samples": 8,    # half before the rounds, half after
 }
 
@@ -110,8 +109,10 @@ def run_jobs(*specs):
 
 
 def span_of(reports):
-    """Wall seconds from the first report's start to the last one's end."""
-    return max(r["t_end"] for r in reports) - min(r["t_start"] for r in reports)
+    """Reference seconds from the first report's start to the last one's
+    end, each job's part scaled by the speed of its own core."""
+    start = min(r["t_start"] for r in reports)
+    return max((r["t_end"] - start) * r["speed"] for r in reports)
 
 
 # Per workload: the serial job and the jobs that run the same work on two
@@ -185,10 +186,10 @@ def percentile(values, q):
 def measure(workload, seed, seconds, size):
     """Untraced rounds for about `seconds`; the end-to-end metrics.
 
-    Other load on the machine only ever adds time, and on a shared host it
-    comes and goes within seconds.  So wall times are the fastest round and
-    the median latency is that of the quietest window of consecutive calls;
-    the p99 is over all calls, which makes it steady as it is."""
+    Every time is in reference seconds (speed.py), so a core slowed by
+    other load on a shared host does not show as a slower program.  Wall
+    times are the median over rounds, latencies percentiles over all
+    calls."""
     jobs = WORKLOADS[workload]
     counts = {"attempted": 0, "failed": 0, "problems": []}
     serial_spec, _ = jobs(size, seed, 0)
@@ -198,7 +199,8 @@ def measure(workload, seed, seconds, size):
                 for _ in range(count)]
 
     setups = sample_setups(size["setup_samples"] // 2)
-    walls, walls_2w, rss, latencies, windows = [], [], [], [], []
+    walls, walls_2w, rss, latencies = [], [], [], []
+    speed_samples = 0
     started = time.monotonic()
     rnd = 0
     while True:
@@ -212,11 +214,9 @@ def measure(workload, seed, seconds, size):
         walls.append(serial["wall_s"])
         walls_2w.append(span_of(parallel))
         rss.append(serial["rss_mb"])
-        calls = (serial["output"]["latency_ms"] if workload == "decide"
-                 else serial["probe_latency_ms"])
-        latencies += calls
-        step = size["window"]
-        windows += [calls[i:i + step] for i in range(0, len(calls), step)]
+        speed_samples += serial["speed_samples"]
+        latencies += (serial["output"]["latency_ms"] if workload == "decide"
+                      else serial["probe_latency_ms"])
         rnd += 1
         now = time.monotonic()
         # Start another round only if one as long as this one ends in time.
@@ -225,13 +225,15 @@ def measure(workload, seed, seconds, size):
     setups += sample_setups(size["setup_samples"] - size["setup_samples"] // 2)
     metrics = {
         "setup_s": statistics.median(setups),
-        "wall_s": min(walls),
-        "wall_2w_s": min(walls_2w),
-        "decide_ms_p50": min(percentile(w, 0.50) for w in windows),
+        "wall_s": statistics.median(walls),
+        "wall_2w_s": statistics.median(walls_2w),
+        "decide_ms_p50": percentile(latencies, 0.50),
         "decide_ms_p99": percentile(latencies, 0.99),
         "peak_rss_mb": statistics.median(rss),
     }
-    samples = {"rounds": rnd, "setup": len(setups), "decide_calls": len(latencies)}
+    samples = {"rounds": rnd, "setup": len(setups),
+               "decide_calls": len(latencies),
+               "serial_speed_samples": speed_samples}
     return metrics, counts, samples
 
 
