@@ -25,6 +25,7 @@ from .equivalence import (
     EquivalenceWitness,
     NotEquivalent,
     affine_equivalent,
+    affine_key,
     canonical_polygon,
     canonical_triangle,
     oracle_equivalent,
@@ -99,6 +100,7 @@ __all__ = [
     "VolumeVector",
     "ZeroVector",
     "affine_equivalent",
+    "affine_key",
     "affine_map_census",
     "attains_minimal_volume",
     "build_volume_representatives",

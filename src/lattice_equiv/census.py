@@ -1,5 +1,5 @@
 """Census experiments: enumerate convex lattice polygons in small regions
-and deduplicate them into unimodular and affine classes.
+and count their unimodular and affine classes by normal form.
 
 The enumerator is an anchored depth-first search.  Each polygon is
 generated exactly once, rooted at its lexicographically smallest vertex:
@@ -16,6 +16,7 @@ from functools import cmp_to_key
 from .caps import resolve
 from .equivalence import (
     affine_equivalent,
+    affine_key,
     canonical_polygon,
     canonical_triangle,
 )
@@ -166,20 +167,15 @@ def _volume_bounded_polygons(side, volume):
 
 def census(region, *, caps=None, workers=None):
     """Counts (|H|, |K|, |A|): all polygons in the region, their
-    unimodular classes, and their affine classes."""
+    unimodular classes (distinct canonical forms), and their affine
+    classes (distinct affine keys; an index-1 form is its own key)."""
     polys = enumerate_convex_polygons(region, caps=caps, workers=workers)
-    canon = {}
-    for poly in polys:
-        canon.setdefault(canonical_polygon(poly).serialize(), poly)
-    reps = [canon[key] for key in sorted(canon)]
-    class_reps = []
-    for rep in reps:
-        if not any(affine_equivalent(rep, seen) for seen in class_reps):
-            class_reps.append(rep)
+    forms = {canonical_polygon(poly) for poly in polys}
+    keys = {form if sublattice_info(form).index == 1 else affine_key(form)
+            for form in forms}
     histogram = tuple(sorted(Counter(
         normalized_volume(poly) for poly in polys).items()))
-    return ClassCensus(region, len(polys), len(canon), len(class_reps),
-                       histogram)
+    return ClassCensus(region, len(polys), len(forms), len(keys), histogram)
 
 
 def _divisors(v):
@@ -222,28 +218,22 @@ def classes_by_volume(volume, shape="all", search_box_side=None, *, caps=None):
     return len(keys)
 
 
-def _minimal_volume_class_reps(volume, caps):
+def _minimal_volume_class_reps(volume):
     """Canonical representatives, one per affine class, of the polygons
     with normalized volume `volume` whose vertex differences already
     generate Z^2 (so the class minimum is attained).  Searched within
-    the box [0, volume]^2."""
-    canon = {}
-    for poly in _volume_bounded_polygons(volume, volume):
-        if sublattice_info(poly).index != 1:
-            continue
-        form = canonical_polygon(poly)
-        canon.setdefault(form.serialize(), form)
-    forms = sorted(canon.values(), key=lambda p: (len(p.vertices), p.serialize()))
-    class_reps = []
-    for form in forms:
-        if not any(affine_equivalent(form, seen) for seen in class_reps):
-            class_reps.append(form)
-    return class_reps
+    the box [0, volume]^2.  An affine map between two such polygons is
+    unimodular, so distinct canonical forms are distinct affine classes."""
+    forms = {canonical_polygon(poly)
+             for poly in _volume_bounded_polygons(volume, volume)
+             if sublattice_info(poly).index == 1}
+    return sorted(forms, key=lambda p: (len(p.vertices), p.serialize()))
 
 
 def build_volume_representatives(volume, *, caps=None):
     """Pairwise unimodular-inequivalent polytopes of normalized volume V,
-    one per affine class with minimum volume V/i, over the divisors i.
+    one per affine class with minimum volume V/i, over the divisors i,
+    each found as a canonical index-1 form without pairwise search.
 
     A representative whose class minimum is m = V/i is an index-1 polygon
     of volume m; applying the determinant-i embedding (x, y) -> (i*x, y)
@@ -257,7 +247,7 @@ def build_volume_representatives(volume, *, caps=None):
         raise CapExceeded(f"volume {volume} above cap {caps.max_volume}")
     out = []
     for i in _divisors(volume):
-        for rep in _minimal_volume_class_reps(volume // i, caps):
+        for rep in _minimal_volume_class_reps(volume // i):
             out.append(LatticePolytope(
                 2, tuple((i * x, y) for x, y in rep.vertices)))
     return out

@@ -22,11 +22,10 @@ from .census import (
 )
 from .constructions import orthant_hull_construction, shave
 from .equivalence import (
-    affine_equivalent,
+    CLI_MODES,
     canonical_polygon,
     canonical_triangle,
-    unimodular_affine_equivalent,
-    unimodular_equivalent,
+    decide,
 )
 from .errors import LatticeError, ParseError
 from .geometry import LatticePolytope, Region, convex_hull_2d, normalized_volume
@@ -36,12 +35,6 @@ from .invariants import (
     volume_vector,
 )
 from .lattices import shrink_to_minimal_volume, sublattice_info
-
-_MODES = {
-    "affine": affine_equivalent,
-    "unimodular": unimodular_equivalent,
-    "det-one": unimodular_affine_equivalent,
-}
 
 
 def parse_polytope(text):
@@ -165,7 +158,7 @@ def _cmd_invariants(args):
 def _cmd_equiv(args):
     first = _load(args.first)
     second = _load(args.second)
-    result = _MODES[args.mode](first, second)
+    result = decide(first, second, CLI_MODES[args.mode])
     if not result:
         print("not-equivalent")
         return 1
@@ -349,7 +342,7 @@ def build_parser():
     sub.set_defaults(handler=_cmd_invariants)
 
     sub = subs.add_parser("equiv", help="decide equivalence of two polytopes")
-    sub.add_argument("--mode", choices=sorted(_MODES), default="affine")
+    sub.add_argument("--mode", choices=sorted(CLI_MODES), default="affine")
     sub.add_argument("--witness", action="store_true",
                      help="print the realizing map and vertex bijection")
     sub.add_argument("first")

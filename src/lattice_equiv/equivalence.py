@@ -30,8 +30,11 @@ from .invariants import (
     primitive_decomposition,
     volume_vector,
 )
+from .lattices import shrink_to_minimal_volume
 
 MODES = ("affine", "unimodular", "det_one")
+# Command-line spelling of each mode -> its name here.
+CLI_MODES = {mode.replace("_", "-"): mode for mode in MODES}
 
 
 @dataclass(frozen=True)
@@ -195,7 +198,8 @@ def _candidate_images(p, q, combo, value):
                 yield perm
 
 
-def _decide(p, q, mode):
+def decide(p, q, mode):
+    """Witness of equivalence in `mode` (one of MODES), or NotEquivalent."""
     if mode not in MODES:
         raise DegenerateInput(f"unknown equivalence mode {mode!r}")
     if p.dim != q.dim:
@@ -226,17 +230,17 @@ def _decide(p, q, mode):
 
 def affine_equivalent(p, q):
     """Witness of some invertible affine map with vert(P) -> vert(Q)."""
-    return _decide(p, q, "affine")
+    return decide(p, q, "affine")
 
 
 def unimodular_equivalent(p, q):
     """Witness whose map has integer matrix, det +-1, integer translation."""
-    return _decide(p, q, "unimodular")
+    return decide(p, q, "unimodular")
 
 
 def unimodular_affine_equivalent(p, q):
     """Witness whose map has determinant exactly +1 (volume preserving)."""
-    return _decide(p, q, "det_one")
+    return decide(p, q, "det_one")
 
 
 @lru_cache(maxsize=None)
@@ -252,8 +256,7 @@ def oracle_equivalent(p, q, mode="affine", caps=None):
     """Brute-force decider: try every ordered (d+1)-tuple of Q as the
     image of P's first affinely independent tuple.  Exhaustive, hence
     authoritative, but factorial; guarded by the oracle_vertices cap."""
-    if mode == "det-one":
-        mode = "det_one"
+    mode = CLI_MODES.get(mode, mode)
     if mode not in MODES:
         raise DegenerateInput(f"unknown equivalence mode {mode!r}")
     if p.dim != q.dim:
@@ -348,3 +351,11 @@ def canonical_polygon(p):
             best = ser
             best_poly = cand
     return best_poly
+
+
+def affine_key(p):
+    """Normal form of a polygon's affine class: the canonical polygon of
+    its minimal-volume image.  An affine map between two polygons whose
+    vertex differences generate Z^2 carries Z^2 onto Z^2, so it is
+    unimodular; hence equal keys mean exactly affine equivalence."""
+    return canonical_polygon(shrink_to_minimal_volume(p)[0])

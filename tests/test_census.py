@@ -13,6 +13,7 @@ from lattice_equiv import (
     affine_equivalent,
     affine_map_census,
     build_volume_representatives,
+    canonical_polygon,
     census,
     classes_by_volume,
     dilate,
@@ -110,6 +111,27 @@ def test_census_counts_match_oracle():
     assert c.a == oracle_class_count(polys, "affine") == 9
 
 
+def pairwise_affine_class_count(polys):
+    """Reference A: one canonical form per unimodular class, merged by
+    calling the affine decider on pairs."""
+    forms = sorted({canonical_polygon(p) for p in polys},
+                   key=LatticePolytope.serialize)
+    classes = []
+    for form in forms:
+        if not any(affine_equivalent(form, seen) for seen in classes):
+            classes.append(form)
+    return len(classes)
+
+
+@pytest.mark.parametrize("region, expected", [
+    (Region.ball(2), 44),
+    (Region.box(3), 109),
+])
+def test_census_affine_count_matches_pairwise_decider(region, expected):
+    polys = enumerate_convex_polygons(region)
+    assert census(region).a == pairwise_affine_class_count(polys) == expected
+
+
 def test_census_parallel_reproducible():
     serial = census(Region.ball(2))
     threaded = census(Region.ball(2), workers=4)
@@ -168,6 +190,7 @@ def test_volume_representatives_properties():
         for i, p in enumerate(reps):
             for q in reps[i + 1:]:
                 assert not unimodular_equivalent(p, q)
+                assert not affine_equivalent(p, q)
 
 
 def test_volume_representatives_cap():

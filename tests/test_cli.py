@@ -1,11 +1,14 @@
 """Command-line surface: parsing, subcommands, exit codes, CSV format."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lattice_equiv
 from conftest import random_polygon, seeded
 from lattice_equiv import DegenerateInput, ParseError
 from lattice_equiv.cli import (
@@ -261,9 +264,11 @@ def test_error_exit_codes(capsys, files, tmp_path):
 
 
 def test_console_script_runs():
+    # the child finds the package where this process imported it from
+    src = str(Path(lattice_equiv.__file__).parents[1])
     result = subprocess.run(
         [sys.executable, "-m", "lattice_equiv.cli", "census", "--ball-r", "1",
          "--csv"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0
     assert result.stdout.splitlines()[1] == "1,9,3,2,0.500000,0.315465"

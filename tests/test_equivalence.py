@@ -1,5 +1,6 @@
 """Equivalence deciders, canonical forms, and the brute-force oracle."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from lattice_equiv import (
     DegenerateInput,
     TooLarge,
     affine_equivalent,
+    affine_key,
+    attains_minimal_volume,
     canonical_polygon,
     canonical_triangle,
     convex_hull_2d,
@@ -166,6 +169,43 @@ def test_deciders_agree_with_oracle_on_random_pairs():
             got = decide(p, q)
             expect = oracle_equivalent(p, q, mode)
             assert bool(got) == bool(expect), (p, q, mode)
+
+
+def random_rational_affine_image(rng, p):
+    """Image of p under unimodular, then (x, y) -> (k*x, y) with k = 2
+    or 3, then unimodular again, then a shift: an affine map that is
+    rational but not unimodular."""
+    k = rng.choice((2, 3))
+    pts = apply_int_map(p.vertices, random_unimodular(rng), (0, 0))
+    pts = apply_int_map(pts, ((k, 0), (0, 1)), (0, 0))
+    shift = (rng.randint(-5, 5), rng.randint(-5, 5))
+    return poly(*apply_int_map(pts, random_unimodular(rng), shift))
+
+
+def test_affine_key_invariant_under_rational_affine_images():
+    rng = seeded(61)
+    for _ in range(120):
+        p = random_polygon(rng)
+        key = affine_key(p)
+        assert attains_minimal_volume(key)
+        assert canonical_polygon(key) == key
+        q = random_rational_affine_image(rng, p)
+        assert affine_key(q) == key, (p, q)
+        assert affine_key(random_rational_affine_image(rng, q)) == key
+
+
+def test_affine_key_agrees_with_oracle_on_random_pairs():
+    rng = seeded(67)
+    outcomes = Counter()
+    for _ in range(300):
+        p = random_polygon(rng, span=2)
+        q = random_polygon(rng, span=2)
+        if len(p.vertices) > 6 or len(q.vertices) > 6:
+            continue
+        same = affine_key(p) == affine_key(q)
+        assert same == bool(oracle_equivalent(p, q, "affine")), (p, q)
+        outcomes[same] += 1
+    assert outcomes[True] > 20 and outcomes[False] > 20
 
 
 def test_oracle_on_unit_ball_polygons():
