@@ -129,7 +129,8 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None,
     region's lattice points, each exactly once, sorted by (vertex count,
     serialized vertex cycle).  Points interior to the hull or to an edge
     never count as vertices.  The root branches are independent, so they
-    can be distributed over worker processes without changing the output.
+    can be distributed over worker processes without changing the output;
+    at most one worker is started per lattice point of the region.
     """
     if region.dim != 2:
         raise DimensionMismatch("polygon enumeration requires dimension 2")
@@ -140,7 +141,10 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None,
             f"{region.label()} has {len(pts)} lattice points, "
             f"cap is {caps.region_points}")
     tasks = [(pts, i, max_vertices, None, False) for i in range(len(pts))]
-    if workers is not None and workers > 1:
+    # The pool starts all its workers at once; more than one per root
+    # task would have nothing to do.
+    workers = min(workers or 1, len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_root_worker, tasks))
     else:

@@ -207,7 +207,7 @@ def _cmd_vmin(args):
 def _regions(args):
     specs = [("ball", v) for v in args.ball_r]
     specs += [("box", v) for v in args.box_side]
-    specs += [("orthant-ball", v) for v in getattr(args, "orthant_ball_r", [])]
+    specs += [("orthant-ball", v) for v in args.orthant_ball_r]
     out = []
     for kind, value in specs:
         if kind == "ball":
@@ -317,17 +317,17 @@ def _cmd_scan_primitivity(args):
     return 0 if report.counterexamples else 1
 
 
-def _region_flags(sub, orthant=True):
+def _region_flags(sub):
     sub.add_argument("--ball-r", action="append", type=Fraction, default=[],
                      metavar="R", help="ball of radius R around the origin")
     sub.add_argument("--box-side", action="append", type=int, default=[],
                      metavar="S", help="box [0, S]^2")
-    if orthant:
-        sub.add_argument("--orthant-ball-r", action="append", type=Fraction,
-                         default=[], metavar="R",
-                         help="nonnegative quadrant of the radius-R ball")
+    sub.add_argument("--orthant-ball-r", action="append", type=Fraction,
+                     default=[], metavar="R",
+                     help="nonnegative quadrant of the radius-R ball")
     sub.add_argument("--workers", type=int, default=None,
-                     help="worker processes for the enumeration")
+                     help="worker processes for the enumeration (at most "
+                          "one per lattice point of the region is started)")
 
 
 def build_parser():

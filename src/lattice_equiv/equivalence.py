@@ -282,14 +282,16 @@ def oracle_equivalent(p, q, mode="affine", caps=None):
 
 def _edge_frame(origin, along, points):
     """Unimodular image of `points` - `origin` taking `along` - `origin`
-    onto the positive x axis at (g, 0)."""
-    u = linalg.vec_sub(along, origin)
-    g = gcd(u[0], u[1])
-    alpha, beta = u[0] // g, u[1] // g
+    onto the positive x axis at (g, 0): each difference is multiplied by
+    the frame ((x, -beta), (y, alpha)) with x*alpha + y*beta = 1."""
+    ox, oy = origin
+    ux, uy = along[0] - ox, along[1] - oy
+    g = gcd(ux, uy)
+    alpha, beta = ux // g, uy // g
     _, x, y = linalg.egcd(alpha, beta)
-    frame = ((x, -beta), (y, alpha))
-    return g, [linalg.row_times_matrix(linalg.vec_sub(pt, origin), frame)
-               for pt in points]
+    return g, [((px - ox) * x + (py - oy) * y,
+                (py - oy) * alpha - (px - ox) * beta)
+               for px, py in points]
 
 
 def canonical_triangle(t):
@@ -322,35 +324,34 @@ def canonical_polygon(p):
     Every directed boundary edge is tried as the anchor: its start goes
     to the origin, the edge onto the positive x axis, and the anchor's
     other neighbor (the last vertex of the traversal) is normalized by
-    reflection and shear exactly as in canonical_triangle.  The
-    candidate with the lexicographically smallest vertex-cycle
-    serialization is returned, which makes the result a complete
-    invariant for unimodular equivalence.
+    reflection and shear exactly as in canonical_triangle.  The result is
+    the smallest of these 2n candidate vertex cycles, each in stored
+    order, and only it is built as a polytope.  This makes the result a
+    complete invariant for unimodular equivalence.
     """
     if p.dim != 2:
         raise DimensionMismatch("canonical_polygon expects a polygon")
     cycle = p.vertices
     n = len(cycle)
     best = None
-    best_poly = None
-    traversals = [tuple(cycle[(i + k) % n] for k in range(n)) for i in range(n)]
-    rev = cycle[::-1]
-    traversals += [tuple(rev[(i + k) % n] for k in range(n)) for i in range(n)]
-    for tr in traversals:
-        _, pts = _edge_frame(tr[0], tr[1], tr)
-        ref_y = pts[-1][1]
-        if ref_y < 0:
-            pts = [(x, -y) for x, y in pts]
-            ref_y = -ref_y
-        shear = pts[-1][0] // ref_y
-        if shear:
-            pts = [(x - shear * y, y) for x, y in pts]
-        cand = LatticePolytope(2, tuple(pts))
-        ser = cand.serialize()
-        if best is None or ser < best:
-            best = ser
-            best_poly = cand
-    return best_poly
+    for tr in (cycle, cycle[::-1]):
+        for i in range(n):
+            order = tr[i:] + tr[:i]
+            _, pts = _edge_frame(order[0], order[1], order)
+            ref_y = pts[-1][1]
+            if ref_y < 0:
+                pts = [(x, -y) for x, y in pts]
+                ref_y = -ref_y
+            shear = pts[-1][0] // ref_y
+            if shear:
+                pts = [(x - shear * y, y) for x, y in pts]
+            # The anchor's edges now run along (g, 0) and (a, b) with
+            # 0 <= a < b, and the polygon lies in the cone between them:
+            # the origin is the lex-least vertex and the cycle runs
+            # counterclockwise, so pts is already in stored order.
+            if best is None or pts < best:
+                best = pts
+    return LatticePolytope(2, tuple(best))
 
 
 def affine_key(p):

@@ -51,14 +51,27 @@ def _hull_cycle(points):
     return cycle
 
 
+def _ccw_lex_least(cycle):
+    """A convex polygon's vertex cycle in stored order: rotated to start
+    at the lexicographically smallest vertex, and reversed if it then
+    runs clockwise.  `cycle` is a tuple of the vertices in boundary
+    order, either way round."""
+    i = cycle.index(min(cycle))
+    cycle = cycle[i:] + cycle[:i]
+    if _cross(cycle[0], cycle[1], cycle[-1]) < 0:
+        cycle = cycle[:1] + cycle[:0:-1]
+    return cycle
+
+
 @dataclass(frozen=True)
 class LatticePolytope:
     """Full-dimensional lattice polytope given by its ordered vertex list.
 
-    For dim == 2 the vertices are stored counterclockwise starting from
-    the lexicographically smallest one; the constructor accepts any
-    rotation or reversal of that cycle and normalizes it.  For dim >= 3
-    the list is stored as given and convex position is not verified.
+    For dim == 2 the vertices are stored in the order `_ccw_lex_least`
+    gives (counterclockwise from the lexicographically smallest one); the
+    constructor accepts any rotation or reversal of that cycle and
+    normalizes it.  For dim >= 3 the list is stored as given and convex
+    position is not verified.
     """
 
     dim: int
@@ -80,7 +93,7 @@ class LatticePolytope:
             cycle = tuple(_hull_cycle(verts))
             if len(cycle) != len(verts):
                 raise DegenerateInput("vertices are not in strictly convex position")
-            if not self._is_rotation(verts, cycle):
+            if _ccw_lex_least(verts) != cycle:
                 raise DegenerateInput("vertex order is not a convex cycle")
             verts = cycle
         else:
@@ -89,33 +102,9 @@ class LatticePolytope:
                 raise DegenerateInput("vertices do not span the ambient space")
         object.__setattr__(self, "vertices", verts)
 
-    @staticmethod
-    def _is_rotation(given, cycle):
-        n = len(cycle)
-        for cand in (cycle, cycle[::-1]):
-            for i in range(n):
-                if cand[i:] + cand[:i] == given:
-                    return True
-        return False
-
-    @classmethod
-    def from_points(cls, dim, points):
-        return cls(dim, tuple(tuple(p) for p in points))
-
     def serialize(self):
         """Flat coordinate tuple; the deterministic sort/dedup key."""
         return tuple(c for v in self.vertices for c in v)
-
-    def translated(self, vec):
-        return LatticePolytope(
-            self.dim, tuple(linalg.vec_add(v, vec) for v in self.vertices))
-
-    def edges(self):
-        if self.dim != 2:
-            raise DimensionMismatch("edges are only enumerated for polygons")
-        n = len(self.vertices)
-        for i in range(n):
-            yield self.vertices[i], self.vertices[(i + 1) % n]
 
     def bounding_box(self):
         lows = tuple(min(v[i] for v in self.vertices) for i in range(self.dim))

@@ -1,5 +1,7 @@
 """Polygon enumeration, class censuses, by-volume counts, and scans."""
 
+from importlib import import_module
+
 import pytest
 
 from conftest import brute_polygon_sets, oracle_class_count, poly
@@ -59,6 +61,33 @@ def test_enumerate_deterministic_and_parallel_consistent():
     again = enumerate_convex_polygons(Region.ball(2))
     parallel = enumerate_convex_polygons(Region.ball(2), workers=3)
     assert serial == again == parallel
+
+
+def test_enumerate_starts_at_most_one_worker_per_root(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    # the package re-exports the census() function under the module's name
+    monkeypatch.setattr(import_module("lattice_equiv.census"),
+                        "ProcessPoolExecutor", InlinePool)
+    region = Region.ball(2)  # 13 lattice points, one root task each
+    serial = enumerate_convex_polygons(region)
+    assert enumerate_convex_polygons(region, workers=10**6) == serial
+    assert enumerate_convex_polygons(region, workers=3) == serial
+    assert enumerate_convex_polygons(Region.ball(0), workers=10**6) == []
+    assert sizes == [13, 3]
 
 
 def test_enumerate_max_vertices():

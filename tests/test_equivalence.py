@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,6 +16,7 @@ from conftest import (
 )
 from lattice_equiv import (
     DegenerateInput,
+    LatticePolytope,
     TooLarge,
     affine_equivalent,
     affine_key,
@@ -23,6 +25,7 @@ from lattice_equiv import (
     canonical_triangle,
     convex_hull_2d,
     dilate,
+    enumerate_convex_polygons,
     lattice_points,
     oracle_equivalent,
     primitive_decomposition,
@@ -31,6 +34,7 @@ from lattice_equiv import (
     unimodular_equivalent,
     volume_vector,
 )
+from lattice_equiv import linalg
 
 UNIT = poly((0, 0), (1, 0), (0, 1))
 SQUARE = poly((0, 0), (1, 0), (1, 1), (0, 1))
@@ -308,6 +312,53 @@ def test_canonical_polygon_invariance_and_classification():
             continue
         assert (canonical_polygon(p) == canonical_polygon(q)) == \
             bool(unimodular_equivalent(p, q))
+
+
+def reference_canonical_polygon(p):
+    """canonical_polygon by brute force: every framed candidate is built
+    as a validated LatticePolytope and the smallest serialize() wins.
+    Also checks what the fast path relies on: each framed cycle is
+    already in the constructor's stored order."""
+    cycle = p.vertices
+    n = len(cycle)
+    rev = cycle[::-1]
+    traversals = [tuple(cycle[(i + k) % n] for k in range(n)) for i in range(n)]
+    traversals += [tuple(rev[(i + k) % n] for k in range(n)) for i in range(n)]
+    best = None
+    for tr in traversals:
+        u = linalg.vec_sub(tr[1], tr[0])
+        g = gcd(u[0], u[1])
+        alpha, beta = u[0] // g, u[1] // g
+        _, x, y = linalg.egcd(alpha, beta)
+        frame = ((x, -beta), (y, alpha))
+        pts = [linalg.row_times_matrix(linalg.vec_sub(pt, tr[0]), frame)
+               for pt in tr]
+        ref_y = pts[-1][1]
+        if ref_y < 0:
+            pts = [(x, -y) for x, y in pts]
+            ref_y = -ref_y
+        shear = pts[-1][0] // ref_y
+        pts = [(x - shear * y, y) for x, y in pts]
+        cand = LatticePolytope(2, tuple(pts))
+        assert cand.vertices == tuple(pts), tr
+        if best is None or cand.serialize() < best.serialize():
+            best = cand
+    return best
+
+
+def test_canonical_polygon_matches_reference_representative():
+    rng = seeded(73)
+    dets = Counter()
+    for region in (Region.ball(2), Region.box(3)):
+        for p in enumerate_convex_polygons(region):
+            m = random_unimodular(rng)
+            dets[m[0][0] * m[1][1] - m[0][1] * m[1][0]] += 1
+            shift = (rng.randint(-5, 5), rng.randint(-5, 5))
+            image = poly(*apply_int_map(p.vertices, m, shift))
+            for q in (p, image):
+                assert canonical_polygon(q).vertices == \
+                    reference_canonical_polygon(q).vertices, q
+    assert set(dets) == {1, -1}
 
 
 def test_not_equivalent_reason_is_reported():

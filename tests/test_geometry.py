@@ -1,6 +1,7 @@
 """Hulls, volumes, lattice point enumeration, regions."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -73,6 +74,18 @@ def test_polytope_accepts_any_rotation_and_reversal():
     reversed_ = LatticePolytope(2, ((0, 0), (0, 1), (1, 1), (1, 0)))
     assert rotated.vertices == base.vertices
     assert reversed_.vertices == base.vertices
+    # Of all 120 orderings of a convex pentagon, exactly its 5 rotations
+    # and their 5 reversals are accepted, each stored as the same cycle.
+    pentagon = ((-1, 1), (0, 0), (2, 0), (3, 2), (1, 3))
+    cycles = {pentagon[i:] + pentagon[:i] for i in range(5)}
+    cycles |= {c[::-1] for c in cycles}
+    assert len(cycles) == 10
+    for order in permutations(pentagon):
+        if order in cycles:
+            assert LatticePolytope(2, order).vertices == pentagon
+        else:
+            with pytest.raises(DegenerateInput):
+                LatticePolytope(2, order)
 
 
 def test_normalized_volume_examples():
