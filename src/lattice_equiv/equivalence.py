@@ -6,7 +6,8 @@ decider here searches for a vertex correspondence.  The search is
 anchored: fix d+1 affinely independent vertices of P whose volume-vector
 entry is rare, try matching tuples in Q, and accept a candidate only if
 the unique affine map it determines carries vert(P) onto vert(Q) and
-passes the mode's determinant test.
+passes the mode's determinant test.  The invariants the search reads
+sit in one profile per polytope, which lives exactly as long as it.
 
 Modes:
   affine      -- any invertible rational affine map
@@ -14,10 +15,11 @@ Modes:
   det_one     -- determinant exactly +1, matrix need not be integral
 """
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from itertools import permutations
 from math import gcd
 
@@ -84,72 +86,75 @@ class CanonicalTriangle:
         return LatticePolytope(2, ((0, 0), (self.g, 0), (self.a, self.b)))
 
 
-@lru_cache(maxsize=None)
-def _volume_profile(p):
-    """(volume vector, primitive decomposition) of a polytope's vertices."""
-    w = volume_vector(p.vertices, p.dim)
-    return w, primitive_decomposition(w)
+class _Profile:
+    """Decider invariants of one polytope.  Built from its vertices and
+    dimension, never from the polytope itself, so that a profile does not
+    keep its own key in _PROFILES alive."""
+
+    def __init__(self, vertices, dim):
+        self.vertices = vertices
+        self.dim = dim
+        self.volume = volume_vector(vertices, dim)
+        self.direction = primitive_decomposition(self.volume).direction
+        self.direction_signature = tuple(sorted(abs(x) for x in self.direction))
+
+    @cached_property
+    def entry_signature(self):
+        return tuple(sorted(abs(x) for x in self.volume.entries))
+
+    @cached_property
+    def height_signature(self):
+        return lattice_height_vector(self.vertices, self.dim).abs_signature()
+
+    @cached_property
+    def entry_by_combo(self):
+        return dict(zip(self.volume.combinations(), self.direction))
+
+    @cached_property
+    def anchor(self):
+        """Pruning anchor (combo, |entry|, solve context): the lex-first
+        (d+1)-combination of the vertices whose |primitive entry| is
+        nonzero and rarest in the multiset."""
+        counts = Counter(abs(e) for e in self.direction if e)
+        best = None
+        for combo, entry in zip(self.volume.combinations(), self.direction):
+            if not entry:
+                continue
+            rank = counts[abs(entry)]
+            if best is None or rank < best[0]:
+                best = (rank, combo, abs(entry))
+        _, combo, value = best
+        return combo, value, self.solve_context(combo)
+
+    def solve_context(self, combo):
+        """Data for solving maps out of the vertex tuple `combo`: its base
+        vertex, the difference matrix determinant, and its adjugate."""
+        base = self.vertices[combo[0]]
+        m = tuple(linalg.vec_sub(self.vertices[i], base) for i in combo[1:])
+        return base, linalg.int_det(m), linalg.int_adjugate(m)
 
 
-@lru_cache(maxsize=None)
-def _direction_signature(p):
-    _, prim = _volume_profile(p)
-    return tuple(sorted(abs(x) for x in prim.direction))
+# Each live polytope's profile; an entry goes when its polytope does.
+_PROFILES = weakref.WeakKeyDictionary()
 
 
-@lru_cache(maxsize=None)
-def _entry_signature(p):
-    w, _ = _volume_profile(p)
-    return tuple(sorted(abs(x) for x in w.entries))
+def _profile(p):
+    profile = _PROFILES.get(p)
+    if profile is None:
+        profile = _PROFILES[p] = _Profile(p.vertices, p.dim)
+    return profile
 
 
-@lru_cache(maxsize=None)
-def _height_signature(p):
-    return lattice_height_vector(p.vertices, p.dim).abs_signature()
-
-
-@lru_cache(maxsize=None)
-def _anchor(p):
-    """Pruning anchor: the lex-first (d+1)-combination of P's vertices
-    whose |primitive entry| is nonzero and rarest in the multiset."""
-    w, prim = _volume_profile(p)
-    counts = Counter(abs(e) for e in prim.direction if e)
-    best = None
-    for combo, entry in zip(w.combinations(), prim.direction):
-        if not entry:
-            continue
-        rank = counts[abs(entry)]
-        if best is None or rank < best[0]:
-            best = (rank, combo, abs(entry))
-    rank, combo, value = best
-    return combo, value
-
-
-@lru_cache(maxsize=None)
-def _entry_by_combo(p):
-    w, prim = _volume_profile(p)
-    return dict(zip(w.combinations(), prim.direction))
-
-
-@lru_cache(maxsize=None)
-def _solve_context(p, combo):
-    """Anchor data for solving maps out of P: base vertex, the difference
-    matrix determinant, and its adjugate."""
-    base = p.vertices[combo[0]]
-    m = tuple(linalg.vec_sub(p.vertices[i], base) for i in combo[1:])
-    det = linalg.int_det(m)
-    return base, det, linalg.int_adjugate(m)
-
-
-def _attempt(p, q, combo, image, mode, scaled_targets):
-    """Try the correspondence sending P's anchor `combo` to Q's vertex
-    tuple `image`; return a witness or None.
+def _attempt(p, q, context, image, mode, scaled_targets):
+    """Try the correspondence sending P's anchor tuple, whose solve
+    context is `context`, to Q's vertex tuple `image`; return a witness
+    or None.
 
     Exact integer path: with M, N the difference matrices of the two
     tuples, the candidate matrix is A = adj(M) @ N / det(M), and a vertex
     v lands on w exactly when (v - p0) @ adj(M) @ N == det(M) * (w - q0).
     """
-    p0, det_m, adj_m = _solve_context(p, combo)
+    p0, det_m, adj_m = context
     qv = q.vertices
     q0 = qv[image[0]]
     n_rows = tuple(linalg.vec_sub(qv[j], q0) for j in image[1:])
@@ -181,12 +186,24 @@ def _attempt(p, q, combo, image, mode, scaled_targets):
     return EquivalenceWitness(tuple(bijection), RationalAffineMap(matrix, translation))
 
 
-def _candidate_images(p, q, combo, value):
+def _search(p, q, mode, context, images):
+    """First witness among the candidate `images` of P's anchor tuple,
+    or None."""
+    det_m = context[1]
+    scaled_targets = {
+        tuple(det_m * c for c in w): j for j, w in enumerate(q.vertices)}
+    for image in images:
+        witness = _attempt(p, q, context, image, mode, scaled_targets)
+        if witness is not None:
+            return witness
+    return None
+
+
+def _candidate_images(entries, combo, value):
     """Ordered (d+1)-tuples of Q-vertex indices whose underlying
-    combination has |primitive entry| equal to the anchor's.  The
-    mirror of P's own anchor tuple is ranked first so that self
-    comparison yields the identity witness."""
-    entries = _entry_by_combo(q)
+    combination has |primitive entry| equal to the anchor's, given Q's
+    entry-by-combination map.  The mirror of P's own anchor tuple is
+    ranked first so that self comparison yields the identity witness."""
     mirror = combo if abs(entries.get(combo, 0)) == value else None
     if mirror is not None:
         yield mirror
@@ -198,34 +215,34 @@ def _candidate_images(p, q, combo, value):
                 yield perm
 
 
-def decide(p, q, mode):
-    """Witness of equivalence in `mode` (one of MODES), or NotEquivalent."""
+def _check_comparable(p, q, mode):
     if mode not in MODES:
         raise DegenerateInput(f"unknown equivalence mode {mode!r}")
     if p.dim != q.dim:
         raise DimensionMismatch(
             f"cannot compare polytopes of dimension {p.dim} and {q.dim}")
+
+
+def decide(p, q, mode):
+    """Witness of equivalence in `mode` (one of MODES), or NotEquivalent."""
+    _check_comparable(p, q, mode)
     if len(p.vertices) != len(q.vertices):
         return NotEquivalent("vertex counts differ")
-    if _direction_signature(p) != _direction_signature(q):
+    pp, qp = _profile(p), _profile(q)
+    if pp.direction_signature != qp.direction_signature:
         return NotEquivalent("primitive volume vectors differ as multisets")
     if mode in ("unimodular", "det_one"):
-        if _entry_signature(p) != _entry_signature(q):
+        if pp.entry_signature != qp.entry_signature:
             return NotEquivalent("volume vectors differ as multisets")
         if p.dim == 2:
             if normalized_volume(p) != normalized_volume(q):
                 return NotEquivalent("normalized volumes differ")
-            if mode == "unimodular" and _height_signature(p) != _height_signature(q):
+            if mode == "unimodular" and pp.height_signature != qp.height_signature:
                 return NotEquivalent("lattice height multisets differ")
-    combo, value = _anchor(p)
-    _, det_m, _ = _solve_context(p, combo)
-    scaled_targets = {
-        tuple(det_m * c for c in w): j for j, w in enumerate(q.vertices)}
-    for image in _candidate_images(p, q, combo, value):
-        witness = _attempt(p, q, combo, image, mode, scaled_targets)
-        if witness is not None:
-            return witness
-    return NotEquivalent("no vertex correspondence extends to an affine map")
+    combo, value, context = pp.anchor
+    images = _candidate_images(qp.entry_by_combo, combo, value)
+    return _search(p, q, mode, context, images) or NotEquivalent(
+        "no vertex correspondence extends to an affine map")
 
 
 def affine_equivalent(p, q):
@@ -243,25 +260,11 @@ def unimodular_affine_equivalent(p, q):
     return decide(p, q, "det_one")
 
 
-@lru_cache(maxsize=None)
-def _first_independent_combo(p):
-    w, _ = _volume_profile(p)
-    for combo, entry in zip(w.combinations(), w.entries):
-        if entry:
-            return combo
-    raise DegenerateInput("no affinely independent vertex tuple")
-
-
 def oracle_equivalent(p, q, mode="affine", caps=None):
     """Brute-force decider: try every ordered (d+1)-tuple of Q as the
     image of P's first affinely independent tuple.  Exhaustive, hence
     authoritative, but factorial; guarded by the oracle_vertices cap."""
-    mode = CLI_MODES.get(mode, mode)
-    if mode not in MODES:
-        raise DegenerateInput(f"unknown equivalence mode {mode!r}")
-    if p.dim != q.dim:
-        raise DimensionMismatch(
-            f"cannot compare polytopes of dimension {p.dim} and {q.dim}")
+    _check_comparable(p, q, mode)
     caps = resolve(caps)
     n = len(p.vertices)
     if n > caps.oracle_vertices or len(q.vertices) > caps.oracle_vertices:
@@ -269,15 +272,12 @@ def oracle_equivalent(p, q, mode="affine", caps=None):
             f"oracle handles at most {caps.oracle_vertices} vertices")
     if len(q.vertices) != n:
         return NotEquivalent("vertex counts differ")
-    combo = _first_independent_combo(p)
-    _, det_m, _ = _solve_context(p, combo)
-    scaled_targets = {
-        tuple(det_m * c for c in w): j for j, w in enumerate(q.vertices)}
-    for image in permutations(range(n), p.dim + 1):
-        witness = _attempt(p, q, combo, image, mode, scaled_targets)
-        if witness is not None:
-            return witness
-    return NotEquivalent("exhausted all vertex correspondences")
+    profile = _profile(p)
+    w = profile.volume
+    combo = next(c for c, e in zip(w.combinations(), w.entries) if e)
+    images = permutations(range(n), p.dim + 1)
+    return _search(p, q, mode, profile.solve_context(combo), images) or \
+        NotEquivalent("exhausted all vertex correspondences")
 
 
 def _edge_frame(origin, along, points):

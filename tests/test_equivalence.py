@@ -1,5 +1,7 @@
 """Equivalence deciders, canonical forms, and the brute-force oracle."""
 
+import gc
+import weakref
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -34,7 +36,7 @@ from lattice_equiv import (
     unimodular_equivalent,
     volume_vector,
 )
-from lattice_equiv import linalg
+from lattice_equiv import equivalence, linalg
 
 UNIT = poly((0, 0), (1, 0), (0, 1))
 SQUARE = poly((0, 0), (1, 0), (1, 1), (0, 1))
@@ -157,7 +159,7 @@ def test_coprime_volume_vector_forces_unimodular():
     assert seen > 20
 
 
-MODES = ("affine", "unimodular", "det-one")
+MODES = equivalence.MODES
 DECIDERS = (affine_equivalent, unimodular_equivalent,
             unimodular_affine_equivalent)
 
@@ -367,6 +369,70 @@ def test_not_equivalent_reason_is_reported():
     assert isinstance(ne.reason, str) and ne.reason
 
 
-def test_oracle_accepts_det_one_alias():
+def test_library_accepts_only_library_mode_names():
     w = oracle_equivalent(WIDE, TALL, "det_one")
     assert w and w.map.determinant == 1
+    # "det-one" is the command line's spelling; the CLI translates it.
+    for decider in (equivalence.decide, oracle_equivalent):
+        with pytest.raises(DegenerateInput):
+            decider(WIDE, TALL, "det-one")
+
+
+def test_deciders_do_not_keep_their_inputs_alive():
+    # Coordinates no other test uses, so no equal polytope holds a profile.
+    p = poly((101, 7), (104, 7), (105, 9), (101, 8))
+    q = poly(*apply_int_map(p.vertices, ((1, 0), (2, 1)), (-3, 5)))
+    cube = tuple((x, y, z) for x in (50, 51) for y in (0, 1) for z in (0, 2))
+    p3 = LatticePolytope(3, cube)
+    q3 = LatticePolytope(3, tuple(apply_int_map(
+        cube, ((1, 0, 0), (1, 1, 0), (0, 0, 1)), (0, 0, 0))))
+    for mode in MODES:
+        assert equivalence.decide(p, q, mode)
+        assert oracle_equivalent(p, q, mode)
+        assert equivalence.decide(p3, q3, mode)
+    refs = [weakref.ref(x) for x in (p, q, p3, q3)]
+    del p, q, p3, q3
+    gc.collect()
+    assert [r() for r in refs] == [None] * 4
+
+
+def test_answers_do_not_depend_on_call_history():
+    rng = seeded(79)
+    pairs = []
+    for _ in range(30):
+        p = random_polygon(rng, span=3)
+        if rng.random() < 0.5:
+            m = random_unimodular(rng)
+            shift = (rng.randint(-4, 4), rng.randint(-4, 4))
+            q = convex_hull_2d(apply_int_map(p.vertices, m, shift))
+        else:
+            q = random_polygon(rng, span=3)
+        pairs.append((p.vertices, q.vertices))
+
+    def answers(polys):
+        got = {}
+        for i, (p, q) in polys:
+            for mode in MODES:
+                r = equivalence.decide(p, q, mode)
+                got[i, mode] = (r.bijection, r.map) if r else r.reason
+        return got
+
+    # Fresh objects: each pair is built just before it is decided and
+    # dropped right after, so no profile of it outlives the call.
+    fresh = answers((i, (poly(*pv), poly(*qv)))
+                    for i, (pv, qv) in enumerate(pairs))
+    # The same objects after every P was decided against every Q.
+    built = [(poly(*pv), poly(*qv)) for pv, qv in pairs]
+    for p, _ in built:
+        for _, q in built:
+            for mode in MODES:
+                equivalence.decide(p, q, mode)
+                equivalence.decide(q, p, mode)
+    assert answers(enumerate(built)) == fresh
+    # Equal copies built separately from the reversed vertex lists and
+    # decided in reverse order.
+    copies = [(i, (poly(*pv[::-1]), poly(*qv[::-1])))
+              for i, (pv, qv) in reversed(list(enumerate(pairs)))]
+    assert answers(copies) == fresh
+    outcomes = Counter(isinstance(a, tuple) for a in fresh.values())
+    assert outcomes[True] > 20 and outcomes[False] > 20
