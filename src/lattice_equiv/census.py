@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .caps import resolve
+# bench/tracing.py patches the names it traces here; keep them bound.
 from .equivalence import (
+    _canonical_cycle,
     affine_equivalent,
     affine_key,
     canonical_polygon,
@@ -74,9 +76,11 @@ def _angle_sorted(root, points):
     return sorted(items, key=cmp_to_key(compare))
 
 
-def _root_polygons(points, root_index, max_vertices, max_volume, exact_only):
+def _root_polygons(points, root_index, max_vertices, max_volume):
     """All strictly convex polygons whose lex-least vertex is
-    points[root_index], as counterclockwise vertex tuples."""
+    points[root_index], as counterclockwise vertex tuples (each already
+    in LatticePolytope's stored order).  With a volume budget only the
+    polygons of normalized volume exactly max_volume are emitted."""
     v0 = points[root_index]
     cands = _angle_sorted(v0, points[root_index + 1:])
     dirs = [c[0] for c in cands]
@@ -105,7 +109,7 @@ def _root_polygons(points, root_index, max_vertices, max_volume, exact_only):
                           - (v0[1] - pj[1]) * (chain[1][0] - v0[0]))
             chain.append(pj)
             if close_tip > 0 and close_root > 0 and (
-                    not exact_only or vol == max_volume):
+                    max_volume is None or vol == max_volume):
                 out.append(tuple(chain))
             if (max_vertices is None or len(chain) < max_vertices) and (
                     max_volume is None or vol < max_volume):
@@ -140,7 +144,7 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None,
         raise RegionTooLarge(
             f"{region.label()} has {len(pts)} lattice points, "
             f"cap is {caps.region_points}")
-    tasks = [(pts, i, max_vertices, None, False) for i in range(len(pts))]
+    tasks = [(pts, i, max_vertices, None) for i in range(len(pts))]
     # The pool starts all its workers at once; more than one per root
     # task would have nothing to do.
     workers = min(workers or 1, len(tasks))
@@ -154,19 +158,15 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None,
     return polys
 
 
-def _box_points(side):
-    return tuple((x, y) for x in range(side + 1) for y in range(side + 1))
-
-
-def _volume_bounded_polygons(side, volume):
-    """Polygons with vertices in [0, side]^2 and normalized volume exactly
-    `volume`, via the budgeted variant of the root search (no region-size
-    cap: the volume budget itself prunes the tree)."""
-    pts = _box_points(side)
-    out = []
-    for i in range(len(pts)):
-        out.extend(_root_polygons(pts, i, None, volume, True))
-    return [LatticePolytope(2, verts) for verts in out]
+def _volume_forms(side, volume):
+    """Canonical cycles (raw tuples) of the polygons with vertices in
+    [0, side]^2 and normalized volume exactly `volume`, via the budgeted
+    root search (no region-size cap: the volume budget prunes the tree).
+    The search emits strictly convex vertex cycles, so they are
+    canonicalized without building a polygon."""
+    pts = lattice_points(Region.box(side))
+    return {_canonical_cycle(cycle) for i in range(len(pts))
+            for cycle in _root_polygons(pts, i, None, volume)}
 
 
 def census(region, *, caps=None, workers=None):
@@ -216,10 +216,7 @@ def classes_by_volume(volume, shape="all", search_box_side=None, *, caps=None):
         raise DegenerateInput("search box side must be a positive integer")
     if side > caps.max_volume:
         raise CapExceeded(f"box side {side} above cap {caps.max_volume}")
-    keys = set()
-    for poly in _volume_bounded_polygons(side, volume):
-        keys.add(canonical_polygon(poly).serialize())
-    return len(keys)
+    return len(_volume_forms(side, volume))
 
 
 def _minimal_volume_class_reps(volume):
@@ -227,11 +224,13 @@ def _minimal_volume_class_reps(volume):
     with normalized volume `volume` whose vertex differences already
     generate Z^2 (so the class minimum is attained).  Searched within
     the box [0, volume]^2.  An affine map between two such polygons is
-    unimodular, so distinct canonical forms are distinct affine classes."""
-    forms = {canonical_polygon(poly)
-             for poly in _volume_bounded_polygons(volume, volume)
-             if sublattice_info(poly).index == 1}
-    return sorted(forms, key=lambda p: (len(p.vertices), p.serialize()))
+    unimodular, so distinct canonical forms are distinct affine classes.
+    The index is tested on the forms, not on the polygons: a unimodular
+    map carries a polygon's difference lattice onto its form's, so both
+    have the same index."""
+    forms = [LatticePolytope(2, c) for c in _volume_forms(volume, volume)]
+    return sorted((f for f in forms if sublattice_info(f).index == 1),
+                  key=lambda p: (len(p.vertices), p.serialize()))
 
 
 def build_volume_representatives(volume, *, caps=None):

@@ -205,18 +205,10 @@ def _cmd_vmin(args):
 
 
 def _regions(args):
-    specs = [("ball", v) for v in args.ball_r]
-    specs += [("box", v) for v in args.box_side]
-    specs += [("orthant-ball", v) for v in args.orthant_ball_r]
-    out = []
-    for kind, value in specs:
-        if kind == "ball":
-            out.append((str(value), Region.ball(value)))
-        elif kind == "box":
-            out.append((str(value), Region.box(value)))
-        else:
-            out.append((str(value), Region.orthant_ball(value)))
-    return out
+    """(parameter, region) rows: all balls, then boxes, then orthant balls."""
+    return ([(str(r), Region.ball(r)) for r in args.ball_r]
+            + [(str(s), Region.box(s)) for s in args.box_side]
+            + [(str(r), Region.orthant_ball(r)) for r in args.orthant_ball_r])
 
 
 def _cmd_census(args):

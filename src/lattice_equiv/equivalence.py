@@ -318,20 +318,15 @@ def canonical_triangle(t):
     return CanonicalTriangle(g=g, a=a, b=b)
 
 
-def canonical_polygon(p):
-    """Minimal unimodular representative of a lattice polygon.
+def _canonical_cycle(cycle):
+    """Smallest framed cycle of a convex lattice polygon's vertex cycle
+    (either orientation), as a raw tuple in stored order.
 
     Every directed boundary edge is tried as the anchor: its start goes
     to the origin, the edge onto the positive x axis, and the anchor's
     other neighbor (the last vertex of the traversal) is normalized by
-    reflection and shear exactly as in canonical_triangle.  The result is
-    the smallest of these 2n candidate vertex cycles, each in stored
-    order, and only it is built as a polytope.  This makes the result a
-    complete invariant for unimodular equivalence.
+    reflection and shear exactly as in canonical_triangle.
     """
-    if p.dim != 2:
-        raise DimensionMismatch("canonical_polygon expects a polygon")
-    cycle = p.vertices
     n = len(cycle)
     best = None
     for tr in (cycle, cycle[::-1]):
@@ -351,7 +346,16 @@ def canonical_polygon(p):
             # counterclockwise, so pts is already in stored order.
             if best is None or pts < best:
                 best = pts
-    return LatticePolytope(2, tuple(best))
+    return tuple(best)
+
+
+def canonical_polygon(p):
+    """Minimal unimodular representative of a lattice polygon, built
+    from its smallest framed vertex cycle: a complete invariant for
+    unimodular equivalence."""
+    if p.dim != 2:
+        raise DimensionMismatch("canonical_polygon expects a polygon")
+    return LatticePolytope(2, _canonical_cycle(p.vertices))
 
 
 def affine_key(p):

@@ -248,21 +248,21 @@ def test_06_unimodular_difference_criterion():
 
 def test_07_volume_class_representatives():
     start = time.monotonic()
-    total = 0
+    counts = []
     for v in range(1, 9):
         reps = build_volume_representatives(v)
-        assert reps
+        counts.append(len(reps))
         for p in reps:
             assert normalized_volume(p) == v
         for i, p in enumerate(reps):
             for q in reps[i + 1:]:
                 assert not unimodular_equivalent(p, q)
                 assert not oracle_equivalent(p, q, "unimodular")
-        total += len(reps)
+    assert counts == [1, 2, 2, 4, 5, 9, 11, 17]
     elapsed = time.monotonic() - start
     assert elapsed < 300
-    report(7, f"{total} representatives over volumes 1..8, all exact-volume "
-              f"and pairwise non-equivalent (oracle confirmed) in "
+    report(7, f"{sum(counts)} representatives over volumes 1..8, all "
+              f"exact-volume and pairwise non-equivalent (oracle confirmed) in "
               f"{elapsed:.1f}s")
 
 

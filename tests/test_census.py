@@ -90,6 +90,23 @@ def test_enumerate_starts_at_most_one_worker_per_root(monkeypatch):
     assert sizes == [13, 3]
 
 
+def test_root_search_emits_cycles_in_stored_order():
+    # The by-volume searches canonicalize these cycles without building
+    # a polytope, so each must already be the constructor's stored order.
+    root_polygons = import_module("lattice_equiv.census")._root_polygons
+    searches = [(Region.ball(2), None), (Region.box(3), None)]
+    searches += [(Region.box(v), v) for v in range(1, 6)]
+    for region, volume in searches:
+        pts = lattice_points(region)
+        cycles = [c for i in range(len(pts))
+                  for c in root_polygons(pts, i, None, volume)]
+        assert cycles
+        for cycle in cycles:
+            p = LatticePolytope(2, cycle)
+            assert p.vertices == cycle
+            assert volume is None or normalized_volume(p) == volume
+
+
 def test_enumerate_max_vertices():
     polys = enumerate_convex_polygons(Region.ball(1), max_vertices=3)
     assert len(polys) == 8
@@ -175,10 +192,10 @@ def test_classes_by_volume_triangles():
 
 
 def test_classes_by_volume_all_shapes():
-    got = [classes_by_volume(v, shape="all") for v in range(1, 5)]
-    assert got == [1, 2, 3, 7]
+    got = [classes_by_volume(v, shape="all") for v in range(1, 9)]
+    assert got == [1, 2, 3, 7, 6, 13, 13, 27]
     # triangle counts never exceed the all-shape counts
-    for v in range(1, 5):
+    for v in range(1, 9):
         assert classes_by_volume(v, shape="triangles") <= got[v - 1]
 
 

@@ -161,11 +161,13 @@ def test_census_csv_empty_region(capsys):
 
 
 def test_census_csv_multiple_rows(capsys):
-    code, out, _ = run(capsys, ["census", "--ball-r", "1", "--box-side", "1",
-                                "--csv"])
+    # rows come balls first, then boxes, then orthant balls
+    code, out, _ = run(capsys, ["census", "--ball-r", "1", "--orthant-ball-r",
+                                "2", "--box-side", "1", "--csv"])
     assert code == 0
     assert out.splitlines()[1:] == ["1,9,3,2,0.500000,0.315465",
-                                    "1,5,2,2,0.430677,0.430677"]
+                                    "1,5,2,2,0.430677,0.430677",
+                                    "2,23,5,3,0.513296,0.350379"]
 
 
 def test_census_json_includes_histogram(capsys):
