@@ -20,7 +20,6 @@ from .equivalence import (
     affine_equivalent,
     affine_key,
     canonical_polygon,
-    canonical_triangle,
 )
 from .errors import (
     CapExceeded,
@@ -189,9 +188,9 @@ def _divisors(v):
 def classes_by_volume(volume, shape="all", search_box_side=None, *, caps=None):
     """Number of unimodular classes with the given normalized volume.
 
-    shape="triangles" generates the canonical candidates (g, b, a) with
-    g*b = volume and 0 <= a < b directly and deduplicates them over
-    relabelings; this is exact and needs no search box.  shape="all"
+    shape="triangles" reduces the candidates (0,0), (g,0), (a,b) with
+    g*b = volume and 0 <= a < b to their canonical cycles and counts the
+    distinct ones; this is exact and needs no search box.  shape="all"
     searches the box [0, side]^2 (default side = volume) and counts
     canonical forms, so it is exact only for classes that have a member
     in that box.
@@ -202,13 +201,8 @@ def classes_by_volume(volume, shape="all", search_box_side=None, *, caps=None):
     if volume > caps.max_volume:
         raise CapExceeded(f"volume {volume} above cap {caps.max_volume}")
     if shape == "triangles":
-        keys = set()
-        for g in _divisors(volume):
-            b = volume // g
-            for a in range(b):
-                tri = LatticePolytope(2, ((0, 0), (g, 0), (a, b)))
-                keys.add(canonical_triangle(tri).key)
-        return len(keys)
+        return len({_canonical_cycle(((0, 0), (g, 0), (a, volume // g)))
+                    for g in _divisors(volume) for a in range(volume // g)})
     if shape != "all":
         raise DegenerateInput(f"unknown shape {shape!r}")
     side = volume if search_box_side is None else search_box_side

@@ -318,8 +318,10 @@ def _region_flags(sub):
                      default=[], metavar="R",
                      help="nonnegative quadrant of the radius-R ball")
     sub.add_argument("--workers", type=int, default=None,
-                     help="worker processes for the enumeration (at most "
-                          "one per lattice point of the region is started)")
+                     help="worker processes for the enumeration's root "
+                          "search only (at most one per lattice point of "
+                          "the region is started); all later stages run "
+                          "in the parent process")
 
 
 def build_parser():

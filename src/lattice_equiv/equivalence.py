@@ -280,41 +280,16 @@ def oracle_equivalent(p, q, mode="affine", caps=None):
         NotEquivalent("exhausted all vertex correspondences")
 
 
-def _edge_frame(origin, along, points):
-    """Unimodular image of `points` - `origin` taking `along` - `origin`
-    onto the positive x axis at (g, 0): each difference is multiplied by
-    the frame ((x, -beta), (y, alpha)) with x*alpha + y*beta = 1."""
-    ox, oy = origin
-    ux, uy = along[0] - ox, along[1] - oy
-    g = gcd(ux, uy)
-    alpha, beta = ux // g, uy // g
-    _, x, y = linalg.egcd(alpha, beta)
-    return g, [((px - ox) * x + (py - oy) * y,
-                (py - oy) * alpha - (px - ox) * beta)
-               for px, py in points]
-
-
 def canonical_triangle(t):
-    """Unimodular normal form of a lattice triangle.
-
-    For each of the six labelings (p0, p1, p2): translate p0 to the
-    origin, send p1 to (g, 0) with g = gcd(p1 - p0), reflect so p2's
-    image has positive y, and shear its x into [0, b).  The labeling
-    with minimal (g, b, a) wins.
-    """
+    """Unimodular normal form of a lattice triangle, read off its
+    canonical cycle (0,0), (g,0), (a,b).  The least edge length g fixes
+    b = (normalized volume) / g, so the least cycle, which then has the
+    least a, also has the least key (g, b, a)."""
     if t.dim != 2:
         raise DimensionMismatch("canonical_triangle expects a polygon")
     if len(t.vertices) != 3:
         raise DegenerateInput("canonical_triangle expects a triangle")
-    best = None
-    for p0, p1, p2 in permutations(t.vertices):
-        g, (_, _, w) = _edge_frame(p0, p1, (p0, p1, p2))
-        b = abs(w[1])
-        a = w[0] % b
-        key = (g, b, a)
-        if best is None or key < best:
-            best = key
-    g, b, a = best
+    _, (g, _), (a, b) = _canonical_cycle(t.vertices)
     return CanonicalTriangle(g=g, a=a, b=b)
 
 
@@ -322,31 +297,56 @@ def _canonical_cycle(cycle):
     """Smallest framed cycle of a convex lattice polygon's vertex cycle
     (either orientation), as a raw tuple in stored order.
 
-    Every directed boundary edge is tried as the anchor: its start goes
-    to the origin, the edge onto the positive x axis, and the anchor's
-    other neighbor (the last vertex of the traversal) is normalized by
-    reflection and shear exactly as in canonical_triangle.
+    Each directed boundary edge is an anchor: its start goes to the
+    origin, the edge to (g, 0) with g its lattice length, and the
+    traversal's last vertex is reflected and sheared to (a, b) with
+    0 <= a < b, so the cycle starts at its lex-least vertex and runs
+    counterclockwise.  The 2n framed cycles are compared lazily: only
+    anchors of least g are framed, vertex k is mapped only for the
+    candidates still tied before it, and the one left is mapped in full.
+    Tied candidates frame the same cycle, so the representative is the
+    one a full comparison picks.
     """
     n = len(cycle)
-    best = None
-    for tr in (cycle, cycle[::-1]):
-        for i in range(n):
-            order = tr[i:] + tr[:i]
-            _, pts = _edge_frame(order[0], order[1], order)
-            ref_y = pts[-1][1]
-            if ref_y < 0:
-                pts = [(x, -y) for x, y in pts]
-                ref_y = -ref_y
-            shear = pts[-1][0] // ref_y
-            if shear:
-                pts = [(x - shear * y, y) for x, y in pts]
-            # The anchor's edges now run along (g, 0) and (a, b) with
-            # 0 <= a < b, and the polygon lies in the cone between them:
-            # the origin is the lex-least vertex and the cycle runs
-            # counterclockwise, so pts is already in stored order.
-            if best is None or pts < best:
-                best = pts
-    return tuple(best)
+    edges = [(q[0] - p[0], q[1] - p[1])
+             for p, q in zip(cycle, cycle[1:] + cycle[:1])]
+    # An edge's lattice length is the same in both orientations.
+    lengths = [gcd(ex, ey) for ex, ey in edges]
+    g = min(lengths)
+    # A candidate traverses cycle[start], cycle[start + step], ... and
+    # maps p to (p - o) @ ((xx, xy), (yx, yy)), o = cycle[start].
+    frames = []
+    for i, length in enumerate(lengths):
+        if length != g:
+            continue
+        alpha, beta = edges[i][0] // g, edges[i][1] // g
+        _, x, y = linalg.egcd(alpha, beta)
+        for start, step, al, be, u, v in (
+                (i, 1, alpha, beta, x, y),
+                ((i + 1) % n, -1, -alpha, -beta, -x, -y)):
+            ox, oy = cycle[start]
+            lx, ly = cycle[(start - step) % n]
+            dx, dy = lx - ox, ly - oy
+            # ((u, -be), (v, al)) takes the edge to (g, 0) and the last
+            # vertex to height h; the sign s reflects it to b = |h| and
+            # the shear t (signed) brings its x into [0, b).
+            h = dy * al - dx * be
+            s = 1 if h > 0 else -1
+            t = s * ((dx * u + dy * v) // (s * h))
+            frames.append((start, step, ox, oy,
+                           u + t * be, -s * be, v - t * al, s * al))
+    out = [(0, 0), (g, 0)]
+    for k in range(2, n):
+        images = []
+        for start, step, ox, oy, xx, xy, yx, yy in frames:
+            px, py = cycle[(start + step * k) % n]
+            px, py = px - ox, py - oy
+            images.append((px * xx + py * yx, px * xy + py * yy))
+        least = min(images)
+        out.append(least)
+        if len(images) > 1:
+            frames = [f for f, image in zip(frames, images) if image == least]
+    return tuple(out)
 
 
 def canonical_polygon(p):

@@ -4,6 +4,7 @@ import gc
 import weakref
 from collections import Counter
 from fractions import Fraction
+from importlib import import_module
 from math import gcd
 
 import pytest
@@ -316,36 +317,93 @@ def test_canonical_polygon_invariance_and_classification():
             bool(unimodular_equivalent(p, q))
 
 
-def reference_canonical_polygon(p):
-    """canonical_polygon by brute force: every framed candidate is built
-    as a validated LatticePolytope and the smallest serialize() wins.
-    Also checks what the fast path relies on: each framed cycle is
-    already in the constructor's stored order."""
-    cycle = p.vertices
+def framed_cycles(cycle):
+    """Every one of the 2n framed vertex cycles of a polygon, each built
+    in full: the eager reference for _canonical_cycle's lazy comparison.
+    Each directed edge goes to the origin and (g, 0), and the last vertex
+    of the traversal is reflected and sheared to (a, b) with 0 <= a < b."""
     n = len(cycle)
     rev = cycle[::-1]
     traversals = [tuple(cycle[(i + k) % n] for k in range(n)) for i in range(n)]
     traversals += [tuple(rev[(i + k) % n] for k in range(n)) for i in range(n)]
-    best = None
     for tr in traversals:
-        u = linalg.vec_sub(tr[1], tr[0])
-        g = gcd(u[0], u[1])
-        alpha, beta = u[0] // g, u[1] // g
+        (ox, oy), (ex, ey) = tr[0], tr[1]
+        g = gcd(ex - ox, ey - oy)
+        alpha, beta = (ex - ox) // g, (ey - oy) // g
         _, x, y = linalg.egcd(alpha, beta)
-        frame = ((x, -beta), (y, alpha))
-        pts = [linalg.row_times_matrix(linalg.vec_sub(pt, tr[0]), frame)
-               for pt in tr]
+        pts = [((px - ox) * x + (py - oy) * y,
+                (py - oy) * alpha - (px - ox) * beta) for px, py in tr]
         ref_y = pts[-1][1]
         if ref_y < 0:
             pts = [(x, -y) for x, y in pts]
             ref_y = -ref_y
         shear = pts[-1][0] // ref_y
-        pts = [(x - shear * y, y) for x, y in pts]
+        yield [(x - shear * y, y) for x, y in pts]
+
+
+def eager_canonical_cycle(cycle):
+    return tuple(min(framed_cycles(cycle)))
+
+
+def reference_canonical_polygon(p):
+    """canonical_polygon by brute force: every framed candidate is built
+    as a validated LatticePolytope and the smallest serialize() wins.
+    Also checks what the fast path relies on: each framed cycle is
+    already in the constructor's stored order."""
+    best = None
+    for pts in framed_cycles(p.vertices):
         cand = LatticePolytope(2, tuple(pts))
-        assert cand.vertices == tuple(pts), tr
+        assert cand.vertices == tuple(pts), p
         if best is None or cand.serialize() < best.serialize():
             best = cand
     return best
+
+
+def rotations_and_reversals(cycle):
+    cycle = tuple(cycle)
+    n = len(cycle)
+    return [c[i:] + c[:i] for c in (cycle, cycle[::-1]) for i in range(n)]
+
+
+def test_canonical_cycle_matches_eager_loop():
+    root_polygons = import_module("lattice_equiv.census")._root_polygons
+    searches = [(Region.ball(2), None), (Region.box(3), None)]
+    searches += [(Region.box(v), v) for v in range(1, 7)]
+    checked = 0
+    for region, volume in searches:
+        pts = lattice_points(region)
+        for i in range(len(pts)):
+            for cycle in root_polygons(pts, i, None, volume):
+                reversed_ = cycle[::-1]
+                for c in (cycle, reversed_[1:] + reversed_[:1]):
+                    assert equivalence._canonical_cycle(c) == \
+                        eager_canonical_cycle(c), c
+                checked += 1
+    assert checked > 10000
+
+
+def test_canonical_cycle_of_symmetric_polygons():
+    # Each of these has a lattice symmetry taking any directed edge to any
+    # other, so all 2n candidates frame the same cycle and the lazy
+    # comparison keeps every one of them up to the last vertex.
+    shapes = {
+        "square": ((0, 0), (1, 0), (1, 1), (0, 1)),
+        "hexagon": ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)),
+        "3*Delta_2": ((0, 0), (3, 0), (0, 3)),
+        "diamond": ((1, 0), (0, 1), (-1, 0), (0, -1)),
+    }
+    rng = seeded(83)
+    for name, cycle in shapes.items():
+        form = eager_canonical_cycle(cycle)
+        images = [cycle]
+        for _ in range(20):
+            shift = (rng.randint(-5, 5), rng.randint(-5, 5))
+            images.append(apply_int_map(cycle, random_unimodular(rng), shift))
+        forms = {equivalence._canonical_cycle(c) for image in images
+                 for c in rotations_and_reversals(image)}
+        assert forms == {form}, name
+        assert [tuple(f) for f in framed_cycles(cycle)] == \
+            [form] * (2 * len(cycle)), name
 
 
 def test_canonical_polygon_matches_reference_representative():
