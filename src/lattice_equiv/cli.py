@@ -110,17 +110,22 @@ def _emit(payload):
     print(json.dumps(payload, indent=2))
 
 
+def _log_ratios(h, k, a):
+    """(log K / log H, log A / log H), or (None, None) when |H| <= 1
+    leaves them undefined."""
+    if h <= 1:
+        return None, None
+    return log(k) / log(h), log(a) / log(h)
+
+
 def emit_census_csv(rows):
     """CSV text for (param, |H|, |K|, |A|) rows; ratio fields are empty
     when |H| <= 1 leaves the logarithm ratios undefined."""
     lines = ["param,H,K,A,logK_over_logH,logA_over_logH"]
     for param, h, k, a in rows:
-        if h > 1:
-            ratio_k = f"{log(k) / log(h):.6f}"
-            ratio_a = f"{log(a) / log(h):.6f}"
-        else:
-            ratio_k = ratio_a = ""
-        lines.append(f"{param},{h},{k},{a},{ratio_k},{ratio_a}")
+        ratios = ",".join("" if r is None else f"{r:.6f}"
+                          for r in _log_ratios(h, k, a))
+        lines.append(f"{param},{h},{k},{a},{ratios}")
     return "\n".join(lines) + "\n"
 
 
@@ -225,9 +230,7 @@ def _cmd_census(args):
         return 0
     payload = []
     for param, c in results:
-        ratios = (None, None)
-        if c.h > 1:
-            ratios = (log(c.k) / log(c.h), log(c.a) / log(c.h))
+        ratios = _log_ratios(c.h, c.k, c.a)
         payload.append({
             "region": c.region.label(),
             "param": param,

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import isqrt
+from math import isqrt, lcm
 
 from . import linalg
 from .errors import DegenerateInput, DimensionMismatch
@@ -140,14 +140,14 @@ class RationalAffineMap:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def identity(cls, dim):
-        return cls(tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)),
-                   (0,) * dim)
-
     @cached_property
     def determinant(self):
-        return linalg.frac_det(self.matrix)
+        """Exact determinant: the matrix scaled to integers by the lcm of
+        its denominators, then divided by that lcm to the n-th power."""
+        scale = lcm(*(x.denominator for row in self.matrix for x in row))
+        rows = [[x.numerator * (scale // x.denominator) for x in row]
+                for row in self.matrix]
+        return Fraction(linalg.int_det(rows), scale ** len(rows))
 
     def apply(self, point):
         img = linalg.row_times_matrix(point, self.matrix)
@@ -323,18 +323,6 @@ def _polytope_points(p):
     raise DimensionMismatch("lattice point enumeration needs dim 2 or 3")
 
 
-def _primitive_normal_3d(p1, p2, p3):
-    u = linalg.vec_sub(p2, p1)
-    w = linalg.vec_sub(p3, p1)
-    n = (u[1] * w[2] - u[2] * w[1],
-         u[2] * w[0] - u[0] * w[2],
-         u[0] * w[1] - u[1] * w[0])
-    g = linalg.vec_gcd(n)
-    if g == 0:
-        return None
-    return tuple(c // g for c in n)
-
-
 def _facet_inequalities_3d(p):
     """All supporting facet inequalities (normal, offset) with
     normal . x + offset <= 0 over the polytope."""
@@ -345,7 +333,9 @@ def _facet_inequalities_3d(p):
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                normal = _primitive_normal_3d(verts[i], verts[j], verts[k])
+                normal = linalg.primitive_normal(
+                    (linalg.vec_sub(verts[j], verts[i]),
+                     linalg.vec_sub(verts[k], verts[i])))
                 if normal is None:
                     continue
                 offset = -linalg.vec_dot(normal, verts[i])

@@ -126,21 +126,10 @@ def primitive_hyperplane(points):
     d = _infer_dim(pts, None)
     if len(pts) != d:
         raise DimensionMismatch(f"need exactly {d} points in dimension {d}")
-    diffs = [linalg.vec_sub(p, pts[0]) for p in pts[1:]]
-    normal = []
-    sign = 1
-    for j in range(d):
-        minor = [[row[c] for c in range(d) if c != j] for row in diffs]
-        normal.append(sign * (linalg.int_det(minor) if minor else 1))
-        sign = -sign
-    g = linalg.vec_gcd(normal)
-    if g == 0:
+    normal = linalg.primitive_normal(
+        [linalg.vec_sub(p, pts[0]) for p in pts[1:]])
+    if normal is None:
         raise DegenerateInput("points do not span a hyperplane")
-    normal = [c // g for c in normal]
-    first = next(c for c in normal if c)
-    if first < 0:
-        normal = [-c for c in normal]
-    normal = tuple(normal)
     return PrimitiveHyperplane(normal, -linalg.vec_dot(normal, pts[0]))
 
 

@@ -7,6 +7,7 @@ triangular basis of the difference lattice.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .errors import DegenerateInput
@@ -119,12 +120,14 @@ def shrink_to_minimal_volume(p):
 
     Returns (image, map).  The map sends the lexicographically smallest
     vertex to the origin and applies the inverse of the triangular
-    difference-lattice basis, so its determinant is 1/index and
+    difference-lattice basis (its adjugate divided by its determinant,
+    which is the index), so the map's determinant is 1/index and
     normalized_volume(p) == index * normalized_volume(image).  On an
     image the map is the identity, which makes the operation idempotent.
     """
     info = sublattice_info(p)
-    inv = linalg.frac_matrix_inverse(info.basis)
+    inv = tuple(tuple(Fraction(x, info.index) for x in row)
+                for row in linalg.int_adjugate(info.basis))
     anchor = min(p.vertices)
     translation = tuple(-x for x in linalg.row_times_matrix(anchor, inv))
     move = RationalAffineMap(inv, translation)

@@ -1,10 +1,11 @@
-"""Small exact linear algebra helpers over int and Fraction.
+"""Small exact linear algebra helpers over int.
 
 Everything here works on tuples of tuples.  Matrices are row-major and
 points are row vectors, so an affine image is computed as p @ A + v.
+Determinants and inverses are fraction-free: Bareiss elimination and the
+adjugate, so callers with rational entries scale them to integers first.
 """
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -59,6 +60,8 @@ def mat_mul(a, b):
 def int_det(rows):
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
     n = len(rows)
+    if n == 0:
+        return 1
     if n == 1:
         return rows[0][0]
     if n == 2:
@@ -130,48 +133,23 @@ def int_rank(rows):
     return rank
 
 
-def frac_matrix_inverse(rows):
-    """Inverse of a square matrix as Fractions, or None if singular."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if aug[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+def primitive_normal(diffs):
+    """Primitive integer normal to the d-1 row vectors `diffs` in Z^d.
 
-
-def frac_det(rows):
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col]:
-                f = m[i][col] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return det
+    Entry j is the signed minor of `diffs` without column j, divided by
+    the gcd and signed so that the first nonzero entry is positive.
+    Returns None when the rows are linearly dependent.
+    """
+    d = len(diffs) + 1
+    normal = []
+    sign = 1
+    for j in range(d):
+        minor = [row[:j] + row[j + 1:] for row in diffs]
+        normal.append(sign * int_det(minor))
+        sign = -sign
+    g = vec_gcd(normal)
+    if g == 0:
+        return None
+    if next(c for c in normal if c) < 0:
+        g = -g
+    return tuple(c // g for c in normal)

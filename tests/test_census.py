@@ -169,13 +169,43 @@ def pairwise_affine_class_count(polys):
     return len(classes)
 
 
-@pytest.mark.parametrize("region, expected", [
-    (Region.ball(2), 44),
-    (Region.box(3), 109),
-])
+# Every ball, box and orthant ball of integer size with at most 16 lattice
+# points, with its census A and K.
+SMALL_REGIONS = [
+    (Region.ball(2), 44, 75),
+    (Region.box(3), 109, 148),
+    (Region.ball(0), 0, 0),
+    (Region.ball(1), 2, 3),
+    (Region.box(1), 2, 2),
+    (Region.box(2), 9, 17),
+    (Region.orthant_ball(1), 1, 1),
+    (Region.orthant_ball(2), 3, 5),
+    (Region.orthant_ball(3), 25, 43),
+]
+
+
+@pytest.mark.parametrize("region, expected",
+                         [(region, a) for region, a, _ in SMALL_REGIONS])
 def test_census_affine_count_matches_pairwise_decider(region, expected):
     polys = enumerate_convex_polygons(region)
     assert census(region).a == pairwise_affine_class_count(polys) == expected
+
+
+@pytest.mark.parametrize("region, expected",
+                         [(region, k) for region, _, k in SMALL_REGIONS])
+def test_census_unimodular_count_matches_pairwise_decider(region, expected):
+    """Reference K: every polygon is unimodularly equivalent to its
+    canonical form, and the distinct forms are pairwise inequivalent."""
+    forms = set()
+    for p in enumerate_convex_polygons(region):
+        form = canonical_polygon(p)
+        assert unimodular_equivalent(p, form), p
+        forms.add(form)
+    forms = sorted(forms, key=LatticePolytope.serialize)
+    for i, form in enumerate(forms):
+        for other in forms[i + 1:]:
+            assert not unimodular_equivalent(form, other), (form, other)
+    assert census(region).k == len(forms) == expected
 
 
 def test_census_parallel_reproducible():

@@ -8,6 +8,7 @@ from importlib import import_module
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     apply_int_map,
@@ -16,6 +17,7 @@ from conftest import (
     random_polygon,
     random_unimodular,
     seeded,
+    strict_hull,
 )
 from lattice_equiv import (
     DegenerateInput,
@@ -199,6 +201,23 @@ def test_affine_key_invariant_under_rational_affine_images():
         q = random_rational_affine_image(rng, p)
         assert affine_key(q) == key, (p, q)
         assert affine_key(random_rational_affine_image(rng, q)) == key
+
+
+small = st.integers(min_value=-3, max_value=3)
+polygons = st.lists(st.tuples(small, small), min_size=3, max_size=7).map(
+    strict_hull).filter(bool).map(lambda hull: poly(*hull))
+nonsingular = st.tuples(small, small, small, small).filter(
+    lambda m: m[0] * m[3] != m[1] * m[2]).map(lambda m: (m[:2], m[2:]))
+
+
+@given(polygons, nonsingular, nonsingular, st.tuples(small, small))
+def test_affine_key_property_under_rational_affine_images(p, m1, m2, shift):
+    """p @ m1 and p @ m2 + shift are lattice polygons related by the
+    rational affine map x -> x @ m1^-1 @ m2 + shift; all three share one
+    key."""
+    key = affine_key(p)
+    assert affine_key(poly(*apply_int_map(p.vertices, m1, (0, 0)))) == key
+    assert affine_key(poly(*apply_int_map(p.vertices, m2, shift))) == key
 
 
 def test_affine_key_agrees_with_oracle_on_random_pairs():

@@ -120,6 +120,7 @@ def test_shrink_idempotent_and_bookkeeping():
         info = sublattice_info(p)
         img, m = shrink_to_minimal_volume(p)
         assert normalized_volume(p) == info.index * normalized_volume(img)
+        assert m.determinant == Fraction(1, info.index)
         assert attains_minimal_volume(img)
         again, m2 = shrink_to_minimal_volume(img)
         assert again == img

@@ -1,19 +1,37 @@
 """Exact linear algebra helpers."""
 
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lattice_equiv import linalg
+from lattice_equiv import RationalAffineMap, linalg
 
 ints = st.integers(min_value=-50, max_value=50)
+fractions = st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                      st.integers(min_value=1, max_value=12))
 
 
-def square(n):
-    return st.lists(st.lists(ints, min_size=n, max_size=n),
+def square(n, entries=ints):
+    return st.lists(st.lists(entries, min_size=n, max_size=n),
                     min_size=n, max_size=n).map(lambda m: tuple(map(tuple, m)))
+
+
+def permutation_det(m):
+    """Leibniz expansion: the signed sum over all permutations of the
+    products m[0][s(0)] * ... * m[n-1][s(n-1)]."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
 
 
 @given(ints, ints)
@@ -31,12 +49,20 @@ def test_vec_gcd():
 
 @given(square(3))
 def test_int_det_matches_fraction_elimination(m):
-    assert Fraction(linalg.int_det(m)) == linalg.frac_det(m)
+    assert linalg.int_det(m) == permutation_det(m)
 
 
 @given(square(4))
 def test_int_det_4x4(m):
-    assert Fraction(linalg.int_det(m)) == linalg.frac_det(m)
+    assert linalg.int_det(m) == permutation_det(m)
+
+
+@given(st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: square(n, fractions)))
+def test_affine_map_determinant_matches_permutation_expansion(m):
+    det = RationalAffineMap(m, (0,) * len(m)).determinant
+    assert isinstance(det, Fraction)
+    assert det == permutation_det(m)
 
 
 @given(square(3))
@@ -60,14 +86,30 @@ def test_rank():
     assert linalg.int_rank([(2, 4, 6), (1, 2, 3), (0, 0, 1)]) == 2
 
 
-@given(square(2))
-def test_inverse(m):
-    inv = linalg.frac_matrix_inverse(m)
-    if linalg.int_det(m) == 0:
-        assert inv is None
-    else:
-        prod = linalg.mat_mul(m, inv)
-        assert prod == ((1, 0), (0, 1))
+@st.composite
+def hyperplane_diffs(draw):
+    """d - 1 integer rows in Z^d for d = 1..4; for d >= 3 the last row is
+    sometimes an integer multiple of the first, so dependent sets occur."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    row = st.tuples(*[st.integers(min_value=-6, max_value=6)] * d)
+    rows = draw(st.lists(row, min_size=d - 1, max_size=d - 1))
+    if d >= 3 and draw(st.booleans()):
+        k = draw(st.integers(min_value=-2, max_value=2))
+        rows[-1] = tuple(k * c for c in rows[0])
+    return d, rows
+
+
+@given(hyperplane_diffs())
+def test_primitive_normal(case):
+    d, rows = case
+    normal = linalg.primitive_normal(rows)
+    if linalg.int_rank(rows) < d - 1:
+        assert normal is None
+        return
+    assert len(normal) == d
+    assert all(linalg.vec_dot(normal, row) == 0 for row in rows)
+    assert linalg.vec_gcd(normal) == 1
+    assert next(c for c in normal if c) > 0
 
 
 def test_row_times_matrix():
