@@ -130,7 +130,7 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None,
                               workers=None):
     """Every full-dimensional convex polygon whose vertex set lies in the
     region's lattice points, each exactly once, sorted by (vertex count,
-    serialized vertex cycle).  Points interior to the hull or to an edge
+    vertex cycle).  Points interior to the hull or to an edge
     never count as vertices.  The root branches are independent, so they
     can be distributed over worker processes without changing the output;
     at most one worker is started per lattice point of the region.
@@ -153,7 +153,7 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None,
     else:
         chunks = [_root_worker(task) for task in tasks]
     polys = [LatticePolytope(2, verts) for chunk in chunks for verts in chunk]
-    polys.sort(key=lambda p: (len(p.vertices), p.serialize()))
+    polys.sort(key=lambda p: (len(p.vertices), p.vertices))
     return polys
 
 
@@ -224,7 +224,7 @@ def _minimal_volume_class_reps(volume):
     have the same index."""
     forms = [LatticePolytope(2, c) for c in _volume_forms(volume, volume)]
     return sorted((f for f in forms if sublattice_info(f).index == 1),
-                  key=lambda p: (len(p.vertices), p.serialize()))
+                  key=lambda p: (len(p.vertices), p.vertices))
 
 
 def build_volume_representatives(volume, *, caps=None):

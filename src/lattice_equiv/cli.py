@@ -209,11 +209,22 @@ def _cmd_vmin(args):
     return 0
 
 
+def radius(text):
+    """A --ball-r or --orthant-ball-r value: a rational radius R, or
+    sqrt(Q) for a rational squared radius Q.  Returns the parameter as
+    printed (str of R, or the sqrt argument as given) and the keyword
+    arguments for Region.ball / Region.orthant_ball."""
+    if text.startswith("sqrt(") and text.endswith(")"):
+        return text, {"radius_sq": Fraction(text[5:-1])}
+    r = Fraction(text)
+    return str(r), {"radius": r}
+
+
 def _regions(args):
     """(parameter, region) rows: all balls, then boxes, then orthant balls."""
-    return ([(str(r), Region.ball(r)) for r in args.ball_r]
+    return ([(p, Region.ball(**kw)) for p, kw in args.ball_r]
             + [(str(s), Region.box(s)) for s in args.box_side]
-            + [(str(r), Region.orthant_ball(r)) for r in args.orthant_ball_r])
+            + [(p, Region.orthant_ball(**kw)) for p, kw in args.orthant_ball_r])
 
 
 def _cmd_census(args):
@@ -313,13 +324,16 @@ def _cmd_scan_primitivity(args):
 
 
 def _region_flags(sub):
-    sub.add_argument("--ball-r", action="append", type=Fraction, default=[],
-                     metavar="R", help="ball of radius R around the origin")
+    sub.add_argument("--ball-r", action="append", type=radius, default=[],
+                     metavar="R", help="ball of radius R around the origin; "
+                                       "R is rational or sqrt(Q) for a "
+                                       "rational Q")
     sub.add_argument("--box-side", action="append", type=int, default=[],
                      metavar="S", help="box [0, S]^2")
-    sub.add_argument("--orthant-ball-r", action="append", type=Fraction,
+    sub.add_argument("--orthant-ball-r", action="append", type=radius,
                      default=[], metavar="R",
-                     help="nonnegative quadrant of the radius-R ball")
+                     help="nonnegative quadrant of the radius-R ball; R as "
+                          "for --ball-r")
     sub.add_argument("--workers", type=int, default=None,
                      help="worker processes for the enumeration's root "
                           "search only (at most one per lattice point of "

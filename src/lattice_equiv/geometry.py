@@ -63,6 +63,31 @@ def _ccw_lex_least(cycle):
     return cycle
 
 
+def _is_convex_cycle(cycle):
+    """True when the cycle turns strictly left at every vertex and its fan
+    from cycle[0] does too: cross(c0, ci, ci+1) > 0 for i = 1..n-2.
+
+    For a cycle starting at its lex-least vertex, every other vertex lies
+    in the half plane lex-greater than c0, so the fan test puts them in
+    strictly increasing angular order around c0, which makes the cycle
+    simple; a simple cycle turning strictly left everywhere is strictly
+    convex and counterclockwise.  A pentagram order turns left everywhere
+    but fails the fan test."""
+    (px, py), (qx, qy) = cycle[-2], cycle[-1]
+    for rx, ry in cycle:
+        if (qx - px) * (ry - qy) - (qy - py) * (rx - qx) <= 0:
+            return False
+        px, py, qx, qy = qx, qy, rx, ry
+    (x0, y0), (x1, y1) = cycle[0], cycle[1]
+    ax, ay = x1 - x0, y1 - y0
+    for x, y in cycle[2:]:
+        bx, by = x - x0, y - y0
+        if ax * by - ay * bx <= 0:
+            return False
+        ax, ay = bx, by
+    return True
+
+
 @dataclass(frozen=True)
 class LatticePolytope:
     """Full-dimensional lattice polytope given by its ordered vertex list.
@@ -70,15 +95,21 @@ class LatticePolytope:
     For dim == 2 the vertices are stored in the order `_ccw_lex_least`
     gives (counterclockwise from the lexicographically smallest one); the
     constructor accepts any rotation or reversal of that cycle and
-    normalizes it.  For dim >= 3 the list is stored as given and convex
-    position is not verified.
+    normalizes it.  The check is linear in the vertex count: the cycle in
+    stored order must turn strictly left at every vertex, and so must its
+    fan from the lex-least vertex.  Only a rejected cycle has its convex
+    hull taken, to tell points out of strictly convex position from a
+    wrong vertex order.  For dim >= 3 the list is stored as given and
+    convex position is not verified.
     """
 
     dim: int
     vertices: tuple
 
     def __post_init__(self):
-        verts = tuple(tuple(_as_int(c) for c in v) for v in self.vertices)
+        verts = tuple(map(tuple, self.vertices))
+        if not all(type(c) is int for v in verts for c in v):
+            verts = tuple(tuple(_as_int(c) for c in v) for v in verts)
         if self.dim < 1:
             raise DegenerateInput("dimension must be at least 1")
         for v in verts:
@@ -90,10 +121,10 @@ class LatticePolytope:
         if len(verts) < self.dim + 1:
             raise DegenerateInput("too few vertices to be full-dimensional")
         if self.dim == 2:
-            cycle = tuple(_hull_cycle(verts))
-            if len(cycle) != len(verts):
-                raise DegenerateInput("vertices are not in strictly convex position")
-            if _ccw_lex_least(verts) != cycle:
+            cycle = _ccw_lex_least(verts)
+            if not _is_convex_cycle(cycle):
+                if len(_hull_cycle(verts)) != len(verts):
+                    raise DegenerateInput("vertices are not in strictly convex position")
                 raise DegenerateInput("vertex order is not a convex cycle")
             verts = cycle
         else:

@@ -208,6 +208,15 @@ def test_census_unimodular_count_matches_pairwise_decider(region, expected):
     assert census(region).k == len(forms) == expected
 
 
+@pytest.mark.parametrize("region", [Region.ball(2), Region.box(3)])
+def test_enumeration_order_is_serialized_order(region):
+    """Sorting by the vertex tuples orders 2D polygons of equal vertex
+    count as their flattened coordinates would."""
+    polys = enumerate_convex_polygons(region)
+    assert polys == sorted(polys, key=lambda p: (len(p.vertices),
+                                                 p.serialize()))
+
+
 def test_census_parallel_reproducible():
     serial = census(Region.ball(2))
     threaded = census(Region.ball(2), workers=4)

@@ -170,6 +170,15 @@ def test_census_csv_multiple_rows(capsys):
                                     "2,23,5,3,0.513296,0.350379"]
 
 
+def test_census_csv_square_root_radius(capsys):
+    # the ball of radius sqrt(2) holds the 3x3 square, like box:2
+    code, out, _ = run(capsys, ["census", "--ball-r", "sqrt(2)",
+                                "--orthant-ball-r", "sqrt(2)", "--csv"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["sqrt(2),168,17,9,0.552934,0.428813",
+                                    "sqrt(2),5,2,2,0.430677,0.430677"]
+
+
 def test_census_json_includes_histogram(capsys):
     code, out, _ = run(capsys, ["census", "--ball-r", "1"])
     assert code == 0

@@ -1,12 +1,13 @@
 """Hulls, volumes, lattice point enumeration, regions."""
 
+import re
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import poly, strict_hull
+from conftest import cross, poly, strict_hull
 from lattice_equiv import (
     DegenerateInput,
     DimensionMismatch,
@@ -19,6 +20,7 @@ from lattice_equiv import (
     normalized_volume,
     simplex_determinant,
 )
+from lattice_equiv.geometry import _ccw_lex_least, _hull_cycle
 
 coord = st.integers(min_value=-8, max_value=8)
 point = st.tuples(coord, coord)
@@ -59,10 +61,14 @@ def test_hull_idempotent_and_minimal(pts):
         assert hull.contains(p)
 
 
+NOT_CONVEX = "vertices are not in strictly convex position"
+BAD_ORDER = "vertex order is not a convex cycle"
+
+
 def test_polytope_rejects_bad_cycles():
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(DegenerateInput, match=NOT_CONVEX):
         LatticePolytope(2, ((0, 0), (1, 0), (1, 1), (0, 1), (2, 2)))
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(DegenerateInput, match=BAD_ORDER):
         LatticePolytope(2, ((0, 0), (1, 1), (1, 0), (0, 1)))  # crossing order
     with pytest.raises(DegenerateInput):
         LatticePolytope(2, ((0, 0), (1, 0), (0, 0)))
@@ -86,6 +92,89 @@ def test_polytope_accepts_any_rotation_and_reversal():
         else:
             with pytest.raises(DegenerateInput):
                 LatticePolytope(2, order)
+
+
+def reference_stored_cycle(verts):
+    """The 2D cycle rule as a hull comparison, kept as the reference for
+    the constructor's linear-time check: the strict hull must keep every
+    vertex, and the vertices in stored order must be the hull cycle."""
+    cycle = tuple(_hull_cycle(verts))
+    if len(cycle) != len(verts):
+        raise DegenerateInput(NOT_CONVEX)
+    if _ccw_lex_least(verts) != cycle:
+        raise DegenerateInput(BAD_ORDER)
+    return cycle
+
+
+def outcome(build, verts):
+    """Stored vertices, or the exception's class and message."""
+    try:
+        return build(verts)
+    except DegenerateInput as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def vertex_lists(draw):
+    """Distinct points as drawn, or their strict hull cycle rotated and
+    possibly reversed, or that cycle in any order, or the doubled cycle
+    with one edge's midpoint inserted."""
+    pts = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                        min_size=3, max_size=7, unique=True))
+    hull = strict_hull(pts)
+    how = draw(st.sampled_from(["points", "cycle", "permuted", "edge point"]))
+    if hull is None or how == "points":
+        return tuple(pts)
+    if how == "permuted":
+        return tuple(draw(st.permutations(hull)))
+    k = draw(st.integers(0, len(hull) - 1))
+    if how == "edge point":
+        (x, y), (u, v) = hull[k - 1], hull[k]
+        hull = [(2 * a, 2 * b) for a, b in hull]
+        hull.insert(k, (x + u, y + v))
+    cycle = tuple(hull[k:] + hull[:k])
+    return cycle[::-1] if draw(st.booleans()) else cycle
+
+
+@given(vertex_lists())
+def test_polytope_cycle_check_matches_hull_rule(verts):
+    got = outcome(lambda v: LatticePolytope(2, v).vertices, verts)
+    assert got == outcome(reference_stored_cycle, verts)
+
+
+def test_polytope_cycle_check_explicit_cases():
+    pentagon = ((-1, 1), (0, 0), (2, 0), (3, 2), (1, 3))
+    # The pentagram order turns strictly left at every vertex; only the
+    # fan from the lex-least vertex shows that it winds twice.
+    star = _ccw_lex_least(pentagon[::2] + pentagon[1::2])
+    assert all(cross(star[i - 2], star[i - 1], star[i]) > 0 for i in range(5))
+    cases = [
+        (star, BAD_ORDER),
+        # a vertex on an edge, next to the lex-least vertex or away from it
+        (((0, 0), (1, 0), (2, 0), (1, 1)), NOT_CONVEX),
+        (((0, 0), (2, 0), (2, 2), (1, 2), (0, 2)), NOT_CONVEX),
+        (((0, 0), (1, 1), (2, 2)), "points are collinear"),
+        (((0, 0), (1, 0), (0, 1), (1, 0)), "duplicate vertices"),
+    ]
+    for verts, message in cases:
+        with pytest.raises(DegenerateInput, match=f"^{message}$"):
+            LatticePolytope(2, verts)
+
+
+class Coordinate(int):
+    pass
+
+
+def test_polytope_coordinate_types():
+    one = Coordinate(1)
+    square = LatticePolytope(2, ((0, 0), (0, one), (one, one), (one, 0)))
+    assert square.vertices == ((0, 0), (1, 0), (1, 1), (0, 1))
+    assert type(square.vertices[2][0]) is Coordinate
+    for bad in (True, 1.0, Fraction(1)):
+        with pytest.raises(DegenerateInput,
+                           match=f"^coordinates must be plain integers, "
+                                 f"got {re.escape(repr(bad))}$"):
+            LatticePolytope(2, ((0, 0), (bad, 0), (0, 1)))
 
 
 def test_normalized_volume_examples():
