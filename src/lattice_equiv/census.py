@@ -162,10 +162,22 @@ def _volume_forms(side, volume):
     [0, side]^2 and normalized volume exactly `volume`, via the budgeted
     root search (no region-size cap: the volume budget prunes the tree).
     The search emits strictly convex vertex cycles, so they are
-    canonicalized without building a polygon."""
+    canonicalized without building a polygon.
+
+    Two reductions leave the set of forms unchanged, because a form does
+    not depend on translation:
+    - Roots are only the points with x == 0.  A polygon with lex-least
+      vertex (x0, y0) has every vertex at x >= x0, so its translate by
+      (-x0, 0) lies in the same box and is rooted at (0, y0).
+    - Each cycle is translated so that its first vertex is the origin,
+      and each distinct translate is canonicalized once.  A translate
+      keeps the stored order: the first vertex stays lex-least and the
+      orientation counterclockwise."""
     pts = lattice_points(Region.box(side))
-    return {_canonical_cycle(cycle) for i in range(len(pts))
-            for cycle in _root_polygons(pts, i, None, volume)}
+    translates = {tuple((x - x0, y - y0) for x, y in cycle)
+                  for i, (x0, y0) in enumerate(pts) if x0 == 0
+                  for cycle in _root_polygons(pts, i, None, volume)}
+    return {_canonical_cycle(cycle) for cycle in translates}
 
 
 def census(region, *, caps=None, workers=None):

@@ -107,7 +107,12 @@ class LatticePolytope:
     vertices: tuple
 
     def __post_init__(self):
-        verts = tuple(map(tuple, self.vertices))
+        try:
+            verts = tuple(map(tuple, self.vertices))
+        except TypeError:
+            raise DegenerateInput(
+                f"vertices {self.vertices!r} are not a sequence of "
+                f"coordinate sequences") from None
         if not all(type(c) is int for v in verts for c in v):
             verts = tuple(tuple(_as_int(c) for c in v) for v in verts)
         if self.dim < 1:

@@ -107,6 +107,26 @@ def test_root_search_emits_cycles_in_stored_order():
             assert volume is None or normalized_volume(p) == volume
 
 
+def test_volume_forms_match_all_roots_search():
+    # The reference is the search before its two reductions: every box
+    # point is a root, and every cycle is canonicalized as emitted.
+    module = import_module("lattice_equiv.census")
+    canonical_cycle = module._canonical_cycle
+    for v in range(1, 8):
+        for side in range(1, v + 2):
+            pts = lattice_points(Region.box(side))
+            cycles = [c for i in range(len(pts))
+                      for c in module._root_polygons(pts, i, None, v)]
+            expected = {canonical_cycle(c) for c in cycles}
+            assert module._volume_forms(side, v) == expected
+            # Translating a cycle's first vertex to the origin keeps it in
+            # the constructor's stored order.
+            moved = {tuple((x - c[0][0], y - c[0][1]) for x, y in c)
+                     for c in cycles}
+            for cycle in moved:
+                assert LatticePolytope(2, cycle).vertices == cycle
+
+
 def test_enumerate_max_vertices():
     polys = enumerate_convex_polygons(Region.ball(1), max_vertices=3)
     assert len(polys) == 8
@@ -231,10 +251,10 @@ def test_classes_by_volume_triangles():
 
 
 def test_classes_by_volume_all_shapes():
-    got = [classes_by_volume(v, shape="all") for v in range(1, 9)]
-    assert got == [1, 2, 3, 7, 6, 13, 13, 27]
+    got = [classes_by_volume(v, shape="all") for v in range(1, 11)]
+    assert got == [1, 2, 3, 7, 6, 13, 13, 27, 26, 44]
     # triangle counts never exceed the all-shape counts
-    for v in range(1, 9):
+    for v in range(1, 11):
         assert classes_by_volume(v, shape="triangles") <= got[v - 1]
 
 
@@ -276,6 +296,11 @@ def test_volume_representatives_properties():
             for q in reps[i + 1:]:
                 assert not unimodular_equivalent(p, q)
                 assert not affine_equivalent(p, q)
+
+
+def test_volume_representatives_counts_beyond_eight():
+    # Volumes 1..8 are counted, with pairwise checks, in test_07.
+    assert [len(build_volume_representatives(v)) for v in (9, 10)] == [21, 34]
 
 
 def test_volume_representatives_cap():

@@ -177,6 +177,14 @@ def test_polytope_coordinate_types():
             LatticePolytope(2, ((0, 0), (bad, 0), (0, 1)))
 
 
+def test_polytope_rejects_non_sequence_vertices():
+    for bad in (((0, 0), 5, (1, 1)), None, 5):
+        with pytest.raises(DegenerateInput,
+                           match=f"^vertices {re.escape(repr(bad))} are not "
+                                 f"a sequence of coordinate sequences$"):
+            LatticePolytope(2, bad)
+
+
 def test_normalized_volume_examples():
     assert normalized_volume(poly((0, 0), (1, 0), (0, 1))) == 1
     assert normalized_volume(poly((0, 0), (9, 0), (0, 10))) == 90
