@@ -137,6 +137,9 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None,
     """
     if region.dim != 2:
         raise DimensionMismatch("polygon enumeration requires dimension 2")
+    if max_vertices is not None and (
+            type(max_vertices) is not int or max_vertices < 3):
+        raise DegenerateInput("max_vertices must be None or an integer >= 3")
     caps = resolve(caps)
     pts = tuple(lattice_points(region))
     if len(pts) > caps.region_points:
@@ -193,6 +196,16 @@ def census(region, *, caps=None, workers=None):
     return ClassCensus(region, len(polys), len(forms), len(keys), histogram)
 
 
+def _check_size(value, caps, name, capped_name=None):
+    """Reject a volume or box side unless it is a plain int (not a bool)
+    in [1, caps.max_volume]."""
+    if type(value) is not int or value < 1:
+        raise DegenerateInput(f"{name} must be a positive integer")
+    if value > caps.max_volume:
+        raise CapExceeded(
+            f"{capped_name or name} {value} above cap {caps.max_volume}")
+
+
 def _divisors(v):
     return [i for i in range(1, v + 1) if v % i == 0]
 
@@ -208,20 +221,14 @@ def classes_by_volume(volume, shape="all", search_box_side=None, *, caps=None):
     in that box.
     """
     caps = resolve(caps)
-    if volume < 1:
-        raise DegenerateInput("volume must be a positive integer")
-    if volume > caps.max_volume:
-        raise CapExceeded(f"volume {volume} above cap {caps.max_volume}")
+    _check_size(volume, caps, "volume")
     if shape == "triangles":
         return len({_canonical_cycle(((0, 0), (g, 0), (a, volume // g)))
                     for g in _divisors(volume) for a in range(volume // g)})
     if shape != "all":
         raise DegenerateInput(f"unknown shape {shape!r}")
     side = volume if search_box_side is None else search_box_side
-    if side < 1:
-        raise DegenerateInput("search box side must be a positive integer")
-    if side > caps.max_volume:
-        raise CapExceeded(f"box side {side} above cap {caps.max_volume}")
+    _check_size(side, caps, "search box side", "box side")
     return len(_volume_forms(side, volume))
 
 
@@ -250,10 +257,7 @@ def build_volume_representatives(volume, *, caps=None):
     so the combined list stays pairwise non-equivalent.
     """
     caps = resolve(caps)
-    if volume < 1:
-        raise DegenerateInput("volume must be a positive integer")
-    if volume > caps.max_volume:
-        raise CapExceeded(f"volume {volume} above cap {caps.max_volume}")
+    _check_size(volume, caps, "volume")
     out = []
     for i in _divisors(volume):
         for rep in _minimal_volume_class_reps(volume // i):

@@ -151,8 +151,9 @@ def _attempt(p, q, context, image, mode, scaled_targets):
     or None.
 
     Exact integer path: with M, N the difference matrices of the two
-    tuples, the candidate matrix is A = adj(M) @ N / det(M), and a vertex
-    v lands on w exactly when (v - p0) @ adj(M) @ N == det(M) * (w - q0).
+    tuples, the candidate map is v -> v @ A + t with A = adj(M) @ N / det(M)
+    and t = q0 - p0 @ A, so a vertex v lands on w exactly when
+    v @ adj(M) @ N + det(M) * t == det(M) * w, all integers.
     """
     p0, det_m, adj_m = context
     qv = q.vertices
@@ -170,19 +171,19 @@ def _attempt(p, q, context, image, mode, scaled_targets):
         if any(x % det_m for row in a_scaled for x in row):
             return None
     d = p.dim
-    shift = tuple(det_m * c for c in q0)
+    shift = tuple(det_m * c - x for c, x in
+                  zip(q0, linalg.row_times_matrix(p0, a_scaled)))
     bijection = []
     for v in p.vertices:
-        dv = linalg.vec_sub(v, p0)
         img = tuple(
-            sum(dv[k] * a_scaled[k][c] for k in range(d)) + shift[c]
+            sum(v[k] * a_scaled[k][c] for k in range(d)) + shift[c]
             for c in range(d))
         j = scaled_targets.get(img)
         if j is None:
             return None
         bijection.append(j)
     matrix = tuple(tuple(Fraction(x, det_m) for x in row) for row in a_scaled)
-    translation = linalg.vec_sub(q0, linalg.row_times_matrix(p0, matrix))
+    translation = tuple(Fraction(s, det_m) for s in shift)
     return EquivalenceWitness(tuple(bijection), RationalAffineMap(matrix, translation))
 
 

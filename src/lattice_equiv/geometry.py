@@ -139,7 +139,7 @@ class LatticePolytope:
         object.__setattr__(self, "vertices", verts)
 
     def serialize(self):
-        """Flat coordinate tuple; the deterministic sort/dedup key."""
+        """Flat tuple of the vertex coordinates, in stored order."""
         return tuple(c for v in self.vertices for c in v)
 
     def bounding_box(self):

@@ -12,7 +12,6 @@ from itertools import combinations
 
 from . import linalg
 from .errors import DegenerateInput, DimensionMismatch, ZeroVector
-from .geometry import simplex_determinant
 
 
 @lru_cache(maxsize=None)
@@ -60,15 +59,9 @@ class LatticeHeightVector:
     def abs_signature(self):
         """Relabeling-invariant summary: sorted |heights| plus the count of
         degenerate (undefined) entries."""
-        values = []
-        undefined = 0
-        for block in self.blocks:
-            for e in block:
-                if e is None:
-                    undefined += 1
-                else:
-                    values.append(abs(e))
-        return tuple(sorted(values)), undefined
+        entries = [e for block in self.blocks for e in block]
+        values = sorted(abs(e) for e in entries if e is not None)
+        return tuple(values), len(entries) - len(values)
 
 
 def _infer_dim(points, dim):
@@ -76,10 +69,18 @@ def _infer_dim(points, dim):
         if not points:
             raise DegenerateInput("empty point set")
         dim = len(points[0])
+    if dim < 1:
+        raise DegenerateInput("dimension must be at least 1")
     for p in points:
         if len(p) != dim:
             raise DimensionMismatch(f"point {p} does not have {dim} coordinates")
     return dim
+
+
+def _differences(pts, combo):
+    """Rows pts[i] - pts[combo[0]] for the later indices i of combo."""
+    base = pts[combo[0]]
+    return [linalg.vec_sub(pts[i], base) for i in combo[1:]]
 
 
 def volume_vector(points, dim=None):
@@ -92,7 +93,7 @@ def volume_vector(points, dim=None):
     d = _infer_dim(pts, dim)
     if len(pts) < d + 1:
         raise DegenerateInput(f"need at least {d + 1} points in dimension {d}")
-    entries = tuple(simplex_determinant([pts[i] for i in combo])
+    entries = tuple(linalg.int_det(_differences(pts, combo))
                     for combo in index_combinations(len(pts), d + 1))
     if not any(entries):
         raise DegenerateInput("points are not full-dimensional")
@@ -126,8 +127,7 @@ def primitive_hyperplane(points):
     d = _infer_dim(pts, None)
     if len(pts) != d:
         raise DimensionMismatch(f"need exactly {d} points in dimension {d}")
-    normal = linalg.primitive_normal(
-        [linalg.vec_sub(p, pts[0]) for p in pts[1:]])
+    normal = linalg.primitive_normal(_differences(pts, range(d)))
     if normal is None:
         raise DegenerateInput("points do not span a hyperplane")
     return PrimitiveHyperplane(normal, -linalg.vec_dot(normal, pts[0]))
@@ -149,18 +149,12 @@ def lattice_height_vector(points, dim=None):
         raise DegenerateInput(f"need at least {d + 1} points in dimension {d}")
     if len(set(pts)) != n:
         raise DegenerateInput("points must be distinct")
-    planes = {}
-    for combo in index_combinations(n, d):
-        try:
-            planes[combo] = primitive_hyperplane([pts[i] for i in combo])
-        except DegenerateInput:
-            planes[combo] = None
+    planes = [(sub, linalg.primitive_normal(_differences(pts, sub)))
+              for sub in index_combinations(n, d)]
     blocks = []
-    for i in range(n):
-        rest = tuple(j for j in range(n) if j != i)
-        block = []
-        for sub in combinations(rest, d):
-            plane = planes[sub]
-            block.append(None if plane is None else plane.height(pts[i]))
-        blocks.append(tuple(block))
+    for i, p in enumerate(pts):
+        blocks.append(tuple(
+            None if normal is None else
+            linalg.vec_dot(normal, linalg.vec_sub(p, pts[sub[0]]))
+            for sub, normal in planes if i not in sub))
     return LatticeHeightVector(n, d, tuple(blocks))

@@ -133,6 +133,13 @@ def test_enumerate_max_vertices():
     assert all(len(p.vertices) == 3 for p in polys)
 
 
+def test_enumerate_max_vertices_validation():
+    for k in (2, 0, -1, True, 3.0):
+        with pytest.raises(DegenerateInput):
+            enumerate_convex_polygons(Region.ball(1), max_vertices=k)
+    assert len(enumerate_convex_polygons(Region.ball(1), max_vertices=4)) == 9
+
+
 def test_enumerate_region_cap():
     with pytest.raises(RegionTooLarge):
         enumerate_convex_polygons(Region.ball(4))
@@ -274,6 +281,19 @@ def test_classes_by_volume_validation():
         classes_by_volume(0)
     with pytest.raises(DegenerateInput):
         classes_by_volume(2, shape="pentagons")
+
+
+def test_by_volume_searches_require_plain_ints():
+    for volume in (2.5, 6.0, True):
+        with pytest.raises(DegenerateInput, match="volume must be"):
+            classes_by_volume(volume)
+        with pytest.raises(DegenerateInput, match="volume must be"):
+            build_volume_representatives(volume)
+    for side in (2.5, 2.0, True):
+        with pytest.raises(DegenerateInput, match="box side must be"):
+            classes_by_volume(6, search_box_side=side)
+    with pytest.raises(CapExceeded, match="box side 13 above cap"):
+        classes_by_volume(6, search_box_side=13)
 
 
 def test_volume_representatives_examples():

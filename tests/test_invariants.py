@@ -1,16 +1,21 @@
 """Volume vectors, primitive decomposition, hyperplanes, lattice heights."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import apply_int_map, random_unimodular, seeded
+from conftest import apply_int_map, random_polygon, random_unimodular, seeded
 from lattice_equiv import (
     DegenerateInput,
     DimensionMismatch,
+    LatticePolytope,
     ZeroVector,
     lattice_height_vector,
     primitive_decomposition,
     primitive_hyperplane,
+    simplex_determinant,
+    sublattice_info,
     volume_vector,
 )
 
@@ -152,3 +157,86 @@ def test_dimension_checks():
         volume_vector(((0, 0), (1, 0), (0, 1, 5)), 2)
     with pytest.raises(DimensionMismatch):
         primitive_hyperplane([(0, 0, 0), (1, 0, 0)])
+
+
+def test_zero_dimensional_points_rejected():
+    for invariant in (volume_vector, lattice_height_vector):
+        with pytest.raises(DegenerateInput):
+            invariant([()])
+        with pytest.raises(DegenerateInput):
+            invariant([()], 0)
+
+
+def reference_volume_entries(pts, d):
+    """One public simplex_determinant per (d+1)-subset."""
+    return tuple(simplex_determinant(c) for c in combinations(pts, d + 1))
+
+
+def reference_height_blocks(pts, d):
+    """One public primitive_hyperplane per d-subset of the other points,
+    None where the subset spans no hyperplane."""
+    blocks = []
+    for i, p in enumerate(pts):
+        block = []
+        for sub in combinations(pts[:i] + pts[i + 1:], d):
+            try:
+                block.append(primitive_hyperplane(sub).height(p))
+            except DegenerateInput:
+                block.append(None)
+        blocks.append(tuple(block))
+    return tuple(blocks)
+
+
+def random_points_3d(rng):
+    """Distinct 3d points, some sets with a collinear triple."""
+    pts = []
+    size = rng.randint(4, 6)
+    while len(pts) < size:
+        p = tuple(rng.randint(-3, 3) for _ in range(3))
+        if p not in pts:
+            pts.append(p)
+    if rng.random() < 0.5:
+        a, b = pts[0], pts[1]
+        k = rng.choice((-1, 2, 3))
+        far = tuple(x + k * (y - x) for x, y in zip(a, b))
+        if far not in pts:
+            pts.insert(rng.randrange(len(pts) + 1), far)
+    return pts
+
+
+def differential_inputs():
+    rng = seeded(41)
+    polygons = [(list(random_polygon(rng).vertices), 2) for _ in range(60)]
+    point_sets = [(random_points_3d(rng), 3) for _ in range(120)]
+    return polygons + point_sets
+
+
+def test_invariants_match_per_subset_public_calls():
+    undefined = 0
+    for pts, d in differential_inputs():
+        entries = reference_volume_entries(pts, d)
+        if any(entries):
+            assert volume_vector(pts, d).entries == entries
+        else:
+            with pytest.raises(DegenerateInput):
+                volume_vector(pts, d)
+        blocks = reference_height_blocks(pts, d)
+        assert lattice_height_vector(pts, d).blocks == blocks
+        undefined += sum(h is None for block in blocks for h in block)
+    assert undefined > 0
+
+
+def test_sublattice_index_is_volume_vector_content():
+    # Both are the gcd of the maximal minors of the vertex differences.
+    rng = seeded(43)
+    polys = [random_polygon(rng) for _ in range(60)]
+    while len(polys) < 120:
+        pts = random_points_3d(rng)
+        try:
+            polys.append(LatticePolytope(3, tuple(pts)))
+        except DegenerateInput:
+            continue
+    for p in polys:
+        content = primitive_decomposition(
+            volume_vector(p.vertices, p.dim)).content
+        assert sublattice_info(p).index == abs(content)
