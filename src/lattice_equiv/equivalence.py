@@ -27,7 +27,9 @@ from . import linalg
 from .caps import resolve
 from .errors import DegenerateInput, DimensionMismatch, TooLarge
 from .geometry import LatticePolytope, RationalAffineMap, normalized_volume
+# bench/tracing.py patches the names it traces here; keep them bound.
 from .invariants import (
+    height_signature,
     lattice_height_vector,
     primitive_decomposition,
     volume_vector,
@@ -104,7 +106,7 @@ class _Profile:
 
     @cached_property
     def height_signature(self):
-        return lattice_height_vector(self.vertices, self.dim).abs_signature()
+        return height_signature(self.vertices, self.volume)
 
     @cached_property
     def entry_by_combo(self):
@@ -127,11 +129,12 @@ class _Profile:
         return combo, value, self.solve_context(combo)
 
     def solve_context(self, combo):
-        """Data for solving maps out of the vertex tuple `combo`: its base
-        vertex, the difference matrix determinant, and its adjugate."""
+        """Data for solving maps out of the vertex tuple `combo`: the
+        tuple itself, its base vertex, the difference matrix determinant,
+        and its adjugate."""
         base = self.vertices[combo[0]]
         m = tuple(linalg.vec_sub(self.vertices[i], base) for i in combo[1:])
-        return base, linalg.int_det(m), linalg.int_adjugate(m)
+        return combo, base, linalg.int_det(m), linalg.int_adjugate(m)
 
 
 # Each live polytope's profile; an entry goes when its polytope does.
@@ -153,9 +156,11 @@ def _attempt(p, q, context, image, mode, scaled_targets):
     Exact integer path: with M, N the difference matrices of the two
     tuples, the candidate map is v -> v @ A + t with A = adj(M) @ N / det(M)
     and t = q0 - p0 @ A, so a vertex v lands on w exactly when
-    v @ adj(M) @ N + det(M) * t == det(M) * w, all integers.
+    v @ adj(M) @ N + det(M) * t == det(M) * w, all integers.  As
+    M @ adj(M) = det(M) * I, the map carries the anchor tuple onto
+    `image` by construction, so only the other vertices are mapped.
     """
-    p0, det_m, adj_m = context
+    combo, p0, det_m, adj_m = context
     qv = q.vertices
     q0 = qv[image[0]]
     n_rows = tuple(linalg.vec_sub(qv[j], q0) for j in image[1:])
@@ -173,15 +178,19 @@ def _attempt(p, q, context, image, mode, scaled_targets):
     d = p.dim
     shift = tuple(det_m * c - x for c, x in
                   zip(q0, linalg.row_times_matrix(p0, a_scaled)))
-    bijection = []
-    for v in p.vertices:
+    bijection = [None] * len(p.vertices)
+    for i, j in zip(combo, image):
+        bijection[i] = j
+    for i, v in enumerate(p.vertices):
+        if bijection[i] is not None:
+            continue
         img = tuple(
             sum(v[k] * a_scaled[k][c] for k in range(d)) + shift[c]
             for c in range(d))
         j = scaled_targets.get(img)
         if j is None:
             return None
-        bijection.append(j)
+        bijection[i] = j
     matrix = tuple(tuple(Fraction(x, det_m) for x in row) for row in a_scaled)
     translation = tuple(Fraction(s, det_m) for s in shift)
     return EquivalenceWitness(tuple(bijection), RationalAffineMap(matrix, translation))
@@ -190,7 +199,7 @@ def _attempt(p, q, context, image, mode, scaled_targets):
 def _search(p, q, mode, context, images):
     """First witness among the candidate `images` of P's anchor tuple,
     or None."""
-    det_m = context[1]
+    det_m = context[2]
     scaled_targets = {
         tuple(det_m * c for c in w): j for j, w in enumerate(q.vertices)}
     for image in images:

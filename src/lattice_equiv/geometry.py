@@ -288,7 +288,7 @@ def simplex_determinant(points):
     all ones and whose columns are the points; it vanishes exactly when
     the points are affinely dependent and changes sign under swaps.
     """
-    pts = [tuple(p) for p in points]
+    pts = [tuple(_as_int(x) for x in p) for p in points]
     d = len(pts[0])
     if len(pts) != d + 1 or any(len(p) != d for p in pts):
         raise DimensionMismatch("need d+1 points of dimension d")

@@ -9,15 +9,30 @@ integer heights over the hyperplanes spanned by the remaining points.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 from . import linalg
 from .errors import DegenerateInput, DimensionMismatch, ZeroVector
+from .geometry import _as_int
 
 
 @lru_cache(maxsize=None)
 def index_combinations(n, k):
     """Lexicographically ordered k-subsets of range(n)."""
     return tuple(combinations(range(n), k))
+
+
+@lru_cache(maxsize=None)
+def face_positions(n, d):
+    """For each (d+1)-subset of range(n), in index_combinations order,
+    the positions in index_combinations(n, d) of its faces: those that
+    drop its 0th, 2nd, ... index, then those that drop its 1st, 3rd, ..."""
+    position = {sub: k for k, sub in enumerate(index_combinations(n, d))}
+    out = []
+    for combo in index_combinations(n, d + 1):
+        faces = [position[combo[:k] + combo[k + 1:]] for k in range(d + 1)]
+        out.append((tuple(faces[0::2]), tuple(faces[1::2])))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -74,6 +89,8 @@ def _infer_dim(points, dim):
     for p in points:
         if len(p) != dim:
             raise DimensionMismatch(f"point {p} does not have {dim} coordinates")
+        for x in p:
+            _as_int(x)
     return dim
 
 
@@ -88,13 +105,19 @@ def volume_vector(points, dim=None):
 
     The order of the input points matters: swapping two points permutes
     the entries and flips the signs of entries containing both.
+
+    An entry is the determinant of its points with a column of ones
+    prepended; expanding along that column makes it the alternating sum
+    of the d x d determinants of its faces' points, each of which is
+    computed once for all the entries that share it.
     """
     pts = [tuple(p) for p in points]
     d = _infer_dim(pts, dim)
     if len(pts) < d + 1:
         raise DegenerateInput(f"need at least {d + 1} points in dimension {d}")
-    entries = tuple(linalg.int_det(_differences(pts, combo))
-                    for combo in index_combinations(len(pts), d + 1))
+    minor = [linalg.int_det(rows) for rows in combinations(pts, d)].__getitem__
+    entries = tuple(sum(map(minor, even)) - sum(map(minor, odd))
+                    for even, odd in face_positions(len(pts), d))
     if not any(entries):
         raise DegenerateInput("points are not full-dimensional")
     return VolumeVector(len(pts), d, entries)
@@ -158,3 +181,32 @@ def lattice_height_vector(points, dim=None):
             linalg.vec_dot(normal, linalg.vec_sub(p, pts[sub[0]]))
             for sub, normal in planes if i not in sub))
     return LatticeHeightVector(n, d, tuple(blocks))
+
+
+def height_signature(points, w):
+    """lattice_height_vector(points, d).abs_signature(), read off the
+    volume vector w of the same points.
+
+    Over a d-subset S, the point p has height |entry(S + p)| / g with g
+    the gcd of the minors of S's difference rows (the content of its
+    hyperplane's integer normal); g = 0 means S spans no hyperplane, and
+    the height is undefined.  Each (d+1)-subset supplies the heights of
+    each of its points over the face of the other d.
+    """
+    d = w.dim
+    contents = []
+    for sub in combinations(points, d):
+        diffs = _differences(sub, range(d))
+        minors = [linalg.int_det([r[:j] + r[j + 1:] for r in diffs])
+                  for j in range(d)]
+        contents.append(gcd(*minors))
+    values = []
+    undefined = 0
+    for entry, (even, odd) in zip(w.entries, face_positions(w.n, d)):
+        for face in even + odd:
+            g = contents[face]
+            if g:
+                values.append(abs(entry) // g)
+            else:
+                undefined += 1
+    return tuple(sorted(values)), undefined

@@ -2,8 +2,9 @@
 
 Everything here works on tuples of tuples.  Matrices are row-major and
 points are row vectors, so an affine image is computed as p @ A + v.
-Determinants and inverses are fraction-free: Bareiss elimination and the
-adjugate, so callers with rational entries scale them to integers first.
+Determinants and inverses are fraction-free: closed forms or Bareiss
+elimination, and the adjugate, so callers with rational entries scale
+them to integers first.
 """
 
 from math import gcd
@@ -58,7 +59,8 @@ def mat_mul(a, b):
 
 
 def int_det(rows):
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    """Exact determinant of a square integer matrix: closed forms up to
+    3x3, Bareiss elimination beyond."""
     n = len(rows)
     if n == 0:
         return 1
@@ -66,6 +68,9 @@ def int_det(rows):
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     m = [list(r) for r in rows]
     sign = 1
     prev = 1

@@ -127,6 +127,14 @@ def test_volume_forms_match_all_roots_search():
                 assert LatticePolytope(2, cycle).vertices == cycle
 
 
+def test_volume_forms_default_box_is_large_enough():
+    # The by-volume searches look in [0, v]^2; the doubled box must find
+    # no form they miss.
+    module = import_module("lattice_equiv.census")
+    for v in range(1, 7):
+        assert module._volume_forms(v, v) == module._volume_forms(2 * v, v)
+
+
 def test_enumerate_max_vertices():
     polys = enumerate_convex_polygons(Region.ball(1), max_vertices=3)
     assert len(polys) == 8

@@ -167,6 +167,37 @@ DECIDERS = (affine_equivalent, unimodular_equivalent,
             unimodular_affine_equivalent)
 
 
+def test_witnesses_map_every_vertex_anchors_included():
+    # The search assigns the anchor tuple's images without mapping those
+    # vertices; the witness map must still carry them there.
+    rng = seeded(89)
+    pairs = []
+    for _ in range(60):
+        p = random_polygon(rng)
+        m = random_unimodular(rng)
+        if rng.random() < 0.3:
+            m = (m[0], (2 * m[1][0], 2 * m[1][1]))  # affine images only
+        shift = (rng.randint(-4, 4), rng.randint(-4, 4))
+        pairs.append((p, convex_hull_2d(apply_int_map(p.vertices, m, shift))))
+    cube = tuple((x, y, z) for x in (0, 1) for y in (0, 2) for z in (0, 1))
+    for _ in range(12):
+        a, b, c = (rng.randint(-2, 2) for _ in range(3))
+        m = ((1, a, b), (0, 1, c), (0, 0, 1))
+        if rng.random() < 0.5:
+            m = (m[1], m[0], m[2])
+        shift = tuple(rng.randint(-3, 3) for _ in range(3))
+        pairs.append((LatticePolytope(3, cube), LatticePolytope(
+            3, tuple(apply_int_map(cube, m, shift)))))
+    positives = Counter()
+    for p, q in pairs:
+        for mode in MODES:
+            w = equivalence.decide(p, q, mode)
+            if w:
+                check_witness(w, p, q)
+                positives[mode, p.dim] += 1
+    assert min(positives[mode, d] for mode in MODES for d in (2, 3)) >= 10
+
+
 def test_deciders_agree_with_oracle_on_random_pairs():
     rng = seeded(53)
     for _ in range(60):

@@ -1,5 +1,6 @@
 """Volume vectors, primitive decomposition, hyperplanes, lattice heights."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -18,6 +19,7 @@ from lattice_equiv import (
     sublattice_info,
     volume_vector,
 )
+from lattice_equiv.invariants import VolumeVector, height_signature
 
 SQUARE = ((0, 0), (1, 0), (1, 1), (0, 1))
 
@@ -167,6 +169,20 @@ def test_zero_dimensional_points_rejected():
             invariant([()], 0)
 
 
+def test_non_integer_coordinates_rejected():
+    # Exact integer elimination would silently truncate these.
+    cases = (
+        [(0, 0, 0), (3, 1, 1), (1, Fraction(5, 2), 1), (1, 1, Fraction(7, 3))],
+        [(0, 0, 0), (Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, 1)],
+        [(0, 0), (True, 0), (0, 1)],
+    )
+    for pts in cases:
+        for invariant in (volume_vector, lattice_height_vector,
+                          simplex_determinant):
+            with pytest.raises(DegenerateInput):
+                invariant(pts)
+
+
 def reference_volume_entries(pts, d):
     """One public simplex_determinant per (d+1)-subset."""
     return tuple(simplex_determinant(c) for c in combinations(pts, d + 1))
@@ -221,9 +237,28 @@ def test_invariants_match_per_subset_public_calls():
             with pytest.raises(DegenerateInput):
                 volume_vector(pts, d)
         blocks = reference_height_blocks(pts, d)
-        assert lattice_height_vector(pts, d).blocks == blocks
+        heights = lattice_height_vector(pts, d)
+        assert heights.blocks == blocks
+        w = VolumeVector(len(pts), d, entries)
+        assert height_signature(pts, w) == heights.abs_signature()
         undefined += sum(h is None for block in blocks for h in block)
     assert undefined > 0
+
+
+def test_volume_vector_matches_per_subset_calls_in_4d():
+    rng = seeded(47)
+    full = 0
+    for _ in range(40):
+        pts = list({tuple(rng.randint(-3, 3) for _ in range(4))
+                    for _ in range(rng.randint(5, 7))})
+        entries = reference_volume_entries(pts, 4)
+        if any(entries):
+            assert volume_vector(pts, 4).entries == entries
+            full += 1
+        else:
+            with pytest.raises(DegenerateInput):
+                volume_vector(pts, 4)
+    assert full > 30
 
 
 def test_sublattice_index_is_volume_vector_content():
