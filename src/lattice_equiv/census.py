@@ -5,7 +5,10 @@ The enumerator is an anchored depth-first search.  Each polygon is
 generated exactly once, rooted at its lexicographically smallest vertex:
 the remaining vertices appear in counterclockwise order, which as seen
 from the root is strictly increasing angular order, so chains are built
-over an angle-sorted candidate list with exact integer turn tests.
+over an angle-sorted candidate list with exact integer turn tests.  At
+each chain tip the later candidates are tried least fan first (the
+normalized volume of the triangle they add at the root), so a
+volume-budgeted search stops at the first one over budget.
 """
 
 from collections import Counter
@@ -79,29 +82,39 @@ def _root_polygons(points, root_index, max_vertices, max_volume):
     """All strictly convex polygons whose lex-least vertex is
     points[root_index], as counterclockwise vertex tuples (each already
     in LatticePolytope's stored order).  With a volume budget only the
-    polygons of normalized volume exactly max_volume are emitted."""
+    polygons of normalized volume exactly max_volume are emitted.
+
+    The children of a chain tip are scanned least fan triangle first, so
+    a budgeted scan stops at the first one that overshoots.  A tip still
+    visits the same children as an angle-ordered scan, only in another
+    order, so each root emits the same multiset of cycles."""
     v0 = points[root_index]
     cands = _angle_sorted(v0, points[root_index + 1:])
     dirs = [c[0] for c in cands]
     pos = [c[1] for c in cands]
     m = len(cands)
+    # after[i]: the (fan, j) pairs with j > i, fan the normalized volume
+    # of the triangle (root, pos[i], pos[j]), positive and within budget.
+    after = []
+    for i, (ax, ay) in enumerate(dirs):
+        fans = [(ax * by - ay * bx, j)
+                for j, (bx, by) in enumerate(dirs[i + 1:], i + 1)]
+        after.append(sorted(f for f in fans if f[0] > 0 and (
+            max_volume is None or f[0] <= max_volume)))
     out = []
     chain = [v0]
 
     def extend(last, partial):
         tip = chain[-1]
         prev = chain[-2]
-        for j in range(last + 1, m):
+        for fan, j in after[last]:
+            vol = partial + fan
+            if max_volume is not None and vol > max_volume:
+                break  # every later child has at least this fan
             pj = pos[j]
             if ((tip[0] - prev[0]) * (pj[1] - tip[1])
                     - (tip[1] - prev[1]) * (pj[0] - tip[0])) <= 0:
                 continue  # not a strict left turn at the chain tip
-            fan = dirs[last][0] * dirs[j][1] - dirs[last][1] * dirs[j][0]
-            if fan <= 0:
-                continue  # same ray through the root
-            vol = partial + fan
-            if max_volume is not None and vol > max_volume:
-                continue
             close_tip = ((pj[0] - tip[0]) * (v0[1] - pj[1])
                          - (pj[1] - tip[1]) * (v0[0] - pj[0]))
             close_root = ((v0[0] - pj[0]) * (chain[1][1] - v0[1])

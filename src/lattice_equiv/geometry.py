@@ -21,6 +21,16 @@ def _as_int(x):
     return x
 
 
+def _point_tuples(points, what="points"):
+    """The points as coordinate tuples, coordinates not yet checked."""
+    try:
+        return tuple(map(tuple, points))
+    except TypeError:
+        raise DegenerateInput(
+            f"{what} {points!r} are not a sequence of "
+            f"coordinate sequences") from None
+
+
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -107,12 +117,7 @@ class LatticePolytope:
     vertices: tuple
 
     def __post_init__(self):
-        try:
-            verts = tuple(map(tuple, self.vertices))
-        except TypeError:
-            raise DegenerateInput(
-                f"vertices {self.vertices!r} are not a sequence of "
-                f"coordinate sequences") from None
+        verts = _point_tuples(self.vertices, "vertices")
         if not all(type(c) is int for v in verts for c in v):
             verts = tuple(tuple(_as_int(c) for c in v) for v in verts)
         if self.dim < 1:
@@ -275,7 +280,7 @@ class Region:
 
 def convex_hull_2d(points):
     """Strict convex hull of a 2d point set as a LatticePolytope."""
-    pts = [tuple(_as_int(c) for c in p) for p in points]
+    pts = [tuple(_as_int(c) for c in p) for p in _point_tuples(points)]
     if any(len(p) != 2 for p in pts):
         raise DimensionMismatch("convex_hull_2d expects 2d points")
     return LatticePolytope(2, tuple(_hull_cycle(pts)))
@@ -288,7 +293,9 @@ def simplex_determinant(points):
     all ones and whose columns are the points; it vanishes exactly when
     the points are affinely dependent and changes sign under swaps.
     """
-    pts = [tuple(_as_int(x) for x in p) for p in points]
+    pts = [tuple(_as_int(x) for x in p) for p in _point_tuples(points)]
+    if not pts:
+        raise DegenerateInput("empty point set")
     d = len(pts[0])
     if len(pts) != d + 1 or any(len(p) != d for p in pts):
         raise DimensionMismatch("need d+1 points of dimension d")

@@ -13,7 +13,7 @@ from math import gcd
 
 from . import linalg
 from .errors import DegenerateInput, DimensionMismatch, ZeroVector
-from .geometry import _as_int
+from .geometry import _as_int, _point_tuples
 
 
 @lru_cache(maxsize=None)
@@ -80,6 +80,9 @@ class LatticeHeightVector:
 
 
 def _infer_dim(points, dim):
+    """The points as coordinate tuples and their dimension, which is
+    inferred from the first point when dim is None."""
+    points = _point_tuples(points)
     if dim is None:
         if not points:
             raise DegenerateInput("empty point set")
@@ -91,7 +94,7 @@ def _infer_dim(points, dim):
             raise DimensionMismatch(f"point {p} does not have {dim} coordinates")
         for x in p:
             _as_int(x)
-    return dim
+    return points, dim
 
 
 def _differences(pts, combo):
@@ -111,8 +114,7 @@ def volume_vector(points, dim=None):
     of the d x d determinants of its faces' points, each of which is
     computed once for all the entries that share it.
     """
-    pts = [tuple(p) for p in points]
-    d = _infer_dim(pts, dim)
+    pts, d = _infer_dim(points, dim)
     if len(pts) < d + 1:
         raise DegenerateInput(f"need at least {d + 1} points in dimension {d}")
     minor = [linalg.int_det(rows) for rows in combinations(pts, d)].__getitem__
@@ -146,8 +148,7 @@ def primitive_hyperplane(points):
     The normal is normalized to gcd 1 with positive first nonzero entry.
     Raises DegenerateInput when the points do not span a hyperplane.
     """
-    pts = [tuple(p) for p in points]
-    d = _infer_dim(pts, None)
+    pts, d = _infer_dim(points, None)
     if len(pts) != d:
         raise DimensionMismatch(f"need exactly {d} points in dimension {d}")
     normal = linalg.primitive_normal(_differences(pts, range(d)))
@@ -165,8 +166,7 @@ def lattice_height_vector(points, dim=None):
     absolute values are ordering-independent; signs follow the primitive
     normal convention of primitive_hyperplane.
     """
-    pts = [tuple(p) for p in points]
-    d = _infer_dim(pts, dim)
+    pts, d = _infer_dim(points, dim)
     n = len(pts)
     if n < d + 1:
         raise DegenerateInput(f"need at least {d + 1} points in dimension {d}")

@@ -4,7 +4,8 @@ from importlib import import_module
 
 import pytest
 
-from conftest import brute_polygon_sets, oracle_class_count, poly
+from conftest import (
+    brute_polygon_sets, cross, oracle_class_count, poly, strict_hull)
 from lattice_equiv import (
     Caps,
     CapExceeded,
@@ -107,6 +108,31 @@ def test_root_search_emits_cycles_in_stored_order():
             assert volume is None or normalized_volume(p) == volume
 
 
+def twice_area(vertex_set):
+    hull = strict_hull(vertex_set)
+    return abs(sum(cross(hull[0], a, b) for a, b in zip(hull[1:], hull[2:])))
+
+
+def test_budgeted_root_search_matches_subset_scan():
+    # The budgeted search cuts each tip's scan at the volume budget; the
+    # subset scan is the reference it must still agree with, cycle for
+    # cycle, at every volume and vertex bound.
+    root_polygons = import_module("lattice_equiv.census")._root_polygons
+    for region in (Region.box(2), Region.ball(2), Region.box(3)):
+        pts = lattice_points(region)
+        by_volume = {}
+        for vertex_set in brute_polygon_sets(pts):
+            by_volume.setdefault(twice_area(vertex_set), []).append(vertex_set)
+        for v, sets in by_volume.items():
+            for max_vertices in (3, 4, None):
+                cycles = [c for i in range(len(pts))
+                          for c in root_polygons(pts, i, max_vertices, v)]
+                got = {frozenset(c) for c in cycles}
+                assert len(got) == len(cycles)
+                assert got == {s for s in sets if max_vertices is None
+                               or len(s) <= max_vertices}
+
+
 def test_volume_forms_match_all_roots_search():
     # The reference is the search before its two reductions: every box
     # point is a root, and every cycle is canonicalized as emitted.
@@ -131,7 +157,7 @@ def test_volume_forms_default_box_is_large_enough():
     # The by-volume searches look in [0, v]^2; the doubled box must find
     # no form they miss.
     module = import_module("lattice_equiv.census")
-    for v in range(1, 7):
+    for v in range(1, 8):
         assert module._volume_forms(v, v) == module._volume_forms(2 * v, v)
 
 

@@ -208,6 +208,19 @@ def test_simplex_determinant_3d():
     assert simplex_determinant([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 1
 
 
+def test_simplex_determinant_rejects_empty_input():
+    with pytest.raises(DegenerateInput, match="^empty point set$"):
+        simplex_determinant([])
+
+
+def test_point_set_functions_reject_non_sequence_points():
+    for fn in (simplex_determinant, convex_hull_2d):
+        with pytest.raises(DegenerateInput,
+                           match=r"^points \[1, 2, 3\] are not a sequence "
+                                 r"of coordinate sequences$"):
+            fn([1, 2, 3])
+
+
 def test_lattice_points_ball():
     assert lattice_points(Region.ball(1)) == [
         (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]

@@ -183,6 +183,15 @@ def test_non_integer_coordinates_rejected():
                 invariant(pts)
 
 
+def test_non_sequence_points_rejected():
+    for call in (lambda: volume_vector([1, 2, 3]),
+                 lambda: lattice_height_vector([1, 2, 3], 2),
+                 lambda: primitive_hyperplane([1, 2])):
+        with pytest.raises(DegenerateInput,
+                           match="are not a sequence of coordinate sequences"):
+            call()
+
+
 def reference_volume_entries(pts, d):
     """One public simplex_determinant per (d+1)-subset."""
     return tuple(simplex_determinant(c) for c in combinations(pts, d + 1))
