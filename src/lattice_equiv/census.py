@@ -153,6 +153,8 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None,
     if max_vertices is not None and (
             type(max_vertices) is not int or max_vertices < 3):
         raise DegenerateInput("max_vertices must be None or an integer >= 3")
+    if workers is not None and (type(workers) is not int or workers < 1):
+        raise DegenerateInput("workers must be None or an integer >= 1")
     caps = resolve(caps)
     pts = tuple(lattice_points(region))
     if len(pts) > caps.region_points:

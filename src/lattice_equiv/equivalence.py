@@ -26,10 +26,9 @@ from math import gcd
 from . import linalg
 from .caps import resolve
 from .errors import DegenerateInput, DimensionMismatch, TooLarge
-from .geometry import LatticePolytope, RationalAffineMap, normalized_volume
+from .geometry import LatticePolytope, RationalAffineMap
 # bench/tracing.py patches the names it traces here; keep them bound.
 from .invariants import (
-    height_signature,
     lattice_height_vector,
     primitive_decomposition,
     volume_vector,
@@ -97,16 +96,10 @@ class _Profile:
         self.vertices = vertices
         self.dim = dim
         self.volume = volume_vector(vertices, dim)
-        self.direction = primitive_decomposition(self.volume).direction
+        primitive = primitive_decomposition(self.volume)
+        self.direction = primitive.direction
         self.direction_signature = tuple(sorted(abs(x) for x in self.direction))
-
-    @cached_property
-    def entry_signature(self):
-        return tuple(sorted(abs(x) for x in self.volume.entries))
-
-    @cached_property
-    def height_signature(self):
-        return height_signature(self.vertices, self.volume)
+        self.content = abs(primitive.content)
 
     @cached_property
     def entry_by_combo(self):
@@ -241,14 +234,10 @@ def decide(p, q, mode):
     pp, qp = _profile(p), _profile(q)
     if pp.direction_signature != qp.direction_signature:
         return NotEquivalent("primitive volume vectors differ as multisets")
-    if mode in ("unimodular", "det_one"):
-        if pp.entry_signature != qp.entry_signature:
-            return NotEquivalent("volume vectors differ as multisets")
-        if p.dim == 2:
-            if normalized_volume(p) != normalized_volume(q):
-                return NotEquivalent("normalized volumes differ")
-            if mode == "unimodular" and pp.height_signature != qp.height_signature:
-                return NotEquivalent("lattice height multisets differ")
+    # With equal direction multisets, the volume vectors are equal as
+    # multisets of |entries| exactly when their contents agree in size.
+    if mode in ("unimodular", "det_one") and pp.content != qp.content:
+        return NotEquivalent("volume vectors differ as multisets")
     combo, value, context = pp.anchor
     images = _candidate_images(qp.entry_by_combo, combo, value)
     return _search(p, q, mode, context, images) or NotEquivalent(

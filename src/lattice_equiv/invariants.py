@@ -9,7 +9,6 @@ integer heights over the hyperplanes spanned by the remaining points.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
 
 from . import linalg
 from .errors import DegenerateInput, DimensionMismatch, ZeroVector
@@ -181,32 +180,3 @@ def lattice_height_vector(points, dim=None):
             linalg.vec_dot(normal, linalg.vec_sub(p, pts[sub[0]]))
             for sub, normal in planes if i not in sub))
     return LatticeHeightVector(n, d, tuple(blocks))
-
-
-def height_signature(points, w):
-    """lattice_height_vector(points, d).abs_signature(), read off the
-    volume vector w of the same points.
-
-    Over a d-subset S, the point p has height |entry(S + p)| / g with g
-    the gcd of the minors of S's difference rows (the content of its
-    hyperplane's integer normal); g = 0 means S spans no hyperplane, and
-    the height is undefined.  Each (d+1)-subset supplies the heights of
-    each of its points over the face of the other d.
-    """
-    d = w.dim
-    contents = []
-    for sub in combinations(points, d):
-        diffs = _differences(sub, range(d))
-        minors = [linalg.int_det([r[:j] + r[j + 1:] for r in diffs])
-                  for j in range(d)]
-        contents.append(gcd(*minors))
-    values = []
-    undefined = 0
-    for entry, (even, odd) in zip(w.entries, face_positions(w.n, d)):
-        for face in even + odd:
-            g = contents[face]
-            if g:
-                values.append(abs(entry) // g)
-            else:
-                undefined += 1
-    return tuple(sorted(values)), undefined

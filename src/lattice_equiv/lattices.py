@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import DegenerateInput
-from .geometry import RationalAffineMap, lattice_points
+from .geometry import RationalAffineMap
 
 
 @dataclass(frozen=True)
@@ -83,22 +83,12 @@ class SublatticeInfo:
     index: int    # index in Z^d, the product of the basis pivots
 
 
-def sublattice_info(p, generators="vertices"):
-    """Basis and index of the difference lattice of a polytope.
-
-    With generators="vertices" the lattice is generated by the pairwise
-    vertex differences (equivalently v_i - v_1).  The alternative
-    generators="lattice-points" uses differences of all lattice points of
-    the polytope instead, as a diagnostic; the two lattices can differ.
-    """
-    if generators == "vertices":
-        pts = p.vertices
-    elif generators == "lattice-points":
-        pts = lattice_points(p)
-    else:
-        raise DegenerateInput(f"unknown generator choice {generators!r}")
-    anchor = pts[0]
-    diffs = [linalg.vec_sub(q, anchor) for q in pts[1:]]
+def sublattice_info(p):
+    """Basis and index of the difference lattice of a polytope: the
+    lattice generated by the pairwise vertex differences (equivalently
+    v_i - v_1)."""
+    anchor = p.vertices[0]
+    diffs = [linalg.vec_sub(q, anchor) for q in p.vertices[1:]]
     result = hnf(diffs)
     if result.rank != p.dim:
         raise DegenerateInput("difference lattice is not full-dimensional")

@@ -91,6 +91,22 @@ def test_enumerate_starts_at_most_one_worker_per_root(monkeypatch):
     assert sizes == [13, 3]
 
 
+class NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+
+def test_enumerate_workers_validation(monkeypatch):
+    monkeypatch.setattr(import_module("lattice_equiv.census"),
+                        "ProcessPoolExecutor", NoPool)
+    for workers in ("2", -3, 0, True, False, 2.0):
+        with pytest.raises(DegenerateInput):
+            enumerate_convex_polygons(Region.ball(1), workers=workers)
+        with pytest.raises(DegenerateInput):
+            census(Region.ball(1), workers=workers)
+    assert len(enumerate_convex_polygons(Region.ball(1), workers=1)) == 9
+
+
 def test_root_search_emits_cycles_in_stored_order():
     # The by-volume searches canonicalize these cycles without building
     # a polytope, so each must already be the constructor's stored order.

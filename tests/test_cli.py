@@ -195,6 +195,16 @@ def test_census_csv_deterministic(capsys):
     assert first == second
 
 
+def test_census_rejects_bad_worker_counts(capsys):
+    # Rejected before any pool exists, so no process is started.
+    for workers in ("-3", "0"):
+        code, out, err = run(capsys, ["census", "--ball-r", "1",
+                                      "--workers", workers])
+        assert code == 3
+        assert out == ""
+        assert "workers" in err
+
+
 def test_emit_census_csv_is_pure():
     rows = [("1", 9, 3, 2), ("0", 0, 0, 0)]
     text = emit_census_csv(rows)

@@ -31,7 +31,9 @@ from lattice_equiv import (
     convex_hull_2d,
     dilate,
     enumerate_convex_polygons,
+    lattice_height_vector,
     lattice_points,
+    normalized_volume,
     oracle_equivalent,
     primitive_decomposition,
     Region,
@@ -64,7 +66,7 @@ def test_rescaled_triangle_pair_affine():
 def test_rescaled_triangle_pair_unimodular():
     ne = unimodular_equivalent(WIDE, TALL)
     assert not ne
-    assert "height" in ne.reason
+    assert ne.reason == "no vertex correspondence extends to an affine map"
 
 
 def test_rescaled_triangle_pair_determinant_one():
@@ -209,6 +211,39 @@ def test_deciders_agree_with_oracle_on_random_pairs():
             got = decide(p, q)
             expect = oracle_equivalent(p, q, mode)
             assert bool(got) == bool(expect), (p, q, mode)
+
+
+def test_content_check_and_search_agree_with_oracle_on_box_forms():
+    # The pairs that pass the vertex-count and direction checks, so that
+    # the unimodular and det_one deciders reject them only by |content|
+    # or by the search.  Equal normalized volume and equal |entries| do
+    # not force equal lattice heights, so a height test would still
+    # reject some of these pairs before the search.
+    forms = {canonical_polygon(p)
+             for p in enumerate_convex_polygons(Region.box(4))}
+    groups = {}
+    for p in forms:
+        w = volume_vector(p.vertices, 2)
+        primitive = primitive_decomposition(w)
+        key = (len(p.vertices),
+               tuple(sorted(abs(x) for x in primitive.direction)))
+        groups.setdefault(key, []).append(
+            (p, abs(primitive.content), sorted(abs(x) for x in w.entries)))
+    pairs = [(a, b) for group in groups.values()
+             for a in group for b in group if a is not b]
+    assert len(pairs) == 2346
+    heights_differ = 0
+    for (p, p_content, p_entries), (q, q_content, q_entries) in pairs:
+        assert (p_entries == q_entries) == (p_content == q_content), (p, q)
+        for mode in ("unimodular", "det_one"):
+            expect = oracle_equivalent(p, q, mode)
+            assert bool(equivalence.decide(p, q, mode)) == bool(expect)
+        heights_differ += (
+            p_entries == q_entries
+            and normalized_volume(p) == normalized_volume(q)
+            and lattice_height_vector(p.vertices).abs_signature()
+            != lattice_height_vector(q.vertices).abs_signature())
+    assert heights_differ == 222
 
 
 def random_rational_affine_image(rng, p):

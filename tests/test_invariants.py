@@ -19,7 +19,6 @@ from lattice_equiv import (
     sublattice_info,
     volume_vector,
 )
-from lattice_equiv.invariants import VolumeVector, height_signature
 
 SQUARE = ((0, 0), (1, 0), (1, 1), (0, 1))
 
@@ -246,10 +245,7 @@ def test_invariants_match_per_subset_public_calls():
             with pytest.raises(DegenerateInput):
                 volume_vector(pts, d)
         blocks = reference_height_blocks(pts, d)
-        heights = lattice_height_vector(pts, d)
-        assert heights.blocks == blocks
-        w = VolumeVector(len(pts), d, entries)
-        assert height_signature(pts, w) == heights.abs_signature()
+        assert lattice_height_vector(pts, d).blocks == blocks
         undefined += sum(h is None for block in blocks for h in block)
     assert undefined > 0
 
