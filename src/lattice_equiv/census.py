@@ -198,17 +198,30 @@ def _volume_forms(side, volume):
     return {_canonical_cycle(cycle) for cycle in translates}
 
 
+def _form_counts(region, caps, workers):
+    """The one stage that walks the region's polygons: a Counter mapping
+    each canonical form to the number of polygons that reduce to it.
+    census and primitivity_scan read only this, so every unimodular
+    invariant they need is taken once per form, weighted by its count."""
+    return Counter(canonical_polygon(poly) for poly in
+                   enumerate_convex_polygons(region, caps=caps,
+                                             workers=workers))
+
+
 def census(region, *, caps=None, workers=None):
     """Counts (|H|, |K|, |A|): all polygons in the region, their
     unimodular classes (distinct canonical forms), and their affine
-    classes (distinct affine keys; an index-1 form is its own key)."""
-    polys = enumerate_convex_polygons(region, caps=caps, workers=workers)
-    forms = {canonical_polygon(poly) for poly in polys}
+    classes (distinct affine keys; an index-1 form is its own key).
+    Normalized volume is a unimodular invariant, so the histogram adds
+    each form's volume once, weighted by its polygon count."""
+    counts = _form_counts(region, caps, workers)
     keys = {form if sublattice_info(form).index == 1 else affine_key(form)
-            for form in forms}
-    histogram = tuple(sorted(Counter(
-        normalized_volume(poly) for poly in polys).items()))
-    return ClassCensus(region, len(polys), len(forms), len(keys), histogram)
+            for form in counts}
+    histogram = Counter()
+    for form, n in counts.items():
+        histogram[normalized_volume(form)] += n
+    return ClassCensus(region, counts.total(), len(counts), len(keys),
+                       tuple(sorted(histogram.items())))
 
 
 def _check_size(value, caps, name, capped_name=None):
@@ -284,19 +297,29 @@ def build_volume_representatives(volume, *, caps=None):
 def primitivity_scan(region, *, caps=None, workers=None):
     """Look for polygons whose vertex differences generate all of Z^2 but
     whose volume vector still has content larger than 1.  An empty
-    counterexample list means none exists at this scale."""
-    polys = enumerate_convex_polygons(region, caps=caps, workers=workers)
-    examined = 0
-    bad = []
-    for poly in polys:
-        if sublattice_info(poly).index != 1:
-            continue
-        examined += 1
-        content = primitive_decomposition(
-            volume_vector(poly.vertices, 2)).content
-        if abs(content) > 1:
-            bad.append(poly)
-    return PrimitivityReport(region, examined, tuple(bad))
+    counterexample list means none exists at this scale.
+
+    Both tests run once per canonical form.  A unimodular map carries a
+    polygon's difference lattice onto its form's and multiplies every
+    volume-vector entry by its determinant +-1, so the index and
+    |content| are the same for a polygon and its form.  In fact
+    |content| equals the index: with vertices v_0, ..., v_n the index is
+    the gcd of the 2x2 minors of the rows v_i - v_0, which are exactly
+    the entries that contain vertex 0, and every other entry
+    det(v_j - v_i, v_k - v_i) = det(v_j - v_0, v_k - v_0)
+    - det(v_i - v_0, v_k - v_0) - det(v_j - v_0, v_i - v_0) is an integer
+    combination of them.  Only if a form failed would the region be
+    enumerated again, to list its polygons in enumeration order."""
+    counts = _form_counts(region, caps, workers)
+    index_one = [form for form in counts if sublattice_info(form).index == 1]
+    failed = {form for form in index_one if abs(primitive_decomposition(
+        volume_vector(form.vertices, 2)).content) > 1}
+    bad = ()
+    if failed:
+        bad = tuple(poly for poly in enumerate_convex_polygons(
+            region, caps=caps, workers=workers)
+            if canonical_polygon(poly) in failed)
+    return PrimitivityReport(region, sum(counts[f] for f in index_one), bad)
 
 
 def affine_map_census(region, budget, *, caps=None):
@@ -305,7 +328,7 @@ def affine_map_census(region, budget, *, caps=None):
     norm seen.  The distinct count is bounded by the number of ordered
     simplex pairs, since a witness matrix is determined by an anchor
     simplex and its image."""
-    if budget < 1:
+    if type(budget) is not int or budget < 1:
         raise DegenerateInput("budget must be a positive integer")
     polys = enumerate_convex_polygons(region, caps=caps)
     examined = 0

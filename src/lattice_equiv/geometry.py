@@ -223,6 +223,16 @@ class RationalAffineMap:
 _REGION_KINDS = ("ball", "box", "orthant-ball")
 
 
+def _rational(value, name):
+    """value as an exact Fraction, or DegenerateInput if Fraction cannot
+    read it."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DegenerateInput(
+            f"{name} must be a rational number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Region:
     """Origin-anchored search region: a ball, a box [0, side]^d, or the
@@ -235,11 +245,11 @@ class Region:
     def __post_init__(self):
         if self.kind not in _REGION_KINDS:
             raise DegenerateInput(f"unknown region kind {self.kind!r}")
-        size = Fraction(self.size)
+        size = _rational(self.size, "region size")
         if size < 0:
             raise DegenerateInput("region size must be nonnegative")
-        if self.dim < 1:
-            raise DegenerateInput("region dimension must be at least 1")
+        if type(self.dim) is not int or self.dim < 1:
+            raise DegenerateInput("region dimension must be an integer >= 1")
         object.__setattr__(self, "size", size)
 
     @staticmethod
@@ -247,11 +257,11 @@ class Region:
         if (radius is None) == (radius_sq is None):
             raise DegenerateInput("give exactly one of radius, radius_sq")
         if radius is not None:
-            radius = Fraction(radius)
+            radius = _rational(radius, "radius")
             if radius < 0:
                 raise DegenerateInput("radius must be nonnegative")
             return radius ** 2
-        return Fraction(radius_sq)
+        return _rational(radius_sq, "radius_sq")
 
     @classmethod
     def ball(cls, radius=None, *, radius_sq=None, dim=2):
@@ -259,7 +269,7 @@ class Region:
 
     @classmethod
     def box(cls, side, dim=2):
-        return cls("box", Fraction(side), dim)
+        return cls("box", side, dim)
 
     @classmethod
     def orthant_ball(cls, radius=None, *, radius_sq=None, dim=2):

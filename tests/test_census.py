@@ -1,5 +1,7 @@
 """Polygon enumeration, class censuses, by-volume counts, and scans."""
 
+import json
+from collections import Counter
 from importlib import import_module
 
 import pytest
@@ -23,11 +25,16 @@ from lattice_equiv import (
     enumerate_convex_polygons,
     lattice_points,
     normalized_volume,
+    primitive_decomposition,
     primitivity_scan,
     shrink_to_minimal_volume,
     attains_minimal_volume,
+    sublattice_info,
     unimodular_equivalent,
+    volume_vector,
 )
+from lattice_equiv.cli import run_command
+from lattice_equiv.invariants import PrimitiveVolumeVector
 
 UNIT = poly((0, 0), (1, 0), (0, 1))
 
@@ -285,6 +292,86 @@ def test_census_unimodular_count_matches_pairwise_decider(region, expected):
     assert census(region).k == len(forms) == expected
 
 
+def per_polygon_primitivity_scan(polys):
+    """Reference scan: the index and the content of every polygon.  On
+    the way it checks, on every polygon, the theorem the per-form scan
+    rests on: |content| equals the index."""
+    examined = 0
+    bad = []
+    for poly in polys:
+        index = sublattice_info(poly).index
+        content = primitive_decomposition(
+            volume_vector(poly.vertices, 2)).content
+        assert abs(content) == index, poly
+        if index != 1:
+            continue
+        examined += 1
+        if abs(content) > 1:
+            bad.append(poly)
+    return examined, tuple(bad)
+
+
+@pytest.mark.parametrize("region", [region for region, _, _ in SMALL_REGIONS])
+def test_weighted_forms_match_per_polygon_loops(region):
+    """census and primitivity_scan take their invariants once per form;
+    the references take them once per polygon."""
+    polys = enumerate_convex_polygons(region)
+    c = census(region)
+    assert c.h == len(polys)
+    assert c.volume_histogram == tuple(sorted(Counter(
+        normalized_volume(p) for p in polys).items()))
+    report = primitivity_scan(region)
+    assert (report.examined, report.counterexamples) == \
+        per_polygon_primitivity_scan(polys)
+
+
+@pytest.fixture
+def imprimitive_form(monkeypatch):
+    """Make the census module's primitive_decomposition report content 2
+    for one index-1 form of ball:2 that stands for several polygons, and
+    return that form with its polygons in enumeration order."""
+    region = Region.ball(2)
+    polys = enumerate_convex_polygons(region)
+    members = {}
+    for p in polys:
+        members.setdefault(canonical_polygon(p), []).append(p)
+    vectors = Counter(volume_vector(f.vertices, 2) for f in members)
+    form = min((f for f, ps in members.items() if len(ps) > 1
+                and sublattice_info(f).index == 1
+                and vectors[volume_vector(f.vertices, 2)] == 1),
+               key=LatticePolytope.serialize)
+    target = volume_vector(form.vertices, 2)
+    module = import_module("lattice_equiv.census")
+    real = module.primitive_decomposition
+
+    def reports_content_two(w):
+        d = real(w)
+        return PrimitiveVolumeVector(2, d.direction) if w == target else d
+
+    monkeypatch.setattr(module, "primitive_decomposition", reports_content_two)
+    return form, tuple(members[form])
+
+
+def test_primitivity_scan_lists_every_polygon_of_a_failed_form(
+        imprimitive_form):
+    form, expected = imprimitive_form
+    report = primitivity_scan(Region.ball(2))
+    assert report.examined == 550
+    assert report.counterexamples == expected
+    assert all(canonical_polygon(p) == form for p in expected)
+
+
+def test_scan_primitivity_command_prints_a_failed_form(imprimitive_form,
+                                                       capsys):
+    _, expected = imprimitive_form
+    code = run_command(["scan-primitivity", "--ball-r", "2"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["examined"] == 550
+    assert doc["counterexamples"] == [[list(v) for v in p.vertices]
+                                      for p in expected]
+
+
 @pytest.mark.parametrize("region", [Region.ball(2), Region.box(3)])
 def test_enumeration_order_is_serialized_order(region):
     """Sorting by the vertex tuples orders 2D polygons of equal vertex
@@ -403,8 +490,10 @@ def test_affine_map_census_identity_only():
 
 
 def test_affine_map_census_validation():
-    with pytest.raises(DegenerateInput):
-        affine_map_census(Region.ball(1), 0)
+    for budget in (0, -1, 2.5, 3.0, "5", None, True):
+        with pytest.raises(DegenerateInput,
+                           match="budget must be a positive integer"):
+            affine_map_census(Region.ball(1), budget)
 
 
 def test_dilated_triangle_witness_in_ball_two():

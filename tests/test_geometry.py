@@ -264,6 +264,29 @@ def test_region_validation_and_labels():
         Region("ball", -1)
 
 
+def test_region_rejects_what_it_cannot_read_exactly():
+    bad = [
+        lambda: Region.box(2, dim=2.5),
+        lambda: Region.box(2, dim=True),
+        lambda: Region.box(2, dim=0),
+        lambda: Region("box", 2, dim="2"),
+        lambda: Region.box(None),
+        lambda: Region.box(float("nan")),
+        lambda: Region.box(float("inf")),
+        lambda: Region.ball("x"),
+        lambda: Region.ball(radius_sq=[2]),
+        lambda: Region.orthant_ball(object()),
+    ]
+    for make in bad:
+        with pytest.raises(DegenerateInput):
+            make()
+    # Rational sizes and squared radii still read exactly.
+    box = Region.box(Fraction(5, 2))
+    assert box.size == Fraction(5, 2) and len(lattice_points(box)) == 9
+    assert Region.ball(radius_sq=Fraction(8)).label() == "ball:sqrt(8)"
+    assert Region.box(2, dim=3).dim == 3
+
+
 def test_affine_map_apply():
     move = RationalAffineMap(((0, 1), (1, 0)), (1, 0))
     assert move.apply((2, 3)) == (4, 2)
