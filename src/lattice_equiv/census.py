@@ -30,7 +30,13 @@ from .errors import (
     DimensionMismatch,
     RegionTooLarge,
 )
-from .geometry import LatticePolytope, Region, lattice_points, normalized_volume
+from .geometry import (
+    LatticePolytope,
+    Region,
+    _stored_polygon,
+    lattice_points,
+    normalized_volume,
+)
 from .invariants import primitive_decomposition, volume_vector
 from .lattices import sublattice_info
 
@@ -147,6 +153,10 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None,
     never count as vertices.  The root branches are independent, so they
     can be distributed over worker processes without changing the output;
     at most one worker is started per lattice point of the region.
+
+    The root search emits each cycle in LatticePolytope's stored order
+    (tests/test_census.py::test_root_search_emits_cycles_in_stored_order),
+    so the polygons are stored without the constructor's check.
     """
     if region.dim != 2:
         raise DimensionMismatch("polygon enumeration requires dimension 2")
@@ -170,7 +180,7 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None,
             chunks = list(pool.map(_root_worker, tasks))
     else:
         chunks = [_root_worker(task) for task in tasks]
-    polys = [LatticePolytope(2, verts) for chunk in chunks for verts in chunk]
+    polys = [_stored_polygon(verts) for chunk in chunks for verts in chunk]
     polys.sort(key=lambda p: (len(p.vertices), p.vertices))
     return polys
 

@@ -111,6 +111,11 @@ class LatticePolytope:
     hull taken, to tell points out of strictly convex position from a
     wrong vertex order.  For dim >= 3 the list is stored as given and
     convex position is not verified.
+
+    The census path stores two kinds of cycle it built itself without
+    this check, through `_stored_polygon`: the root-search cycles of
+    `enumerate_convex_polygons` and the framed cycles of
+    `canonical_polygon`.  Every other construction runs it.
     """
 
     dim: int
@@ -120,8 +125,8 @@ class LatticePolytope:
         verts = _point_tuples(self.vertices, "vertices")
         if not all(type(c) is int for v in verts for c in v):
             verts = tuple(tuple(_as_int(c) for c in v) for v in verts)
-        if self.dim < 1:
-            raise DegenerateInput("dimension must be at least 1")
+        if type(self.dim) is not int or self.dim < 1:
+            raise DegenerateInput("dimension must be an integer >= 1")
         for v in verts:
             if len(v) != self.dim:
                 raise DimensionMismatch(
@@ -164,6 +169,28 @@ class LatticePolytope:
             return all(linalg.vec_dot(normal, point) + offset <= 0
                        for normal, offset in _facet_inequalities_3d(self))
         raise DimensionMismatch("membership implemented for dim 2 and 3 only")
+
+
+def _stored_polygon(cycle):
+    """The polygon LatticePolytope(2, cycle), built without running its
+    check: `vertices` is `cycle` itself.
+
+    Precondition: `cycle` is a tuple of 2-tuples of plain ints, strictly
+    convex and already in stored order (lex-least vertex first, then
+    counterclockwise), so the check would pass and keep it unchanged.
+    The two callers and the tests that prove they meet it:
+    - `enumerate_convex_polygons`, with root-search cycles:
+      tests/test_census.py::test_root_search_emits_cycles_in_stored_order;
+    - `canonical_polygon`, with framed canonical cycles:
+      tests/test_census.py::test_census_path_polygons_pass_the_check.
+
+    Call it by this name.  bench/tracing.py replaces `LatticePolytope`
+    in the census and equivalence namespaces by a plain function, which
+    has no `__new__` to build through."""
+    p = object.__new__(LatticePolytope)
+    object.__setattr__(p, "dim", 2)
+    object.__setattr__(p, "vertices", cycle)
+    return p
 
 
 @dataclass(frozen=True)
@@ -225,7 +252,11 @@ _REGION_KINDS = ("ball", "box", "orthant-ball")
 
 def _rational(value, name):
     """value as an exact Fraction, or DegenerateInput if Fraction cannot
-    read it."""
+    read it.  A float would be read at its binary value and a bool as 0
+    or 1, so both are rejected."""
+    if isinstance(value, (bool, float)):
+        raise DegenerateInput(
+            f"{name} must be an int or a Fraction, got {value!r}")
     try:
         return Fraction(value)
     except (TypeError, ValueError, OverflowError):

@@ -7,7 +7,8 @@ from importlib import import_module
 import pytest
 
 from conftest import (
-    brute_polygon_sets, cross, oracle_class_count, poly, strict_hull)
+    apply_int_map, brute_polygon_sets, cross, oracle_class_count, poly,
+    random_unimodular, seeded, strict_hull)
 from lattice_equiv import (
     Caps,
     CapExceeded,
@@ -323,6 +324,37 @@ def test_weighted_forms_match_per_polygon_loops(region):
     report = primitivity_scan(region)
     assert (report.examined, report.counterexamples) == \
         per_polygon_primitivity_scan(polys)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("region", [region for region, _, _ in SMALL_REGIONS])
+def test_census_path_polygons_pass_the_check(region, workers):
+    """enumerate_convex_polygons and canonical_polygon store the cycles
+    they build without LatticePolytope's check.  The check must accept
+    each of them, and leave it as it is, plain ints included; the framed
+    cycle is also checked from a unimodular image of every polygon."""
+    rng = seeded(15)
+    for p in enumerate_convex_polygons(region, workers=workers):
+        image = LatticePolytope(2, tuple(apply_int_map(
+            p.vertices, random_unimodular(rng),
+            (rng.randint(-9, 9), rng.randint(-9, 9)))))
+        form = canonical_polygon(p)
+        assert canonical_polygon(image) == form
+        for q in (p, form):
+            assert LatticePolytope(2, q.vertices) == q
+            assert all(type(c) is int for v in q.vertices for c in v)
+
+
+def test_census_path_builds_no_checked_polytope(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the census path built a checked polytope")
+
+    for name in ("census", "equivalence"):
+        # the package re-exports the census() function under the module's name
+        monkeypatch.setattr(import_module("lattice_equiv." + name),
+                            "LatticePolytope", refuse)
+    assert census(Region.box(3)).k == 148
+    assert primitivity_scan(Region.ball(2)).counterexamples == ()
 
 
 @pytest.fixture

@@ -175,6 +175,15 @@ def test_polytope_coordinate_types():
                            match=f"^coordinates must be plain integers, "
                                  f"got {re.escape(repr(bad))}$"):
             LatticePolytope(2, ((0, 0), (bad, 0), (0, 1)))
+    # The dimension must be a plain int, as a Region's: True would pass
+    # as 1 and 2.0 as 2.
+    for dim, verts in ((True, ((0,), (1,))),
+                       (2.0, ((0, 0), (1, 0), (0, 1))),
+                       (Coordinate(2), ((0, 0), (1, 0), (0, 1))),
+                       ("2", ((0, 0), (1, 0), (0, 1)))):
+        with pytest.raises(DegenerateInput,
+                           match="^dimension must be an integer >= 1$"):
+            LatticePolytope(dim, verts)
 
 
 def test_polytope_rejects_non_sequence_vertices():
@@ -276,6 +285,15 @@ def test_region_rejects_what_it_cannot_read_exactly():
         lambda: Region.ball("x"),
         lambda: Region.ball(radius_sq=[2]),
         lambda: Region.orthant_ball(object()),
+        # A float is read at its binary value, a bool as 0 or 1.
+        lambda: Region.box(0.1),
+        lambda: Region.box(2.0),
+        lambda: Region.box(True),
+        lambda: Region("box", False),
+        lambda: Region.ball(1.0),
+        lambda: Region.ball(True),
+        lambda: Region.ball(radius_sq=True),
+        lambda: Region.orthant_ball(radius_sq=2.0),
     ]
     for make in bad:
         with pytest.raises(DegenerateInput):
