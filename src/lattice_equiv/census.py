@@ -15,6 +15,8 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cmp_to_key
+from itertools import combinations
+from math import gcd
 
 from .caps import resolve
 # bench/tracing.py patches the names it traces here; keep them bound.
@@ -145,14 +147,24 @@ def _root_worker(task):
     return _root_polygons(*task)
 
 
+def _map(fn, tasks, workers):
+    """[fn(t) for t in tasks], in task order: inline for one worker, else
+    through a process pool of at most one worker per task."""
+    workers = min(workers or 1, len(tasks))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def enumerate_convex_polygons(region, max_vertices=None, *, caps=None,
                               workers=None):
     """Every full-dimensional convex polygon whose vertex set lies in the
     region's lattice points, each exactly once, sorted by (vertex count,
     vertex cycle).  Points interior to the hull or to an edge
     never count as vertices.  The root branches are independent, so they
-    can be distributed over worker processes without changing the output;
-    at most one worker is started per lattice point of the region.
+    are distributed over worker processes (one task per lattice point,
+    hence at most one worker per point) without changing the output.
 
     The root search emits each cycle in LatticePolytope's stored order
     (tests/test_census.py::test_root_search_emits_cycles_in_stored_order),
@@ -172,14 +184,7 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None,
             f"{region.label()} has {len(pts)} lattice points, "
             f"cap is {caps.region_points}")
     tasks = [(pts, i, max_vertices, None) for i in range(len(pts))]
-    # The pool starts all its workers at once; more than one per root
-    # task would have nothing to do.
-    workers = min(workers or 1, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_root_worker, tasks))
-    else:
-        chunks = [_root_worker(task) for task in tasks]
+    chunks = _map(_root_worker, tasks, workers)
     polys = [_stored_polygon(verts) for chunk in chunks for verts in chunk]
     polys.sort(key=lambda p: (len(p.vertices), p.vertices))
     return polys
@@ -208,14 +213,43 @@ def _volume_forms(side, volume):
     return {_canonical_cycle(cycle) for cycle in translates}
 
 
+def _chunk_forms(cycles):
+    """Counter of the canonical cycles of some root-search cycles, each
+    canonicalized through this module's name canonical_polygon."""
+    return Counter(canonical_polygon(_stored_polygon(cycle)).vertices
+                   for cycle in cycles)
+
+
 def _form_counts(region, caps, workers):
     """The one stage that walks the region's polygons: a Counter mapping
     each canonical form to the number of polygons that reduce to it.
     census and primitivity_scan read only this, so every unimodular
-    invariant they need is taken once per form, weighted by its count."""
-    return Counter(canonical_polygon(poly) for poly in
-                   enumerate_convex_polygons(region, caps=caps,
-                                             workers=workers))
+    invariant they need is taken once per form, weighted by its count.
+
+    Both the root search and the canonicalization run in the worker
+    pool; the per-form work of census and primitivity_scan (index tests,
+    affine keys) stays in the parent.  The polygons' raw cycles (cheaper
+    to send than polygons) are dealt into strided chunks, at most one per
+    lattice point of the region; each chunk comes back as a Counter
+    (smaller than its list of forms), and the Counters are merged in
+    chunk order.  A polygon is built once per distinct form."""
+    cycles = [poly.vertices for poly in
+              enumerate_convex_polygons(region, caps=caps, workers=workers)]
+    chunk_count = min(workers or 1, len(lattice_points(region)), len(cycles))
+    counts = Counter()
+    for chunk in _map(_chunk_forms, [cycles[k::chunk_count]
+                                     for k in range(chunk_count)], workers):
+        counts.update(chunk)
+    return Counter({_stored_polygon(form): n for form, n in counts.items()})
+
+
+def _form_index(form):
+    """sublattice_info(form).index for a canonical form.  The form starts
+    at the origin, so its vertex differences are its vertices, and the
+    index of the lattice they generate is the gcd of the 2x2 minors
+    det(v_i, v_j), as in primitivity_scan's docstring."""
+    return gcd(*(x1 * y2 - y1 * x2 for (x1, y1), (x2, y2)
+                 in combinations(form.vertices[1:], 2)))
 
 
 def census(region, *, caps=None, workers=None):
@@ -225,7 +259,7 @@ def census(region, *, caps=None, workers=None):
     Normalized volume is a unimodular invariant, so the histogram adds
     each form's volume once, weighted by its polygon count."""
     counts = _form_counts(region, caps, workers)
-    keys = {form if sublattice_info(form).index == 1 else affine_key(form)
+    keys = {form if _form_index(form) == 1 else affine_key(form)
             for form in counts}
     histogram = Counter()
     for form, n in counts.items():
@@ -321,7 +355,7 @@ def primitivity_scan(region, *, caps=None, workers=None):
     combination of them.  Only if a form failed would the region be
     enumerated again, to list its polygons in enumeration order."""
     counts = _form_counts(region, caps, workers)
-    index_one = [form for form in counts if sublattice_info(form).index == 1]
+    index_one = [form for form in counts if _form_index(form) == 1]
     failed = {form for form in index_one if abs(primitive_decomposition(
         volume_vector(form.vertices, 2)).content) > 1}
     bad = ()

@@ -335,10 +335,10 @@ def _region_flags(sub):
                      help="nonnegative quadrant of the radius-R ball; R as "
                           "for --ball-r")
     sub.add_argument("--workers", type=int, default=None,
-                     help="worker processes for the enumeration's root "
-                          "search only (at most one per lattice point of "
-                          "the region is started); all later stages run "
-                          "in the parent process")
+                     help="worker processes for the root search and the "
+                          "canonical forms (at most one per lattice point "
+                          "of the region is started); affine keys and "
+                          "index tests run in the parent process")
 
 
 def build_parser():

@@ -307,13 +307,17 @@ def _canonical_cycle(cycle):
     one a full comparison picks.
     """
     n = len(cycle)
-    edges = [(q[0] - p[0], q[1] - p[1])
-             for p, q in zip(cycle, cycle[1:] + cycle[:1])]
+    # Indices into the doubled cycle need no modulo: a traversal reads
+    # ring[start + step * k] with 0 <= start <= n, 0 <= k < n and step
+    # +-1, and a negative index counts back from the end of the cycle.
+    ring = cycle + cycle
+    edges = [(qx - px, qy - py)
+             for (px, py), (qx, qy) in zip(ring, ring[1:n + 1])]
     # An edge's lattice length is the same in both orientations.
     lengths = [gcd(ex, ey) for ex, ey in edges]
     g = min(lengths)
-    # A candidate traverses cycle[start], cycle[start + step], ... and
-    # maps p to (p - o) @ ((xx, xy), (yx, yy)), o = cycle[start].
+    # A candidate traverses ring[start], ring[start + step], ... and
+    # maps p to (p - o) @ ((xx, xy), (yx, yy)), o = ring[start].
     frames = []
     for i, length in enumerate(lengths):
         if length != g:
@@ -322,9 +326,9 @@ def _canonical_cycle(cycle):
         _, x, y = linalg.egcd(alpha, beta)
         for start, step, al, be, u, v in (
                 (i, 1, alpha, beta, x, y),
-                ((i + 1) % n, -1, -alpha, -beta, -x, -y)):
-            ox, oy = cycle[start]
-            lx, ly = cycle[(start - step) % n]
+                (i + 1, -1, -alpha, -beta, -x, -y)):
+            ox, oy = ring[start]
+            lx, ly = ring[start - step]
             dx, dy = lx - ox, ly - oy
             # ((u, -be), (v, al)) takes the edge to (g, 0) and the last
             # vertex to height h; the sign s reflects it to b = |h| and
@@ -335,16 +339,30 @@ def _canonical_cycle(cycle):
             frames.append((start, step, ox, oy,
                            u + t * be, -s * be, v - t * al, s * al))
     out = [(0, 0), (g, 0)]
-    for k in range(2, n):
-        images = []
-        for start, step, ox, oy, xx, xy, yx, yy in frames:
-            px, py = cycle[(start + step * k) % n]
-            px, py = px - ox, py - oy
-            images.append((px * xx + py * yx, px * xy + py * yy))
-        least = min(images)
+    k = 2
+    while len(frames) > 1 and k < n:
+        # One pass: the least image of vertex k and the frames tied on it.
+        least = None
+        for frame in frames:
+            start, step, ox, oy, xx, xy, yx, yy = frame
+            px, py = ring[start + step * k]
+            px -= ox
+            py -= oy
+            image = (px * xx + py * yx, px * xy + py * yy)
+            if least is None or image < least:
+                least = image
+                tied = [frame]
+            elif image == least:
+                tied.append(frame)
         out.append(least)
-        if len(images) > 1:
-            frames = [f for f, image in zip(frames, images) if image == least]
+        frames = tied
+        k += 1
+    start, step, ox, oy, xx, xy, yx, yy = frames[0]
+    for j in range(k, n):
+        px, py = ring[start + step * j]
+        px -= ox
+        py -= oy
+        out.append((px * xx + py * yx, px * xy + py * yy))
     return tuple(out)
 
 

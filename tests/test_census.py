@@ -72,7 +72,10 @@ def test_enumerate_deterministic_and_parallel_consistent():
     assert serial == again == parallel
 
 
-def test_enumerate_starts_at_most_one_worker_per_root(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the census module's process pool by one that maps inline;
+    return the list of the max_workers each pool was asked for."""
     sizes = []
 
     class InlinePool:
@@ -91,12 +94,29 @@ def test_enumerate_starts_at_most_one_worker_per_root(monkeypatch):
     # the package re-exports the census() function under the module's name
     monkeypatch.setattr(import_module("lattice_equiv.census"),
                         "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def test_enumerate_starts_at_most_one_worker_per_root(pool_sizes):
     region = Region.ball(2)  # 13 lattice points, one root task each
     serial = enumerate_convex_polygons(region)
     assert enumerate_convex_polygons(region, workers=10**6) == serial
     assert enumerate_convex_polygons(region, workers=3) == serial
     assert enumerate_convex_polygons(Region.ball(0), workers=10**6) == []
-    assert sizes == [13, 3]
+    assert pool_sizes == [13, 3]
+
+
+def test_census_starts_at_most_one_worker_per_lattice_point(pool_sizes):
+    # Root search and canonicalization each get a pool of at most one
+    # worker per lattice point, however many workers are asked for.
+    region = Region.ball(2)  # 13 lattice points
+    assert census(region, workers=10**6) == census(region)
+    assert primitivity_scan(region, workers=10**6) == primitivity_scan(region)
+    assert pool_sizes == [13] * 4
+    pool_sizes.clear()
+    assert census(Region.ball(0), workers=10**6).h == 0
+    assert primitivity_scan(Region.ball(0), workers=10**6).examined == 0
+    assert pool_sizes == []
 
 
 class NoPool:
@@ -324,6 +344,33 @@ def test_weighted_forms_match_per_polygon_loops(region):
     report = primitivity_scan(region)
     assert (report.examined, report.counterexamples) == \
         per_polygon_primitivity_scan(polys)
+
+
+@pytest.mark.parametrize("region", [region for region, _, _ in SMALL_REGIONS])
+def test_pooled_form_counts_match_per_polygon_forms(region):
+    """The pooled stage deals raw cycles into chunks and merges their
+    Counters; the reference canonicalizes each enumerated polygon."""
+    form_counts = import_module("lattice_equiv.census")._form_counts
+    expected = Counter(canonical_polygon(p)
+                       for p in enumerate_convex_polygons(region))
+    censuses, reports = [], []
+    for workers in (1, 2, 3):
+        assert form_counts(region, None, workers) == expected
+        censuses.append(census(region, workers=workers))
+        reports.append(primitivity_scan(region, workers=workers))
+    assert censuses == [censuses[0]] * 3
+    assert reports == [reports[0]] * 3
+
+
+def test_form_index_matches_sublattice_index():
+    module = import_module("lattice_equiv.census")
+    box_forms = list(module._form_counts(Region.box(4), None, 1))
+    volume_forms = [LatticePolytope(2, cycle) for v in range(1, 9)
+                    for cycle in module._volume_forms(v, v)]
+    for forms in (box_forms, volume_forms):
+        assert [module._form_index(form) for form in forms] == \
+            [sublattice_info(form).index for form in forms]
+    assert sum(module._form_index(form) > 1 for form in box_forms) == 253
 
 
 @pytest.mark.parametrize("workers", [1, 2])

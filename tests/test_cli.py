@@ -195,6 +195,20 @@ def test_census_csv_deterministic(capsys):
     assert first == second
 
 
+def test_outputs_identical_across_worker_counts(capsys):
+    commands = [
+        (0, ["census", "--csv", "--ball-r", "0", "--ball-r", "1",
+             "--ball-r", "2", "--box-side", "1", "--box-side", "2",
+             "--box-side", "3"]),
+        (1, ["scan-primitivity", "--ball-r", "2"]),
+    ]
+    for code, argv in commands:
+        outputs = [run(capsys, argv + ["--workers", workers])[:2]
+                   for workers in ("1", "2", "3")]
+        assert outputs[0][0] == code and outputs[0][1], argv
+        assert outputs == [outputs[0]] * 3, argv
+
+
 def test_census_rejects_bad_worker_counts(capsys):
     # Rejected before any pool exists, so no process is started.
     for workers in ("-3", "0"):

@@ -491,6 +491,25 @@ def test_canonical_cycle_of_symmetric_polygons():
             [form] * (2 * len(cycle)), name
 
 
+def test_canonical_cycle_matches_eager_loop_on_unimodular_images():
+    # Unimodular images of box:4 polygons, translated and read from a
+    # random vertex in both orientations, checked against every framed
+    # cycle built in full.
+    root_polygons = import_module("lattice_equiv.census")._root_polygons
+    pts = lattice_points(Region.box(4))
+    cycles = [c for i in range(len(pts))
+              for c in root_polygons(pts, i, None, None)]
+    rng = seeded(16)
+    for cycle in rng.sample(cycles, 3000):
+        image = apply_int_map(cycle, random_unimodular(rng),
+                              (rng.randint(-9, 9), rng.randint(-9, 9)))
+        start = rng.randrange(len(image))
+        image = tuple(image[start:] + image[:start])
+        for c in (image, image[::-1]):
+            assert equivalence._canonical_cycle(c) == \
+                eager_canonical_cycle(c), c
+
+
 def test_canonical_polygon_matches_reference_representative():
     rng = seeded(73)
     dets = Counter()
