@@ -143,28 +143,12 @@ def _root_polygons(points, root_index, max_vertices, max_volume):
     return out
 
 
-def _root_worker(task):
-    return _root_polygons(*task)
-
-
-def _map(fn, tasks, workers):
-    """[fn(t) for t in tasks], in task order: inline for one worker, else
-    through a process pool of at most one worker per task."""
-    workers = min(workers or 1, len(tasks))
-    if workers <= 1:
-        return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
-def enumerate_convex_polygons(region, max_vertices=None, *, caps=None,
-                              workers=None):
+def enumerate_convex_polygons(region, max_vertices=None, *, caps=None):
     """Every full-dimensional convex polygon whose vertex set lies in the
     region's lattice points, each exactly once, sorted by (vertex count,
     vertex cycle).  Points interior to the hull or to an edge
-    never count as vertices.  The root branches are independent, so they
-    are distributed over worker processes (one task per lattice point,
-    hence at most one worker per point) without changing the output.
+    never count as vertices.  The root search runs in the calling
+    process; the census parallelizes only its canonicalize stage.
 
     The root search emits each cycle in LatticePolytope's stored order
     (tests/test_census.py::test_root_search_emits_cycles_in_stored_order),
@@ -175,17 +159,14 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None,
     if max_vertices is not None and (
             type(max_vertices) is not int or max_vertices < 3):
         raise DegenerateInput("max_vertices must be None or an integer >= 3")
-    if workers is not None and (type(workers) is not int or workers < 1):
-        raise DegenerateInput("workers must be None or an integer >= 1")
     caps = resolve(caps)
     pts = tuple(lattice_points(region))
     if len(pts) > caps.region_points:
         raise RegionTooLarge(
             f"{region.label()} has {len(pts)} lattice points, "
             f"cap is {caps.region_points}")
-    tasks = [(pts, i, max_vertices, None) for i in range(len(pts))]
-    chunks = _map(_root_worker, tasks, workers)
-    polys = [_stored_polygon(verts) for chunk in chunks for verts in chunk]
+    polys = [_stored_polygon(verts) for i in range(len(pts))
+             for verts in _root_polygons(pts, i, max_vertices, None)]
     polys.sort(key=lambda p: (len(p.vertices), p.vertices))
     return polys
 
@@ -226,19 +207,28 @@ def _form_counts(region, caps, workers):
     census and primitivity_scan read only this, so every unimodular
     invariant they need is taken once per form, weighted by its count.
 
-    Both the root search and the canonicalization run in the worker
-    pool; the per-form work of census and primitivity_scan (index tests,
-    affine keys) stays in the parent.  The polygons' raw cycles (cheaper
-    to send than polygons) are dealt into strided chunks, at most one per
-    lattice point of the region; each chunk comes back as a Counter
-    (smaller than its list of forms), and the Counters are merged in
-    chunk order.  A polygon is built once per distinct form."""
+    `workers` is checked before the search, which runs in the parent.
+    The canonicalization runs in the call's one process pool (inline for
+    one chunk); the per-form work of census and primitivity_scan (index
+    tests, affine keys) stays in the parent.  The polygons' raw cycles
+    (cheaper to send than polygons) are dealt into strided chunks, at
+    most one per lattice point of the region; each chunk comes back as a
+    Counter (smaller than its list of forms), and the Counters are merged
+    in chunk order.  A polygon is built once per distinct form."""
+    if workers is not None and (type(workers) is not int or workers < 1):
+        raise DegenerateInput("workers must be None or an integer >= 1")
+    # bench/tracing.py counts calls through this name and canonical_polygon.
     cycles = [poly.vertices for poly in
-              enumerate_convex_polygons(region, caps=caps, workers=workers)]
+              enumerate_convex_polygons(region, caps=caps)]
     chunk_count = min(workers or 1, len(lattice_points(region)), len(cycles))
+    chunks = [cycles[k::chunk_count] for k in range(chunk_count)]
+    if chunk_count <= 1:
+        results = map(_chunk_forms, chunks)
+    else:
+        with ProcessPoolExecutor(max_workers=chunk_count) as pool:
+            results = list(pool.map(_chunk_forms, chunks))
     counts = Counter()
-    for chunk in _map(_chunk_forms, [cycles[k::chunk_count]
-                                     for k in range(chunk_count)], workers):
+    for chunk in results:
         counts.update(chunk)
     return Counter({_stored_polygon(form): n for form, n in counts.items()})
 
@@ -257,7 +247,8 @@ def census(region, *, caps=None, workers=None):
     unimodular classes (distinct canonical forms), and their affine
     classes (distinct affine keys; an index-1 form is its own key).
     Normalized volume is a unimodular invariant, so the histogram adds
-    each form's volume once, weighted by its polygon count."""
+    each form's volume once, weighted by its polygon count.  `workers`
+    sizes the call's one pool, which canonicalizes; see _form_counts."""
     counts = _form_counts(region, caps, workers)
     keys = {form if _form_index(form) == 1 else affine_key(form)
             for form in counts}
@@ -353,7 +344,8 @@ def primitivity_scan(region, *, caps=None, workers=None):
     det(v_j - v_i, v_k - v_i) = det(v_j - v_0, v_k - v_0)
     - det(v_i - v_0, v_k - v_0) - det(v_j - v_0, v_i - v_0) is an integer
     combination of them.  Only if a form failed would the region be
-    enumerated again, to list its polygons in enumeration order."""
+    enumerated again, in the parent, to list its polygons in enumeration
+    order.  `workers` sizes the canonicalize pool, as in census."""
     counts = _form_counts(region, caps, workers)
     index_one = [form for form in counts if _form_index(form) == 1]
     failed = {form for form in index_one if abs(primitive_decomposition(
@@ -361,8 +353,7 @@ def primitivity_scan(region, *, caps=None, workers=None):
     bad = ()
     if failed:
         bad = tuple(poly for poly in enumerate_convex_polygons(
-            region, caps=caps, workers=workers)
-            if canonical_polygon(poly) in failed)
+            region, caps=caps) if canonical_polygon(poly) in failed)
     return PrimitivityReport(region, sum(counts[f] for f in index_one), bad)
 
 

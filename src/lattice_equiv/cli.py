@@ -40,9 +40,9 @@ from .lattices import shrink_to_minimal_volume, sublattice_info
 def parse_polytope(text):
     """Parse a polytope document: {"dim": d, "points": [[...], ...]}.
 
-    Coordinates must be exact JSON integers.  For dimension 2 the convex
-    hull is taken; a True second return value flags input points that
-    were not vertices (dropped with a warning by the CLI).
+    Coordinates must be exact JSON integers.  In dimensions 1 and 2 the
+    convex hull is taken; a True second return value flags input points
+    that were not vertices (dropped with a warning by the CLI).
     """
     try:
         doc = json.loads(text)
@@ -65,10 +65,11 @@ def parse_polytope(text):
                 raise ParseError(
                     f"coordinate {c!r} is not an exact integer")
         clean.append(tuple(pt))
-    if dim == 2:
-        poly = convex_hull_2d(clean)
-        return poly, set(poly.vertices) != set(clean)
-    return LatticePolytope(dim, tuple(clean)), False
+    if dim not in (1, 2):
+        return LatticePolytope(dim, tuple(clean)), False
+    poly = (convex_hull_2d(clean) if dim == 2 else
+            LatticePolytope(1, tuple(sorted({min(clean), max(clean)}))))
+    return poly, set(poly.vertices) != set(clean)
 
 
 def polytope_document(poly):
@@ -335,9 +336,9 @@ def _region_flags(sub):
                      help="nonnegative quadrant of the radius-R ball; R as "
                           "for --ball-r")
     sub.add_argument("--workers", type=int, default=None,
-                     help="worker processes for the root search and the "
-                          "canonical forms (at most one per lattice point "
-                          "of the region is started); affine keys and "
+                     help="worker processes for the canonical forms (at "
+                          "most one per lattice point of the region is "
+                          "started); the polygon search, affine keys and "
                           "index tests run in the parent process")
 
 

@@ -109,13 +109,15 @@ class LatticePolytope:
     stored order must turn strictly left at every vertex, and so must its
     fan from the lex-least vertex.  Only a rejected cycle has its convex
     hull taken, to tell points out of strictly convex position from a
-    wrong vertex order.  For dim >= 3 the list is stored as given and
-    convex position is not verified.
+    wrong vertex order.  For dim 1 the vertices must be the segment's two
+    endpoints.  For dim >= 3 the list is stored as given and convex
+    position is not verified.
 
-    The census path stores two kinds of cycle it built itself without
-    this check, through `_stored_polygon`: the root-search cycles of
-    `enumerate_convex_polygons` and the framed cycles of
-    `canonical_polygon`.  Every other construction runs it.
+    The census path stores cycles it built itself without this check,
+    through `_stored_polygon`: in `enumerate_convex_polygons`,
+    `_chunk_forms`, `_form_counts` and `canonical_polygon` (its
+    docstring names the test behind each).  Every other construction
+    runs it.
     """
 
     dim: int
@@ -135,6 +137,8 @@ class LatticePolytope:
             raise DegenerateInput("duplicate vertices")
         if len(verts) < self.dim + 1:
             raise DegenerateInput("too few vertices to be full-dimensional")
+        if self.dim == 1 and len(verts) != 2:
+            raise DegenerateInput("a 1-dimensional polytope is a segment")
         if self.dim == 2:
             cycle = _ccw_lex_least(verts)
             if not _is_convex_cycle(cycle):
@@ -178,11 +182,12 @@ def _stored_polygon(cycle):
     Precondition: `cycle` is a tuple of 2-tuples of plain ints, strictly
     convex and already in stored order (lex-least vertex first, then
     counterclockwise), so the check would pass and keep it unchanged.
-    The two callers and the tests that prove they meet it:
-    - `enumerate_convex_polygons`, with root-search cycles:
-      tests/test_census.py::test_root_search_emits_cycles_in_stored_order;
-    - `canonical_polygon`, with framed canonical cycles:
-      tests/test_census.py::test_census_path_polygons_pass_the_check.
+    Every call site, with the test in tests/test_census.py that proves
+    it meets this:
+    - `enumerate_convex_polygons` and `_chunk_forms` (root-search
+      cycles): test_root_search_emits_cycles_in_stored_order;
+    - `canonical_polygon` and `_form_counts` (canonical cycles, also
+      back from the pool): test_census_path_polygons_pass_the_check.
 
     Call it by this name.  bench/tracing.py replaces `LatticePolytope`
     in the census and equivalence namespaces by a plain function, which

@@ -65,11 +65,9 @@ def test_enumerate_matches_subset_scan():
         assert got == expected
 
 
-def test_enumerate_deterministic_and_parallel_consistent():
-    serial = enumerate_convex_polygons(Region.ball(2))
-    again = enumerate_convex_polygons(Region.ball(2))
-    parallel = enumerate_convex_polygons(Region.ball(2), workers=3)
-    assert serial == again == parallel
+def test_enumerate_deterministic():
+    assert enumerate_convex_polygons(Region.ball(2)) == \
+        enumerate_convex_polygons(Region.ball(2))
 
 
 @pytest.fixture
@@ -97,22 +95,13 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
-def test_enumerate_starts_at_most_one_worker_per_root(pool_sizes):
-    region = Region.ball(2)  # 13 lattice points, one root task each
-    serial = enumerate_convex_polygons(region)
-    assert enumerate_convex_polygons(region, workers=10**6) == serial
-    assert enumerate_convex_polygons(region, workers=3) == serial
-    assert enumerate_convex_polygons(Region.ball(0), workers=10**6) == []
-    assert pool_sizes == [13, 3]
-
-
 def test_census_starts_at_most_one_worker_per_lattice_point(pool_sizes):
-    # Root search and canonicalization each get a pool of at most one
-    # worker per lattice point, however many workers are asked for.
+    # Each census or scan starts one pool, for the canonicalization, of
+    # at most one worker per lattice point, however many are asked for.
     region = Region.ball(2)  # 13 lattice points
     assert census(region, workers=10**6) == census(region)
     assert primitivity_scan(region, workers=10**6) == primitivity_scan(region)
-    assert pool_sizes == [13] * 4
+    assert pool_sizes == [13, 13]
     pool_sizes.clear()
     assert census(Region.ball(0), workers=10**6).h == 0
     assert primitivity_scan(Region.ball(0), workers=10**6).examined == 0
@@ -124,15 +113,28 @@ class NoPool:
         raise AssertionError("a worker pool was started")
 
 
-def test_enumerate_workers_validation(monkeypatch):
+@pytest.fixture
+def no_pool(monkeypatch):
     monkeypatch.setattr(import_module("lattice_equiv.census"),
                         "ProcessPoolExecutor", NoPool)
+
+
+def test_one_worker_and_enumeration_start_no_pool(no_pool):
+    region = Region.ball(2)
+    assert len(enumerate_convex_polygons(region)) == 861
+    with pytest.raises(TypeError):  # the enumeration has no workers knob
+        enumerate_convex_polygons(region, workers=2)
+    assert census(region, workers=1).h == 861
+    assert primitivity_scan(region, workers=1).examined == 550
+
+
+def test_workers_validation(no_pool):
     for workers in ("2", -3, 0, True, False, 2.0):
         with pytest.raises(DegenerateInput):
-            enumerate_convex_polygons(Region.ball(1), workers=workers)
-        with pytest.raises(DegenerateInput):
             census(Region.ball(1), workers=workers)
-    assert len(enumerate_convex_polygons(Region.ball(1), workers=1)) == 9
+        with pytest.raises(DegenerateInput):
+            primitivity_scan(Region.ball(1), workers=workers)
+    assert census(Region.ball(1), workers=1).h == 9
 
 
 def test_root_search_emits_cycles_in_stored_order():
@@ -376,12 +378,13 @@ def test_form_index_matches_sublattice_index():
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("region", [region for region, _, _ in SMALL_REGIONS])
 def test_census_path_polygons_pass_the_check(region, workers):
-    """enumerate_convex_polygons and canonical_polygon store the cycles
-    they build without LatticePolytope's check.  The check must accept
-    each of them, and leave it as it is, plain ints included; the framed
-    cycle is also checked from a unimodular image of every polygon."""
+    """enumerate_convex_polygons, canonical_polygon and _form_counts
+    store the cycles they build without LatticePolytope's check.  The
+    check must accept each of them, and leave it as it is, plain ints
+    included; the framed cycle is also checked from a unimodular image
+    of every polygon, and the forms also after a trip through the pool."""
     rng = seeded(15)
-    for p in enumerate_convex_polygons(region, workers=workers):
+    for p in enumerate_convex_polygons(region):
         image = LatticePolytope(2, tuple(apply_int_map(
             p.vertices, random_unimodular(rng),
             (rng.randint(-9, 9), rng.randint(-9, 9)))))
@@ -390,6 +393,10 @@ def test_census_path_polygons_pass_the_check(region, workers):
         for q in (p, form):
             assert LatticePolytope(2, q.vertices) == q
             assert all(type(c) is int for v in q.vertices for c in v)
+    form_counts = import_module("lattice_equiv.census")._form_counts
+    for form in form_counts(region, None, workers):
+        assert LatticePolytope(2, form.vertices) == form
+        assert all(type(c) is int for v in form.vertices for c in v)
 
 
 def test_census_path_builds_no_checked_polytope(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 
 import lattice_equiv
 from conftest import random_polygon, seeded
-from lattice_equiv import DegenerateInput, ParseError
+from lattice_equiv import DegenerateInput, LatticePolytope, ParseError
 from lattice_equiv.cli import (
     emit_census_csv,
     parse_polytope,
@@ -281,6 +281,20 @@ def test_hull_warning_on_stderr(capsys, files):
     code, _, err = run(capsys, ["invariants", edge])
     assert code == 0
     assert "convex hull" in err
+
+
+def test_segment_takes_its_endpoints(capsys, files):
+    assert parse_polytope(json.dumps({"dim": 1, "points": [[2], [0], [1]]})) \
+        == (LatticePolytope(1, ((0,), (2,))), True)
+    assert parse_polytope(json.dumps({"dim": 1, "points": [[2], [0]]})) \
+        == (LatticePolytope(1, ((0,), (2,))), False)
+    three = files("s3.json", {"dim": 1, "points": [[0], [1], [2]]})
+    two = files("s2.json", {"dim": 1, "points": [[0], [2]]})
+    code, out, err = run(capsys, ["equiv", "--mode", "affine", three, two])
+    assert (code, out) == (0, "equivalent\n")
+    assert "s3.json" in err and "convex hull" in err
+    point = files("p.json", {"dim": 1, "points": [[4], [4]]})
+    assert run(capsys, ["invariants", point])[0] == 3
 
 
 def test_error_exit_codes(capsys, files, tmp_path):

@@ -14,6 +14,7 @@ from lattice_equiv import (
     LatticePolytope,
     RationalAffineMap,
     Region,
+    affine_equivalent,
     convex_hull_2d,
     dilate,
     lattice_points,
@@ -72,6 +73,19 @@ def test_polytope_rejects_bad_cycles():
         LatticePolytope(2, ((0, 0), (1, 1), (1, 0), (0, 1)))  # crossing order
     with pytest.raises(DegenerateInput):
         LatticePolytope(2, ((0, 0), (1, 0), (0, 0)))
+
+
+def test_segment_is_exactly_two_endpoints():
+    # A third point on the segment would be stored as a vertex and make
+    # equal segments compare as differing in vertex count.
+    for points in (((0,), (1,), (2,)), ((0,), (2,), (1,), (5,))):
+        with pytest.raises(DegenerateInput, match="segment"):
+            LatticePolytope(1, points)
+    with pytest.raises(DegenerateInput):
+        LatticePolytope(1, ((3,),))
+    segment = LatticePolytope(1, ((5,), (3,)))
+    assert normalized_volume(segment) == 2
+    assert affine_equivalent(segment, LatticePolytope(1, ((0,), (2,))))
 
 
 def test_polytope_accepts_any_rotation_and_reversal():
