@@ -9,6 +9,10 @@ over an angle-sorted candidate list with exact integer turn tests.  At
 each chain tip the later candidates are tried least fan first (the
 normalized volume of the triangle they add at the root), so a
 volume-budgeted search stops at the first one over budget.
+
+The by-volume counts search no region: they grow every unimodular class
+of bounded volume from the unimodular triangle, one lattice point at a
+time (_growth_levels).
 """
 
 from collections import Counter
@@ -40,6 +44,7 @@ from .geometry import (
     normalized_volume,
 )
 from .invariants import primitive_decomposition, volume_vector
+# No census code calls sublattice_info; bench/tracing.py still patches it.
 from .lattices import sublattice_info
 
 
@@ -176,7 +181,9 @@ def _volume_forms(side, volume):
     [0, side]^2 and normalized volume exactly `volume`, via the budgeted
     root search (no region-size cap: the volume budget prunes the tree).
     The search emits strictly convex vertex cycles, so they are
-    canonicalized without building a polygon.
+    canonicalized without building a polygon.  Only classes_by_volume
+    with an explicit `search_box_side` runs it; a class with no member in
+    the box is missed.  The tests check _growth_levels against it.
 
     Two reductions leave the set of forms unchanged, because a form does
     not depend on translation:
@@ -192,6 +199,89 @@ def _volume_forms(side, volume):
                   for i, (x0, y0) in enumerate(pts) if x0 == 0
                   for cycle in _root_polygons(pts, i, None, volume)}
     return {_canonical_cycle(cycle) for cycle in translates}
+
+
+def _one_point_growths(cycle, volume, points, max_volume):
+    """(cycle, normalized volume) of each polygon P = conv(Q + {u}) with
+    volume <= max_volume and exactly one lattice point more than Q, where
+    Q is the canonical cycle `cycle` of normalized volume `volume` with
+    `points` lattice points.  P's cycle runs counterclockwise from some
+    vertex; it is not reduced.
+
+    T = (0, 0), (g, 0), (a, b), the first, second and last vertices of Q,
+    spans a triangle with each candidate u inside P, so u has
+    |g*y| <= max_volume, |x*b - y*a| <= max_volume and
+    |det(T1 - u, T2 - u)| = |g*(b - y) + y*a - x*b| <= max_volume: for
+    each y, x runs over an interval.  The edges of Q that u sees
+    (strictly right of them) form one chain, and P is Q with that chain
+    replaced by u; an endpoint of the chain collinear with u and its
+    outer neighbour is no vertex of P.  The boundary count of P is Q's,
+    less the chain's edges, plus the lattice lengths of the two edges to
+    u, and Pick's theorem gives its lattice points as (vol + B)/2 + 1."""
+    n = len(cycle)
+    shifted = cycle[1:] + cycle[:1]
+    lengths = [gcd(qx - px, qy - py)
+               for (px, py), (qx, qy) in zip(cycle, shifted)]
+    boundary = sum(lengths)
+    (g, _), (a, b) = cycle[1], cycle[-1]
+    for y in range(-(max_volume // g), max_volume // g + 1):
+        lo = y * a + max(-max_volume, g * (b - y) - max_volume)
+        hi = y * a + min(max_volume, g * (b - y) + max_volume)
+        for x in range(-(-lo // b), hi // b + 1):
+            crosses = [(qx - px) * (y - py) - (qy - py) * (x - px)
+                       for (px, py), (qx, qy) in zip(cycle, shifted)]
+            added = -sum(c for c in crosses if c < 0)
+            if not added or volume + added > max_volume:
+                continue  # u lies in Q, or P is over budget
+            s = next(i for i in range(n) if crosses[i] < 0 <= crosses[i - 1])
+            e = s
+            while crosses[(e + 1) % n] < 0:
+                e += 1
+            (sx, sy), (ex, ey) = cycle[s], cycle[(e + 1) % n]
+            new_boundary = (
+                boundary + gcd(x - sx, y - sy) + gcd(x - ex, y - ey)
+                - sum(lengths[i % n] for i in range(s, e + 1)))
+            if volume + added + new_boundary != 2 * points:
+                continue  # P gains another lattice point besides u
+            kept = [cycle[(e + 1 + k) % n] for k in range(n - (e - s))]
+            if crosses[s - 1] == 0:
+                kept.pop()
+            if crosses[(e + 1) % n] == 0:
+                kept.pop(0)
+            kept.append((x, y))
+            yield tuple(kept), volume + added
+
+
+def _growth_levels(max_volume):
+    """Every unimodular class of normalized volume <= max_volume, by
+    lattice-point count: levels[k] maps the canonical cycle (raw tuple)
+    of each class with k + 3 lattice points to its normalized volume.
+
+    Level 3 is the unimodular triangle, the only class with 3 points
+    (Pick).  A convex lattice polygon P with m >= 4 lattice points has a
+    vertex u such that the other m - 1 points still span the plane (if
+    they are collinear, an end of their segment is such a vertex), so
+    Q = conv(P's points less u) has m - 1 lattice points, volume below
+    P's, and P = conv(Q + {u}); constructions.shave is this step.  Hence
+    growing each canonical Q of level m - 1 by one point
+    (_one_point_growths) reaches a unimodular image of every class of
+    level m.  Growth after Koelman (1991) and Balletti, "Enumeration of
+    lattice polytopes by their volume" (DCG 2021).  Integer arithmetic
+    throughout; no search box."""
+    level = {((0, 0), (1, 0), (0, 1)): 1}
+    levels = []
+    points = 3
+    while level:
+        levels.append(level)
+        grown = {}
+        for cycle, volume in level.items():
+            if volume < max_volume:
+                for new, new_volume in _one_point_growths(
+                        cycle, volume, points, max_volume):
+                    grown[_canonical_cycle(new)] = new_volume
+        level = grown
+        points += 1
+    return levels
 
 
 def _chunk_forms(cycles):
@@ -278,10 +368,11 @@ def classes_by_volume(volume, shape="all", search_box_side=None, *, caps=None):
 
     shape="triangles" reduces the candidates (0,0), (g,0), (a,b) with
     g*b = volume and 0 <= a < b to their canonical cycles and counts the
-    distinct ones; this is exact and needs no search box.  shape="all"
-    searches the box [0, side]^2 (default side = volume) and counts
-    canonical forms, so it is exact only for classes that have a member
-    in that box.
+    distinct ones.  shape="all" counts the classes of that volume among
+    the forms grown one lattice point at a time (_growth_levels).  Both
+    are exact and need no search box.  Given `search_box_side`, shape="all"
+    instead counts the canonical forms of the polygons in the box
+    [0, side]^2, which is exact only for classes with a member there.
     """
     caps = resolve(caps)
     _check_size(volume, caps, "volume")
@@ -290,23 +381,11 @@ def classes_by_volume(volume, shape="all", search_box_side=None, *, caps=None):
                     for g in _divisors(volume) for a in range(volume // g)})
     if shape != "all":
         raise DegenerateInput(f"unknown shape {shape!r}")
-    side = volume if search_box_side is None else search_box_side
-    _check_size(side, caps, "search box side", "box side")
-    return len(_volume_forms(side, volume))
-
-
-def _minimal_volume_class_reps(volume):
-    """Canonical representatives, one per affine class, of the polygons
-    with normalized volume `volume` whose vertex differences already
-    generate Z^2 (so the class minimum is attained).  Searched within
-    the box [0, volume]^2.  An affine map between two such polygons is
-    unimodular, so distinct canonical forms are distinct affine classes.
-    The index is tested on the forms, not on the polygons: a unimodular
-    map carries a polygon's difference lattice onto its form's, so both
-    have the same index."""
-    forms = [LatticePolytope(2, c) for c in _volume_forms(volume, volume)]
-    return sorted((f for f in forms if sublattice_info(f).index == 1),
-                  key=lambda p: (len(p.vertices), p.vertices))
+    if search_box_side is None:
+        return sum(v == volume for level in _growth_levels(volume)
+                   for v in level.values())
+    _check_size(search_box_side, caps, "search box side", "box side")
+    return len(_volume_forms(search_box_side, volume))
 
 
 def build_volume_representatives(volume, *, caps=None):
@@ -314,18 +393,30 @@ def build_volume_representatives(volume, *, caps=None):
     one per affine class with minimum volume V/i, over the divisors i,
     each found as a canonical index-1 form without pairwise search.
 
-    A representative whose class minimum is m = V/i is an index-1 polygon
-    of volume m; applying the determinant-i embedding (x, y) -> (i*x, y)
-    yields volume V again.  Distinct divisors give distinct class minima,
-    so the combined list stays pairwise non-equivalent.
+    One growth to V (_growth_levels) holds every class of volume V/i.
+    The forms of index 1, whose vertex differences generate Z^2, are the
+    classes that attain their minimum: an affine map between two of them
+    is unimodular, so distinct forms are distinct affine classes.  The
+    index is tested on the forms, not on the polygons: a unimodular map
+    carries a polygon's difference lattice onto its form's, so both have
+    the same index.  Applying the determinant-i embedding
+    (x, y) -> (i*x, y) to an index-1 form of volume V/i yields volume V
+    again.  Distinct divisors give distinct class minima, so the combined
+    list stays pairwise non-equivalent.  Within a divisor the forms are
+    sorted by (vertex count, vertex cycle).
     """
     caps = resolve(caps)
     _check_size(volume, caps, "volume")
+    forms = {cycle: v for level in _growth_levels(volume)
+             for cycle, v in level.items()}
     out = []
     for i in _divisors(volume):
-        for rep in _minimal_volume_class_reps(volume // i):
-            out.append(LatticePolytope(
-                2, tuple((i * x, y) for x, y in rep.vertices)))
+        reps = sorted((cycle for cycle, v in forms.items()
+                       if v == volume // i
+                       and _form_index(_stored_polygon(cycle)) == 1),
+                      key=lambda cycle: (len(cycle), cycle))
+        out.extend(LatticePolytope(2, tuple((i * x, y) for x, y in cycle))
+                   for cycle in reps)
     return out
 
 

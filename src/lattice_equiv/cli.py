@@ -68,7 +68,7 @@ def parse_polytope(text):
     if dim not in (1, 2):
         return LatticePolytope(dim, tuple(clean)), False
     poly = (convex_hull_2d(clean) if dim == 2 else
-            LatticePolytope(1, tuple(sorted({min(clean), max(clean)}))))
+            LatticePolytope(1, tuple({min(clean), max(clean)})))
     return poly, set(poly.vertices) != set(clean)
 
 
@@ -256,15 +256,16 @@ def _cmd_census(args):
 
 
 def _cmd_classes_by_volume(args):
+    # Only shape "all" with an explicit side searches a box.
+    box_side = None if args.shape == "triangles" else args.box_side
     count = classes_by_volume(args.volume, shape=args.shape,
                               search_box_side=args.box_side)
     _emit({
         "volume": args.volume,
         "shape": args.shape,
         "count": count,
-        "box_side": (None if args.shape == "triangles"
-                     else (args.box_side or args.volume)),
-        "box_complete_guaranteed": args.shape == "triangles",
+        "box_side": box_side,
+        "box_complete_guaranteed": box_side is None,
     })
     return 0
 
@@ -382,7 +383,9 @@ def build_parser():
                           help="unimodular classes of a given volume")
     sub.add_argument("--volume", type=int, required=True)
     sub.add_argument("--shape", choices=("all", "triangles"), default="all")
-    sub.add_argument("--box-side", type=int, default=None)
+    sub.add_argument("--box-side", type=int, default=None, metavar="S",
+                     help="count the forms found in the box [0, S]^2 "
+                          "instead of every class")
     sub.set_defaults(handler=_cmd_classes_by_volume)
 
     sub = subs.add_parser("build-lv",

@@ -110,14 +110,14 @@ class LatticePolytope:
     fan from the lex-least vertex.  Only a rejected cycle has its convex
     hull taken, to tell points out of strictly convex position from a
     wrong vertex order.  For dim 1 the vertices must be the segment's two
-    endpoints.  For dim >= 3 the list is stored as given and convex
-    position is not verified.
+    endpoints, stored lesser first.  For dim >= 3 the list is stored as
+    given and convex position is not verified.
 
     The census path stores cycles it built itself without this check,
     through `_stored_polygon`: in `enumerate_convex_polygons`,
-    `_chunk_forms`, `_form_counts` and `canonical_polygon` (its
-    docstring names the test behind each).  Every other construction
-    runs it.
+    `_chunk_forms`, `_form_counts`, `build_volume_representatives` and
+    `canonical_polygon` (its docstring names the test behind each).
+    Every other construction runs it.
     """
 
     dim: int
@@ -137,9 +137,11 @@ class LatticePolytope:
             raise DegenerateInput("duplicate vertices")
         if len(verts) < self.dim + 1:
             raise DegenerateInput("too few vertices to be full-dimensional")
-        if self.dim == 1 and len(verts) != 2:
-            raise DegenerateInput("a 1-dimensional polytope is a segment")
-        if self.dim == 2:
+        if self.dim == 1:
+            if len(verts) != 2:
+                raise DegenerateInput("a 1-dimensional polytope is a segment")
+            verts = (min(verts), max(verts))
+        elif self.dim == 2:
             cycle = _ccw_lex_least(verts)
             if not _is_convex_cycle(cycle):
                 if len(_hull_cycle(verts)) != len(verts):
@@ -187,7 +189,9 @@ def _stored_polygon(cycle):
     - `enumerate_convex_polygons` and `_chunk_forms` (root-search
       cycles): test_root_search_emits_cycles_in_stored_order;
     - `canonical_polygon` and `_form_counts` (canonical cycles, also
-      back from the pool): test_census_path_polygons_pass_the_check.
+      back from the pool): test_census_path_polygons_pass_the_check;
+    - `build_volume_representatives` (grown canonical cycles, for their
+      index only): test_grown_forms_pass_the_check.
 
     Call it by this name.  bench/tracing.py replaces `LatticePolytope`
     in the census and equivalence namespaces by a plain function, which

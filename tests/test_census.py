@@ -13,6 +13,7 @@ from lattice_equiv import (
     Caps,
     CapExceeded,
     DegenerateInput,
+    DegenerateResult,
     LatticePolytope,
     Region,
     RegionTooLarge,
@@ -28,6 +29,7 @@ from lattice_equiv import (
     normalized_volume,
     primitive_decomposition,
     primitivity_scan,
+    shave,
     shrink_to_minimal_volume,
     attains_minimal_volume,
     sublattice_info,
@@ -205,6 +207,73 @@ def test_volume_forms_default_box_is_large_enough():
     module = import_module("lattice_equiv.census")
     for v in range(1, 8):
         assert module._volume_forms(v, v) == module._volume_forms(2 * v, v)
+
+
+@pytest.fixture(scope="module")
+def growth_levels():
+    """The forms of volume <= 12 (the default cap), grown one lattice
+    point at a time; levels[k] holds the forms with k + 3 points."""
+    return import_module("lattice_equiv.census")._growth_levels(12)
+
+
+def test_growth_matches_box_search_per_volume(growth_levels):
+    module = import_module("lattice_equiv.census")
+    grown = {cycle: v for level in growth_levels for cycle, v in level.items()}
+    assert len(grown) == sum(len(level) for level in growth_levels) == 268
+    for v in range(1, 11):
+        assert module._growth_levels(v) == [
+            {cycle: w for cycle, w in level.items() if w <= v}
+            for level in growth_levels if any(w <= v for w in level.values())]
+        assert {cycle for cycle, w in grown.items() if w == v} == \
+            module._volume_forms(v, v)
+
+
+def test_grown_forms_pass_the_check(growth_levels):
+    # build_volume_representatives stores grown cycles without the check.
+    for level in growth_levels:
+        for cycle, v in level.items():
+            p = LatticePolytope(2, cycle)
+            assert p.vertices == cycle
+            assert all(type(c) is int for pt in cycle for c in pt)
+            assert normalized_volume(p) == v
+
+
+def test_grown_levels_count_their_lattice_points(growth_levels):
+    assert [len(level) for level in growth_levels][:6] == [1, 3, 6, 13, 21, 41]
+    for k, level in enumerate(growth_levels):
+        for cycle in level:
+            assert len(lattice_points(LatticePolytope(2, cycle))) == k + 3
+
+
+def test_grown_forms_shave_to_the_previous_level(growth_levels):
+    # The lemma behind the growth: every form with m >= 4 lattice points
+    # loses one of them at some vertex and stays a polygon of level m - 1.
+    for k, level in enumerate(growth_levels[1:], 1):
+        below = growth_levels[k - 1]
+        for cycle in level:
+            p = LatticePolytope(2, cycle)
+            shaved = []
+            for w in cycle:
+                try:
+                    shaved.append(shave(p, (w,))[0])
+                except DegenerateResult:
+                    continue
+            assert shaved
+            assert any(canonical_polygon(q).vertices in below for q in shaved)
+
+
+def test_by_volume_paths_run_no_box_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the by-volume path searched a box")
+
+    monkeypatch.setattr(import_module("lattice_equiv.census"),
+                        "_root_polygons", refuse)
+    counts = [classes_by_volume(v) for v in range(1, 13)]
+    assert counts == [1, 2, 3, 7, 6, 13, 13, 27, 26, 44, 43, 83]
+    reps = [len(build_volume_representatives(v)) for v in range(1, 13)]
+    assert reps == [1, 2, 2, 4, 5, 9, 11, 17, 21, 34, 41, 55]
+    with pytest.raises(AssertionError, match="searched a box"):
+        classes_by_volume(6, search_box_side=6)
 
 
 def test_enumerate_max_vertices():

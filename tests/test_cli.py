@@ -237,6 +237,19 @@ def test_classes_by_volume_command(capsys):
     assert doc["box_complete_guaranteed"] is True
 
 
+@pytest.mark.parametrize("side_args, box_side",
+                         [([], None), (["--box-side", "4"], 4)])
+def test_classes_by_volume_box_fields(capsys, side_args, box_side):
+    # Only an explicit --box-side searches a box; growth is exact.
+    code, out, _ = run(capsys, ["classes-by-volume", "--volume", "4"]
+                       + side_args)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] == 7
+    assert doc["box_side"] == box_side
+    assert doc["box_complete_guaranteed"] is (box_side is None)
+
+
 def test_build_lv_command(capsys):
     code, out, _ = run(capsys, ["build-lv", "--volume", "2"])
     assert code == 0

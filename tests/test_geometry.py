@@ -88,6 +88,14 @@ def test_segment_is_exactly_two_endpoints():
     assert affine_equivalent(segment, LatticePolytope(1, ((0,), (2,))))
 
 
+def test_segment_stores_lesser_endpoint_first():
+    forward = LatticePolytope(1, ((3,), (5,)))
+    backward = LatticePolytope(1, ((5,), (3,)))
+    assert backward.vertices == forward.vertices == ((3,), (5,))
+    assert backward == forward
+    assert hash(backward) == hash(forward)
+
+
 def test_polytope_accepts_any_rotation_and_reversal():
     base = poly((0, 0), (1, 0), (1, 1), (0, 1))
     rotated = LatticePolytope(2, ((1, 0), (1, 1), (0, 1), (0, 0)))
