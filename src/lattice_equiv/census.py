@@ -5,10 +5,7 @@ The enumerator is an anchored depth-first search.  Each polygon is
 generated exactly once, rooted at its lexicographically smallest vertex:
 the remaining vertices appear in counterclockwise order, which as seen
 from the root is strictly increasing angular order, so chains are built
-over an angle-sorted candidate list with exact integer turn tests.  At
-each chain tip the later candidates are tried least fan first (the
-normalized volume of the triangle they add at the root), so a
-volume-budgeted search stops at the first one over budget.
+over an angle-sorted candidate list with exact integer turn tests.
 
 The by-volume counts search no region: they grow every unimodular class
 of bounded volume from the unimodular triangle, one lattice point at a
@@ -39,6 +36,7 @@ from .errors import (
 from .geometry import (
     LatticePolytope,
     Region,
+    _region_point_count,
     _stored_polygon,
     lattice_points,
     normalized_volume,
@@ -91,39 +89,26 @@ def _angle_sorted(root, points):
     return sorted(items, key=cmp_to_key(compare))
 
 
-def _root_polygons(points, root_index, max_vertices, max_volume):
+def _root_polygons(points, root_index, max_vertices):
     """All strictly convex polygons whose lex-least vertex is
     points[root_index], as counterclockwise vertex tuples (each already
-    in LatticePolytope's stored order).  With a volume budget only the
-    polygons of normalized volume exactly max_volume are emitted.
-
-    The children of a chain tip are scanned least fan triangle first, so
-    a budgeted scan stops at the first one that overshoots.  A tip still
-    visits the same children as an angle-ordered scan, only in another
-    order, so each root emits the same multiset of cycles."""
+    in LatticePolytope's stored order)."""
     v0 = points[root_index]
     cands = _angle_sorted(v0, points[root_index + 1:])
     dirs = [c[0] for c in cands]
     pos = [c[1] for c in cands]
-    m = len(cands)
-    # after[i]: the (fan, j) pairs with j > i, fan the normalized volume
-    # of the triangle (root, pos[i], pos[j]), positive and within budget.
-    after = []
-    for i, (ax, ay) in enumerate(dirs):
-        fans = [(ax * by - ay * bx, j)
-                for j, (bx, by) in enumerate(dirs[i + 1:], i + 1)]
-        after.append(sorted(f for f in fans if f[0] > 0 and (
-            max_volume is None or f[0] <= max_volume)))
+    # after[i]: the later candidates j > i at a strict left turn from the
+    # root, that is off the ray through pos[i].
+    after = [[j for j, (bx, by) in enumerate(dirs[i + 1:], i + 1)
+              if ax * by - ay * bx > 0]
+             for i, (ax, ay) in enumerate(dirs)]
     out = []
     chain = [v0]
 
-    def extend(last, partial):
+    def extend(last):
         tip = chain[-1]
         prev = chain[-2]
-        for fan, j in after[last]:
-            vol = partial + fan
-            if max_volume is not None and vol > max_volume:
-                break  # every later child has at least this fan
+        for j in after[last]:
             pj = pos[j]
             if ((tip[0] - prev[0]) * (pj[1] - tip[1])
                     - (tip[1] - prev[1]) * (pj[0] - tip[0])) <= 0:
@@ -133,17 +118,15 @@ def _root_polygons(points, root_index, max_vertices, max_volume):
             close_root = ((v0[0] - pj[0]) * (chain[1][1] - v0[1])
                           - (v0[1] - pj[1]) * (chain[1][0] - v0[0]))
             chain.append(pj)
-            if close_tip > 0 and close_root > 0 and (
-                    max_volume is None or vol == max_volume):
+            if close_tip > 0 and close_root > 0:
                 out.append(tuple(chain))
-            if (max_vertices is None or len(chain) < max_vertices) and (
-                    max_volume is None or vol < max_volume):
-                extend(j, vol)
+            if max_vertices is None or len(chain) < max_vertices:
+                extend(j)
             chain.pop()
 
-    for i in range(m):
+    for i in range(len(cands)):
         chain.append(pos[i])
-        extend(i, 0)
+        extend(i)
         chain.pop()
     return out
 
@@ -152,8 +135,10 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None):
     """Every full-dimensional convex polygon whose vertex set lies in the
     region's lattice points, each exactly once, sorted by (vertex count,
     vertex cycle).  Points interior to the hull or to an edge
-    never count as vertices.  The root search runs in the calling
-    process; the census parallelizes only its canonicalize stage.
+    never count as vertices.  The region's points are counted against
+    caps.region_points before they are listed.  The root search runs in
+    the calling process; the census parallelizes only its canonicalize
+    stage.
 
     The root search emits each cycle in LatticePolytope's stored order
     (tests/test_census.py::test_root_search_emits_cycles_in_stored_order),
@@ -164,41 +149,15 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None):
     if max_vertices is not None and (
             type(max_vertices) is not int or max_vertices < 3):
         raise DegenerateInput("max_vertices must be None or an integer >= 3")
-    caps = resolve(caps)
-    pts = tuple(lattice_points(region))
-    if len(pts) > caps.region_points:
+    cap = resolve(caps).region_points
+    if _region_point_count(region, cap) > cap:
         raise RegionTooLarge(
-            f"{region.label()} has {len(pts)} lattice points, "
-            f"cap is {caps.region_points}")
+            f"{region.label()} has more lattice points than the cap {cap}")
+    pts = tuple(lattice_points(region))
     polys = [_stored_polygon(verts) for i in range(len(pts))
-             for verts in _root_polygons(pts, i, max_vertices, None)]
+             for verts in _root_polygons(pts, i, max_vertices)]
     polys.sort(key=lambda p: (len(p.vertices), p.vertices))
     return polys
-
-
-def _volume_forms(side, volume):
-    """Canonical cycles (raw tuples) of the polygons with vertices in
-    [0, side]^2 and normalized volume exactly `volume`, via the budgeted
-    root search (no region-size cap: the volume budget prunes the tree).
-    The search emits strictly convex vertex cycles, so they are
-    canonicalized without building a polygon.  Only classes_by_volume
-    with an explicit `search_box_side` runs it; a class with no member in
-    the box is missed.  The tests check _growth_levels against it.
-
-    Two reductions leave the set of forms unchanged, because a form does
-    not depend on translation:
-    - Roots are only the points with x == 0.  A polygon with lex-least
-      vertex (x0, y0) has every vertex at x >= x0, so its translate by
-      (-x0, 0) lies in the same box and is rooted at (0, y0).
-    - Each cycle is translated so that its first vertex is the origin,
-      and each distinct translate is canonicalized once.  A translate
-      keeps the stored order: the first vertex stays lex-least and the
-      orientation counterclockwise."""
-    pts = lattice_points(Region.box(side))
-    translates = {tuple((x - x0, y - y0) for x, y in cycle)
-                  for i, (x0, y0) in enumerate(pts) if x0 == 0
-                  for cycle in _root_polygons(pts, i, None, volume)}
-    return {_canonical_cycle(cycle) for cycle in translates}
 
 
 def _one_point_growths(cycle, volume, points, max_volume):
@@ -310,7 +269,9 @@ def _form_counts(region, caps, workers):
     # bench/tracing.py counts calls through this name and canonical_polygon.
     cycles = [poly.vertices for poly in
               enumerate_convex_polygons(region, caps=caps)]
-    chunk_count = min(workers or 1, len(lattice_points(region)), len(cycles))
+    # At most one chunk per lattice point: a count past `workers` can stop.
+    chunk_count = min(workers or 1, len(cycles),
+                      _region_point_count(region, workers or 1))
     chunks = [cycles[k::chunk_count] for k in range(chunk_count)]
     if chunk_count <= 1:
         results = map(_chunk_forms, chunks)
@@ -323,13 +284,13 @@ def _form_counts(region, caps, workers):
     return Counter({_stored_polygon(form): n for form, n in counts.items()})
 
 
-def _form_index(form):
-    """sublattice_info(form).index for a canonical form.  The form starts
-    at the origin, so its vertex differences are its vertices, and the
-    index of the lattice they generate is the gcd of the 2x2 minors
-    det(v_i, v_j), as in primitivity_scan's docstring."""
+def _form_index(cycle):
+    """sublattice_info(form).index for the canonical cycle of a form.  The
+    cycle starts at the origin, so its vertex differences are its
+    vertices, and the index of the lattice they generate is the gcd of
+    the 2x2 minors det(v_i, v_j), as in primitivity_scan's docstring."""
     return gcd(*(x1 * y2 - y1 * x2 for (x1, y1), (x2, y2)
-                 in combinations(form.vertices[1:], 2)))
+                 in combinations(cycle[1:], 2)))
 
 
 def census(region, *, caps=None, workers=None):
@@ -340,7 +301,7 @@ def census(region, *, caps=None, workers=None):
     each form's volume once, weighted by its polygon count.  `workers`
     sizes the call's one pool, which canonicalizes; see _form_counts."""
     counts = _form_counts(region, caps, workers)
-    keys = {form if _form_index(form) == 1 else affine_key(form)
+    keys = {form if _form_index(form.vertices) == 1 else affine_key(form)
             for form in counts}
     histogram = Counter()
     for form, n in counts.items():
@@ -349,30 +310,27 @@ def census(region, *, caps=None, workers=None):
                        tuple(sorted(histogram.items())))
 
 
-def _check_size(value, caps, name, capped_name=None):
-    """Reject a volume or box side unless it is a plain int (not a bool)
-    in [1, caps.max_volume]."""
+def _check_size(value, caps, name):
+    """Reject a volume unless it is a plain int (not a bool) in
+    [1, caps.max_volume]."""
     if type(value) is not int or value < 1:
         raise DegenerateInput(f"{name} must be a positive integer")
     if value > caps.max_volume:
-        raise CapExceeded(
-            f"{capped_name or name} {value} above cap {caps.max_volume}")
+        raise CapExceeded(f"{name} {value} above cap {caps.max_volume}")
 
 
 def _divisors(v):
     return [i for i in range(1, v + 1) if v % i == 0]
 
 
-def classes_by_volume(volume, shape="all", search_box_side=None, *, caps=None):
+def classes_by_volume(volume, shape="all", *, caps=None):
     """Number of unimodular classes with the given normalized volume.
 
     shape="triangles" reduces the candidates (0,0), (g,0), (a,b) with
     g*b = volume and 0 <= a < b to their canonical cycles and counts the
     distinct ones.  shape="all" counts the classes of that volume among
     the forms grown one lattice point at a time (_growth_levels).  Both
-    are exact and need no search box.  Given `search_box_side`, shape="all"
-    instead counts the canonical forms of the polygons in the box
-    [0, side]^2, which is exact only for classes with a member there.
+    are exact and need no search box.
     """
     caps = resolve(caps)
     _check_size(volume, caps, "volume")
@@ -381,11 +339,8 @@ def classes_by_volume(volume, shape="all", search_box_side=None, *, caps=None):
                     for g in _divisors(volume) for a in range(volume // g)})
     if shape != "all":
         raise DegenerateInput(f"unknown shape {shape!r}")
-    if search_box_side is None:
-        return sum(v == volume for level in _growth_levels(volume)
-                   for v in level.values())
-    _check_size(search_box_side, caps, "search box side", "box side")
-    return len(_volume_forms(search_box_side, volume))
+    return sum(v == volume for level in _growth_levels(volume)
+               for v in level.values())
 
 
 def build_volume_representatives(volume, *, caps=None):
@@ -413,7 +368,7 @@ def build_volume_representatives(volume, *, caps=None):
     for i in _divisors(volume):
         reps = sorted((cycle for cycle, v in forms.items()
                        if v == volume // i
-                       and _form_index(_stored_polygon(cycle)) == 1),
+                       and _form_index(cycle) == 1),
                       key=lambda cycle: (len(cycle), cycle))
         out.extend(LatticePolytope(2, tuple((i * x, y) for x, y in cycle))
                    for cycle in reps)
@@ -438,7 +393,7 @@ def primitivity_scan(region, *, caps=None, workers=None):
     enumerated again, in the parent, to list its polygons in enumeration
     order.  `workers` sizes the canonicalize pool, as in census."""
     counts = _form_counts(region, caps, workers)
-    index_one = [form for form in counts if _form_index(form) == 1]
+    index_one = [form for form in counts if _form_index(form.vertices) == 1]
     failed = {form for form in index_one if abs(primitive_decomposition(
         volume_vector(form.vertices, 2)).content) > 1}
     bad = ()

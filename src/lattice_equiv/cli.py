@@ -256,16 +256,14 @@ def _cmd_census(args):
 
 
 def _cmd_classes_by_volume(args):
-    # Only shape "all" with an explicit side searches a box.
-    box_side = None if args.shape == "triangles" else args.box_side
-    count = classes_by_volume(args.volume, shape=args.shape,
-                              search_box_side=args.box_side)
+    # Both shapes are exact and search no box; the two box fields stay
+    # in the document as constants.
     _emit({
         "volume": args.volume,
         "shape": args.shape,
-        "count": count,
-        "box_side": box_side,
-        "box_complete_guaranteed": box_side is None,
+        "count": classes_by_volume(args.volume, shape=args.shape),
+        "box_side": None,
+        "box_complete_guaranteed": True,
     })
     return 0
 
@@ -383,9 +381,6 @@ def build_parser():
                           help="unimodular classes of a given volume")
     sub.add_argument("--volume", type=int, required=True)
     sub.add_argument("--shape", choices=("all", "triangles"), default="all")
-    sub.add_argument("--box-side", type=int, default=None, metavar="S",
-                     help="count the forms found in the box [0, S]^2 "
-                          "instead of every class")
     sub.set_defaults(handler=_cmd_classes_by_volume)
 
     sub = subs.add_parser("build-lv",

@@ -115,8 +115,8 @@ class LatticePolytope:
 
     The census path stores cycles it built itself without this check,
     through `_stored_polygon`: in `enumerate_convex_polygons`,
-    `_chunk_forms`, `_form_counts`, `build_volume_representatives` and
-    `canonical_polygon` (its docstring names the test behind each).
+    `_chunk_forms`, `_form_counts` and `canonical_polygon` (its docstring
+    names the test behind each).
     Every other construction runs it.
     """
 
@@ -189,9 +189,7 @@ def _stored_polygon(cycle):
     - `enumerate_convex_polygons` and `_chunk_forms` (root-search
       cycles): test_root_search_emits_cycles_in_stored_order;
     - `canonical_polygon` and `_form_counts` (canonical cycles, also
-      back from the pool): test_census_path_polygons_pass_the_check;
-    - `build_volume_representatives` (grown canonical cycles, for their
-      index only): test_grown_forms_pass_the_check.
+      back from the pool): test_census_path_polygons_pass_the_check.
 
     Call it by this name.  bench/tracing.py replaces `LatticePolytope`
     in the census and equivalence namespaces by a plain function, which
@@ -406,6 +404,23 @@ def _region_points(region):
     out = [pt for pt in product(*ranges)
            if sum(c * c for c in pt) <= region.size]
     return sorted(out)
+
+
+def _region_point_count(region, limit):
+    """The number of lattice points of a 2d region, counted without
+    listing them: (side + 1)^2 for a box, row by row for a ball.  A ball's
+    count stops at the first row that takes it above `limit`."""
+    if region.kind == "box":
+        return (region.size.numerator // region.size.denominator + 1) ** 2
+    n = region.size.numerator // region.size.denominator
+    r = isqrt(n)
+    count = 0
+    for x in range(0 if region.kind == "orthant-ball" else -r, r + 1):
+        h = isqrt(n - x * x)  # the row's points have |y| <= h
+        count += h + 1 if region.kind == "orthant-ball" else 2 * h + 1
+        if count > limit:
+            break
+    return count
 
 
 def _polytope_points(p):

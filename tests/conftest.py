@@ -1,10 +1,18 @@
 """Shared helpers: small builders, an independent brute-force polygon
-enumerator, and random map generators used across the suite."""
+enumerator, the volume-budgeted box search that the by-volume growth is
+checked against, and random map generators used across the suite."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
-from lattice_equiv import LatticePolytope, oracle_equivalent
+import lattice_equiv
+from lattice_equiv import (
+    LatticePolytope, Region, lattice_points, oracle_equivalent)
+from lattice_equiv.equivalence import _canonical_cycle
 
 
 def poly(*verts):
@@ -50,6 +58,60 @@ def brute_polygon_sets(points):
     return found
 
 
+def budgeted_root_polygons(points, root_index, max_vertices, max_volume):
+    """The strictly convex polygons of normalized volume exactly
+    max_volume, with at most max_vertices vertices (None: any number),
+    whose lex-least vertex is root = points[root_index], as cycles in
+    LatticePolytope's stored order.  `points` is sorted.
+
+    Every later point lies in the half plane lex-greater than the root,
+    so fan(p, q) = cross(root, p, q) > 0 says q comes after p
+    counterclockwise; a chain whose fans are all positive and which turns
+    left at every vertex is convex.  A chain tip tries its children least
+    fan first, so the scan stops at the first one over budget."""
+    root = points[root_index]
+    later = points[root_index + 1:]
+    after = [sorted((cross(root, p, q), j) for j, q in enumerate(later)
+                    if 0 < cross(root, p, q) <= max_volume) for p in later]
+    out = []
+    chain = [root]
+
+    def extend(last, volume):
+        for fan, j in after[last]:
+            if volume + fan > max_volume:
+                break
+            q = later[j]
+            if cross(chain[-2], chain[-1], q) <= 0:
+                continue
+            chain.append(q)
+            if volume + fan == max_volume:
+                if cross(chain[-2], q, root) > 0 and cross(q, root, chain[1]) > 0:
+                    out.append(tuple(chain))
+            elif max_vertices is None or len(chain) < max_vertices:
+                extend(j, volume + fan)
+            chain.pop()
+
+    for i, p in enumerate(later):
+        chain.append(p)
+        extend(i, 0)
+        chain.pop()
+    return out
+
+
+def volume_forms(side, volume):
+    """Canonical cycles of the polygons with vertices in [0, side]^2 and
+    normalized volume exactly `volume`.  A form does not depend on
+    translation, so only the points with x == 0 are roots (a polygon with
+    lex-least vertex (x0, y0) has a translate by (-x0, 0) in the box,
+    rooted at (0, y0)), and each cycle is moved to start at the origin,
+    which keeps it in stored order, and canonicalized once."""
+    pts = lattice_points(Region.box(side))
+    translates = {tuple((x - x0, y - y0) for x, y in cycle)
+                  for i, (x0, y0) in enumerate(pts) if x0 == 0
+                  for cycle in budgeted_root_polygons(pts, i, None, volume)}
+    return {_canonical_cycle(cycle) for cycle in translates}
+
+
 def oracle_class_count(polys, mode):
     reps = []
     for p in polys:
@@ -92,3 +154,16 @@ def random_polygon(rng, span=4, tries=50):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def run_in_small_address_space(code, limit=1 << 28):
+    """Run Python source `code` in a child interpreter whose address space
+    is capped at `limit` bytes (256 MiB by default), so that a run which
+    tries to list a huge region fails there with a MemoryError instead of
+    taking the machine's memory.  The cap applies to the child alone."""
+    prelude = ("import resource\n"
+               f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n")
+    src = str(Path(lattice_equiv.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", prelude + code], capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})

@@ -2,13 +2,15 @@
 
 import json
 from collections import Counter
+from fractions import Fraction
 from importlib import import_module
 
 import pytest
 
 from conftest import (
-    apply_int_map, brute_polygon_sets, cross, oracle_class_count, poly,
-    random_unimodular, seeded, strict_hull)
+    apply_int_map, brute_polygon_sets, budgeted_root_polygons, cross,
+    oracle_class_count, poly, random_unimodular, run_in_small_address_space,
+    seeded, strict_hull, volume_forms)
 from lattice_equiv import (
     Caps,
     CapExceeded,
@@ -140,15 +142,17 @@ def test_workers_validation(no_pool):
 
 
 def test_root_search_emits_cycles_in_stored_order():
-    # The by-volume searches canonicalize these cycles without building
-    # a polytope, so each must already be the constructor's stored order.
+    # The census stores these cycles without the constructor's check, and
+    # the box-search reference canonicalizes its cycles as they are, so
+    # each must already be the constructor's stored order.
     root_polygons = import_module("lattice_equiv.census")._root_polygons
     searches = [(Region.ball(2), None), (Region.box(3), None)]
     searches += [(Region.box(v), v) for v in range(1, 6)]
     for region, volume in searches:
         pts = lattice_points(region)
-        cycles = [c for i in range(len(pts))
-                  for c in root_polygons(pts, i, None, volume)]
+        cycles = [c for i in range(len(pts)) for c in (
+            root_polygons(pts, i, None) if volume is None
+            else budgeted_root_polygons(pts, i, None, volume))]
         assert cycles
         for cycle in cycles:
             p = LatticePolytope(2, cycle)
@@ -162,10 +166,9 @@ def twice_area(vertex_set):
 
 
 def test_budgeted_root_search_matches_subset_scan():
-    # The budgeted search cuts each tip's scan at the volume budget; the
-    # subset scan is the reference it must still agree with, cycle for
-    # cycle, at every volume and vertex bound.
-    root_polygons = import_module("lattice_equiv.census")._root_polygons
+    # The budgeted box-search reference cuts each tip's scan at the volume
+    # budget; the subset scan is the reference it must still agree with,
+    # cycle for cycle, at every volume and vertex bound.
     for region in (Region.box(2), Region.ball(2), Region.box(3)):
         pts = lattice_points(region)
         by_volume = {}
@@ -173,8 +176,8 @@ def test_budgeted_root_search_matches_subset_scan():
             by_volume.setdefault(twice_area(vertex_set), []).append(vertex_set)
         for v, sets in by_volume.items():
             for max_vertices in (3, 4, None):
-                cycles = [c for i in range(len(pts))
-                          for c in root_polygons(pts, i, max_vertices, v)]
+                cycles = [c for i in range(len(pts)) for c in
+                          budgeted_root_polygons(pts, i, max_vertices, v)]
                 got = {frozenset(c) for c in cycles}
                 assert len(got) == len(cycles)
                 assert got == {s for s in sets if max_vertices is None
@@ -182,17 +185,16 @@ def test_budgeted_root_search_matches_subset_scan():
 
 
 def test_volume_forms_match_all_roots_search():
-    # The reference is the search before its two reductions: every box
-    # point is a root, and every cycle is canonicalized as emitted.
-    module = import_module("lattice_equiv.census")
-    canonical_cycle = module._canonical_cycle
+    # The box search behind volume_forms, before its two reductions: every
+    # box point is a root, and every cycle is canonicalized as emitted.
+    canonical_cycle = import_module("lattice_equiv.census")._canonical_cycle
     for v in range(1, 8):
         for side in range(1, v + 2):
             pts = lattice_points(Region.box(side))
             cycles = [c for i in range(len(pts))
-                      for c in module._root_polygons(pts, i, None, v)]
+                      for c in budgeted_root_polygons(pts, i, None, v)]
             expected = {canonical_cycle(c) for c in cycles}
-            assert module._volume_forms(side, v) == expected
+            assert volume_forms(side, v) == expected
             # Translating a cycle's first vertex to the origin keeps it in
             # the constructor's stored order.
             moved = {tuple((x - c[0][0], y - c[0][1]) for x, y in c)
@@ -201,19 +203,20 @@ def test_volume_forms_match_all_roots_search():
                 assert LatticePolytope(2, cycle).vertices == cycle
 
 
-def test_volume_forms_default_box_is_large_enough():
-    # The by-volume searches look in [0, v]^2; the doubled box must find
-    # no form they miss.
-    module = import_module("lattice_equiv.census")
-    for v in range(1, 8):
-        assert module._volume_forms(v, v) == module._volume_forms(2 * v, v)
-
-
 @pytest.fixture(scope="module")
 def growth_levels():
     """The forms of volume <= 12 (the default cap), grown one lattice
     point at a time; levels[k] holds the forms with k + 3 points."""
     return import_module("lattice_equiv.census")._growth_levels(12)
+
+
+def test_volume_forms_default_box_is_large_enough(growth_levels):
+    # The doubled box [0, 2v]^2 must find no class of volume v that the
+    # growth misses, a check that does not rest on the box [0, v]^2.
+    for v in range(1, 8):
+        assert {cycle for level in growth_levels
+                for cycle, w in level.items() if w == v} == \
+            volume_forms(2 * v, v)
 
 
 def test_growth_matches_box_search_per_volume(growth_levels):
@@ -225,15 +228,18 @@ def test_growth_matches_box_search_per_volume(growth_levels):
             {cycle: w for cycle, w in level.items() if w <= v}
             for level in growth_levels if any(w <= v for w in level.values())]
         assert {cycle for cycle, w in grown.items() if w == v} == \
-            module._volume_forms(v, v)
+            volume_forms(v, v)
 
 
 def test_grown_forms_pass_the_check(growth_levels):
-    # build_volume_representatives stores grown cycles without the check.
+    # The by-volume counts, _form_index and build_volume_representatives
+    # read grown cycles as canonical forms: each must be a polygon in
+    # stored order, starting at the origin, of the volume recorded for it.
     for level in growth_levels:
         for cycle, v in level.items():
             p = LatticePolytope(2, cycle)
             assert p.vertices == cycle
+            assert cycle[0] == (0, 0)
             assert all(type(c) is int for pt in cycle for c in pt)
             assert normalized_volume(p) == v
 
@@ -272,8 +278,11 @@ def test_by_volume_paths_run_no_box_search(monkeypatch):
     assert counts == [1, 2, 3, 7, 6, 13, 13, 27, 26, 44, 43, 83]
     reps = [len(build_volume_representatives(v)) for v in range(1, 13)]
     assert reps == [1, 2, 2, 4, 5, 9, 11, 17, 21, 34, 41, 55]
-    with pytest.raises(AssertionError, match="searched a box"):
+    # The box search is no longer a library option.
+    with pytest.raises(TypeError):
         classes_by_volume(6, search_box_side=6)
+    with pytest.raises(TypeError):
+        classes_by_volume(6, "all", 6)
 
 
 def test_enumerate_max_vertices():
@@ -287,6 +296,41 @@ def test_enumerate_max_vertices_validation():
         with pytest.raises(DegenerateInput):
             enumerate_convex_polygons(Region.ball(1), max_vertices=k)
     assert len(enumerate_convex_polygons(Region.ball(1), max_vertices=4)) == 9
+
+
+def test_region_point_count_matches_listing():
+    count = import_module("lattice_equiv.geometry")._region_point_count
+    regions = [Region.box(s) for s in (0, 1, 4, Fraction(7, 2))]
+    for make in (Region.ball, Region.orthant_ball):
+        regions += [make(r) for r in (0, 1, 2, 3, Fraction(5, 2))]
+        regions += [make(radius_sq=q) for q in (2, 8, Fraction(17, 3))]
+    for region in regions:
+        assert count(region, 10 ** 6) == len(lattice_points(region)), region
+        # Past the limit a ball's count stops early, but stays above it.
+        assert (count(region, 4) > 4) == (len(lattice_points(region)) > 4)
+
+
+def test_region_cap_is_checked_before_listing():
+    # Listing any of these regions would take gigabytes; under a 256 MiB
+    # address space the cap must reject them before their points exist.
+    proc = run_in_small_address_space("""
+from lattice_equiv import (Region, RegionTooLarge, affine_map_census, census,
+                           enumerate_convex_polygons, primitivity_scan)
+regions = [Region.box(5000), Region.ball(3000), Region.orthant_ball(5000),
+           Region.ball(radius_sq=10 ** 40)]
+calls = [census, primitivity_scan, enumerate_convex_polygons,
+         lambda region: affine_map_census(region, 10)]
+for region in regions:
+    for call in calls:
+        try:
+            call(region)
+        except RegionTooLarge as exc:
+            assert "more lattice points than the cap 40" in str(exc), exc
+        else:
+            raise AssertionError(region)
+print("ok")
+""")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 def test_enumerate_region_cap():
@@ -434,14 +478,17 @@ def test_pooled_form_counts_match_per_polygon_forms(region):
 
 
 def test_form_index_matches_sublattice_index():
+    # The census index-tests its box forms, build_volume_representatives
+    # the grown forms.
     module = import_module("lattice_equiv.census")
     box_forms = list(module._form_counts(Region.box(4), None, 1))
-    volume_forms = [LatticePolytope(2, cycle) for v in range(1, 9)
-                    for cycle in module._volume_forms(v, v)]
-    for forms in (box_forms, volume_forms):
-        assert [module._form_index(form) for form in forms] == \
+    grown_forms = [LatticePolytope(2, cycle)
+                   for level in module._growth_levels(8) for cycle in level]
+    for forms in (box_forms, grown_forms):
+        assert [module._form_index(form.vertices) for form in forms] == \
             [sublattice_info(form).index for form in forms]
-    assert sum(module._form_index(form) > 1 for form in box_forms) == 253
+    assert sum(module._form_index(form.vertices) > 1
+               for form in box_forms) == 253
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -581,11 +628,10 @@ def test_by_volume_searches_require_plain_ints():
             classes_by_volume(volume)
         with pytest.raises(DegenerateInput, match="volume must be"):
             build_volume_representatives(volume)
-    for side in (2.5, 2.0, True):
-        with pytest.raises(DegenerateInput, match="box side must be"):
+    # No box side is taken any more, valid or not.
+    for side in (2.5, 2.0, True, 6, 13):
+        with pytest.raises(TypeError):
             classes_by_volume(6, search_box_side=side)
-    with pytest.raises(CapExceeded, match="box side 13 above cap"):
-        classes_by_volume(6, search_box_side=13)
 
 
 def test_volume_representatives_examples():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import lattice_equiv
-from conftest import random_polygon, seeded
+from conftest import random_polygon, run_in_small_address_space, seeded
 from lattice_equiv import DegenerateInput, LatticePolytope, ParseError
 from lattice_equiv.cli import (
     emit_census_csv,
@@ -240,14 +240,19 @@ def test_classes_by_volume_command(capsys):
 @pytest.mark.parametrize("side_args, box_side",
                          [([], None), (["--box-side", "4"], 4)])
 def test_classes_by_volume_box_fields(capsys, side_args, box_side):
-    # Only an explicit --box-side searches a box; growth is exact.
-    code, out, _ = run(capsys, ["classes-by-volume", "--volume", "4"]
-                       + side_args)
+    # Growth is exact and searches no box: the box fields are constants,
+    # and --box-side is no longer an option.
+    code, out, err = run(capsys, ["classes-by-volume", "--volume", "4"]
+                         + side_args)
+    if box_side is not None:
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --box-side" in err
+        return
     assert code == 0
     doc = json.loads(out)
     assert doc["count"] == 7
-    assert doc["box_side"] == box_side
-    assert doc["box_complete_guaranteed"] is (box_side is None)
+    assert doc["box_side"] is None
+    assert doc["box_complete_guaranteed"] is True
 
 
 def test_build_lv_command(capsys):
@@ -323,6 +328,19 @@ def test_error_exit_codes(capsys, files, tmp_path):
     sq = files("sq.json", SQUARE_DOC)
     assert run(capsys, ["equiv", "--mode", "euclidean", sq, sq])[0] == 2
     assert run(capsys, ["no-such-command"])[0] == 2
+
+
+def test_over_cap_region_exits_3_before_listing():
+    # Under a 256 MiB address space, listing these regions would end in a
+    # MemoryError traceback (exit 1, read as a negative answer).
+    proc = run_in_small_address_space("""
+from lattice_equiv.cli import run_command
+for argv in (["census", "--box-side", "5000"],
+             ["scan-primitivity", "--ball-r", "3000"]):
+    assert run_command(argv) == 3, argv
+""")
+    assert (proc.returncode, proc.stdout) == (0, "")
+    assert proc.stderr.count("more lattice points than the cap 40") == 2
 
 
 def test_console_script_runs():

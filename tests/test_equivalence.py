@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     apply_int_map,
+    budgeted_root_polygons,
     oracle_class_count,
     poly,
     random_polygon,
@@ -458,7 +459,8 @@ def test_canonical_cycle_matches_eager_loop():
     for region, volume in searches:
         pts = lattice_points(region)
         for i in range(len(pts)):
-            for cycle in root_polygons(pts, i, None, volume):
+            for cycle in (root_polygons(pts, i, None) if volume is None else
+                          budgeted_root_polygons(pts, i, None, volume)):
                 reversed_ = cycle[::-1]
                 for c in (cycle, reversed_[1:] + reversed_[:1]):
                     assert equivalence._canonical_cycle(c) == \
@@ -498,7 +500,7 @@ def test_canonical_cycle_matches_eager_loop_on_unimodular_images():
     root_polygons = import_module("lattice_equiv.census")._root_polygons
     pts = lattice_points(Region.box(4))
     cycles = [c for i in range(len(pts))
-              for c in root_polygons(pts, i, None, None)]
+              for c in root_polygons(pts, i, None)]
     rng = seeded(16)
     for cycle in rng.sample(cycles, 3000):
         image = apply_int_map(cycle, random_unimodular(rng),
