@@ -3,9 +3,9 @@ and count their unimodular and affine classes by normal form.
 
 The enumerator is an anchored depth-first search.  Each polygon is
 generated exactly once, rooted at its lexicographically smallest vertex:
-the remaining vertices appear in counterclockwise order, which as seen
-from the root is strictly increasing angular order, so chains are built
-over an angle-sorted candidate list with exact integer turn tests.
+the remaining vertices appear in counterclockwise order, so chains are
+built over the root's later points, in their sorted order, with exact
+integer turn tests.
 
 The by-volume counts search no region: they grow every unimodular class
 of bounded volume from the unimodular triangle, one lattice point at a
@@ -15,7 +15,6 @@ time (_growth_levels).
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cmp_to_key
 from itertools import combinations
 from math import gcd
 
@@ -71,61 +70,49 @@ class AffineMapCensus:
     normalized_constant_sq: object  # max_row_norm_sq / r**4 for balls
 
 
-def _angle_sorted(root, points):
-    """(direction, point) pairs sorted counterclockwise around the root,
-    nearer point first on a shared ray.  All inputs are lex-greater than
-    the root, so every direction lies in the right half plane and the
-    cross-product comparison is a total order on rays."""
-    items = [((q[0] - root[0], q[1] - root[1]), q) for q in points]
-
-    def compare(a, b):
-        (ax, ay), _ = a
-        (bx, by), _ = b
-        c = ax * by - ay * bx
-        if c:
-            return -1 if c > 0 else 1
-        return (ax * ax + ay * ay) - (bx * bx + by * by)
-
-    return sorted(items, key=cmp_to_key(compare))
-
-
 def _root_polygons(points, root_index, max_vertices):
     """All strictly convex polygons whose lex-least vertex is
-    points[root_index], as counterclockwise vertex tuples (each already
-    in LatticePolytope's stored order)."""
-    v0 = points[root_index]
-    cands = _angle_sorted(v0, points[root_index + 1:])
-    dirs = [c[0] for c in cands]
-    pos = [c[1] for c in cands]
-    # after[i]: the later candidates j > i at a strict left turn from the
-    # root, that is off the ray through pos[i].
-    after = [[j for j, (bx, by) in enumerate(dirs[i + 1:], i + 1)
-              if ax * by - ay * bx > 0]
-             for i, (ax, ay) in enumerate(dirs)]
+    root = points[root_index], as counterclockwise vertex tuples (each
+    already in LatticePolytope's stored order), in strictly increasing
+    tuple order.  `points` is sorted.
+
+    Every later point is lex-greater than the root, so its direction
+    from the root has x > 0, or x = 0 and y > 0: any two such directions
+    are less than a half turn apart, and a positive fan cross(root, p, q)
+    says q comes after p counterclockwise.  The fans along a chain are
+    positive, so its directions strictly increase, and the turn at the
+    root is always left: the only closing test is the left turn at the
+    last vertex.  Children are walked in
+    increasing point order and each chain is emitted before its
+    extensions, so the cycles come out in increasing tuple order
+    (tests/test_census.py::test_root_search_matches_reference_in_order).
+    """
+    rx, ry = root = points[root_index]
+    later = points[root_index + 1:]
+    # after[i]: the later points at a positive fan from later[i].
+    after = [[j for j, (qx, qy) in enumerate(later)
+              if (px - rx) * (qy - ry) - (py - ry) * (qx - rx) > 0]
+             for px, py in later]
     out = []
-    chain = [v0]
+    chain = [root]
 
     def extend(last):
-        tip = chain[-1]
-        prev = chain[-2]
+        prev, tip = chain[-2], chain[-1]
         for j in after[last]:
-            pj = pos[j]
-            if ((tip[0] - prev[0]) * (pj[1] - tip[1])
-                    - (tip[1] - prev[1]) * (pj[0] - tip[0])) <= 0:
+            q = later[j]
+            if ((tip[0] - prev[0]) * (q[1] - tip[1])
+                    - (tip[1] - prev[1]) * (q[0] - tip[0])) <= 0:
                 continue  # not a strict left turn at the chain tip
-            close_tip = ((pj[0] - tip[0]) * (v0[1] - pj[1])
-                         - (pj[1] - tip[1]) * (v0[0] - pj[0]))
-            close_root = ((v0[0] - pj[0]) * (chain[1][1] - v0[1])
-                          - (v0[1] - pj[1]) * (chain[1][0] - v0[0]))
-            chain.append(pj)
-            if close_tip > 0 and close_root > 0:
+            chain.append(q)
+            if ((q[0] - tip[0]) * (ry - q[1])
+                    - (q[1] - tip[1]) * (rx - q[0])) > 0:
                 out.append(tuple(chain))
             if max_vertices is None or len(chain) < max_vertices:
                 extend(j)
             chain.pop()
 
-    for i in range(len(cands)):
-        chain.append(pos[i])
+    for i, p in enumerate(later):
+        chain.append(p)
         extend(i)
         chain.pop()
     return out
@@ -140,7 +127,10 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None):
     the calling process; the census parallelizes only its canonicalize
     stage.
 
-    The root search emits each cycle in LatticePolytope's stored order
+    The roots are taken in sorted order and each root's cycles come out
+    in increasing tuple order, so the concatenated cycles are already in
+    tuple order and a stable sort by vertex count finishes the job.  The
+    root search emits each cycle in LatticePolytope's stored order
     (tests/test_census.py::test_root_search_emits_cycles_in_stored_order),
     so the polygons are stored without the constructor's check.
     """
@@ -154,10 +144,10 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None):
         raise RegionTooLarge(
             f"{region.label()} has more lattice points than the cap {cap}")
     pts = tuple(lattice_points(region))
-    polys = [_stored_polygon(verts) for i in range(len(pts))
-             for verts in _root_polygons(pts, i, max_vertices)]
-    polys.sort(key=lambda p: (len(p.vertices), p.vertices))
-    return polys
+    cycles = [cycle for i in range(len(pts))
+              for cycle in _root_polygons(pts, i, max_vertices)]
+    cycles.sort(key=len)
+    return [_stored_polygon(cycle) for cycle in cycles]
 
 
 def _one_point_growths(cycle, volume, points, max_volume):

@@ -63,10 +63,13 @@ def test_enumerate_empty_region():
 
 def test_enumerate_matches_subset_scan():
     for region in (Region.ball(1), Region.box(2), Region.ball(2)):
-        expected = brute_polygon_sets(lattice_points(region))
-        got = {frozenset(p.vertices) for p in
-               enumerate_convex_polygons(region)}
-        assert got == expected
+        sets = brute_polygon_sets(lattice_points(region))
+        for max_vertices in (3, 4, None):
+            polys = enumerate_convex_polygons(region, max_vertices)
+            got = {frozenset(p.vertices) for p in polys}
+            assert len(got) == len(polys)
+            assert got == {s for s in sets if max_vertices is None
+                           or len(s) <= max_vertices}
 
 
 def test_enumerate_deterministic():
@@ -158,6 +161,22 @@ def test_root_search_emits_cycles_in_stored_order():
             p = LatticePolytope(2, cycle)
             assert p.vertices == cycle
             assert volume is None or normalized_volume(p) == volume
+
+
+def test_root_search_matches_reference_in_order():
+    # The library search against the budgeted box-search reference summed
+    # over every volume these regions hold, cycle for cycle in stored
+    # order.  Its cycles must also come out strictly increasing:
+    # enumerate_convex_polygons sorts them only by vertex count.
+    root_polygons = import_module("lattice_equiv.census")._root_polygons
+    for region in (Region.box(2), Region.ball(2), Region.box(3)):
+        pts = lattice_points(region)
+        for i in range(len(pts)):
+            cycles = root_polygons(pts, i, None)
+            assert cycles == sorted(
+                c for v in range(1, 40)
+                for c in budgeted_root_polygons(pts, i, None, v))
+            assert all(a < b for a, b in zip(cycles, cycles[1:]))
 
 
 def twice_area(vertex_set):
@@ -574,13 +593,15 @@ def test_scan_primitivity_command_prints_a_failed_form(imprimitive_form,
                                       for p in expected]
 
 
-@pytest.mark.parametrize("region", [Region.ball(2), Region.box(3)])
+@pytest.mark.parametrize("region", [region for region, _, _ in SMALL_REGIONS])
 def test_enumeration_order_is_serialized_order(region):
-    """Sorting by the vertex tuples orders 2D polygons of equal vertex
-    count as their flattened coordinates would."""
-    polys = enumerate_convex_polygons(region)
-    assert polys == sorted(polys, key=lambda p: (len(p.vertices),
-                                                 p.serialize()))
+    """With or without a vertex cap, the enumeration is ordered by
+    (vertex count, flattened coordinates), though it sorts only by
+    vertex count."""
+    for max_vertices in (None, 3):
+        polys = enumerate_convex_polygons(region, max_vertices)
+        assert polys == sorted(polys, key=lambda p: (len(p.vertices),
+                                                     p.serialize()))
 
 
 def test_census_parallel_reproducible():
