@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from math import gcd
+from operator import mul
 
 from . import linalg
 from .caps import resolve
@@ -98,7 +99,7 @@ class _Profile:
         self.volume = volume_vector(vertices, dim)
         primitive = primitive_decomposition(self.volume)
         self.direction = primitive.direction
-        self.direction_signature = tuple(sorted(abs(x) for x in self.direction))
+        self.direction_signature = tuple(sorted(map(abs, self.direction)))
         self.content = abs(primitive.content)
 
     @cached_property
@@ -123,11 +124,20 @@ class _Profile:
 
     def solve_context(self, combo):
         """Data for solving maps out of the vertex tuple `combo`: the
-        tuple itself, its base vertex, the difference matrix determinant,
-        and its adjugate."""
-        base = self.vertices[combo[0]]
-        m = tuple(linalg.vec_sub(self.vertices[i], base) for i in combo[1:])
-        return combo, base, linalg.int_det(m), linalg.int_adjugate(m)
+        tuple itself, its base vertex p0, det M and adj(M) for the
+        difference matrix M with rows v_i - p0 (i in combo[1:]), and the
+        anchor coordinates (v - p0) @ adj(M) of every other vertex v,
+        paired with its index.  As M @ adj(M) = det(M) * I, these are
+        det(M) times v's coordinates in the affine frame of the tuple,
+        so they do not depend on the image tried."""
+        verts = self.vertices
+        base = verts[combo[0]]
+        m = tuple(linalg.vec_sub(verts[i], base) for i in combo[1:])
+        adj = linalg.int_adjugate(m)
+        coords = tuple(
+            (i, linalg.row_times_matrix(linalg.vec_sub(v, base), adj))
+            for i, v in enumerate(verts) if i not in combo)
+        return combo, base, linalg.int_det(m), adj, coords
 
 
 # Each live polytope's profile; an entry goes when its polytope does.
@@ -147,43 +157,47 @@ def _attempt(p, q, context, image, mode, scaled_targets):
     or None.
 
     Exact integer path: with M, N the difference matrices of the two
-    tuples, the candidate map is v -> v @ A + t with A = adj(M) @ N / det(M)
-    and t = q0 - p0 @ A, so a vertex v lands on w exactly when
-    v @ adj(M) @ N + det(M) * t == det(M) * w, all integers.  As
-    M @ adj(M) = det(M) * I, the map carries the anchor tuple onto
-    `image` by construction, so only the other vertices are mapped.
+    tuples, based at p0 and q0, the candidate map is v -> v @ A + t with
+    A = adj(M) @ N / det(M) and t = q0 - p0 @ A.  Then
+    det(M) * (v @ A + t) = ((v - p0) @ adj(M)) @ N + det(M) * q0, so a
+    vertex v lands on w exactly when
+    ((v - p0) @ adj(M)) @ N + det(M) * q0 == det(M) * w, all integers.
+    The anchor coordinates (v - p0) @ adj(M) come with the context, so
+    each vertex costs d * d products here.  The map carries the anchor
+    tuple onto `image` by construction, so only the other vertices are
+    mapped; A and t are formed only once all of them have landed.
     """
-    combo, p0, det_m, adj_m = context
+    combo, p0, det_m, adj_m, coords = context
     qv = q.vertices
     q0 = qv[image[0]]
     n_rows = tuple(linalg.vec_sub(qv[j], q0) for j in image[1:])
     det_n = linalg.int_det(n_rows)
     if det_n == 0:
         return None
-    if mode == "unimodular" and abs(det_n) != abs(det_m):
-        return None
     if mode == "det_one" and det_n != det_m:
         return None
-    a_scaled = linalg.mat_mul(adj_m, n_rows)
+    a_scaled = None
     if mode == "unimodular":
+        if abs(det_n) != abs(det_m):
+            return None
+        a_scaled = linalg.mat_mul(adj_m, n_rows)
         if any(x % det_m for row in a_scaled for x in row):
             return None
-    d = p.dim
-    shift = tuple(det_m * c - x for c, x in
-                  zip(q0, linalg.row_times_matrix(p0, a_scaled)))
+    columns = tuple(zip(*n_rows))
+    base = tuple(det_m * c for c in q0)
     bijection = [None] * len(p.vertices)
     for i, j in zip(combo, image):
         bijection[i] = j
-    for i, v in enumerate(p.vertices):
-        if bijection[i] is not None:
-            continue
-        img = tuple(
-            sum(v[k] * a_scaled[k][c] for k in range(d)) + shift[c]
-            for c in range(d))
-        j = scaled_targets.get(img)
+    for i, u in coords:
+        j = scaled_targets.get(tuple(
+            sum(map(mul, u, col)) + b for col, b in zip(columns, base)))
         if j is None:
             return None
         bijection[i] = j
+    if a_scaled is None:
+        a_scaled = linalg.mat_mul(adj_m, n_rows)
+    shift = tuple(b - x for b, x in
+                  zip(base, linalg.row_times_matrix(p0, a_scaled)))
     matrix = tuple(tuple(Fraction(x, det_m) for x in row) for row in a_scaled)
     translation = tuple(Fraction(s, det_m) for s in shift)
     return EquivalenceWitness(tuple(bijection), RationalAffineMap(matrix, translation))

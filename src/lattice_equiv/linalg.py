@@ -8,6 +8,7 @@ them to integers first.
 """
 
 from math import gcd
+from operator import mul
 
 
 def egcd(a, b):
@@ -26,10 +27,8 @@ def egcd(a, b):
 
 
 def vec_gcd(values):
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g
+    """Nonnegative gcd of the values; 0 when all are zero or there are none."""
+    return gcd(*values)
 
 
 def vec_sub(a, b):
@@ -46,16 +45,12 @@ def vec_dot(a, b):
 
 def row_times_matrix(v, m):
     """v @ m for a row vector v and row-major matrix m."""
-    cols = len(m[0])
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(cols))
+    return tuple(sum(map(mul, v, col)) for col in zip(*m))
 
 
 def mat_mul(a, b):
-    cols = len(b[0])
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols))
-        for i in range(len(a))
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def int_det(rows):

@@ -1,18 +1,23 @@
 """Shared helpers: small builders, an independent brute-force polygon
 enumerator, the volume-budgeted box search that the by-volume growth is
-checked against, and random map generators used across the suite."""
+checked against, the deciders' per-attempt search that their witnesses
+are checked against, and random map generators used across the suite."""
 
 import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
 from pathlib import Path
 
 import lattice_equiv
 from lattice_equiv import (
-    LatticePolytope, Region, lattice_points, oracle_equivalent)
-from lattice_equiv.equivalence import _canonical_cycle
+    LatticePolytope, RationalAffineMap, Region, lattice_points, linalg,
+    oracle_equivalent)
+from lattice_equiv.equivalence import (
+    EquivalenceWitness, NotEquivalent, _canonical_cycle, _candidate_images,
+    _profile)
 
 
 def poly(*verts):
@@ -110,6 +115,97 @@ def volume_forms(side, volume):
                   for i, (x0, y0) in enumerate(pts) if x0 == 0
                   for cycle in budgeted_root_polygons(pts, i, None, volume)}
     return {_canonical_cycle(cycle) for cycle in translates}
+
+
+def reference_solve_context(vertices, combo):
+    """The anchor tuple, its base vertex, and det and adjugate of its
+    difference matrix."""
+    base = vertices[combo[0]]
+    m = tuple(linalg.vec_sub(vertices[i], base) for i in combo[1:])
+    return combo, base, linalg.int_det(m), linalg.int_adjugate(m)
+
+
+def reference_attempt(p, q, context, image, mode, scaled_targets):
+    """One candidate image of the anchor tuple, mapped the direct way:
+    A_scaled = adj(M) @ N and the scaled shift det(M) * q0 - p0 @ A_scaled
+    are formed first, and every other vertex v of P must land on a vertex
+    w of Q with v @ A_scaled + shift == det(M) * w."""
+    combo, p0, det_m, adj_m = context
+    qv = q.vertices
+    q0 = qv[image[0]]
+    n_rows = tuple(linalg.vec_sub(qv[j], q0) for j in image[1:])
+    det_n = linalg.int_det(n_rows)
+    if det_n == 0:
+        return None
+    if mode == "unimodular" and abs(det_n) != abs(det_m):
+        return None
+    if mode == "det_one" and det_n != det_m:
+        return None
+    a_scaled = linalg.mat_mul(adj_m, n_rows)
+    if mode == "unimodular":
+        if any(x % det_m for row in a_scaled for x in row):
+            return None
+    d = p.dim
+    shift = tuple(det_m * c - x for c, x in
+                  zip(q0, linalg.row_times_matrix(p0, a_scaled)))
+    bijection = [None] * len(p.vertices)
+    for i, j in zip(combo, image):
+        bijection[i] = j
+    for i, v in enumerate(p.vertices):
+        if bijection[i] is not None:
+            continue
+        img = tuple(
+            sum(v[k] * a_scaled[k][c] for k in range(d)) + shift[c]
+            for c in range(d))
+        j = scaled_targets.get(img)
+        if j is None:
+            return None
+        bijection[i] = j
+    matrix = tuple(tuple(Fraction(x, det_m) for x in row) for row in a_scaled)
+    translation = tuple(Fraction(s, det_m) for s in shift)
+    return EquivalenceWitness(tuple(bijection), RationalAffineMap(matrix, translation))
+
+
+def reference_search(p, q, mode, combo, images):
+    """First witness among the candidate images of P's tuple `combo`, or
+    None, trying them in the order given."""
+    context = reference_solve_context(p.vertices, combo)
+    det_m = context[2]
+    scaled_targets = {
+        tuple(det_m * c for c in w): j for j, w in enumerate(q.vertices)}
+    for image in images:
+        witness = reference_attempt(p, q, context, image, mode, scaled_targets)
+        if witness is not None:
+            return witness
+    return None
+
+
+def reference_decide(p, q, mode):
+    """equivalence.decide with its search done by reference_search: the
+    same checks, anchor and candidate order, so the same answer, reason
+    and witness."""
+    if len(p.vertices) != len(q.vertices):
+        return NotEquivalent("vertex counts differ")
+    pp, qp = _profile(p), _profile(q)
+    if pp.direction_signature != qp.direction_signature:
+        return NotEquivalent("primitive volume vectors differ as multisets")
+    if mode in ("unimodular", "det_one") and pp.content != qp.content:
+        return NotEquivalent("volume vectors differ as multisets")
+    combo, value, _ = pp.anchor
+    images = _candidate_images(qp.entry_by_combo, combo, value)
+    return reference_search(p, q, mode, combo, images) or NotEquivalent(
+        "no vertex correspondence extends to an affine map")
+
+
+def reference_oracle(p, q, mode):
+    """oracle_equivalent with its search done by reference_search."""
+    if len(q.vertices) != len(p.vertices):
+        return NotEquivalent("vertex counts differ")
+    w = _profile(p).volume
+    combo = next(c for c, e in zip(w.combinations(), w.entries) if e)
+    images = permutations(range(len(p.vertices)), p.dim + 1)
+    return reference_search(p, q, mode, combo, images) or \
+        NotEquivalent("exhausted all vertex correspondences")
 
 
 def oracle_class_count(polys, mode):

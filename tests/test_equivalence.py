@@ -5,7 +5,7 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from importlib import import_module
-from math import gcd
+from math import cos, gcd, pi, sin
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +17,8 @@ from conftest import (
     poly,
     random_polygon,
     random_unimodular,
+    reference_decide,
+    reference_oracle,
     seeded,
     strict_hull,
 )
@@ -212,6 +214,137 @@ def test_deciders_agree_with_oracle_on_random_pairs():
             got = decide(p, q)
             expect = oracle_equivalent(p, q, mode)
             assert bool(got) == bool(expect), (p, q, mode)
+
+
+def random_ngon(rng, n):
+    """Random lattice polygon with exactly n vertices: the hull of n
+    rounded points on a random circle, retried until all are vertices."""
+    while True:
+        r = rng.uniform(3, 6)
+        pts = {(round(r * cos(a)), round(r * sin(a)))
+               for a in (rng.uniform(0, 2 * pi) for _ in range(n))}
+        hull = strict_hull(pts)
+        if hull is not None and len(hull) == n:
+            return LatticePolytope(2, tuple(hull))
+
+
+def random_unimodular_3d(rng):
+    """Product of integer row shears, then an optional row swap."""
+    m = [[int(i == j) for j in range(3)] for i in range(3)]
+    for _ in range(4):
+        src, dst = rng.sample(range(3), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        m[dst] = [a + k * b for a, b in zip(m[dst], m[src])]
+    if rng.random() < 0.5:
+        m[0], m[1] = m[1], m[0]
+    return tuple(map(tuple, m))
+
+
+CUBE = tuple((x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1))
+FRUSTUM = ((0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0),
+           (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
+OCTAHEDRON = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+              (0, 0, 1), (0, 0, -1))
+PRISM = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1))
+SIMPLEX = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+# Each 3d shape and one with the same vertex count that is not its image.
+SHAPES_3D = ((CUBE, FRUSTUM), (OCTAHEDRON, PRISM), (PRISM, OCTAHEDRON),
+             (SIMPLEX, ((0, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 3))))
+
+
+def witness_stream(rng):
+    """(P, Q) pairs: polygons with 3 to 8 vertices and the 3d shapes, each
+    with a unimodular image, a stretched image ((x, ...) -> (k*x, ...)
+    then a unimodular map) and an unrelated polytope of its vertex count,
+    plus the image stretched along x against a unimodular image of the
+    one stretched along y: |det| 1 but not integral, so the unimodular
+    search rejects every candidate."""
+    def stretched(verts, axis, k):
+        return [tuple(k * x if i == axis else x for i, x in enumerate(v))
+                for v in verts]
+
+    pairs = []
+    for n in range(3, 9):
+        for _ in range(8):
+            p = random_ngon(rng, n)
+            k = rng.choice((2, 3))
+            shift = (rng.randint(-4, 4), rng.randint(-4, 4))
+            for source, target in (
+                    (p.vertices, p.vertices),
+                    (p.vertices, stretched(p.vertices, 0, k)),
+                    (stretched(p.vertices, 0, k), stretched(p.vertices, 1, k)),
+                    (p.vertices, random_ngon(rng, n).vertices)):
+                pairs.append((convex_hull_2d(source), convex_hull_2d(
+                    apply_int_map(target, random_unimodular(rng), shift))))
+    for shape, other in SHAPES_3D:
+        for _ in range(4):
+            k = rng.choice((2, 3))
+            shift = tuple(rng.randint(-3, 3) for _ in range(3))
+            for source, target in (
+                    (shape, shape),
+                    (shape, stretched(shape, 0, k)),
+                    (stretched(shape, 0, k), stretched(shape, 1, k)),
+                    (shape, other)):
+                pairs.append((LatticePolytope(3, tuple(source)),
+                              LatticePolytope(3, tuple(apply_int_map(
+                                  target, random_unimodular_3d(rng), shift)))))
+    return pairs
+
+
+def same_decision(got, expect):
+    if not expect:
+        return not got and got.reason == expect.reason
+    return bool(got) and (got.bijection, got.map.matrix, got.map.translation) \
+        == (expect.bijection, expect.map.matrix, expect.map.translation)
+
+
+def test_witnesses_match_the_per_attempt_reference_search():
+    # The reference forms adj(M) @ N, the shift and the Fraction witness
+    # on every attempt; the deciders map P's anchor coordinates instead.
+    # Both try the candidates in the same order, so every answer, reason
+    # and witness (hence `equiv --witness` output) must be the same.
+    outcomes = Counter()
+    for p, q in witness_stream(seeded(211)):
+        for a, b in ((p, q), (q, p)):
+            for mode in MODES:
+                got = equivalence.decide(a, b, mode)
+                expect = reference_decide(a, b, mode)
+                assert same_decision(got, expect), (a, b, mode)
+                outcomes[mode, a.dim, got.reason if not got else None] += 1
+                if len(a.vertices) <= 6:
+                    got = oracle_equivalent(a, b, mode)
+                    assert same_decision(got, reference_oracle(a, b, mode))
+    searched = "no vertex correspondence extends to an affine map"
+    for mode in MODES:
+        assert min(outcomes[mode, d, None] for d in (2, 3)) >= 8
+        assert sum(outcomes[mode, d, searched] for d in (2, 3)) >= 8
+
+
+def test_each_profile_is_built_once_through_the_traced_names(monkeypatch):
+    # The benchmark's per-layer invariants metrics count calls made
+    # through these two module names; a hot path that bypassed them
+    # would read 0 there.
+    calls = Counter()
+    for name in ("volume_vector", "primitive_decomposition"):
+        def counted(*args, _name=name, _fn=getattr(equivalence, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(equivalence, name, counted)
+    # Coordinates no other test uses, so no equal polytope has a profile.
+    p = poly((203, 11), (207, 12), (206, 15), (202, 14), (201, 12))
+    q = poly(*apply_int_map(p.vertices, ((1, 0), (3, 1)), (-5, 2)))
+    cube = tuple((x, y, z) for x in (60, 61) for y in (0, 1) for z in (0, 3))
+    p3 = LatticePolytope(3, cube)
+    q3 = LatticePolytope(3, tuple(apply_int_map(
+        cube, ((1, 0, 0), (2, 1, 0), (0, 0, 1)), (1, 0, 0))))
+    for a, b in ((p, q), (p3, q3)):
+        assert equivalence.decide(a, b, "affine")
+        assert calls == {"volume_vector": 2, "primitive_decomposition": 2}
+        for mode in MODES:
+            assert equivalence.decide(a, b, mode)
+            assert equivalence.decide(b, a, mode)
+        assert calls == {"volume_vector": 2, "primitive_decomposition": 2}
+        calls.clear()
 
 
 def test_content_check_and_search_agree_with_oracle_on_box_forms():

@@ -1,5 +1,6 @@
 """Volume vectors, primitive decomposition, hyperplanes, lattice heights."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -228,26 +229,56 @@ def random_points_3d(rng):
     return pts
 
 
+def random_points_2d(rng):
+    """2d point sets the polygon generator never yields, in random order
+    with negative coordinates: some with a collinear triple, some with a
+    repeated point, some all on one line."""
+    kind = rng.choice(("collinear", "repeated", "line"))
+    if kind == "line":
+        a = (rng.randint(-4, 4), rng.randint(-4, 4))
+        step = (rng.randint(-2, 2), rng.randint(-2, 2))
+        return [(a[0] + k * step[0], a[1] + k * step[1])
+                for k in rng.sample(range(-3, 4), rng.randint(3, 5))]
+    pts = [(rng.randint(-4, 4), rng.randint(-4, 4))
+           for _ in range(rng.randint(3, 6))]
+    if kind == "collinear":
+        a, b = pts[0], pts[1]
+        k = rng.choice((-1, 2, 3))
+        pts.append((a[0] + k * (b[0] - a[0]), a[1] + k * (b[1] - a[1])))
+    else:
+        pts.append(rng.choice(pts))
+    rng.shuffle(pts)
+    return pts
+
+
 def differential_inputs():
     rng = seeded(41)
     polygons = [(list(random_polygon(rng).vertices), 2) for _ in range(60)]
+    plane_sets = [(random_points_2d(rng), 2) for _ in range(90)]
     point_sets = [(random_points_3d(rng), 3) for _ in range(120)]
-    return polygons + point_sets
+    return polygons + plane_sets + point_sets
 
 
 def test_invariants_match_per_subset_public_calls():
     undefined = 0
+    flat = Counter()
     for pts, d in differential_inputs():
         entries = reference_volume_entries(pts, d)
         if any(entries):
             assert volume_vector(pts, d).entries == entries
         else:
+            flat[d] += 1
             with pytest.raises(DegenerateInput):
                 volume_vector(pts, d)
+        if len(set(pts)) < len(pts):
+            with pytest.raises(DegenerateInput, match="distinct"):
+                lattice_height_vector(pts, d)
+            continue
         blocks = reference_height_blocks(pts, d)
         assert lattice_height_vector(pts, d).blocks == blocks
         undefined += sum(h is None for block in blocks for h in block)
     assert undefined > 0
+    assert flat[2] > 10
 
 
 def test_volume_vector_matches_per_subset_calls_in_4d():

@@ -45,6 +45,9 @@ def test_vec_gcd():
     assert linalg.vec_gcd((6, -9, 15)) == 3
     assert linalg.vec_gcd((0, 0)) == 0
     assert linalg.vec_gcd((7,)) == 7
+    assert linalg.vec_gcd((-7,)) == 7
+    assert linalg.vec_gcd((0, -4, -6)) == 2
+    assert linalg.vec_gcd(()) == 0
 
 
 @given(square(3))
