@@ -9,7 +9,11 @@ integer turn tests.
 
 The by-volume counts search no region: they grow every unimodular class
 of bounded volume from the unimodular triangle, one lattice point at a
-time (_growth_levels).
+time (_growth_levels).  A point u added to a form Q adds to its volume
+the sum of the triangles over the edges u sees, a convex piecewise-linear
+function of u's x on each row, so each row is walked only over the
+points whose edge half-planes keep it within the budget, skipping ahead
+exactly while it is over (_one_point_growths).
 """
 
 from collections import Counter
@@ -157,31 +161,63 @@ def _one_point_growths(cycle, volume, points, max_volume):
     `points` lattice points.  P's cycle runs counterclockwise from some
     vertex; it is not reduced.
 
-    T = (0, 0), (g, 0), (a, b), the first, second and last vertices of Q,
-    spans a triangle with each candidate u inside P, so u has
-    |g*y| <= max_volume, |x*b - y*a| <= max_volume and
-    |det(T1 - u, T2 - u)| = |g*(b - y) + y*a - x*b| <= max_volume: for
-    each y, x runs over an interval.  The edges of Q that u sees
-    (strictly right of them) form one chain, and P is Q with that chain
-    replaced by u; an endpoint of the chain collinear with u and its
-    outer neighbour is no vertex of P.  The boundary count of P is Q's,
-    less the chain's edges, plus the lattice lengths of the two edges to
-    u, and Pick's theorem gives its lattice points as (vol + B)/2 + 1."""
+    For an edge e = (p, q) of Q, cross_e(u) = det(q - p, u - p) is twice
+    the signed area of the triangle p, q, u.  The triangles over the
+    edges that u sees (cross_e(u) < 0) tile P \\ Q, so P adds
+    f(u) = sum_e max(0, -cross_e(u)) to Q's volume, and u is in budget
+    when f(u) <= B = max_volume - volume.  Each term is at most f, so an
+    in-budget u lies in every half-plane -cross_e(u) <= B.  Q starts
+    (0, 0), (g, 0), so its bottom edge gives y >= -(B // g); the triangle
+    (0, 0), (g, 0), u lies inside P, so g*y <= max_volume; and a
+    horizontal top edge bounds y too.  On a row y, -cross_e is
+    dy_e*x - c_e, linear in x, so the half-planes give an exact integer
+    interval [lo, hi], and f, a sum of maxima of linear functions, is
+    convex and piecewise linear in x: its in-budget points form one run.
+    The walk starts at lo.  Convexity puts f(x + k) at or above
+    f(x) + k*s for k >= 0, where s is f's right slope at x, so over
+    budget with s >= 0 the row has nothing left, and with s < 0 nothing
+    is in budget before x + ceil((f(x) - B) / -s).  A point with f = 0
+    lies in Q; the next one outside is the least floor(c_e / dy_e) + 1
+    over dy_e > 0.  After the run, f rises at the first point over
+    budget, so s > 0 there and the row ends.  Rows and points are
+    walked in increasing order, so the yields come out in (y, x) order.
+
+    The edges of Q that u sees form one chain, and P is Q with that
+    chain replaced by u; an endpoint of the chain collinear with u and
+    its outer neighbour is no vertex of P.  The boundary count of P is
+    Q's, less the chain's edges, plus the lattice lengths of the two
+    edges to u, and Pick's theorem gives its lattice points as
+    (vol + B)/2 + 1."""
     n = len(cycle)
     shifted = cycle[1:] + cycle[:1]
     lengths = [gcd(qx - px, qy - py)
                for (px, py), (qx, qy) in zip(cycle, shifted)]
     boundary = sum(lengths)
-    (g, _), (a, b) = cycle[1], cycle[-1]
-    for y in range(-(max_volume // g), max_volume // g + 1):
-        lo = y * a + max(-max_volume, g * (b - y) - max_volume)
-        hi = y * a + min(max_volume, g * (b - y) + max_volume)
-        for x in range(-(-lo // b), hi // b + 1):
-            crosses = [(qx - px) * (y - py) - (qy - py) * (x - px)
-                       for (px, py), (qx, qy) in zip(cycle, shifted)]
+    budget = max_volume - volume
+    # -cross_e(x, y) = dy*x - (dx*y + k) for the edge (dx, dy) from (px, py).
+    edges = [(qx - px, qy - py, (qy - py) * px - (qx - px) * py)
+             for (px, py), (qx, qy) in zip(cycle, shifted)]
+    g = cycle[1][0]
+    top = min(((budget + k) // -dx for dx, dy, k in edges
+               if not dy and dx < 0), default=max_volume // g)
+    for y in range(-(budget // g), min(top, max_volume // g) + 1):
+        row = [(dx * y + k, dy) for dx, dy, k in edges]
+        x = max(-((budget + c) // -dy) for c, dy in row if dy < 0)
+        hi = min((budget + c) // dy for c, dy in row if dy > 0)
+        while x <= hi:
+            crosses = [c - dy * x for c, dy in row]
             added = -sum(c for c in crosses if c < 0)
-            if not added or volume + added > max_volume:
-                continue  # u lies in Q, or P is over budget
+            if added > budget:
+                slope = sum(dy for cr, (_, dy) in zip(crosses, row)
+                            if cr < 0 or cr == 0 < dy)
+                if slope >= 0:
+                    break  # f only grows from here
+                # Skip ceil((added - budget) / -slope) points.
+                x += (added - budget - slope - 1) // -slope
+                continue
+            if not added:
+                x = min(c // dy for c, dy in row if dy > 0) + 1
+                continue  # u lies in Q: jump to the first point outside
             s = next(i for i in range(n) if crosses[i] < 0 <= crosses[i - 1])
             e = s
             while crosses[(e + 1) % n] < 0:
@@ -190,15 +226,15 @@ def _one_point_growths(cycle, volume, points, max_volume):
             new_boundary = (
                 boundary + gcd(x - sx, y - sy) + gcd(x - ex, y - ey)
                 - sum(lengths[i % n] for i in range(s, e + 1)))
-            if volume + added + new_boundary != 2 * points:
-                continue  # P gains another lattice point besides u
-            kept = [cycle[(e + 1 + k) % n] for k in range(n - (e - s))]
-            if crosses[s - 1] == 0:
-                kept.pop()
-            if crosses[(e + 1) % n] == 0:
-                kept.pop(0)
-            kept.append((x, y))
-            yield tuple(kept), volume + added
+            if volume + added + new_boundary == 2 * points:  # P gains only u
+                kept = [cycle[(e + 1 + k) % n] for k in range(n - (e - s))]
+                if crosses[s - 1] == 0:
+                    kept.pop()
+                if crosses[(e + 1) % n] == 0:
+                    kept.pop(0)
+                kept.append((x, y))
+                yield tuple(kept), volume + added
+            x += 1
 
 
 def _growth_levels(max_volume):
@@ -216,7 +252,10 @@ def _growth_levels(max_volume):
     (_one_point_growths) reaches a unimodular image of every class of
     level m.  Growth after Koelman (1991) and Balletti, "Enumeration of
     lattice polytopes by their volume" (DCG 2021).  Integer arithmetic
-    throughout; no search box."""
+    throughout; no search box: each Q is grown over the rows
+    -(B // g) <= y <= max_volume // g, B = max_volume - vol(Q), and on
+    each row only over the exact interval that Q's edge half-planes
+    allow, walked in budget (see _one_point_growths)."""
     level = {((0, 0), (1, 0), (0, 1)): 1}
     levels = []
     points = 3

@@ -27,7 +27,8 @@ from operator import mul
 from . import linalg
 from .caps import resolve
 from .errors import DegenerateInput, DimensionMismatch, TooLarge
-from .geometry import LatticePolytope, RationalAffineMap, _stored_polygon
+from .geometry import (
+    LatticePolytope, RationalAffineMap, _stored_map, _stored_polygon)
 # bench/tracing.py patches the names it traces here; keep them bound.
 from .invariants import (
     lattice_height_vector,
@@ -200,7 +201,8 @@ def _attempt(p, q, context, image, mode, scaled_targets):
                   zip(base, linalg.row_times_matrix(p0, a_scaled)))
     matrix = tuple(tuple(Fraction(x, det_m) for x in row) for row in a_scaled)
     translation = tuple(Fraction(s, det_m) for s in shift)
-    return EquivalenceWitness(tuple(bijection), RationalAffineMap(matrix, translation))
+    return EquivalenceWitness(tuple(bijection),
+                              _stored_map(matrix, translation))
 
 
 def _search(p, q, mode, context, images):

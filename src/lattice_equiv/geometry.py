@@ -254,6 +254,24 @@ class RationalAffineMap:
         return self.is_integral and abs(self.determinant) == 1
 
 
+def _stored_map(matrix, translation):
+    """The map RationalAffineMap(matrix, translation), built without
+    converting its entries: `matrix` and `translation` are stored as
+    given.
+
+    Precondition: `translation` is a tuple of d Fractions and `matrix` a
+    tuple of d such tuples, so the conversion would keep every entry and
+    the size check would pass.  The one call site, `equivalence._attempt`,
+    builds its entries as Fraction(x, det M):
+    test_witness_maps_equal_the_publicly_built_maps in
+    tests/test_equivalence.py.  Call it by this name, as
+    `_stored_polygon`."""
+    m = object.__new__(RationalAffineMap)
+    object.__setattr__(m, "matrix", matrix)
+    object.__setattr__(m, "translation", translation)
+    return m
+
+
 _REGION_KINDS = ("ball", "box", "orthant-ball")
 
 

@@ -1,7 +1,8 @@
 """Shared helpers: small builders, an independent brute-force polygon
-enumerator, the volume-budgeted box search that the by-volume growth is
-checked against, the deciders' per-attempt search that their witnesses
-are checked against, and random map generators used across the suite."""
+enumerator, the volume-budgeted box search and the per-point growth step
+that the by-volume growth is checked against, the deciders' per-attempt
+search that their witnesses are checked against, and random map
+generators used across the suite."""
 
 import os
 import random
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 from pathlib import Path
 
 import lattice_equiv
@@ -115,6 +117,47 @@ def volume_forms(side, volume):
                   for i, (x0, y0) in enumerate(pts) if x0 == 0
                   for cycle in budgeted_root_polygons(pts, i, None, volume)}
     return {_canonical_cycle(cycle) for cycle in translates}
+
+
+def reference_one_point_growths(cycle, volume, points, max_volume):
+    """census._one_point_growths as it was before its row intervals: the
+    same yields, in the same order, from every lattice point u of a box
+    bounded through the triangle (0, 0), (g, 0), (a, b) of Q's first,
+    second and last vertices.  Each u is tested on its own: its added
+    volume against the budget, then Pick's theorem for the one new
+    lattice point."""
+    n = len(cycle)
+    shifted = cycle[1:] + cycle[:1]
+    lengths = [gcd(qx - px, qy - py)
+               for (px, py), (qx, qy) in zip(cycle, shifted)]
+    boundary = sum(lengths)
+    (g, _), (a, b) = cycle[1], cycle[-1]
+    for y in range(-(max_volume // g), max_volume // g + 1):
+        lo = y * a + max(-max_volume, g * (b - y) - max_volume)
+        hi = y * a + min(max_volume, g * (b - y) + max_volume)
+        for x in range(-(-lo // b), hi // b + 1):
+            crosses = [(qx - px) * (y - py) - (qy - py) * (x - px)
+                       for (px, py), (qx, qy) in zip(cycle, shifted)]
+            added = -sum(c for c in crosses if c < 0)
+            if not added or volume + added > max_volume:
+                continue  # u lies in Q, or P is over budget
+            s = next(i for i in range(n) if crosses[i] < 0 <= crosses[i - 1])
+            e = s
+            while crosses[(e + 1) % n] < 0:
+                e += 1
+            (sx, sy), (ex, ey) = cycle[s], cycle[(e + 1) % n]
+            new_boundary = (
+                boundary + gcd(x - sx, y - sy) + gcd(x - ex, y - ey)
+                - sum(lengths[i % n] for i in range(s, e + 1)))
+            if volume + added + new_boundary != 2 * points:
+                continue  # P gains another lattice point besides u
+            kept = [cycle[(e + 1 + k) % n] for k in range(n - (e - s))]
+            if crosses[s - 1] == 0:
+                kept.pop()
+            if crosses[(e + 1) % n] == 0:
+                kept.pop(0)
+            kept.append((x, y))
+            yield tuple(kept), volume + added
 
 
 def reference_solve_context(vertices, combo):

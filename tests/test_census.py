@@ -1,6 +1,8 @@
 """Polygon enumeration, class censuses, by-volume counts, and scans."""
 
+import inspect
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 from importlib import import_module
@@ -9,8 +11,8 @@ import pytest
 
 from conftest import (
     apply_int_map, brute_polygon_sets, budgeted_root_polygons, cross,
-    oracle_class_count, poly, random_unimodular, run_in_small_address_space,
-    seeded, strict_hull, volume_forms)
+    oracle_class_count, poly, random_unimodular, reference_one_point_growths,
+    run_in_small_address_space, seeded, strict_hull, volume_forms)
 from lattice_equiv import (
     Caps,
     CapExceeded,
@@ -285,6 +287,126 @@ def test_grown_forms_shave_to_the_previous_level(growth_levels):
                     continue
             assert shaved
             assert any(canonical_polygon(q).vertices in below for q in shaved)
+
+
+@pytest.fixture(scope="module")
+def reference_levels():
+    """The forms of volume <= 12 grown with the reference step, so that a
+    step that loops or drops forms cannot hide the forms it is checked
+    on."""
+    module = import_module("lattice_equiv.census")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_one_point_growths",
+                      reference_one_point_growths)
+        return module._growth_levels(12)
+
+
+def test_growth_step_matches_the_reference_step(reference_levels):
+    # Every form to volume 12 under every budget it can grow in: the same
+    # yields, in the same order, as the per-point scan of a box.
+    grow = import_module("lattice_equiv.census")._one_point_growths
+    for k, level in enumerate(reference_levels):
+        for cycle, volume in level.items():
+            for max_volume in range(volume + 1, 13):
+                args = (cycle, volume, k + 3, max_volume)
+                assert list(grow(*args)) == \
+                    list(reference_one_point_growths(*args))
+
+
+def test_growth_levels_match_the_reference_growth():
+    module = import_module("lattice_equiv.census")
+    for v in range(1, 17):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, "_one_point_growths",
+                          reference_one_point_growths)
+            expected = module._growth_levels(v)
+        assert module._growth_levels(v) == expected
+
+
+def test_growth_counts_the_classes_of_each_volume_to_twenty():
+    # K(v), the unimodular classes of normalized volume v, for v = 1..20:
+    # past the volumes the reference growth is run to.
+    levels = import_module("lattice_equiv.census")._growth_levels(20)
+    counts = Counter(v for level in levels for v in level.values())
+    assert [counts[v] for v in range(1, 21)] == [
+        1, 2, 3, 7, 6, 13, 13, 27, 26, 44,
+        43, 83, 81, 122, 136, 208, 215, 317, 341, 490]
+
+
+def traced_visits(cycle, volume, points, max_volume):
+    """The points (x, y) that census._one_point_growths visits, in order:
+    a point is visited when the line that takes its cross products runs.
+    A visit that does not come after the last one in (y, x) order raises,
+    so a walk that stops advancing fails instead of looping."""
+    grow = import_module("lattice_equiv.census")._one_point_growths
+    code = grow.__code__
+    lines, first = inspect.getsourcelines(code)
+    line = first + next(i for i, text in enumerate(lines)
+                        if text.lstrip().startswith("crosses = "))
+    visits = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == line:
+            point = frame.f_locals["y"], frame.f_locals["x"]
+            if visits and point <= visits[-1]:
+                raise AssertionError(f"the walk went back to {point[::-1]}")
+            visits.append(point)
+        return local
+
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code is code else None)
+    try:
+        for _ in grow(cycle, volume, points, max_volume):
+            pass
+    finally:
+        sys.settrace(None)
+    return [(x, y) for y, x in visits]
+
+
+def test_growth_walk_visits_only_its_row_intervals(reference_levels):
+    # Independently of the walk's arithmetic: with t_e(u) = -cross_e(u)
+    # and f(u) the sum of the positive t_e, every visit lies in the strip
+    # max_e t_e <= B; each row with a point in budget (f <= B) is entered
+    # at the strip's left end; every u with 0 < f(u) <= B is visited;
+    # and a row visits at most one point of Q (f = 0), at most n points
+    # over budget before its first point in budget, and at most one
+    # after, as its last.  The points in budget are listed from the
+    # reference step's box, |g*y| and |x*b - y*a| at most max_volume.
+    for k, level in enumerate(reference_levels):
+        for cycle, volume in level.items():
+            if volume >= 9:
+                continue
+            edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+            (g, _), (a, b) = cycle[1], cycle[-1]
+
+            def terms(x, y):
+                return [-cross(p, q, (x, y)) for p, q in edges]
+
+            def added(x, y):
+                return sum(t for t in terms(x, y) if t > 0)
+
+            for max_volume in range(volume + 1, 10):
+                budget = max_volume - volume
+                visits = traced_visits(cycle, volume, k + 3, max_volume)
+                assert all(max(terms(x, y)) <= budget for x, y in visits)
+                rows = {}
+                for x, y in visits:
+                    rows.setdefault(y, []).append(x)
+                for y in range(-(max_volume // g), max_volume // g + 1):
+                    xs = range((y * a - max_volume) // b,
+                               (y * a + max_volume) // b + 1)
+                    in_budget = [x for x in xs if added(x, y) <= budget]
+                    row = rows.pop(y, [])
+                    assert {x for x in in_budget if added(x, y)} <= set(row)
+                    if in_budget:
+                        assert max(terms(row[0] - 1, y)) > budget
+                    over = [x for x in row if added(x, y) > budget]
+                    before = [x for x in over if not in_budget
+                              or x < in_budget[0]]
+                    assert len(before) <= len(cycle)
+                    assert over == before or over[len(before):] == row[-1:]
+                    assert sum(not added(x, y) for x in row) <= 1
+                assert not rows  # no visit outside the reference's rows
 
 
 def test_by_volume_paths_run_no_box_search(monkeypatch):

@@ -25,6 +25,7 @@ from conftest import (
 from lattice_equiv import (
     DegenerateInput,
     LatticePolytope,
+    RationalAffineMap,
     TooLarge,
     affine_equivalent,
     affine_key,
@@ -318,6 +319,31 @@ def test_witnesses_match_the_per_attempt_reference_search():
     for mode in MODES:
         assert min(outcomes[mode, d, None] for d in (2, 3)) >= 8
         assert sum(outcomes[mode, d, searched] for d in (2, 3)) >= 8
+
+
+def test_witness_maps_equal_the_publicly_built_maps():
+    # The deciders store their witness maps without the public
+    # constructor's conversion; each must equal the map that constructor
+    # builds from the same entries, hold only Fractions, and carry every
+    # vertex of P onto its vertex of Q.
+    positives = 0
+    for p, q in witness_stream(seeded(223)):
+        for a, b in ((p, q), (q, p)):
+            for mode in MODES:
+                for got in (equivalence.decide(a, b, mode),
+                            oracle_equivalent(a, b, mode)
+                            if len(a.vertices) <= 6 else None):
+                    if not got:
+                        continue
+                    positives += 1
+                    m = got.map
+                    assert m == RationalAffineMap(m.matrix, m.translation)
+                    assert all(type(x) is Fraction
+                               for row in m.matrix + (m.translation,)
+                               for x in row)
+                    assert [m.apply(v) for v in a.vertices] == \
+                        [b.vertices[j] for j in got.bijection]
+    assert positives >= 100
 
 
 def test_each_profile_is_built_once_through_the_traced_names(monkeypatch):

@@ -336,6 +336,21 @@ def test_affine_map_apply():
     assert move.is_unimodular
 
 
+def test_affine_map_converts_and_checks_its_entries():
+    # The public constructor's work, which the deciders' stored witness
+    # maps skip: ints become Fractions, and the sizes must agree.
+    move = RationalAffineMap(((0, 1), (1, 0)), (1, 0))
+    assert all(type(x) is Fraction
+               for row in move.matrix + (move.translation,) for x in row)
+    assert move == RationalAffineMap(
+        ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),
+        (Fraction(1), Fraction(0)))
+    for matrix, translation in ((((1, 0), (0, 1)), (0, 0, 0)),
+                                (((1, 0), (0,)), (0, 0))):
+        with pytest.raises(DimensionMismatch):
+            RationalAffineMap(matrix, translation)
+
+
 def test_affine_map_rejects_fractional_image():
     half = RationalAffineMap(((Fraction(1, 2), 0), (0, 1)), (0, 0))
     with pytest.raises(DegenerateInput):
