@@ -8,11 +8,19 @@ column, which the report verifies against the expected two-case formula.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .errors import DegenerateInput, DegenerateResult, DimensionMismatch
+from .caps import resolve
+from .errors import (
+    CapExceeded,
+    DegenerateInput,
+    DegenerateResult,
+    DimensionMismatch,
+)
 from .geometry import (
     LatticePolytope,
     Region,
+    _region_point_count,
     convex_hull_2d,
     dilate,
     lattice_points,
@@ -33,17 +41,34 @@ class ConstructionReport:
     identity_holds: bool     # added_points == b without its first element
 
 
-def orthant_hull_construction(r=None, *, radius_sq=None):
+def _polygon_point_count(p):
+    """Lattice points of a polygon by Pick's theorem, without listing
+    them: (normalized volume + boundary points) / 2 + 1."""
+    verts = p.vertices
+    boundary = sum(gcd(qx - px, qy - py) for (px, py), (qx, qy)
+                   in zip(verts, verts[1:] + verts[:1]))
+    return (normalized_volume(p) + boundary) // 2 + 1
+
+
+def orthant_hull_construction(r=None, *, radius_sq=None, caps=None):
     """Build the doubled quarter-ball hull and its capped extension.
 
     The cap column sits at x = 2p when (p, 0) is the only lattice point
     of the hull on x = p (case 1), and at x = 2p + 1 when the points
     (p, 0) and (p, 1) are both present (case 2).  Non-integer radii are
     supported through their exact square.
+
+    The quarter ball and the augmented hull, which contains the base,
+    are counted against caps.hull_points before their points are
+    listed; CapExceeded is raised above it.
     """
     region = Region.orthant_ball(radius=r, radius_sq=radius_sq)
     if region.size < 1:
         raise DegenerateInput("construction needs radius at least 1")
+    cap = resolve(caps).hull_points
+    if _region_point_count(region, cap) > cap:
+        raise CapExceeded(
+            f"{region.label()} has more lattice points than the cap {cap}")
     pts = lattice_points(region)
     base = dilate(convex_hull_2d(pts), 2)
     p = max(x for x, _ in pts)
@@ -52,6 +77,11 @@ def orthant_hull_construction(r=None, *, radius_sq=None):
     anchor = 2 * p if case == 1 else 2 * p + 1
     b = ((anchor, 0), (anchor, 1))
     augmented = convex_hull_2d(base.vertices + b)
+    count = _polygon_point_count(augmented)
+    if count > cap:
+        raise CapExceeded(
+            f"the augmented hull has {count} lattice points, above the "
+            f"cap {cap}")
     base_points = set(lattice_points(base))
     added = tuple(sorted(
         pt for pt in lattice_points(augmented) if pt not in base_points))

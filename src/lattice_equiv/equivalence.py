@@ -316,46 +316,79 @@ def _canonical_cycle(cycle):
     origin, the edge to (g, 0) with g its lattice length, and the
     traversal's last vertex is reflected and sheared to (a, b) with
     0 <= a < b, so the cycle starts at its lex-least vertex and runs
-    counterclockwise.  The 2n framed cycles are compared lazily: only
-    anchors of least g are framed, vertex k is mapped only for the
-    candidates still tied before it, and the one left is mapped in full.
-    Tied candidates frame the same cycle, so the representative is the
-    one a full comparison picks.
+    counterclockwise.  A clockwise cycle is reversed once, so forward
+    frames keep the orientation, backward frames reflect, and no frame
+    tests a sign.  Only anchors of least g are framed, both directions
+    of an edge in one step, and vertex 2's image is taken in that same
+    step: a frame is kept only while it ties the least image so far.
+    From vertex 3 on, vertex k is mapped only for the frames still tied
+    before it, and the one left is mapped in full.  Tied frames frame
+    the same cycle, so the representative is the one a full comparison
+    of all 2n framed cycles picks.
     """
     n = len(cycle)
+    (x0, y0), (x1, y1), (x2, y2) = cycle[:3]
+    if (x1 - x0) * (y2 - y0) < (y1 - y0) * (x2 - x0):
+        cycle = cycle[::-1]
     # Indices into the doubled cycle need no modulo: a traversal reads
     # ring[start + step * k] with 0 <= start <= n, 0 <= k < n and step
     # +-1, and a negative index counts back from the end of the cycle.
     ring = cycle + cycle
     edges = [(qx - px, qy - py)
              for (px, py), (qx, qy) in zip(ring, ring[1:n + 1])]
-    # An edge's lattice length is the same in both orientations.
     lengths = [gcd(ex, ey) for ex, ey in edges]
     g = min(lengths)
-    # A candidate traverses ring[start], ring[start + step], ... and
-    # maps p to (p - o) @ ((xx, xy), (yx, yy)), o = ring[start].
-    frames = []
+    # A frame traverses ring[start], ring[start + step], ... and maps
+    # p to (p - o) @ ((xx, xy), (yx, yy)), o = ring[start].
+    least = None
     for i, length in enumerate(lengths):
         if length != g:
             continue
         alpha, beta = edges[i][0] // g, edges[i][1] // g
-        _, x, y = linalg.egcd(alpha, beta)
-        for start, step, al, be, u, v in (
-                (i, 1, alpha, beta, x, y),
-                (i + 1, -1, -alpha, -beta, -x, -y)):
-            ox, oy = ring[start]
-            lx, ly = ring[start - step]
-            dx, dy = lx - ox, ly - oy
-            # ((u, -be), (v, al)) takes the edge to (g, 0) and the last
-            # vertex to height h; the sign s reflects it to b = |h| and
-            # the shear t (signed) brings its x into [0, b).
-            h = dy * al - dx * be
-            s = 1 if h > 0 else -1
-            t = s * ((dx * u + dy * v) // (s * h))
-            frames.append((start, step, ox, oy,
-                           u + t * be, -s * be, v - t * al, s * al))
-    out = [(0, 0), (g, 0)]
-    k = 2
+        # Any Bezout pair u*alpha + v*beta = 1 will do: the shear below
+        # makes each frame unique.
+        if beta:
+            u = pow(alpha, -1, abs(beta))
+            v = (1 - u * alpha) // beta
+        else:
+            u, v = alpha, 0
+        # p -> (p.(u, v), alpha*py - beta*px) has determinant 1 and
+        # takes the edge e to (g, 0).  The edges a before e and b after
+        # it turn left, so the previous vertex o - a lands at height
+        # ha > 0 and the one after next, o + e + b, at height hb > 0.
+        # The forward frame (origin o, last vertex o - a, vertex 2
+        # o + e + b) shears by ta, which puts the last vertex's x in
+        # [0, ha); the backward frame (origin o + e, step -1, last vertex
+        # o + e + b, vertex 2 o - a) reflects by negating (u, v) and
+        # shears by tb.  Vertex 2's x is g + pb - ta*hb forward and
+        # g + pa - tb*ha backward; every frame shares the g, so the
+        # images compared leave it out.
+        (ax, ay), (bx, by) = edges[i - 1], edges[i + 1 - n]
+        ha = ax * beta - ay * alpha
+        hb = by * alpha - bx * beta
+        pa = ax * u + ay * v
+        pb = bx * u + by * v
+        ta = -pa // ha
+        tb = -pb // hb
+        (ox, oy), (px, py) = ring[i], ring[i + 1]
+        image = (pb - ta * hb, hb)
+        if least is None or image < least:
+            least = image
+            frames = [(i, 1, ox, oy,
+                       u + ta * beta, -beta, v - ta * alpha, alpha)]
+        elif image == least:
+            frames.append((i, 1, ox, oy,
+                           u + ta * beta, -beta, v - ta * alpha, alpha))
+        image = (pa - tb * ha, ha)
+        if image < least:
+            least = image
+            frames = [(i + 1, -1, px, py,
+                       tb * beta - u, -beta, -v - tb * alpha, alpha)]
+        elif image == least:
+            frames.append((i + 1, -1, px, py,
+                           tb * beta - u, -beta, -v - tb * alpha, alpha))
+    out = [(0, 0), (g, 0), (g + least[0], least[1])]
+    k = 3
     while len(frames) > 1 and k < n:
         # One pass: the least image of vertex k and the frames tied on it.
         least = None

@@ -284,6 +284,11 @@ def test_barany_requires_one_radius(capsys):
     assert code == 2
 
 
+def test_barany_over_the_hull_cap_is_an_input_error(capsys):
+    code, _, err = run(capsys, ["barany", "--r", "1000000"])
+    assert code == 3 and "cap 1000" in err
+
+
 def test_scan_primitivity_command(capsys):
     code, out, _ = run(capsys, ["scan-primitivity", "--ball-r", "2"])
     # clean scan: nothing found is exit 1, mirroring equiv's semantics

@@ -1,9 +1,13 @@
 """The capped quarter-ball construction and vertex shaving."""
 
+import time
+
 import pytest
 
 from conftest import poly, random_polygon, seeded
 from lattice_equiv import (
+    CapExceeded,
+    Caps,
     DegenerateInput,
     DegenerateResult,
     DimensionMismatch,
@@ -101,6 +105,24 @@ def test_construction_validation():
         orthant_hull_construction(2, radius_sq=4)
     with pytest.raises(DegenerateInput):
         orthant_hull_construction()
+
+
+def test_hull_points_are_capped_before_they_are_listed():
+    # The quarter disc of radius 10**6 holds about 7.9e11 lattice points;
+    # it is refused at its first rows, without listing a point.
+    start = time.monotonic()
+    with pytest.raises(CapExceeded):
+        orthant_hull_construction(10 ** 6)
+    with pytest.raises(CapExceeded):
+        orthant_hull_construction(radius_sq=10 ** 12 + 1)
+    assert time.monotonic() - start < 5
+    # The quarter disc of radius 6 has 35 points, within a cap of 100,
+    # but its augmented hull has 122 (Pick), so the hull check refuses it.
+    small = Caps(hull_points=100)
+    assert len(lattice_points(orthant_hull_construction(
+        5, caps=small).augmented)) == 89
+    with pytest.raises(CapExceeded, match="122 lattice points"):
+        orthant_hull_construction(6, caps=small)
 
 
 def test_shave_examples():

@@ -672,6 +672,82 @@ def test_canonical_cycle_matches_eager_loop_on_unimodular_images():
                 eager_canonical_cycle(c), c
 
 
+def growth_cycles(max_volume):
+    """Every raw cycle census._one_point_growths yields while growing
+    every form up to `max_volume`, before it is canonicalized."""
+    census = import_module("lattice_equiv.census")
+    for points, level in enumerate(census._growth_levels(max_volume), 3):
+        for cycle, volume in level.items():
+            if volume < max_volume:
+                for new, _ in census._one_point_growths(
+                        cycle, volume, points, max_volume):
+                    yield new
+
+
+def least_edge_kinds(cycle):
+    """Which kinds of anchor the one-pass kernel meets on a cycle: its
+    least edges' lattice length and primitive direction (alpha, beta)."""
+    n = len(cycle)
+    edges = [(cycle[(i + 1) % n][0] - cycle[i][0],
+              cycle[(i + 1) % n][1] - cycle[i][1]) for i in range(n)]
+    g = min(gcd(ex, ey) for ex, ey in edges)
+    kinds = set()
+    for ex, ey in edges:
+        if gcd(ex, ey) == g:
+            beta = ey // g
+            kinds.add("g > 1" if g > 1 else "g = 1")
+            kinds.add("beta = 0" if not beta else "|beta| = 1"
+                      if abs(beta) == 1 else "|beta| > 1")
+            if beta < 0:
+                kinds.add("beta < 0")
+    return kinds
+
+
+def test_canonical_cycle_matches_eager_loop_on_growth_cycles():
+    # Every cycle the growth to volume 14 yields, read from every start
+    # vertex in both orientations; all of these readings have the same
+    # 2n framed cycles, so they share one eager form.
+    kinds = set()
+    checked = 0
+    for cycle in growth_cycles(14):
+        kinds |= least_edge_kinds(cycle)
+        form = eager_canonical_cycle(cycle)
+        for c in rotations_and_reversals(cycle):
+            assert equivalence._canonical_cycle(c) == form, c
+        checked += 1
+    assert checked > 2000
+    assert kinds == {"g = 1", "g > 1", "beta = 0", "|beta| = 1",
+                     "|beta| > 1", "beta < 0"}
+
+
+def large_unimodular(rng, bound=10 ** 6):
+    """Random 2x2 integer matrix of determinant +-1 with entries up to
+    `bound`: a random primitive row, completed by a Bezout pair."""
+    a = b = 0
+    while gcd(a, b) != 1:
+        a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
+    _, x, y = linalg.egcd(a, b)
+    m = ((a, b), (-y, x))
+    return m if rng.random() < 0.5 else (m[1], m[0])
+
+
+def test_canonical_cycle_matches_eager_loop_on_large_images():
+    # Unimodular images with entries and shifts up to 10**6, so the
+    # kernel's Bezout step works modulo large |beta|.
+    rng = seeded(23)
+    cycles = sorted(growth_cycles(14))
+    for cycle in rng.sample(cycles, 1500):
+        image = apply_int_map(cycle, large_unimodular(rng),
+                              (rng.randint(-10 ** 6, 10 ** 6),
+                               rng.randint(-10 ** 6, 10 ** 6)))
+        assert max(abs(c) for p in image for c in p) > 10 ** 4
+        start = rng.randrange(len(image))
+        image = tuple(image[start:] + image[:start])
+        for c in (image, image[::-1]):
+            assert equivalence._canonical_cycle(c) == \
+                eager_canonical_cycle(c), c
+
+
 def test_canonical_polygon_matches_reference_representative():
     rng = seeded(73)
     dets = Counter()
