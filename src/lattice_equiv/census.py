@@ -44,7 +44,6 @@ from .geometry import (
     lattice_points,
     normalized_volume,
 )
-from .invariants import primitive_decomposition, volume_vector
 # No census code calls sublattice_info; bench/tracing.py still patches it.
 from .lattices import sublattice_info
 
@@ -62,7 +61,7 @@ class ClassCensus:
 class PrimitivityReport:
     region: Region
     examined: int            # polygons whose vertex differences span Z^2
-    counterexamples: tuple   # those among them with volume-vector content > 1
+    counterexamples: tuple   # always (): |content| equals the index
 
 
 @dataclass(frozen=True)
@@ -405,31 +404,24 @@ def build_volume_representatives(volume, *, caps=None):
 
 
 def primitivity_scan(region, *, caps=None, workers=None):
-    """Look for polygons whose vertex differences generate all of Z^2 but
-    whose volume vector still has content larger than 1.  An empty
-    counterexample list means none exists at this scale.
+    """Count the polygons whose vertex differences generate all of Z^2,
+    the ones that could have a volume vector of content larger than 1.
+    None can: `counterexamples` is always (), and the field stays so that
+    the report and the CLI document keep their shape.
 
-    Both tests run once per canonical form.  A unimodular map carries a
-    polygon's difference lattice onto its form's and multiplies every
-    volume-vector entry by its determinant +-1, so the index and
-    |content| are the same for a polygon and its form.  In fact
     |content| equals the index: with vertices v_0, ..., v_n the index is
     the gcd of the 2x2 minors of the rows v_i - v_0, which are exactly
     the entries that contain vertex 0, and every other entry
     det(v_j - v_i, v_k - v_i) = det(v_j - v_0, v_k - v_0)
     - det(v_i - v_0, v_k - v_0) - det(v_j - v_0, v_i - v_0) is an integer
-    combination of them.  Only if a form failed would the region be
-    enumerated again, in the parent, to list its polygons in enumeration
-    order.  `workers` sizes the canonicalize pool, as in census."""
+    combination of them.  A unimodular map carries a polygon's difference
+    lattice onto its form's, so the index is taken once per canonical
+    form, weighted by its polygon count.  `workers` sizes the
+    canonicalize pool, as in census."""
     counts = _form_counts(region, caps, workers)
-    index_one = [form for form in counts if _form_index(form.vertices) == 1]
-    failed = {form for form in index_one if abs(primitive_decomposition(
-        volume_vector(form.vertices, 2)).content) > 1}
-    bad = ()
-    if failed:
-        bad = tuple(poly for poly in enumerate_convex_polygons(
-            region, caps=caps) if canonical_polygon(poly) in failed)
-    return PrimitivityReport(region, sum(counts[f] for f in index_one), bad)
+    return PrimitivityReport(
+        region, sum(n for form, n in counts.items()
+                    if _form_index(form.vertices) == 1), ())
 
 
 def affine_map_census(region, budget, *, caps=None):

@@ -5,7 +5,7 @@ so every predicate in this module is exact.  Points are row vectors and
 affine maps act on the right: p -> p @ A + v.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product

@@ -41,7 +41,6 @@ from lattice_equiv import (
     volume_vector,
 )
 from lattice_equiv.cli import run_command
-from lattice_equiv.invariants import PrimitiveVolumeVector
 
 UNIT = poly((0, 0), (1, 0), (0, 1))
 
@@ -588,6 +587,45 @@ def per_polygon_primitivity_scan(polys):
     return examined, tuple(bad)
 
 
+def test_volume_vector_content_is_the_form_index():
+    """The fact that leaves primitivity_scan nothing to find, on every
+    grown form of volume at most 12: |content| of the volume vector
+    equals the index of the lattice the vertex differences generate."""
+    module = import_module("lattice_equiv.census")
+    forms = [cycle for level in module._growth_levels(12) for cycle in level]
+    assert len(forms) == 268
+    indices = []
+    for cycle in forms:
+        content = primitive_decomposition(volume_vector(cycle, 2)).content
+        index = sublattice_info(LatticePolytope(2, cycle)).index
+        assert abs(content) == module._form_index(cycle) == index, cycle
+        indices.append(index)
+    assert max(indices) > 1
+
+
+# scan-primitivity's examined count on each SMALL_REGIONS region.
+SCAN_EXAMINED = {"ball:0": 0, "ball:1": 4, "ball:2": 550, "box:1": 5,
+                 "box:2": 106, "box:3": 2012, "orthant-ball:1": 1,
+                 "orthant-ball:2": 16, "orthant-ball:3": 215}
+REGION_FLAGS = {"ball": "--ball-r", "box": "--box-side",
+                "orthant-ball": "--orthant-ball-r"}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("region", [region for region, _, _ in SMALL_REGIONS])
+def test_scan_primitivity_command_finds_nothing(region, workers, capsys):
+    """The scan cannot find a counterexample, so the command prints an
+    empty list and exits 1, for any worker count."""
+    kind, size = region.label().split(":")
+    code = run_command(["scan-primitivity", REGION_FLAGS[kind], size,
+                        "--workers", workers])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc == {"region": region.label(),
+                   "examined": SCAN_EXAMINED[region.label()],
+                   "counterexamples": []}
+
+
 @pytest.mark.parametrize("region", [region for region, _, _ in SMALL_REGIONS])
 def test_weighted_forms_match_per_polygon_loops(region):
     """census and primitivity_scan take their invariants once per form;
@@ -666,53 +704,6 @@ def test_census_path_builds_no_checked_polytope(monkeypatch):
                             "LatticePolytope", refuse)
     assert census(Region.box(3)).k == 148
     assert primitivity_scan(Region.ball(2)).counterexamples == ()
-
-
-@pytest.fixture
-def imprimitive_form(monkeypatch):
-    """Make the census module's primitive_decomposition report content 2
-    for one index-1 form of ball:2 that stands for several polygons, and
-    return that form with its polygons in enumeration order."""
-    region = Region.ball(2)
-    polys = enumerate_convex_polygons(region)
-    members = {}
-    for p in polys:
-        members.setdefault(canonical_polygon(p), []).append(p)
-    vectors = Counter(volume_vector(f.vertices, 2) for f in members)
-    form = min((f for f, ps in members.items() if len(ps) > 1
-                and sublattice_info(f).index == 1
-                and vectors[volume_vector(f.vertices, 2)] == 1),
-               key=LatticePolytope.serialize)
-    target = volume_vector(form.vertices, 2)
-    module = import_module("lattice_equiv.census")
-    real = module.primitive_decomposition
-
-    def reports_content_two(w):
-        d = real(w)
-        return PrimitiveVolumeVector(2, d.direction) if w == target else d
-
-    monkeypatch.setattr(module, "primitive_decomposition", reports_content_two)
-    return form, tuple(members[form])
-
-
-def test_primitivity_scan_lists_every_polygon_of_a_failed_form(
-        imprimitive_form):
-    form, expected = imprimitive_form
-    report = primitivity_scan(Region.ball(2))
-    assert report.examined == 550
-    assert report.counterexamples == expected
-    assert all(canonical_polygon(p) == form for p in expected)
-
-
-def test_scan_primitivity_command_prints_a_failed_form(imprimitive_form,
-                                                       capsys):
-    _, expected = imprimitive_form
-    code = run_command(["scan-primitivity", "--ball-r", "2"])
-    doc = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert doc["examined"] == 550
-    assert doc["counterexamples"] == [[list(v) for v in p.vertices]
-                                      for p in expected]
 
 
 @pytest.mark.parametrize("region", [region for region, _, _ in SMALL_REGIONS])

@@ -1,0 +1,53 @@
+"""Every name a library module imports is used in that module."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
+
+
+def traced_names():
+    """(module, name) pairs that bench/tracing.py rebinds for its spans.
+    A module may import such a name only to keep it bound; once the
+    tracer is gone, no name is excused."""
+    if not TRACING.exists():
+        return set()
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {(mod, attr) for mod, attr, _, _ in tracing.TARGETS}
+
+
+def unused_imports(source):
+    """Names bound by an import in `source` that no expression reads and
+    no `__all__` re-exports, in sorted order."""
+    tree = ast.parse(source)
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_unused_imports_finds_dead_names():
+    source = ("import os.path\nimport sys\nfrom a import b, c as d\n"
+              "from e import f\n__all__ = ['f']\nsys.exit(d)\n")
+    assert unused_imports(source) == ["b", "os"]
+
+
+def test_every_imported_name_is_used():
+    excused = traced_names()
+    dead = [f"{path.name}: {name}"
+            for path in sorted((ROOT / "src" / "lattice_equiv").glob("*.py"))
+            for name in unused_imports(path.read_text())
+            if (path.stem, name) not in excused]
+    assert dead == []

@@ -3,6 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from lattice_equiv import (
     DimensionMismatch,
     LatticePolytope,
     ZeroVector,
+    hnf,
     lattice_height_vector,
     primitive_decomposition,
     primitive_hyperplane,
@@ -311,3 +313,22 @@ def test_sublattice_index_is_volume_vector_content():
         content = primitive_decomposition(
             volume_vector(p.vertices, p.dim)).content
         assert sublattice_info(p).index == abs(content)
+
+
+def test_volume_vector_content_is_hnf_index_on_3d_point_sets():
+    # The proof that |content| equals the index uses neither the
+    # dimension nor convexity: raw full-rank point sets, collinear
+    # triples included, against the product of the HNF pivots.
+    rng = seeded(44)
+    full = 0
+    for _ in range(300):
+        pts = random_points_3d(rng)
+        result = hnf([tuple(a - b for a, b in zip(q, pts[0]))
+                      for q in pts[1:]])
+        if result.rank < 3:
+            continue
+        full += 1
+        content = primitive_decomposition(volume_vector(pts, 3)).content
+        assert abs(content) == prod(result.h[i][col] for i, col
+                                    in enumerate(result.pivot_columns)), pts
+    assert full > 250
