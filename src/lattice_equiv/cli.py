@@ -28,7 +28,8 @@ from .equivalence import (
     decide,
 )
 from .errors import LatticeError, ParseError
-from .geometry import LatticePolytope, Region, convex_hull_2d, normalized_volume
+from .geometry import (LatticePolytope, Region, _int_points, convex_hull_2d,
+                       normalized_volume)
 from .invariants import (
     lattice_height_vector,
     primitive_decomposition,
@@ -40,7 +41,8 @@ from .lattices import shrink_to_minimal_volume, sublattice_info
 def parse_polytope(text):
     """Parse a polytope document: {"dim": d, "points": [[...], ...]}.
 
-    Coordinates must be exact JSON integers.  In dimensions 1 and 2 the
+    The points pass the library's one check, `geometry._int_points`,
+    whose error comes back as ParseError.  In dimensions 1 and 2 the
     convex hull is taken; a True second return value flags input points
     that were not vertices (dropped with a warning by the CLI).
     """
@@ -56,17 +58,12 @@ def parse_polytope(text):
         raise ParseError("'dim' must be an integer")
     if not isinstance(points, list) or not points:
         raise ParseError("'points' must be a nonempty array")
-    clean = []
-    for pt in points:
-        if not isinstance(pt, list) or len(pt) != dim:
-            raise ParseError(f"point {pt!r} does not have {dim} coordinates")
-        for c in pt:
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise ParseError(
-                    f"coordinate {c!r} is not an exact integer")
-        clean.append(tuple(pt))
+    try:
+        clean, _ = _int_points(points, dim)
+    except LatticeError as exc:
+        raise ParseError(str(exc)) from exc
     if dim not in (1, 2):
-        return LatticePolytope(dim, tuple(clean)), False
+        return LatticePolytope(dim, clean), False
     poly = (convex_hull_2d(clean) if dim == 2 else
             LatticePolytope(1, tuple({min(clean), max(clean)})))
     return poly, set(poly.vertices) != set(clean)
@@ -84,15 +81,11 @@ def _load(path):
     return poly
 
 
-def _frac(x):
-    return str(Fraction(x))
-
-
 def _map_json(amap):
     return {
-        "matrix": [[_frac(x) for x in row] for row in amap.matrix],
-        "translation": [_frac(x) for x in amap.translation],
-        "determinant": _frac(amap.determinant),
+        "matrix": [[str(x) for x in row] for row in amap.matrix],
+        "translation": [str(x) for x in amap.translation],
+        "determinant": str(amap.determinant),
     }
 
 
@@ -289,7 +282,7 @@ def _cmd_barany(args):
     report = orthant_hull_construction(r=args.r, radius_sq=args.radius_sq)
     shaved, removed = shave(report.augmented, report.added_points)
     _emit({
-        "radius_sq": _frac(report.radius_sq),
+        "radius_sq": str(report.radius_sq),
         "p": report.p,
         "case": report.case,
         "base_vertices": _verts(report.base),

@@ -8,27 +8,42 @@ affine maps act on the right: p -> p @ A + v.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from math import isqrt, lcm
 
 from . import linalg
 from .errors import DegenerateInput, DimensionMismatch
 
 
-def _as_int(x):
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise DegenerateInput(f"coordinates must be plain integers, got {x!r}")
-    return x
+def _int_points(points, dim=None, what="points"):
+    """The points as coordinate tuples, and their dimension: the one check
+    of a point list that comes from outside the package.
 
-
-def _point_tuples(points, what="points"):
-    """The points as coordinate tuples, coordinates not yet checked."""
+    Every coordinate must be a plain int (a bool is not; an int subclass
+    is kept as given), `dim` a plain int >= 1, taken from the first point
+    when it is None, and every point `dim` long.
+    """
     try:
-        return tuple(map(tuple, points))
+        pts = tuple(map(tuple, points))
     except TypeError:
         raise DegenerateInput(
             f"{what} {points!r} are not a sequence of "
             f"coordinate sequences") from None
+    if not all(type(c) is int for p in pts for c in p):
+        for c in chain.from_iterable(pts):
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise DegenerateInput(
+                    f"coordinates must be plain integers, got {c!r}")
+    if dim is None:
+        if not pts:
+            raise DegenerateInput("empty point set")
+        dim = len(pts[0])
+    if type(dim) is not int or dim < 1:
+        raise DegenerateInput("dimension must be an integer >= 1")
+    for p in pts:
+        if len(p) != dim:
+            raise DimensionMismatch(f"point {p} does not have {dim} coordinates")
+    return pts, dim
 
 
 def _cross(o, a, b):
@@ -102,8 +117,9 @@ def _is_convex_cycle(cycle):
 class LatticePolytope:
     """Full-dimensional lattice polytope given by its ordered vertex list.
 
-    For dim == 2 the vertices are stored in the order `_ccw_lex_least`
-    gives (counterclockwise from the lexicographically smallest one); the
+    The vertices and `dim` pass `_int_points`, then a shape check.  For
+    dim == 2 the vertices are stored in the order `_ccw_lex_least` gives
+    (counterclockwise from the lexicographically smallest one); the
     constructor accepts any rotation or reversal of that cycle and
     normalizes it.  The check is linear in the vertex count: the cycle in
     stored order must turn strictly left at every vertex, and so must its
@@ -124,15 +140,7 @@ class LatticePolytope:
     vertices: tuple
 
     def __post_init__(self):
-        verts = _point_tuples(self.vertices, "vertices")
-        if not all(type(c) is int for v in verts for c in v):
-            verts = tuple(tuple(_as_int(c) for c in v) for v in verts)
-        if type(self.dim) is not int or self.dim < 1:
-            raise DegenerateInput("dimension must be an integer >= 1")
-        for v in verts:
-            if len(v) != self.dim:
-                raise DimensionMismatch(
-                    f"vertex {v} does not have {self.dim} coordinates")
+        verts, _ = _int_points(self.vertices, self.dim, "vertices")
         if len(set(verts)) != len(verts):
             raise DegenerateInput("duplicate vertices")
         if len(verts) < self.dim + 1:
@@ -336,19 +344,15 @@ class Region:
             s = self.size
         else:
             # show the radius when it is exact, else the squared radius
-            root = isqrt(self.size.numerator)
-            if self.size.denominator == 1 and root * root == self.size:
-                s = root
-            else:
-                s = f"sqrt({self.size})"
+            root = Fraction(isqrt(self.size.numerator),
+                            isqrt(self.size.denominator))
+            s = root if root * root == self.size else f"sqrt({self.size})"
         return f"{self.kind}:{s}"
 
 
 def convex_hull_2d(points):
     """Strict convex hull of a 2d point set as a LatticePolytope."""
-    pts = [tuple(_as_int(c) for c in p) for p in _point_tuples(points)]
-    if any(len(p) != 2 for p in pts):
-        raise DimensionMismatch("convex_hull_2d expects 2d points")
+    pts, _ = _int_points(points, 2)
     return LatticePolytope(2, tuple(_hull_cycle(pts)))
 
 
@@ -359,11 +363,8 @@ def simplex_determinant(points):
     all ones and whose columns are the points; it vanishes exactly when
     the points are affinely dependent and changes sign under swaps.
     """
-    pts = [tuple(_as_int(x) for x in p) for p in _point_tuples(points)]
-    if not pts:
-        raise DegenerateInput("empty point set")
-    d = len(pts[0])
-    if len(pts) != d + 1 or any(len(p) != d for p in pts):
+    pts, d = _int_points(points)
+    if len(pts) != d + 1:
         raise DimensionMismatch("need d+1 points of dimension d")
     rows = [linalg.vec_sub(p, pts[0]) for p in pts[1:]]
     return linalg.int_det(rows)

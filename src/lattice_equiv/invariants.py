@@ -12,7 +12,7 @@ from itertools import combinations
 
 from . import linalg
 from .errors import DegenerateInput, DimensionMismatch, ZeroVector
-from .geometry import _as_int, _point_tuples
+from .geometry import _int_points
 
 
 @lru_cache(maxsize=None)
@@ -78,24 +78,6 @@ class LatticeHeightVector:
         return tuple(values), len(entries) - len(values)
 
 
-def _infer_dim(points, dim):
-    """The points as coordinate tuples and their dimension, which is
-    inferred from the first point when dim is None."""
-    points = _point_tuples(points)
-    if dim is None:
-        if not points:
-            raise DegenerateInput("empty point set")
-        dim = len(points[0])
-    if dim < 1:
-        raise DegenerateInput("dimension must be at least 1")
-    for p in points:
-        if len(p) != dim:
-            raise DimensionMismatch(f"point {p} does not have {dim} coordinates")
-        for x in p:
-            _as_int(x)
-    return points, dim
-
-
 def _differences(pts, combo):
     """Rows pts[i] - pts[combo[0]] for the later indices i of combo."""
     base = pts[combo[0]]
@@ -116,7 +98,7 @@ def volume_vector(points, dim=None):
     minors are the cross products x_j*y_k - x_k*y_j and so on, so the
     entry is the closed form m[jk] + m[ij] - m[ik].
     """
-    pts, d = _infer_dim(points, dim)
+    pts, d = _int_points(points, dim)
     if len(pts) < d + 1:
         raise DegenerateInput(f"need at least {d + 1} points in dimension {d}")
     if d == 2:
@@ -156,7 +138,7 @@ def primitive_hyperplane(points):
     The normal is normalized to gcd 1 with positive first nonzero entry.
     Raises DegenerateInput when the points do not span a hyperplane.
     """
-    pts, d = _infer_dim(points, None)
+    pts, d = _int_points(points)
     if len(pts) != d:
         raise DimensionMismatch(f"need exactly {d} points in dimension {d}")
     normal = linalg.primitive_normal(_differences(pts, range(d)))
@@ -174,7 +156,7 @@ def lattice_height_vector(points, dim=None):
     absolute values are ordering-independent; signs follow the primitive
     normal convention of primitive_hyperplane.
     """
-    pts, d = _infer_dim(points, dim)
+    pts, d = _int_points(points, dim)
     n = len(pts)
     if n < d + 1:
         raise DegenerateInput(f"need at least {d + 1} points in dimension {d}")

@@ -188,6 +188,13 @@ def test_census_json_includes_histogram(capsys):
     assert rows[0]["volume_histogram"] == {"1": 4, "2": 4, "4": 1}
 
 
+def test_census_json_labels_an_exact_rational_radius(capsys):
+    code, out, _ = run(capsys, ["census", "--ball-r", "1.5"])
+    assert code == 0
+    row, = json.loads(out)
+    assert (row["region"], row["param"]) == ("ball:3/2", "3/2")
+
+
 def test_census_csv_deterministic(capsys):
     first = run(capsys, ["census", "--ball-r", "2", "--csv"])
     second = run(capsys, ["census", "--ball-r", "2", "--workers", "3",

@@ -1,5 +1,6 @@
 """Hulls, volumes, lattice point enumeration, regions."""
 
+import json
 import re
 from fractions import Fraction
 from itertools import permutations
@@ -12,15 +13,20 @@ from lattice_equiv import (
     DegenerateInput,
     DimensionMismatch,
     LatticePolytope,
+    ParseError,
     RationalAffineMap,
     Region,
     affine_equivalent,
     convex_hull_2d,
     dilate,
+    lattice_height_vector,
     lattice_points,
     normalized_volume,
+    primitive_hyperplane,
     simplex_determinant,
+    volume_vector,
 )
+from lattice_equiv.cli import parse_polytope
 from lattice_equiv.geometry import _ccw_lex_least, _hull_cycle
 
 coord = st.integers(min_value=-8, max_value=8)
@@ -242,6 +248,10 @@ def test_simplex_determinant_3d():
 def test_simplex_determinant_rejects_empty_input():
     with pytest.raises(DegenerateInput, match="^empty point set$"):
         simplex_determinant([])
+    # A 0-dimensional "simplex" is no simplex: not a determinant of 1.
+    with pytest.raises(DegenerateInput,
+                       match="^dimension must be an integer >= 1$"):
+        simplex_determinant([()])
 
 
 def test_point_set_functions_reject_non_sequence_points():
@@ -250,6 +260,53 @@ def test_point_set_functions_reject_non_sequence_points():
                            match=r"^points \[1, 2, 3\] are not a sequence "
                                  r"of coordinate sequences$"):
             fn([1, 2, 3])
+
+
+def _parse(pts, dim):
+    # JSON holds no Fraction: json.dumps writes one as its str.
+    return parse_polytope(json.dumps({"dim": dim, "points": pts}, default=str))
+
+
+# Every public entry that takes a point list from outside, called as
+# entry(points, dim).
+POINT_LIST_ENTRIES = {
+    "LatticePolytope": lambda pts, dim: LatticePolytope(dim, pts),
+    "convex_hull_2d": lambda pts, dim: convex_hull_2d(pts),
+    "simplex_determinant": lambda pts, dim: simplex_determinant(pts),
+    "volume_vector": volume_vector,
+    "lattice_height_vector": lattice_height_vector,
+    "primitive_hyperplane": lambda pts, dim: primitive_hyperplane(pts),
+    "parse_polytope": _parse,
+}
+TAKE_DIM = ("LatticePolytope", "volume_vector", "lattice_height_vector",
+            "parse_polytope")
+TRIANGLE = [(0, 0), (1, 0), (0, 1)]
+
+
+@pytest.mark.parametrize("points, dim, error, entries", [
+    ([(0, 0), (True, 0), (0, 1)], 2, DegenerateInput, POINT_LIST_ENTRIES),
+    ([(0, 0), (1.0, 0), (0, 1)], 2, DegenerateInput, POINT_LIST_ENTRIES),
+    ([(0, 0), (Fraction(1), 0), (0, 1)], 2, DegenerateInput,
+     POINT_LIST_ENTRIES),
+    ([(0, 0), ("1", 0), (0, 1)], 2, DegenerateInput, POINT_LIST_ENTRIES),
+    (5, 2, DegenerateInput, POINT_LIST_ENTRIES),
+    ([(0, 0), 5, (0, 1)], 2, DegenerateInput, POINT_LIST_ENTRIES),
+    ([(0, 0), (1, 0, 0), (0, 1)], 2, DimensionMismatch, POINT_LIST_ENTRIES),
+    (TRIANGLE, 2.0, DegenerateInput, TAKE_DIM),
+    (TRIANGLE, "2", DegenerateInput, TAKE_DIM),
+    (TRIANGLE, True, DegenerateInput, TAKE_DIM),
+    (TRIANGLE, 0, DegenerateInput, TAKE_DIM),
+], ids=["bool", "float", "Fraction", "str", "non-sequence list",
+        "non-sequence point", "wrong length", "dim 2.0", "dim '2'",
+        "dim True", "dim 0"])
+def test_point_list_entries_share_one_check(points, dim, error, entries):
+    # An integer call first fills the invariants' index caches, which a
+    # bad dim must not reach either way.
+    lattice_height_vector(TRIANGLE, 2)
+    for name in entries:
+        expected = ParseError if name == "parse_polytope" else error
+        with pytest.raises(expected):
+            POINT_LIST_ENTRIES[name](points, dim)
 
 
 def test_lattice_points_ball():
@@ -289,6 +346,12 @@ def test_region_validation_and_labels():
     assert Region.ball(radius_sq=Fraction(2)).label() == "ball:sqrt(2)"
     assert Region.box(3).label() == "box:3"
     assert Region.orthant_ball(1).label() == "orthant-ball:1"
+    # An exact rational radius is shown as such.
+    assert Region.ball(Fraction(3, 2)).label() == "ball:3/2"
+    assert Region.orthant_ball(
+        radius_sq=Fraction(8, 2)).label() == "orthant-ball:2"
+    assert Region.ball(radius_sq=Fraction(1, 2)).label() == "ball:sqrt(1/2)"
+    assert Region.ball(0).label() == "ball:0"
     with pytest.raises(DegenerateInput):
         Region.ball(1, radius_sq=1)
     with pytest.raises(DegenerateInput):
