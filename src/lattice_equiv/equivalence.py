@@ -18,7 +18,6 @@ Modes:
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from math import gcd
@@ -28,7 +27,7 @@ from . import linalg
 from .caps import resolve
 from .errors import DegenerateInput, DimensionMismatch, TooLarge
 from .geometry import (
-    LatticePolytope, RationalAffineMap, _stored_map, _stored_polygon)
+    LatticePolytope, RationalAffineMap, _map_over, _stored_polygon)
 # bench/tracing.py patches the names it traces here; keep them bound.
 from .invariants import (
     lattice_height_vector,
@@ -164,9 +163,9 @@ def _attempt(p, q, context, image, mode, scaled_targets):
     vertex v lands on w exactly when
     ((v - p0) @ adj(M)) @ N + det(M) * q0 == det(M) * w, all integers.
     The anchor coordinates (v - p0) @ adj(M) come with the context, so
-    each vertex costs d * d products here.  The map carries the anchor
-    tuple onto `image` by construction, so only the other vertices are
-    mapped; A and t are formed only once all of them have landed.
+    each vertex costs d * d products here.  The anchor tuple lands on
+    `image` by construction, so only the other vertices are mapped; once
+    all have landed, `_map_over` divides adj(M) @ N and det(M) * t by det(M).
     """
     combo, p0, det_m, adj_m, coords = context
     qv = q.vertices
@@ -199,10 +198,8 @@ def _attempt(p, q, context, image, mode, scaled_targets):
         a_scaled = linalg.mat_mul(adj_m, n_rows)
     shift = tuple(b - x for b, x in
                   zip(base, linalg.row_times_matrix(p0, a_scaled)))
-    matrix = tuple(tuple(Fraction(x, det_m) for x in row) for row in a_scaled)
-    translation = tuple(Fraction(s, det_m) for s in shift)
     return EquivalenceWitness(tuple(bijection),
-                              _stored_map(matrix, translation))
+                              _map_over(a_scaled, shift, det_m))
 
 
 def _search(p, q, mode, context, images):

@@ -17,7 +17,7 @@ from .errors import DegenerateInput, DimensionMismatch
 
 def _int_points(points, dim=None, what="points"):
     """The points as coordinate tuples, and their dimension: the one check
-    of a point list that comes from outside the package.
+    of points from outside the package, a single point passed as (point,).
 
     Every coordinate must be a plain int (a bool is not; an int subclass
     is kept as given), `dim` a plain int >= 1, taken from the first point
@@ -172,6 +172,12 @@ class LatticePolytope:
         return lows, highs
 
     def contains(self, point):
+        """Whether the polytope (dim 2 or 3) holds `point`, which passes
+        `_int_points` like the vertices do."""
+        (point,), _ = _int_points((point,), self.dim, "point")
+        return self._contains(point)
+
+    def _contains(self, point):
         if self.dim == 2:
             verts = self.vertices
             n = len(verts)
@@ -210,7 +216,9 @@ def _stored_polygon(cycle):
 
 @dataclass(frozen=True)
 class RationalAffineMap:
-    """Invertible-or-not affine map p -> p @ matrix + translation."""
+    """Invertible-or-not affine map p -> p @ matrix + translation, whose
+    entries the constructor converts to Fractions.  The library builds
+    its own maps from integers through `_map_over`."""
 
     matrix: tuple
     translation: tuple
@@ -233,13 +241,18 @@ class RationalAffineMap:
         return Fraction(linalg.int_det(rows), scale ** len(rows))
 
     def apply(self, point):
+        """The image, as Fractions, of a lattice point that passes
+        `_int_points` with the map's dimension."""
+        (point,), _ = _int_points((point,), len(self.translation), "point")
+        return self._image(point)
+
+    def _image(self, point):
         img = linalg.row_times_matrix(point, self.matrix)
         return tuple(x + t for x, t in zip(img, self.translation))
 
     def apply_polytope(self, p):
-        imgs = [self.apply(v) for v in p.vertices]
         ints = []
-        for img in imgs:
+        for img in map(self._image, p.vertices):
             if any(x.denominator != 1 for x in img):
                 raise DegenerateInput("image is not a lattice polytope")
             ints.append(tuple(int(x) for x in img))
@@ -248,9 +261,7 @@ class RationalAffineMap:
     def then(self, other):
         """Composite map: apply self first, then other."""
         m = linalg.mat_mul(self.matrix, other.matrix)
-        t = linalg.vec_add(linalg.row_times_matrix(self.translation, other.matrix),
-                           other.translation)
-        return RationalAffineMap(m, t)
+        return RationalAffineMap(m, other._image(self.translation))
 
     @property
     def is_integral(self):
@@ -262,21 +273,15 @@ class RationalAffineMap:
         return self.is_integral and abs(self.determinant) == 1
 
 
-def _stored_map(matrix, translation):
-    """The map RationalAffineMap(matrix, translation), built without
-    converting its entries: `matrix` and `translation` are stored as
-    given.
-
-    Precondition: `translation` is a tuple of d Fractions and `matrix` a
-    tuple of d such tuples, so the conversion would keep every entry and
-    the size check would pass.  The one call site, `equivalence._attempt`,
-    builds its entries as Fraction(x, det M):
-    test_witness_maps_equal_the_publicly_built_maps in
-    tests/test_equivalence.py.  Call it by this name, as
-    `_stored_polygon`."""
+def _map_over(rows, shift, den):
+    """The map p -> (p @ rows + shift) / den for d rows of d ints, d ints
+    and a nonzero int den: the library's one path from an integer solution
+    to a map, without the constructor's conversion and size check (checked
+    in tests/test_equivalence.py: *_maps_equal_the_publicly_built_maps)."""
     m = object.__new__(RationalAffineMap)
-    object.__setattr__(m, "matrix", matrix)
-    object.__setattr__(m, "translation", translation)
+    object.__setattr__(m, "matrix", tuple(
+        tuple(Fraction(x, den) for x in row) for row in rows))
+    object.__setattr__(m, "translation", tuple(Fraction(s, den) for s in shift))
     return m
 
 
@@ -446,7 +451,7 @@ def _polytope_points(p):
     lows, highs = p.bounding_box()
     if p.dim in (2, 3):
         ranges = [range(lo, hi + 1) for lo, hi in zip(lows, highs)]
-        return sorted(pt for pt in product(*ranges) if p.contains(pt))
+        return sorted(pt for pt in product(*ranges) if p._contains(pt))
     raise DimensionMismatch("lattice point enumeration needs dim 2 or 3")
 
 

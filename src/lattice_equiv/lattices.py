@@ -7,11 +7,10 @@ triangular basis of the difference lattice.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .errors import DegenerateInput
-from .geometry import RationalAffineMap
+from .geometry import _map_over
 
 
 @dataclass(frozen=True)
@@ -110,15 +109,13 @@ def shrink_to_minimal_volume(p):
 
     Returns (image, map).  The map sends the lexicographically smallest
     vertex to the origin and applies the inverse of the triangular
-    difference-lattice basis (its adjugate divided by its determinant,
-    which is the index), so the map's determinant is 1/index and
+    difference-lattice basis (`_map_over` divides its integer adjugate by
+    its determinant, the index), so the map's determinant is 1/index and
     normalized_volume(p) == index * normalized_volume(image).  On an
     image the map is the identity, which makes the operation idempotent.
     """
     info = sublattice_info(p)
-    inv = tuple(tuple(Fraction(x, info.index) for x in row)
-                for row in linalg.int_adjugate(info.basis))
-    anchor = min(p.vertices)
-    translation = tuple(-x for x in linalg.row_times_matrix(anchor, inv))
-    move = RationalAffineMap(inv, translation)
+    adj = linalg.int_adjugate(info.basis)
+    shift = tuple(-x for x in linalg.row_times_matrix(min(p.vertices), adj))
+    move = _map_over(adj, shift, info.index)
     return move.apply_polytope(p), move

@@ -322,14 +322,52 @@ def test_growth_levels_match_the_reference_growth():
         assert module._growth_levels(v) == expected
 
 
-def test_growth_counts_the_classes_of_each_volume_to_twenty():
+@pytest.fixture(scope="module")
+def levels_to_twenty():
+    """The forms of volume <= 20, grown once for the tests that count
+    them; levels[k] holds the forms with k + 3 lattice points."""
+    return import_module("lattice_equiv.census")._growth_levels(20)
+
+
+def test_growth_counts_the_classes_of_each_volume_to_twenty(levels_to_twenty):
     # K(v), the unimodular classes of normalized volume v, for v = 1..20:
     # past the volumes the reference growth is run to.
-    levels = import_module("lattice_equiv.census")._growth_levels(20)
-    counts = Counter(v for level in levels for v in level.values())
+    counts = Counter(v for level in levels_to_twenty for v in level.values())
     assert [counts[v] for v in range(1, 21)] == [
         1, 2, 3, 7, 6, 13, 13, 27, 26, 44,
         43, 83, 81, 122, 136, 208, 215, 317, 341, 490]
+
+
+def test_growth_counts_the_classes_of_each_genus(levels_to_twenty):
+    """The classes of the growth to volume 20, split by their number g of
+    interior lattice points, against counts from the literature, which
+    no search of this repository produced.  A form of level k has
+    m = k + 3 lattice points, so by Pick (v = 2g + b - 2, m = g + b)
+    g = v - m + 2.
+
+    - g = 1..4: 16, 45, 120 and 211 classes, the numbers of lattice
+      polygons of genus g up to unimodular equivalence in W. Castryck,
+      "Moving out the edges of a lattice polygon", Discrete Comput. Geom.
+      47 (2012).  They are complete at volume 20: P. R. Scott, "On convex
+      lattice polygons", Bull. Austral. Math. Soc. 15 (1976), bounds
+      b <= 2g + 6 for g >= 2, so v <= 4g + 4, and b <= 9 for g = 1, so
+      v <= 9 (3 times the unit triangle).
+    - g = 0, each volume V = 1..20: floor(V / 2) + 1 + [V = 4] classes,
+      the classical list of hollow polygons: twice the unit triangle, and
+      the trapezoids of height 1 whose parallel sides a >= b >= 0 have
+      a + b = V.
+    """
+    genus = Counter()
+    hollow = Counter()
+    for k, level in enumerate(levels_to_twenty):
+        for v in level.values():
+            g = v - (k + 3) + 2
+            genus[g] += 1
+            if g == 0:
+                hollow[v] += 1
+    assert [genus[g] for g in range(1, 5)] == [16, 45, 120, 211]
+    assert [hollow[v] for v in range(1, 21)] == [
+        v // 2 + 1 + (v == 4) for v in range(1, 21)]
 
 
 def traced_visits(cycle, volume, points, max_volume):
@@ -695,6 +733,10 @@ def test_census_path_polygons_pass_the_check(region, workers):
 
 
 def test_census_path_builds_no_checked_polytope(monkeypatch):
+    """No checked polytope per polygon: the census and primitivity scan
+    build none through the census and equivalence modules' names.  Not
+    none at all: census(box:3) builds 39 in geometry's namespace by
+    design, one shrink_to_minimal_volume image per index > 1 form."""
     def refuse(*args):
         raise AssertionError("the census path built a checked polytope")
 

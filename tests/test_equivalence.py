@@ -41,6 +41,7 @@ from lattice_equiv import (
     oracle_equivalent,
     primitive_decomposition,
     Region,
+    shrink_to_minimal_volume,
     unimodular_affine_equivalent,
     unimodular_equivalent,
     volume_vector,
@@ -322,10 +323,10 @@ def test_witnesses_match_the_per_attempt_reference_search():
 
 
 def test_witness_maps_equal_the_publicly_built_maps():
-    # The deciders store their witness maps without the public
-    # constructor's conversion; each must equal the map that constructor
-    # builds from the same entries, hold only Fractions, and carry every
-    # vertex of P onto its vertex of Q.
+    # The deciders build their witness maps through geometry._map_over;
+    # each must equal the map the public constructor builds from the same
+    # entries, hold only Fractions, and carry every vertex of P onto its
+    # vertex of Q.
     positives = 0
     for p, q in witness_stream(seeded(223)):
         for a, b in ((p, q), (q, p)):
@@ -344,6 +345,27 @@ def test_witness_maps_equal_the_publicly_built_maps():
                     assert [m.apply(v) for v in a.vertices] == \
                         [b.vertices[j] for j in got.bijection]
     assert positives >= 100
+
+
+def test_shrink_maps_equal_the_publicly_built_maps():
+    # shrink_to_minimal_volume builds its map through geometry._map_over
+    # too.  On every index > 1 form of box:4 and of the growth to volume
+    # 12, the map must equal the map the public constructor builds from
+    # the same entries, hold only Fractions, and carry the form onto the
+    # returned image.
+    census = import_module("lattice_equiv.census")
+    box_forms = list(census._form_counts(Region.box(4), None, 1))
+    grown_forms = [LatticePolytope(2, cycle)
+                   for level in census._growth_levels(12) for cycle in level]
+    forms = [p for p in box_forms + grown_forms
+             if not attains_minimal_volume(p)]
+    assert len(forms) == 253 + 99
+    for p in forms:
+        image, move = shrink_to_minimal_volume(p)
+        assert move == RationalAffineMap(move.matrix, move.translation)
+        assert all(type(x) is Fraction
+                   for row in move.matrix + (move.translation,) for x in row)
+        assert move.apply_polytope(p) == image
 
 
 def test_each_profile_is_built_once_through_the_traced_names(monkeypatch):

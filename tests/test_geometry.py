@@ -400,8 +400,9 @@ def test_affine_map_apply():
 
 
 def test_affine_map_converts_and_checks_its_entries():
-    # The public constructor's work, which the deciders' stored witness
-    # maps skip: ints become Fractions, and the sizes must agree.
+    # The public constructor's work, which the library's own maps skip by
+    # being built through geometry._map_over: ints become Fractions, and
+    # the sizes must agree.
     move = RationalAffineMap(((0, 1), (1, 0)), (1, 0))
     assert all(type(x) is Fraction
                for row in move.matrix + (move.translation,) for x in row)
@@ -445,6 +446,41 @@ def test_contains_3d():
     assert cube.contains((0, 0, 2))
     assert not cube.contains((3, 0, 0))
     assert len(lattice_points(cube)) == 27
+
+
+BIG_TRIANGLE = poly((0, 0), (2, 0), (0, 2))
+CUBE = LatticePolytope(3, tuple(
+    (x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)))
+IDENTITY = RationalAffineMap(((1, 0), (0, 1)), (0, 0))
+SWAP_3D = RationalAffineMap(((0, 1, 0), (1, 0, 0), (0, 0, 2)),
+                            (1, 0, Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("door, short, long, answers", [
+    (BIG_TRIANGLE.contains, (1,), (0, 0, 5),
+     {(0, 0): True, (1, 1): True, (2, 1): False, (-1, 0): False}),
+    (CUBE.contains, (1, 1), (1, 1, 1, 1),
+     {(1, 1, 1): True, (0, 0, 2): True, (3, 0, 0): False}),
+    (IDENTITY.apply, (1,), (1, 2, 3),
+     {(1, 2): (1, 2), (-3, 0): (-3, 0)}),
+    (SWAP_3D.apply, (1, 2), (1, 2, 3, 4),
+     {(1, 2, 3): (3, 1, Fraction(13, 2)), (0, 0, 0): (1, 0, Fraction(1, 2))}),
+], ids=["contains-2d", "contains-3d", "apply-2d", "apply-3d"])
+def test_a_single_point_passes_the_point_check(door, short, long, answers):
+    # contains and apply give a point from outside the check a vertex list
+    # gets: as many coordinates as the dimension, each a plain int.  A
+    # rational point is refused too, on purpose: a map acts on lattice
+    # points.  Valid points keep their answers.
+    dim = len(short) + 1
+    for point in (short, long, ()):
+        with pytest.raises(DimensionMismatch):
+            door(point)
+    for c in (True, 1.0, Fraction(1, 2), Fraction(1)):
+        with pytest.raises(DegenerateInput):
+            door((0,) * (dim - 1) + (c,))
+    with pytest.raises(DegenerateInput):
+        door(5)
+    assert {point: door(point) for point in answers} == answers
 
 
 def test_strict_hull_oracle_agrees_with_hull():

@@ -51,3 +51,16 @@ def test_every_imported_name_is_used():
             for name in unused_imports(path.read_text())
             if (path.stem, name) not in excused]
     assert dead == []
+
+
+def test_only_geometry_builds_the_fractions_of_a_map():
+    # The modules that solve for a map hand its integer numerators and
+    # denominator to geometry._map_over, so they import nothing from
+    # fractions; a Fraction built here would be a second seam.
+    for name in ("equivalence.py", "lattices.py"):
+        tree = ast.parse((ROOT / "src" / "lattice_equiv" / name).read_text())
+        modules = {node.module for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)}
+        modules.update(alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.Import) for alias in node.names)
+        assert "fractions" not in modules, name
