@@ -272,8 +272,9 @@ def _growth_levels(max_volume):
 
 
 def _chunk_forms(cycles):
-    """Counter of the canonical cycles of some root-search cycles, each
-    canonicalized through this module's name canonical_polygon."""
+    """Counter of the canonical cycles of some root-search cycles sent to
+    a pool worker, each canonicalized through this module's name
+    canonical_polygon."""
     return Counter(canonical_polygon(_stored_polygon(cycle)).vertices
                    for cycle in cycles)
 
@@ -285,30 +286,31 @@ def _form_counts(region, caps, workers):
     invariant they need is taken once per form, weighted by its count.
 
     `workers` is checked before the search, which runs in the parent.
-    The canonicalization runs in the call's one process pool (inline for
-    one chunk); the per-form work of census and primitivity_scan (index
-    tests, affine keys) stays in the parent.  The polygons' raw cycles
-    (cheaper to send than polygons) are dealt into strided chunks, at
-    most one per lattice point of the region; each chunk comes back as a
-    Counter (smaller than its list of forms), and the Counters are merged
-    in chunk order.  A polygon is built once per distinct form."""
+    With one chunk the enumerated polygons go straight to
+    canonical_polygon, one call each.  Otherwise the canonicalization runs
+    in the call's one process pool: the polygons' raw cycles (cheaper to
+    send than polygons) are dealt into strided chunks, at most one per
+    lattice point of the region; each chunk comes back as a Counter
+    (smaller than its list of forms), and the Counters are merged in chunk
+    order.  The per-form work of census and primitivity_scan (index
+    tests, affine keys) stays in the parent.  A polygon is built once per
+    distinct form."""
     if workers is not None and (type(workers) is not int or workers < 1):
         raise DegenerateInput("workers must be None or an integer >= 1")
     # bench/tracing.py counts calls through this name and canonical_polygon.
-    cycles = [poly.vertices for poly in
-              enumerate_convex_polygons(region, caps=caps)]
+    polygons = enumerate_convex_polygons(region, caps=caps)
     # At most one chunk per lattice point: a count past `workers` can stop.
-    chunk_count = min(workers or 1, len(cycles),
+    chunk_count = min(workers or 1, len(polygons),
                       _region_point_count(region, workers or 1))
-    chunks = [cycles[k::chunk_count] for k in range(chunk_count)]
     if chunk_count <= 1:
-        results = map(_chunk_forms, chunks)
+        counts = Counter(canonical_polygon(poly).vertices for poly in polygons)
     else:
+        chunks = [[poly.vertices for poly in polygons[k::chunk_count]]
+                  for k in range(chunk_count)]
+        counts = Counter()
         with ProcessPoolExecutor(max_workers=chunk_count) as pool:
-            results = list(pool.map(_chunk_forms, chunks))
-    counts = Counter()
-    for chunk in results:
-        counts.update(chunk)
+            for chunk in pool.map(_chunk_forms, chunks):
+                counts.update(chunk)
     return Counter({_stored_polygon(form): n for form, n in counts.items()})
 
 

@@ -130,10 +130,11 @@ class LatticePolytope:
     given and convex position is not verified.
 
     The census path stores cycles it built itself without this check,
-    through `_stored_polygon`: in `enumerate_convex_polygons`,
-    `_chunk_forms`, `_form_counts` and `canonical_polygon` (its docstring
-    names the test behind each).
-    Every other construction runs it.
+    through `_stored_polygon`: in `enumerate_convex_polygons`, in
+    `_chunk_forms` (the cycles a census sends to its pool), in
+    `_form_counts` and in `canonical_polygon` (its docstring names the
+    test behind each).  Every other construction runs it, the
+    `shrink_to_minimal_volume` image included.
     """
 
     dim: int
@@ -186,8 +187,7 @@ class LatticePolytope:
                     return False
             return True
         if self.dim == 3:
-            return all(linalg.vec_dot(normal, point) + offset <= 0
-                       for normal, offset in _facet_inequalities_3d(self))
+            return _within(_facet_inequalities_3d(self), point)
         raise DimensionMismatch("membership implemented for dim 2 and 3 only")
 
 
@@ -201,7 +201,8 @@ def _stored_polygon(cycle):
     Every call site, with the test in tests/test_census.py that proves
     it meets this:
     - `enumerate_convex_polygons` and `_chunk_forms` (root-search
-      cycles): test_root_search_emits_cycles_in_stored_order;
+      cycles, the latter in a census pool's workers):
+      test_root_search_emits_cycles_in_stored_order;
     - `canonical_polygon` and `_form_counts` (canonical cycles, also
       back from the pool): test_census_path_polygons_pass_the_check.
 
@@ -217,15 +218,17 @@ def _stored_polygon(cycle):
 @dataclass(frozen=True)
 class RationalAffineMap:
     """Invertible-or-not affine map p -> p @ matrix + translation, whose
-    entries the constructor converts to Fractions.  The library builds
-    its own maps from integers through `_map_over`."""
+    entries the constructor converts to Fractions.  An entry must be an
+    int (not a bool) or a Fraction: a float or a string would be read
+    inexactly or by guess, so it is rejected.  The library builds its own
+    maps from integers through `_map_over`."""
 
     matrix: tuple
     translation: tuple
 
     def __post_init__(self):
-        m = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
-        t = tuple(Fraction(x) for x in self.translation)
+        m = tuple(tuple(map(_exact, row)) for row in self.matrix)
+        t = tuple(map(_exact, self.translation))
         if len(m) != len(t) or any(len(row) != len(t) for row in m):
             raise DimensionMismatch("matrix and translation sizes disagree")
         object.__setattr__(self, "matrix", m)
@@ -271,6 +274,15 @@ class RationalAffineMap:
     @property
     def is_unimodular(self):
         return self.is_integral and abs(self.determinant) == 1
+
+
+def _exact(x):
+    """A map entry as a Fraction, or DegenerateInput unless it is an int
+    (not a bool) or a Fraction."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise DegenerateInput(
+            f"map entries must be ints or Fractions, got {x!r}")
+    return Fraction(x)
 
 
 def _map_over(rows, shift, den):
@@ -448,11 +460,23 @@ def _region_point_count(region, limit):
 
 
 def _polytope_points(p):
+    """The polytope's points in its bounding box; a 3d polytope's facets
+    are computed once for the whole box."""
     lows, highs = p.bounding_box()
-    if p.dim in (2, 3):
-        ranges = [range(lo, hi + 1) for lo, hi in zip(lows, highs)]
-        return sorted(pt for pt in product(*ranges) if p._contains(pt))
+    box = product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
+    if p.dim == 2:
+        return sorted(filter(p._contains, box))
+    if p.dim == 3:
+        facets = _facet_inequalities_3d(p)
+        return sorted(pt for pt in box if _within(facets, pt))
     raise DimensionMismatch("lattice point enumeration needs dim 2 or 3")
+
+
+def _within(facets, point):
+    """Whether `point` meets every facet inequality of
+    _facet_inequalities_3d."""
+    return all(linalg.vec_dot(normal, point) + offset <= 0
+               for normal, offset in facets)
 
 
 def _facet_inequalities_3d(p):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import DegenerateInput
-from .geometry import _map_over
+from .geometry import LatticePolytope, _map_over
 
 
 @dataclass(frozen=True)
@@ -108,14 +108,21 @@ def shrink_to_minimal_volume(p):
     """Map a polytope onto the minimal-volume representative of its class.
 
     Returns (image, map).  The map sends the lexicographically smallest
-    vertex to the origin and applies the inverse of the triangular
-    difference-lattice basis (`_map_over` divides its integer adjugate by
-    its determinant, the index), so the map's determinant is 1/index and
-    normalized_volume(p) == index * normalized_volume(image).  On an
+    vertex o to the origin and applies the inverse of the triangular
+    difference-lattice basis B (`_map_over` divides its integer adjugate
+    by its determinant, the index), so the map's determinant is 1/index
+    and normalized_volume(p) == index * normalized_volume(image).  The
+    image is computed in integers, each vertex as (v - o) @ adj(B) // index:
+    v - o lies in the lattice B spans, so the division is exact.  On an
     image the map is the identity, which makes the operation idempotent.
     """
     info = sublattice_info(p)
     adj = linalg.int_adjugate(info.basis)
-    shift = tuple(-x for x in linalg.row_times_matrix(min(p.vertices), adj))
-    move = _map_over(adj, shift, info.index)
-    return move.apply_polytope(p), move
+    origin = min(p.vertices)
+    image = tuple(
+        tuple(x // info.index for x in
+              linalg.row_times_matrix(linalg.vec_sub(v, origin), adj))
+        for v in p.vertices)
+    shift = tuple(-x for x in linalg.row_times_matrix(origin, adj))
+    return (LatticePolytope(p.dim, image),
+            _map_over(adj, shift, info.index))

@@ -735,8 +735,8 @@ def test_census_path_polygons_pass_the_check(region, workers):
 def test_census_path_builds_no_checked_polytope(monkeypatch):
     """No checked polytope per polygon: the census and primitivity scan
     build none through the census and equivalence modules' names.  Not
-    none at all: census(box:3) builds 39 in geometry's namespace by
-    design, one shrink_to_minimal_volume image per index > 1 form."""
+    none at all: census(box:3) builds 39 in lattices by design, one
+    shrink_to_minimal_volume image per index > 1 form."""
     def refuse(*args):
         raise AssertionError("the census path built a checked polytope")
 
@@ -746,6 +746,30 @@ def test_census_path_builds_no_checked_polytope(monkeypatch):
                             "LatticePolytope", refuse)
     assert census(Region.box(3)).k == 148
     assert primitivity_scan(Region.ball(2)).counterexamples == ()
+
+
+def test_one_worker_census_canonicalizes_each_polygon_without_rewrap(
+        monkeypatch):
+    """A one-worker census hands each enumerated polygon straight to
+    canonical_polygon: box:3's 2,719 polygons take one call each, and
+    _stored_polygon is called once per polygon (by the enumeration) and
+    once per form (the 148 canonical forms), with no unwrap and re-wrap."""
+    module = import_module("lattice_equiv.census")
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted("canonical_polygon")
+    counted("_stored_polygon")
+    assert census(Region.box(3), workers=1).h == 2719
+    assert calls == {"canonical_polygon": 2719,
+                     "_stored_polygon": 2719 + 148}
 
 
 @pytest.mark.parametrize("region", [region for region, _, _ in SMALL_REGIONS])

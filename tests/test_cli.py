@@ -147,6 +147,26 @@ def test_vmin_command(capsys, files):
     assert doc["map"]["determinant"] == "1/4"
 
 
+def test_vmin_command_in_three_dimensions(capsys, files):
+    # The difference lattice has the non-diagonal basis (1, 0, 3),
+    # (0, 1, 3), (0, 0, 6), so the shrink map shears as it scales.
+    simplex = files("s.json", {"dim": 3, "points": [
+        [1, -1, 0], [3, -1, 0], [2, 0, 0], [2, -1, 3]]})
+    code, out, _ = run(capsys, ["vmin", simplex])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["sublattice_index"] == 6
+    assert doc["attains_minimal_volume"] is False
+    assert doc["normalized_volume"] == 6
+    assert doc["minimal_volume"] == 1
+    assert doc["vertices"] == [[0, 0, 0], [2, 0, -1], [1, 1, -1], [1, 0, 0]]
+    assert doc["map"] == {
+        "matrix": [["1", "0", "-1/2"], ["0", "1", "-1/2"], ["0", "0", "1/6"]],
+        "translation": ["-1", "1", "0"],
+        "determinant": "1/6",
+    }
+
+
 def test_census_csv_single_row(capsys):
     code, out, _ = run(capsys, ["census", "--ball-r", "1", "--csv"])
     assert code == 0

@@ -2,13 +2,15 @@
 
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
-from itertools import permutations
+from importlib import import_module
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import cross, poly, strict_hull
+from conftest import apply_int_map, cross, poly, strict_hull
 from lattice_equiv import (
     DegenerateInput,
     DimensionMismatch,
@@ -415,6 +417,18 @@ def test_affine_map_converts_and_checks_its_entries():
             RationalAffineMap(matrix, translation)
 
 
+@pytest.mark.parametrize("entry", [
+    0.1, 1.0, True, False, "1/2", "1", None, Decimal("0.5")])
+def test_affine_map_rejects_inexact_entries(entry):
+    # An entry must be an int (not a bool) or a Fraction.  A float would be
+    # stored at its binary value, a bool as 0 or 1 and a string as parsed,
+    # so each is refused, in the matrix and in the translation alike.
+    for matrix, translation in ((((entry, 0), (0, 1)), (0, 0)),
+                                (((1, 0), (0, 1)), (0, entry))):
+        with pytest.raises(DegenerateInput):
+            RationalAffineMap(matrix, translation)
+
+
 def test_affine_map_rejects_fractional_image():
     half = RationalAffineMap(((Fraction(1, 2), 0), (0, 1)), (0, 0))
     with pytest.raises(DegenerateInput):
@@ -446,6 +460,42 @@ def test_contains_3d():
     assert cube.contains((0, 0, 2))
     assert not cube.contains((3, 0, 0))
     assert len(lattice_points(cube)) == 27
+
+
+def test_lattice_points_3d_match_brute_force_with_one_facet_list(
+        monkeypatch):
+    # The listing computes the facets once, not once per point of the
+    # bounding box.  Cubes of side 2 and 4 hold 27 and 125 points; the
+    # corner simplex x/4 + y/3 + z/2 <= 1 is counted by its inequality,
+    # and a unimodular image of it holds the images of those points.
+    module = import_module("lattice_equiv.geometry")
+    facets = module._facet_inequalities_3d
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return facets(p)
+
+    monkeypatch.setattr(module, "_facet_inequalities_3d", counted)
+
+    def listed(p):
+        calls.clear()
+        points = lattice_points(p)
+        assert calls == [p]
+        return points
+
+    for side, count in ((2, 27), (4, 125)):
+        cube = LatticePolytope(3, tuple(product((0, side), repeat=3)))
+        points = listed(cube)
+        assert len(points) == count
+        assert points == list(product(range(side + 1), repeat=3))
+    corner = ((0, 0, 0), (4, 0, 0), (0, 3, 0), (0, 0, 2))
+    brute = [pt for pt in product(range(5), range(4), range(3))
+             if 6 * pt[0] + 8 * pt[1] + 12 * pt[2] <= 24]
+    assert listed(LatticePolytope(3, corner)) == brute
+    matrix, shift = ((0, 1, -1), (1, 2, 0), (0, 0, 1)), (1, -2, 3)
+    image = LatticePolytope(3, tuple(apply_int_map(corner, matrix, shift)))
+    assert listed(image) == sorted(apply_int_map(brute, matrix, shift))
 
 
 BIG_TRIANGLE = poly((0, 0), (2, 0), (0, 2))

@@ -1,6 +1,7 @@
 """Hermite normal form, sublattice index, and the minimal-volume shrink."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -124,6 +125,35 @@ def test_shrink_idempotent_and_bookkeeping():
         again, m2 = shrink_to_minimal_volume(img)
         assert again == img
         assert m2.matrix == ((1, 0), (0, 1)) and m2.translation == (0, 0)
+
+
+SIMPLEX_3D = LatticePolytope(3, ((1, -1, 0), (3, -1, 0), (2, 0, 0),
+                                 (2, -1, 3)))
+PRISM_3D = LatticePolytope(3, SIMPLEX_3D.vertices[:3] + tuple(
+    (x + 1, y, z + 3) for x, y, z in SIMPLEX_3D.vertices[:3]))
+
+
+@pytest.mark.parametrize("p, basis", [
+    (dilate(LatticePolytope(3, tuple(product((0, 1), repeat=3))), 2),
+     ((2, 0, 0), (0, 2, 0), (0, 0, 2))),
+    (SIMPLEX_3D, ((1, 0, 3), (0, 1, 3), (0, 0, 6))),
+    (PRISM_3D, ((1, 0, 3), (0, 1, 3), (0, 0, 6))),
+], ids=["dilated-cube", "simplex", "prism"])
+def test_shrink_in_three_dimensions(p, basis):
+    # The integer image is the map's image, the volume drops by exactly the
+    # index, and the image is its own shrink under the identity map; two of
+    # the difference-lattice bases are not diagonal.
+    info = sublattice_info(p)
+    assert info.basis == basis
+    img, move = shrink_to_minimal_volume(p)
+    assert img == move.apply_polytope(p)
+    assert move.determinant == Fraction(1, info.index)
+    assert normalized_volume(p) == info.index * normalized_volume(img)
+    assert attains_minimal_volume(img)
+    again, m2 = shrink_to_minimal_volume(img)
+    assert again == img
+    assert m2.matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert m2.translation == (0, 0, 0)
 
 
 def test_unimodular_differences_give_index_one():
