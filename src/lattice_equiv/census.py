@@ -73,11 +73,12 @@ class AffineMapCensus:
     normalized_constant_sq: object  # max_row_norm_sq / r**4 for balls
 
 
-def _root_polygons(points, root_index, max_vertices):
+def _root_polygons(points, root_index, max_vertices, first_edges=None):
     """All strictly convex polygons whose lex-least vertex is
     root = points[root_index], as counterclockwise vertex tuples (each
     already in LatticePolytope's stored order), in strictly increasing
-    tuple order.  `points` is sorted.
+    tuple order.  `points` is sorted.  With `first_edges`, only the
+    polygons whose first edge vector cycle[1] - root is in it.
 
     Every later point is lex-greater than the root, so its direction
     from the root has x > 0, or x = 0 and y > 0: any two such directions
@@ -115,10 +116,23 @@ def _root_polygons(points, root_index, max_vertices):
             chain.pop()
 
     for i, p in enumerate(later):
-        chain.append(p)
-        extend(i)
-        chain.pop()
+        if first_edges is None or (p[0] - rx, p[1] - ry) in first_edges:
+            chain.append(p)
+            extend(i)
+            chain.pop()
     return out
+
+
+def _capped_points(region, caps):
+    """The sorted lattice points of a 2d region, as a tuple, once their
+    count is within caps.region_points."""
+    if region.dim != 2:
+        raise DimensionMismatch("polygon enumeration requires dimension 2")
+    cap = resolve(caps).region_points
+    if _region_point_count(region, cap) > cap:
+        raise RegionTooLarge(
+            f"{region.label()} has more lattice points than the cap {cap}")
+    return tuple(lattice_points(region))
 
 
 def enumerate_convex_polygons(region, max_vertices=None, *, caps=None):
@@ -126,9 +140,9 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None):
     region's lattice points, each exactly once, sorted by (vertex count,
     vertex cycle).  Points interior to the hull or to an edge
     never count as vertices.  The region's points are counted against
-    caps.region_points before they are listed.  The root search runs in
-    the calling process; the census parallelizes only its canonicalize
-    stage.
+    caps.region_points before they are listed (_capped_points).  The
+    root search runs in the calling process; a census pool runs its own
+    search instead (_share_forms).
 
     The roots are taken in sorted order and each root's cycles come out
     in increasing tuple order, so the concatenated cycles are already in
@@ -137,16 +151,10 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None):
     (tests/test_census.py::test_root_search_emits_cycles_in_stored_order),
     so the polygons are stored without the constructor's check.
     """
-    if region.dim != 2:
-        raise DimensionMismatch("polygon enumeration requires dimension 2")
     if max_vertices is not None and (
             type(max_vertices) is not int or max_vertices < 3):
         raise DegenerateInput("max_vertices must be None or an integer >= 3")
-    cap = resolve(caps).region_points
-    if _region_point_count(region, cap) > cap:
-        raise RegionTooLarge(
-            f"{region.label()} has more lattice points than the cap {cap}")
-    pts = tuple(lattice_points(region))
+    pts = _capped_points(region, caps)
     cycles = [cycle for i in range(len(pts))
               for cycle in _root_polygons(pts, i, max_vertices)]
     cycles.sort(key=len)
@@ -271,12 +279,22 @@ def _growth_levels(max_volume):
     return levels
 
 
-def _chunk_forms(cycles):
-    """Counter of the canonical cycles of some root-search cycles sent to
-    a pool worker, each canonicalized through this module's name
-    canonical_polygon."""
-    return Counter(canonical_polygon(_stored_polygon(cycle)).vertices
-                   for cycle in cycles)
+def _share_forms(task):
+    """Counter of the canonical cycles of the polygons on `points` whose
+    first edge vector is in `share`, for a census pool task.  The points
+    are moved to put each root at the origin, so the search emits
+    root-relative cycles, the Counter merges each translation class, and
+    each class is canonicalized once."""
+    points, share = task
+    share = set(share)
+    classes = Counter()
+    for i, (rx, ry) in enumerate(points):
+        moved = tuple((x - rx, y - ry) for x, y in points[i:])
+        classes.update(_root_polygons(moved, 0, None, share))
+    forms = Counter()
+    for cycle, n in classes.items():
+        forms[_canonical_cycle(cycle)] += n
+    return forms
 
 
 def _form_counts(region, caps, workers):
@@ -285,32 +303,35 @@ def _form_counts(region, caps, workers):
     census and primitivity_scan read only this, so every unimodular
     invariant they need is taken once per form, weighted by its count.
 
-    `workers` is checked before the search, which runs in the parent.
-    With one chunk the enumerated polygons go straight to
-    canonical_polygon, one call each.  Otherwise the canonicalization runs
-    in the call's one process pool: the polygons' raw cycles (cheaper to
-    send than polygons) are dealt into strided chunks, at most one per
-    lattice point of the region; each chunk comes back as a Counter
-    (smaller than its list of forms), and the Counters are merged in chunk
-    order.  The per-form work of census and primitivity_scan (index
-    tests, affine keys) stays in the parent.  A polygon is built once per
-    distinct form."""
+    `workers` is checked first.  With one worker the enumerated polygons
+    go straight to canonical_polygon, one call each.  Otherwise each task
+    of the call's one pool gets the region's points and a strided share
+    of their sorted lex-positive differences q - p, at most one share per
+    point; a translation class fixes its first edge vector, so each falls
+    in one share (_share_forms).  The Counters are merged in share order;
+    no polygon or cycle crosses the pool.  The per-form work of census
+    and primitivity_scan (index tests, affine keys) stays in the parent.
+    A polygon is built once per distinct form."""
     if workers is not None and (type(workers) is not int or workers < 1):
         raise DegenerateInput("workers must be None or an integer >= 1")
-    # bench/tracing.py counts calls through this name and canonical_polygon.
-    polygons = enumerate_convex_polygons(region, caps=caps)
-    # At most one chunk per lattice point: a count past `workers` can stop.
-    chunk_count = min(workers or 1, len(polygons),
-                      _region_point_count(region, workers or 1))
-    if chunk_count <= 1:
+    share_count = 0
+    if workers is not None and workers > 1:
+        points = _capped_points(region, caps)
+        vectors = sorted({(qx - px, qy - py)
+                          for i, (px, py) in enumerate(points)
+                          for qx, qy in points[i + 1:]})
+        share_count = min(workers, len(points), len(vectors))
+    if share_count <= 1:
+        # bench/tracing.py counts calls through these two names.
+        polygons = enumerate_convex_polygons(region, caps=caps)
         counts = Counter(canonical_polygon(poly).vertices for poly in polygons)
     else:
-        chunks = [[poly.vertices for poly in polygons[k::chunk_count]]
-                  for k in range(chunk_count)]
+        tasks = [(points, tuple(vectors[k::share_count]))
+                 for k in range(share_count)]
         counts = Counter()
-        with ProcessPoolExecutor(max_workers=chunk_count) as pool:
-            for chunk in pool.map(_chunk_forms, chunks):
-                counts.update(chunk)
+        with ProcessPoolExecutor(max_workers=share_count) as pool:
+            for forms in pool.map(_share_forms, tasks):
+                counts.update(forms)
     return Counter({_stored_polygon(form): n for form, n in counts.items()})
 
 
@@ -329,7 +350,8 @@ def census(region, *, caps=None, workers=None):
     classes (distinct affine keys; an index-1 form is its own key).
     Normalized volume is a unimodular invariant, so the histogram adds
     each form's volume once, weighted by its polygon count.  `workers`
-    sizes the call's one pool, which canonicalizes; see _form_counts."""
+    sizes the call's one pool, which searches and canonicalizes; see
+    _form_counts."""
     counts = _form_counts(region, caps, workers)
     keys = {form if _form_index(form.vertices) == 1 else affine_key(form)
             for form in counts}
@@ -418,8 +440,8 @@ def primitivity_scan(region, *, caps=None, workers=None):
     - det(v_i - v_0, v_k - v_0) - det(v_j - v_0, v_i - v_0) is an integer
     combination of them.  A unimodular map carries a polygon's difference
     lattice onto its form's, so the index is taken once per canonical
-    form, weighted by its polygon count.  `workers` sizes the
-    canonicalize pool, as in census."""
+    form, weighted by its polygon count.  `workers` sizes the pool, as
+    in census."""
     counts = _form_counts(region, caps, workers)
     return PrimitivityReport(
         region, sum(n for form, n in counts.items()

@@ -328,9 +328,9 @@ def _region_flags(sub):
                      help="nonnegative quadrant of the radius-R ball; R as "
                           "for --ball-r")
     sub.add_argument("--workers", type=int, default=None,
-                     help="worker processes for the canonical forms (at "
-                          "most one per lattice point of the region is "
-                          "started); the polygon search, affine keys and "
+                     help="worker processes for the polygon search and "
+                          "canonical forms (at most one per lattice point "
+                          "of the region is started); the affine keys and "
                           "index tests run in the parent process")
 
 

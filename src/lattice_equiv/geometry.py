@@ -131,12 +131,17 @@ class LatticePolytope:
 
     The census path stores cycles it built itself without this check,
     through `_stored_polygon`: in `enumerate_convex_polygons`, in
-    `_chunk_forms` (the cycles a census sends to its pool), in
     `_form_counts` and in `canonical_polygon` (its docstring names the
     test behind each).  Every other construction runs it, the
     `shrink_to_minimal_volume` image included.
+
+    Slotted, so the many polygons of a one-worker census carry no
+    `__dict__`; `__weakref__` is listed by hand (3.10 has no
+    `weakref_slot`).  A frozen class refuses the default restore of
+    slots, so pickle and copy rebuild a polytope through the check.
     """
 
+    __slots__ = ("dim", "vertices", "__weakref__")
     dim: int
     vertices: tuple
 
@@ -162,6 +167,9 @@ class LatticePolytope:
             if linalg.int_rank(diffs) != self.dim:
                 raise DegenerateInput("vertices do not span the ambient space")
         object.__setattr__(self, "vertices", verts)
+
+    def __reduce__(self):
+        return type(self), (self.dim, self.vertices)
 
     def serialize(self):
         """Flat tuple of the vertex coordinates, in stored order."""
@@ -200,8 +208,7 @@ def _stored_polygon(cycle):
     counterclockwise), so the check would pass and keep it unchanged.
     Every call site, with the test in tests/test_census.py that proves
     it meets this:
-    - `enumerate_convex_polygons` and `_chunk_forms` (root-search
-      cycles, the latter in a census pool's workers):
+    - `enumerate_convex_polygons` (root-search cycles):
       test_root_search_emits_cycles_in_stored_order;
     - `canonical_polygon` and `_form_counts` (canonical cycles, also
       back from the pool): test_census_path_polygons_pass_the_check.

@@ -680,8 +680,10 @@ def test_weighted_forms_match_per_polygon_loops(region):
 
 @pytest.mark.parametrize("region", [region for region, _, _ in SMALL_REGIONS])
 def test_pooled_form_counts_match_per_polygon_forms(region):
-    """The pooled stage deals raw cycles into chunks and merges their
-    Counters; the reference canonicalizes each enumerated polygon."""
+    """The pooled stage deals first-edge vectors into shares, searches
+    and canonicalizes each share's translation classes in a worker and
+    merges their Counters; the reference canonicalizes each enumerated
+    polygon."""
     form_counts = import_module("lattice_equiv.census")._form_counts
     expected = Counter(canonical_polygon(p)
                        for p in enumerate_convex_polygons(region))
@@ -692,6 +694,72 @@ def test_pooled_form_counts_match_per_polygon_forms(region):
         reports.append(primitivity_scan(region, workers=workers))
     assert censuses == [censuses[0]] * 3
     assert reports == [reports[0]] * 3
+
+
+def difference_vectors(points):
+    """The sorted lex-positive differences q - p of a sorted point list."""
+    return sorted({(qx - px, qy - py) for i, (px, py) in enumerate(points)
+                   for qx, qy in points[i + 1:]})
+
+
+@pytest.mark.parametrize("region", [region for region, _, _ in SMALL_REGIONS])
+def test_share_forms_split_the_translation_classes(region):
+    """For 1 to 4 strided shares of the difference vectors, the pool
+    tasks' Counters add up to the per-polygon forms, and the shares'
+    root-relative classes are disjoint and are the enumerated polygons
+    moved to the origin."""
+    module = import_module("lattice_equiv.census")
+    polys = enumerate_convex_polygons(region)
+    expected = Counter(canonical_polygon(p).vertices for p in polys)
+    moved = {tuple((x - p.vertices[0][0], y - p.vertices[0][1])
+                   for x, y in p.vertices) for p in polys}
+    points = tuple(lattice_points(region))
+    vectors = difference_vectors(points)
+    for count in range(1, 5):
+        shares = [tuple(vectors[k::count]) for k in range(count)]
+        assert sum((module._share_forms((points, share)) for share in shares),
+                   Counter()) == expected
+        classes = [{cycle for i, (rx, ry) in enumerate(points)
+                    for cycle in module._root_polygons(
+                        tuple((x - rx, y - ry) for x, y in points[i:]),
+                        0, None, set(share))}
+                   for share in shares]
+        assert sum(map(len, classes)) == len(set().union(*classes))
+        assert set().union(*classes) == moved
+
+
+def test_two_worker_census_of_box_4():
+    c = census(Region.box(4), workers=2)
+    assert (c.h, c.k, c.a) == (33041, 1517, 1264)
+
+
+def test_pool_tasks_hold_only_the_points_and_a_share(pool_sizes, monkeypatch):
+    """A pooled census or scan neither enumerates nor canonicalizes in
+    the parent: the census module's names for both are never called,
+    and each task is the point tuple and its share of the vectors."""
+    module = import_module("lattice_equiv.census")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the parent enumerated or canonicalized")
+
+    tasks = []
+    share_forms = module._share_forms
+
+    def recorded(task):
+        tasks.append(task)
+        return share_forms(task)
+
+    for name in ("enumerate_convex_polygons", "canonical_polygon"):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(module, "_share_forms", recorded)
+    region = Region.box(3)
+    assert census(region, workers=2).k == 148
+    assert primitivity_scan(region, workers=2).examined == 2012
+    assert pool_sizes == [2, 2]
+    points = tuple(lattice_points(region))
+    vectors = difference_vectors(points)
+    assert tasks == [(points, tuple(vectors[0::2])),
+                     (points, tuple(vectors[1::2]))] * 2
 
 
 def test_form_index_matches_sublattice_index():

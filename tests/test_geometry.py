@@ -1,6 +1,9 @@
 """Hulls, volumes, lattice point enumeration, regions."""
 
+import copy
+import gc
 import json
+import pickle
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -29,7 +32,7 @@ from lattice_equiv import (
     volume_vector,
 )
 from lattice_equiv.cli import parse_polytope
-from lattice_equiv.geometry import _ccw_lex_least, _hull_cycle
+from lattice_equiv.geometry import _ccw_lex_least, _hull_cycle, _stored_polygon
 
 coord = st.integers(min_value=-8, max_value=8)
 point = st.tuples(coord, coord)
@@ -536,3 +539,28 @@ def test_a_single_point_passes_the_point_check(door, short, long, answers):
 def test_strict_hull_oracle_agrees_with_hull():
     pts = [(0, 0), (4, 1), (2, 3), (1, 1), (3, 2), (0, 3)]
     assert tuple(strict_hull(pts)) == convex_hull_2d(pts).vertices
+
+
+def test_polytopes_are_slotted():
+    """A polytope has no __dict__.  The census's unchecked _stored_polygon
+    and the checked constructor build equal polygons with equal hashes,
+    pickle and copy rebuild any polytope, and the decider's profile
+    cache drops a polygon's entry with the polygon."""
+    equivalence = import_module("lattice_equiv.equivalence")
+    cycle = ((203, 11), (206, 11), (207, 13), (203, 12))  # in no other test
+    stored = _stored_polygon(cycle)
+    checked = LatticePolytope(2, cycle[2:] + cycle[:2])
+    assert not hasattr(stored, "__dict__")
+    assert stored == checked and hash(stored) == hash(checked)
+    cube = LatticePolytope(3, tuple(product((0, 1), repeat=3)))
+    segment = LatticePolytope(1, ((4,), (2,)))
+    for p in (stored, cube, segment):
+        for clone in (copy.copy(p), copy.deepcopy(p),
+                      pickle.loads(pickle.dumps(p))):
+            assert clone == p and clone.vertices == p.vertices
+            assert type(clone) is LatticePolytope
+    equivalence._profile(stored)
+    assert checked in equivalence._PROFILES
+    del stored
+    gc.collect()
+    assert checked not in equivalence._PROFILES
