@@ -8,6 +8,9 @@ e.g. ``LATTICE_EQUIV_CAPS="region_points=60,max_volume=20"``.
 import os
 from dataclasses import dataclass, fields
 
+from .errors import DegenerateInput
+from .geometry import _whole
+
 ENV_VAR = "LATTICE_EQUIV_CAPS"
 
 
@@ -17,6 +20,10 @@ class Caps:
     oracle_vertices: int = 8     # max vertex count for oracle_equivalent
     max_volume: int = 12         # max V for the by-volume searches
     hull_points: int = 1000      # max lattice points of a barany hull
+
+    def __post_init__(self):
+        for f in fields(self):
+            _whole(getattr(self, f.name), 1, f"caps.{f.name}")
 
     @classmethod
     def from_env(cls):
@@ -41,4 +48,9 @@ class Caps:
 
 
 def resolve(caps):
-    return caps if caps is not None else Caps.from_env()
+    """`caps` itself, or Caps.from_env() when it is None."""
+    if caps is None:
+        return Caps.from_env()
+    if not isinstance(caps, Caps):
+        raise DegenerateInput(f"caps must be None or a Caps, got {caps!r}")
+    return caps

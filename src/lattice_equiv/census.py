@@ -30,18 +30,13 @@ from .equivalence import (
     affine_key,
     canonical_polygon,
 )
-from .errors import (
-    CapExceeded,
-    DegenerateInput,
-    DimensionMismatch,
-    RegionTooLarge,
-)
+from .errors import CapExceeded, DegenerateInput
 from .geometry import (
     LatticePolytope,
     Region,
-    _region_point_count,
+    _capped_points,
     _stored_polygon,
-    lattice_points,
+    _whole,
     normalized_volume,
 )
 # No census code calls sublattice_info; bench/tracing.py still patches it.
@@ -123,26 +118,15 @@ def _root_polygons(points, root_index, max_vertices, first_edges=None):
     return out
 
 
-def _capped_points(region, caps):
-    """The sorted lattice points of a 2d region, as a tuple, once their
-    count is within caps.region_points."""
-    if region.dim != 2:
-        raise DimensionMismatch("polygon enumeration requires dimension 2")
-    cap = resolve(caps).region_points
-    if _region_point_count(region, cap) > cap:
-        raise RegionTooLarge(
-            f"{region.label()} has more lattice points than the cap {cap}")
-    return tuple(lattice_points(region))
-
-
 def enumerate_convex_polygons(region, max_vertices=None, *, caps=None):
     """Every full-dimensional convex polygon whose vertex set lies in the
     region's lattice points, each exactly once, sorted by (vertex count,
     vertex cycle).  Points interior to the hull or to an edge
-    never count as vertices.  The region's points are counted against
-    caps.region_points before they are listed (_capped_points).  The
-    root search runs in the calling process; a census pool runs its own
-    search instead (_share_forms).
+    never count as vertices.  `max_vertices` is None or an integer >= 3
+    (geometry._whole).  The region's points are counted against
+    caps.region_points before they are listed (geometry._capped_points).
+    The root search runs in the calling process; a census pool runs its
+    own search instead (_share_forms).
 
     The roots are taken in sorted order and each root's cycles come out
     in increasing tuple order, so the concatenated cycles are already in
@@ -151,10 +135,9 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None):
     (tests/test_census.py::test_root_search_emits_cycles_in_stored_order),
     so the polygons are stored without the constructor's check.
     """
-    if max_vertices is not None and (
-            type(max_vertices) is not int or max_vertices < 3):
-        raise DegenerateInput("max_vertices must be None or an integer >= 3")
-    pts = _capped_points(region, caps)
+    if max_vertices is not None:
+        _whole(max_vertices, 3, "max_vertices")
+    pts = _capped_points(region, resolve(caps).region_points)
     cycles = [cycle for i in range(len(pts))
               for cycle in _root_polygons(pts, i, max_vertices)]
     cycles.sort(key=len)
@@ -303,20 +286,19 @@ def _form_counts(region, caps, workers):
     census and primitivity_scan read only this, so every unimodular
     invariant they need is taken once per form, weighted by its count.
 
-    `workers` is checked first.  With one worker the enumerated polygons
-    go straight to canonical_polygon, one call each.  Otherwise each task
-    of the call's one pool gets the region's points and a strided share
+    `workers`, None or an integer >= 1 (geometry._whole), is checked
+    first.  With one worker the enumerated polygons go straight to
+    canonical_polygon, one call each.  Otherwise each task of the
+    call's one pool gets the region's points and a strided share
     of their sorted lex-positive differences q - p, at most one share per
     point; a translation class fixes its first edge vector, so each falls
     in one share (_share_forms).  The Counters are merged in share order;
     no polygon or cycle crosses the pool.  The per-form work of census
     and primitivity_scan (index tests, affine keys) stays in the parent.
     A polygon is built once per distinct form."""
-    if workers is not None and (type(workers) is not int or workers < 1):
-        raise DegenerateInput("workers must be None or an integer >= 1")
     share_count = 0
-    if workers is not None and workers > 1:
-        points = _capped_points(region, caps)
+    if workers is not None and _whole(workers, 1, "workers") > 1:
+        points = _capped_points(region, resolve(caps).region_points)
         vectors = sorted({(qx - px, qy - py)
                           for i, (px, py) in enumerate(points)
                           for qx, qy in points[i + 1:]})
@@ -363,11 +345,9 @@ def census(region, *, caps=None, workers=None):
 
 
 def _check_size(value, caps, name):
-    """Reject a volume unless it is a plain int (not a bool) in
-    [1, caps.max_volume]."""
-    if type(value) is not int or value < 1:
-        raise DegenerateInput(f"{name} must be a positive integer")
-    if value > caps.max_volume:
+    """Reject a volume unless it passes geometry._whole as an integer
+    >= 1 and is at most caps.max_volume."""
+    if _whole(value, 1, name) > caps.max_volume:
         raise CapExceeded(f"{name} {value} above cap {caps.max_volume}")
 
 

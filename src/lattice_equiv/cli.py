@@ -28,8 +28,8 @@ from .equivalence import (
     decide,
 )
 from .errors import LatticeError, ParseError
-from .geometry import (LatticePolytope, Region, _int_points, convex_hull_2d,
-                       normalized_volume)
+from .geometry import (LatticePolytope, Region, _int_points, _whole,
+                       convex_hull_2d, normalized_volume)
 from .invariants import (
     lattice_height_vector,
     primitive_decomposition,
@@ -41,10 +41,11 @@ from .lattices import shrink_to_minimal_volume, sublattice_info
 def parse_polytope(text):
     """Parse a polytope document: {"dim": d, "points": [[...], ...]}.
 
-    The points pass the library's one check, `geometry._int_points`,
-    whose error comes back as ParseError.  In dimensions 1 and 2 the
-    convex hull is taken; a True second return value flags input points
-    that were not vertices (dropped with a warning by the CLI).
+    'dim' and the points pass the library's checks, `geometry._whole`
+    and `geometry._int_points`, whose errors come back as ParseError.  In
+    dimensions 1 and 2 the convex hull is taken; a True second return
+    value flags input points that were not vertices (dropped with a
+    warning by the CLI).
     """
     try:
         doc = json.loads(text)
@@ -54,12 +55,10 @@ def parse_polytope(text):
         raise ParseError("polytope document must be a JSON object")
     dim = doc.get("dim")
     points = doc.get("points")
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise ParseError("'dim' must be an integer")
     if not isinstance(points, list) or not points:
         raise ParseError("'points' must be a nonempty array")
     try:
-        clean, _ = _int_points(points, dim)
+        clean, _ = _int_points(points, _whole(dim, 1, "'dim'"))
     except LatticeError as exc:
         raise ParseError(str(exc)) from exc
     if dim not in (1, 2):

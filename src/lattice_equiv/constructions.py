@@ -20,7 +20,7 @@ from .errors import (
 from .geometry import (
     LatticePolytope,
     Region,
-    _region_point_count,
+    _capped_points,
     convex_hull_2d,
     dilate,
     lattice_points,
@@ -60,16 +60,15 @@ def orthant_hull_construction(r=None, *, radius_sq=None, caps=None):
 
     The quarter ball and the augmented hull, which contains the base,
     are counted against caps.hull_points before their points are
-    listed; CapExceeded is raised above it.
+    listed; above it the quarter ball raises RegionTooLarge, a
+    CapExceeded (geometry._capped_points), and the augmented hull
+    CapExceeded.
     """
     region = Region.orthant_ball(radius=r, radius_sq=radius_sq)
     if region.size < 1:
         raise DegenerateInput("construction needs radius at least 1")
     cap = resolve(caps).hull_points
-    if _region_point_count(region, cap) > cap:
-        raise CapExceeded(
-            f"{region.label()} has more lattice points than the cap {cap}")
-    pts = lattice_points(region)
+    pts = _capped_points(region, cap)
     base = dilate(convex_hull_2d(pts), 2)
     p = max(x for x, _ in pts)
     column = [pt for pt in pts if pt[0] == p]

@@ -25,12 +25,12 @@ class TooLarge(LatticeError):
     """Instance exceeds the size limit of an exhaustive procedure."""
 
 
-class RegionTooLarge(LatticeError):
-    """Region holds more lattice points than the enumeration cap allows."""
-
-
 class CapExceeded(LatticeError):
     """A configured work cap would be exceeded."""
+
+
+class RegionTooLarge(CapExceeded):
+    """Region holds more lattice points than its cap allows."""
 
 
 class ParseError(LatticeError):

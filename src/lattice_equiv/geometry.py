@@ -12,7 +12,27 @@ from itertools import chain, product
 from math import isqrt, lcm
 
 from . import linalg
-from .errors import DegenerateInput, DimensionMismatch
+from .errors import DegenerateInput, DimensionMismatch, RegionTooLarge
+
+
+def _whole(value, least, name):
+    """`value`, once it is a plain int (not a bool or another subclass) of
+    at least `least`: the one check of a count from outside the package,
+    such as a dimension, a vertex or worker count, a volume or a cap."""
+    if type(value) is not int or value < least:
+        raise DegenerateInput(f"{name} must be an integer >= {least}")
+    return value
+
+
+def _exact(value, name):
+    """`value` as a Fraction: the one check of a rational number from
+    outside the package (a map entry, a region's size or radius).  A
+    float, a bool, a string or a Decimal would be read inexactly or by
+    guess, so only an int (not a bool) or a Fraction passes."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise DegenerateInput(
+            f"{name} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
 
 
 def _int_points(points, dim=None, what="points"):
@@ -20,8 +40,8 @@ def _int_points(points, dim=None, what="points"):
     of points from outside the package, a single point passed as (point,).
 
     Every coordinate must be a plain int (a bool is not; an int subclass
-    is kept as given), `dim` a plain int >= 1, taken from the first point
-    when it is None, and every point `dim` long.
+    is kept as given), and every point `dim` long.  `dim`, taken from the
+    first point when it is None, passes `_whole` as an integer >= 1.
     """
     try:
         pts = tuple(map(tuple, points))
@@ -38,8 +58,7 @@ def _int_points(points, dim=None, what="points"):
         if not pts:
             raise DegenerateInput("empty point set")
         dim = len(pts[0])
-    if type(dim) is not int or dim < 1:
-        raise DegenerateInput("dimension must be an integer >= 1")
+    _whole(dim, 1, "dimension")
     for p in pts:
         if len(p) != dim:
             raise DimensionMismatch(f"point {p} does not have {dim} coordinates")
@@ -225,17 +244,17 @@ def _stored_polygon(cycle):
 @dataclass(frozen=True)
 class RationalAffineMap:
     """Invertible-or-not affine map p -> p @ matrix + translation, whose
-    entries the constructor converts to Fractions.  An entry must be an
-    int (not a bool) or a Fraction: a float or a string would be read
-    inexactly or by guess, so it is rejected.  The library builds its own
-    maps from integers through `_map_over`."""
+    entries the constructor converts to Fractions through `_exact`, the
+    rule a region's size and radius follow too.  The library builds its
+    own maps from integers through `_map_over`."""
 
     matrix: tuple
     translation: tuple
 
     def __post_init__(self):
-        m = tuple(tuple(map(_exact, row)) for row in self.matrix)
-        t = tuple(map(_exact, self.translation))
+        m = tuple(tuple(_exact(x, "map entry") for x in row)
+                  for row in self.matrix)
+        t = tuple(_exact(x, "map entry") for x in self.translation)
         if len(m) != len(t) or any(len(row) != len(t) for row in m):
             raise DimensionMismatch("matrix and translation sizes disagree")
         object.__setattr__(self, "matrix", m)
@@ -283,15 +302,6 @@ class RationalAffineMap:
         return self.is_integral and abs(self.determinant) == 1
 
 
-def _exact(x):
-    """A map entry as a Fraction, or DegenerateInput unless it is an int
-    (not a bool) or a Fraction."""
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise DegenerateInput(
-            f"map entries must be ints or Fractions, got {x!r}")
-    return Fraction(x)
-
-
 def _map_over(rows, shift, den):
     """The map p -> (p @ rows + shift) / den for d rows of d ints, d ints
     and a nonzero int den: the library's one path from an integer solution
@@ -307,24 +317,11 @@ def _map_over(rows, shift, den):
 _REGION_KINDS = ("ball", "box", "orthant-ball")
 
 
-def _rational(value, name):
-    """value as an exact Fraction, or DegenerateInput if Fraction cannot
-    read it.  A float would be read at its binary value and a bool as 0
-    or 1, so both are rejected."""
-    if isinstance(value, (bool, float)):
-        raise DegenerateInput(
-            f"{name} must be an int or a Fraction, got {value!r}")
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DegenerateInput(
-            f"{name} must be a rational number, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class Region:
     """Origin-anchored search region: a ball, a box [0, side]^d, or the
-    nonnegative part of a ball.  Balls carry an exact squared radius."""
+    nonnegative part of a ball, of exact size (`_exact`, as map entries;
+    a ball's is its squared radius) and dimension (`_whole`)."""
 
     kind: str
     size: Fraction     # squared radius for balls, side length for boxes
@@ -333,11 +330,10 @@ class Region:
     def __post_init__(self):
         if self.kind not in _REGION_KINDS:
             raise DegenerateInput(f"unknown region kind {self.kind!r}")
-        size = _rational(self.size, "region size")
+        size = _exact(self.size, "region size")
         if size < 0:
             raise DegenerateInput("region size must be nonnegative")
-        if type(self.dim) is not int or self.dim < 1:
-            raise DegenerateInput("region dimension must be an integer >= 1")
+        _whole(self.dim, 1, "region dimension")
         object.__setattr__(self, "size", size)
 
     @staticmethod
@@ -345,11 +341,11 @@ class Region:
         if (radius is None) == (radius_sq is None):
             raise DegenerateInput("give exactly one of radius, radius_sq")
         if radius is not None:
-            radius = _rational(radius, "radius")
+            radius = _exact(radius, "radius")
             if radius < 0:
                 raise DegenerateInput("radius must be nonnegative")
             return radius ** 2
-        return _rational(radius_sq, "radius_sq")
+        return _exact(radius_sq, "radius_sq")
 
     @classmethod
     def ball(cls, radius=None, *, radius_sq=None, dim=2):
@@ -415,9 +411,8 @@ def normalized_volume(p):
 
 
 def dilate(p, k):
-    """Scale every vertex by a positive integer."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise DegenerateInput("dilation factor must be a positive integer")
+    """Scale every vertex by an integer k >= 1 (`_whole`)."""
+    _whole(k, 1, "dilation factor")
     return LatticePolytope(
         p.dim, tuple(tuple(k * c for c in v) for v in p.vertices))
 
@@ -464,6 +459,19 @@ def _region_point_count(region, limit):
         if count > limit:
             break
     return count
+
+
+def _capped_points(region, cap):
+    """The sorted lattice points of a 2d region, as a tuple, counted
+    before they are listed: the one capped listing of a region, for the
+    census and orthant_hull_construction.  RegionTooLarge (a
+    CapExceeded) above `cap`."""
+    if region.dim != 2:
+        raise DimensionMismatch("polygon enumeration requires dimension 2")
+    if _region_point_count(region, cap) > cap:
+        raise RegionTooLarge(
+            f"{region.label()} has more lattice points than the cap {cap}")
+    return tuple(_region_points(region))
 
 
 def _polytope_points(p):

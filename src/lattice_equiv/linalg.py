@@ -35,10 +35,6 @@ def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 

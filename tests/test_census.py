@@ -31,6 +31,8 @@ from lattice_equiv import (
     enumerate_convex_polygons,
     lattice_points,
     normalized_volume,
+    oracle_equivalent,
+    orthant_hull_construction,
     primitive_decomposition,
     primitivity_scan,
     shave,
@@ -988,6 +990,24 @@ def test_caps_env_parsing(monkeypatch):
         Caps.from_env()
     monkeypatch.delenv("LATTICE_EQUIV_CAPS")
     assert Caps.from_env() == Caps()
+
+
+def test_caps_argument_must_be_a_caps():
+    # Every caps= reads its fields through caps.resolve, which takes only
+    # None or a Caps: a mapping or a number is refused, not read as one.
+    entries = [
+        lambda caps: census(Region.box(1), caps=caps),
+        lambda caps: enumerate_convex_polygons(Region.box(1), caps=caps),
+        lambda caps: classes_by_volume(1, caps=caps),
+        lambda caps: build_volume_representatives(1, caps=caps),
+        lambda caps: oracle_equivalent(UNIT, UNIT, caps=caps),
+        lambda caps: orthant_hull_construction(1, caps=caps),
+    ]
+    for bad in ({"region_points": 60}, 60, "caps"):
+        for entry in entries:
+            with pytest.raises(DegenerateInput,
+                               match="^caps must be None or a Caps"):
+                entry(bad)
 
 
 def test_every_emitted_polytope_has_integer_volume():

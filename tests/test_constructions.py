@@ -12,6 +12,9 @@ from lattice_equiv import (
     DegenerateResult,
     DimensionMismatch,
     LatticePolytope,
+    Region,
+    RegionTooLarge,
+    census,
     convex_hull_2d,
     lattice_points,
     normalized_volume,
@@ -111,8 +114,12 @@ def test_hull_points_are_capped_before_they_are_listed():
     # The quarter disc of radius 10**6 holds about 7.9e11 lattice points;
     # it is refused at its first rows, without listing a point.
     start = time.monotonic()
-    with pytest.raises(CapExceeded):
+    with pytest.raises(RegionTooLarge) as hull:
         orthant_hull_construction(10 ** 6)
+    # The census refuses the same region at the same cap in the same words.
+    with pytest.raises(RegionTooLarge) as region:
+        census(Region.orthant_ball(10 ** 6), caps=Caps(region_points=1000))
+    assert str(hull.value) == str(region.value)
     with pytest.raises(CapExceeded):
         orthant_hull_construction(radius_sq=10 ** 12 + 1)
     assert time.monotonic() - start < 5

@@ -5,7 +5,9 @@ import gc
 import json
 import pickle
 import re
+from dataclasses import fields
 from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 from importlib import import_module
 from itertools import permutations, product
@@ -15,6 +17,7 @@ from hypothesis import given, strategies as st
 
 from conftest import apply_int_map, cross, poly, strict_hull
 from lattice_equiv import (
+    Caps,
     DegenerateInput,
     DimensionMismatch,
     LatticePolytope,
@@ -22,12 +25,17 @@ from lattice_equiv import (
     RationalAffineMap,
     Region,
     affine_equivalent,
+    build_volume_representatives,
+    census,
+    classes_by_volume,
     convex_hull_2d,
     dilate,
+    enumerate_convex_polygons,
     lattice_height_vector,
     lattice_points,
     normalized_volume,
     primitive_hyperplane,
+    primitivity_scan,
     simplex_determinant,
     volume_vector,
 )
@@ -314,6 +322,46 @@ def test_point_list_entries_share_one_check(points, dim, error, entries):
             POINT_LIST_ENTRIES[name](points, dim)
 
 
+# Every public count parameter, as id: (name in its message, least value,
+# entry called with the count).  Each is checked by geometry._whole.
+COUNT_PARAMETERS = {
+    "max_vertices": ("max_vertices", 3, lambda n: enumerate_convex_polygons(
+        Region.box(1), max_vertices=n)),
+    "census": ("workers", 1, lambda n: census(Region.box(1), workers=n)),
+    "primitivity_scan": ("workers", 1, lambda n: primitivity_scan(
+        Region.box(1), workers=n)),
+    "classes_by_volume": ("volume", 1, classes_by_volume),
+    "build_volume_representatives": ("volume", 1,
+                                     build_volume_representatives),
+    "dilate": ("dilation factor", 1,
+               lambda n: dilate(poly((0, 0), (1, 0), (0, 1)), n)),
+    "Region": ("region dimension", 1, lambda n: Region.box(1, dim=n)),
+    "LatticePolytope": ("dimension", 1,
+                        lambda n: LatticePolytope(n, ((0,), (1,)))),
+    "parse_polytope": ("'dim'", 1, lambda n: _parse([[0], [1]], n)),
+} | {f"Caps.{f.name}": (f"caps.{f.name}", 1,
+                        lambda n, name=f.name: Caps(**{name: n}))
+     for f in fields(Caps)}
+
+
+@pytest.mark.parametrize("entry", COUNT_PARAMETERS)
+def test_count_parameters_share_one_rule(entry):
+    # A count is a plain int of at least its least value: a bool, a
+    # float, a string or an int subclass is refused even where its value
+    # would pass, so nothing is read as 1 or rounded.  JSON holds no int
+    # subclass, so parse_polytope's 'dim' is not given one.
+    name, least, call = COUNT_PARAMETERS[entry]
+    bad = [True, float(least), str(least), least - 1]
+    if entry != "parse_polytope":
+        bad.append(IntEnum("Count", {"LEAST": least}).LEAST)
+    error = ParseError if entry == "parse_polytope" else DegenerateInput
+    for value in bad:
+        with pytest.raises(error, match=f"^{re.escape(name)} must be an "
+                                        f"integer >= {least}$"):
+            call(value)
+    call(least)
+
+
 def test_lattice_points_ball():
     assert lattice_points(Region.ball(1)) == [
         (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
@@ -430,6 +478,11 @@ def test_affine_map_rejects_inexact_entries(entry):
                                 (((1, 0), (0, 1)), (0, entry))):
         with pytest.raises(DegenerateInput):
             RationalAffineMap(matrix, translation)
+    # A region's size and radius follow the same rule.
+    for make in (Region.box, Region.ball,
+                 lambda x: Region.ball(radius_sq=x)):
+        with pytest.raises(DegenerateInput):
+            make(entry)
 
 
 def test_affine_map_rejects_fractional_image():
