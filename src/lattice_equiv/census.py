@@ -123,8 +123,9 @@ def enumerate_convex_polygons(region, max_vertices=None, *, caps=None):
     region's lattice points, each exactly once, sorted by (vertex count,
     vertex cycle).  Points interior to the hull or to an edge
     never count as vertices.  `max_vertices` is None or an integer >= 3
-    (geometry._whole).  The region's points are counted against
-    caps.region_points before they are listed (geometry._capped_points).
+    (geometry._whole).  The region's points are listed under
+    caps.region_points, RegionTooLarge at the (cap + 1)-th point
+    (geometry._capped_points).
     The root search runs in the calling process; a census pool runs its
     own search instead (_share_forms).
 

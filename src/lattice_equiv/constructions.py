@@ -8,19 +8,15 @@ column, which the report verifies against the expected two-case formula.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .caps import resolve
-from .errors import (
-    CapExceeded,
-    DegenerateInput,
-    DegenerateResult,
-    DimensionMismatch,
-)
+from .errors import DegenerateInput, DegenerateResult, DimensionMismatch
 from .geometry import (
     LatticePolytope,
     Region,
-    _capped_points,
+    _polygon_point_count,
+    _polytope_points,
+    _region_points,
     convex_hull_2d,
     dilate,
     lattice_points,
@@ -41,15 +37,6 @@ class ConstructionReport:
     identity_holds: bool     # added_points == b without its first element
 
 
-def _polygon_point_count(p):
-    """Lattice points of a polygon by Pick's theorem, without listing
-    them: (normalized volume + boundary points) / 2 + 1."""
-    verts = p.vertices
-    boundary = sum(gcd(qx - px, qy - py) for (px, py), (qx, qy)
-                   in zip(verts, verts[1:] + verts[:1]))
-    return (normalized_volume(p) + boundary) // 2 + 1
-
-
 def orthant_hull_construction(r=None, *, radius_sq=None, caps=None):
     """Build the doubled quarter-ball hull and its capped extension.
 
@@ -58,17 +45,18 @@ def orthant_hull_construction(r=None, *, radius_sq=None, caps=None):
     (p, 0) and (p, 1) are both present (case 2).  Non-integer radii are
     supported through their exact square.
 
-    The quarter ball and the augmented hull, which contains the base,
-    are counted against caps.hull_points before their points are
-    listed; above it the quarter ball raises RegionTooLarge, a
-    CapExceeded (geometry._capped_points), and the augmented hull
-    CapExceeded.
+    The quarter ball is listed under caps.hull_points, and the augmented
+    hull, which contains the base, is counted against it by Pick's
+    theorem before either hull is listed: above it the quarter ball
+    raises RegionTooLarge, a CapExceeded (geometry._region_points), and
+    the augmented hull CapExceeded (geometry._polygon_point_count).
+    Both hulls are then listed under these caps, not the environment's.
     """
     region = Region.orthant_ball(radius=r, radius_sq=radius_sq)
     if region.size < 1:
         raise DegenerateInput("construction needs radius at least 1")
     cap = resolve(caps).hull_points
-    pts = _capped_points(region, cap)
+    pts = _region_points(region, cap)
     base = dilate(convex_hull_2d(pts), 2)
     p = max(x for x, _ in pts)
     column = [pt for pt in pts if pt[0] == p]
@@ -76,14 +64,10 @@ def orthant_hull_construction(r=None, *, radius_sq=None, caps=None):
     anchor = 2 * p if case == 1 else 2 * p + 1
     b = ((anchor, 0), (anchor, 1))
     augmented = convex_hull_2d(base.vertices + b)
-    count = _polygon_point_count(augmented)
-    if count > cap:
-        raise CapExceeded(
-            f"the augmented hull has {count} lattice points, above the "
-            f"cap {cap}")
-    base_points = set(lattice_points(base))
-    added = tuple(sorted(
-        pt for pt in lattice_points(augmented) if pt not in base_points))
+    _polygon_point_count(augmented, cap)
+    base_points = set(_polytope_points(base))
+    added = tuple(
+        pt for pt in _polytope_points(augmented) if pt not in base_points)
     return ConstructionReport(
         radius_sq=region.size,
         p=p,
@@ -98,8 +82,9 @@ def orthant_hull_construction(r=None, *, radius_sq=None, caps=None):
 
 
 def shave(q, w):
-    """Remove the vertices `w` from the polytope's lattice points and
-    retake the hull.
+    """Remove the vertices `w` from the polygon's lattice points and
+    retake the hull.  The points are listed by lattice_points, so a
+    polygon above the environment's caps.hull_points raises CapExceeded.
 
     Returns (polytope, normalized volume removed).  Removing the members
     of `w` one at a time, in any order, gives the same result, because a

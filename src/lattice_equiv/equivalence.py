@@ -27,7 +27,7 @@ from . import linalg
 from .caps import resolve
 from .errors import DegenerateInput, DimensionMismatch, TooLarge
 from .geometry import (
-    LatticePolytope, RationalAffineMap, _map_over, _stored_polygon)
+    LatticePolytope, RationalAffineMap, _map_over, _stored_polygon, _whole)
 # bench/tracing.py patches the names it traces here; keep them bound.
 from .invariants import (
     lattice_height_vector,
@@ -61,7 +61,8 @@ class EquivalenceWitness:
 
 @dataclass(frozen=True)
 class CanonicalTriangle:
-    """Normal form (0,0), (g,0), (a,b) of a lattice triangle.
+    """Normal form (0,0), (g,0), (a,b) of a lattice triangle: plain ints
+    g, b >= 1 and 0 <= a < b (`_whole`).
 
     The key (g, b, a) is minimal over all six vertex labelings and both
     reflections, so two triangles have equal keys exactly when they are
@@ -73,7 +74,10 @@ class CanonicalTriangle:
     b: int
 
     def __post_init__(self):
-        if self.g < 1 or self.b < 1 or not 0 <= self.a < self.b:
+        _whole(self.g, 1, "g")
+        _whole(self.a, 0, "a")
+        _whole(self.b, 1, "b")
+        if self.a >= self.b:
             raise DegenerateInput("invalid canonical triangle parameters")
 
     @property

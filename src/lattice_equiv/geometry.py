@@ -8,11 +8,12 @@ affine maps act on the right: p -> p @ A + v.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
-from math import isqrt, lcm
+from itertools import chain, islice, product
+from math import gcd, isqrt, lcm
 
 from . import linalg
-from .errors import DegenerateInput, DimensionMismatch, RegionTooLarge
+from .errors import (
+    CapExceeded, DegenerateInput, DimensionMismatch, RegionTooLarge)
 
 
 def _whole(value, least, name):
@@ -417,61 +418,71 @@ def dilate(p, k):
         p.dim, tuple(tuple(k * c for c in v) for v in p.vertices))
 
 
-def _floor_sqrt(frac):
-    # floor(sqrt(p/q)) for a nonnegative rational
-    return isqrt(frac.numerator // frac.denominator)
-
-
 def lattice_points(target):
-    """Sorted list of all lattice points of a Region or a LatticePolytope."""
+    """Sorted list of all lattice points of a Region or a LatticePolytope,
+    counted first against the environment's caps.hull_points: above it a
+    Region raises RegionTooLarge and a polygon CapExceeded (by Pick's
+    theorem).  A 3d polytope has no cheap count and is listed uncapped."""
+    if not isinstance(target, (Region, LatticePolytope)):
+        raise DegenerateInput(f"cannot enumerate lattice points of {target!r}")
+    # caps imports geometry (for _whole), so geometry imports caps here.
+    from .caps import Caps
+    cap = Caps.from_env().hull_points
     if isinstance(target, Region):
-        return _region_points(target)
-    if isinstance(target, LatticePolytope):
-        return _polytope_points(target)
-    raise DegenerateInput(f"cannot enumerate lattice points of {target!r}")
+        return _region_points(target, cap)
+    if target.dim == 2:
+        _polygon_point_count(target, cap)
+    return _polytope_points(target)
 
 
-def _region_points(region):
-    d = region.dim
-    if region.kind == "box":
-        side = region.size.numerator // region.size.denominator
-        return sorted(product(range(side + 1), repeat=d))
-    r = _floor_sqrt(region.size)
-    lo = 0 if region.kind == "orthant-ball" else -r
-    ranges = [range(lo, r + 1)] * d
-    out = [pt for pt in product(*ranges)
-           if sum(c * c for c in pt) <= region.size]
-    return sorted(out)
-
-
-def _region_point_count(region, limit):
-    """The number of lattice points of a 2d region, counted without
-    listing them: (side + 1)^2 for a box, row by row for a ball.  A ball's
-    count stops at the first row that takes it above `limit`."""
-    if region.kind == "box":
-        return (region.size.numerator // region.size.denominator + 1) ** 2
+def _region_points(region, cap):
+    """The sorted lattice points of a region, in any dimension: the one
+    listing of a region, which is its own count, RegionTooLarge (a
+    CapExceeded) at the (cap + 1)-th point.  Each coordinate in turn runs
+    over the range the earlier ones leave it: 0..floor(side) in a box,
+    |x| <= isqrt(room) in a ball (x >= 0 in an orthant ball), room being
+    the floor of the squared radius less the squares so far.  Every
+    prefix extends to a point, so no level outgrows the listing."""
     n = region.size.numerator // region.size.denominator
-    r = isqrt(n)
-    count = 0
-    for x in range(0 if region.kind == "orthant-ball" else -r, r + 1):
-        h = isqrt(n - x * x)  # the row's points have |y| <= h
-        count += h + 1 if region.kind == "orthant-ball" else 2 * h + 1
-        if count > limit:
-            break
-    return count
+
+    def values(room):
+        if region.kind == "box":
+            return range(n + 1)
+        r = isqrt(room)
+        return range(0 if region.kind == "orthant-ball" else -r, r + 1)
+
+    level = [((), n)]
+    for _ in range(region.dim):
+        grown = ((prefix + (x,), room - x * x)
+                 for prefix, room in level for x in values(room))
+        level = list(islice(grown, cap + 1))
+        if len(level) > cap:
+            raise RegionTooLarge(
+                f"{region.label()} has more lattice points than the cap {cap}")
+    return [point for point, _ in level]
 
 
 def _capped_points(region, cap):
-    """The sorted lattice points of a 2d region, as a tuple, counted
-    before they are listed: the one capped listing of a region, for the
-    census and orthant_hull_construction.  RegionTooLarge (a
-    CapExceeded) above `cap`."""
+    """The sorted lattice points of a 2d region, as a tuple, for the
+    census: _region_points under its cap, behind the census's check that
+    the region is planar."""
     if region.dim != 2:
         raise DimensionMismatch("polygon enumeration requires dimension 2")
-    if _region_point_count(region, cap) > cap:
-        raise RegionTooLarge(
-            f"{region.label()} has more lattice points than the cap {cap}")
-    return tuple(_region_points(region))
+    return tuple(_region_points(region, cap))
+
+
+def _polygon_point_count(p, cap):
+    """The number of lattice points of a polygon, by Pick's theorem,
+    without listing them: (normalized volume + boundary points) / 2 + 1.
+    CapExceeded above `cap`."""
+    verts = p.vertices
+    boundary = sum(gcd(qx - px, qy - py) for (px, py), (qx, qy)
+                   in zip(verts, verts[1:] + verts[:1]))
+    count = (normalized_volume(p) + boundary) // 2 + 1
+    if count > cap:
+        raise CapExceeded(
+            f"the polygon has {count} lattice points, above the cap {cap}")
+    return count
 
 
 def _polytope_points(p):

@@ -9,6 +9,7 @@ integer heights over the hyperplanes spanned by the remaining points.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 from . import linalg
 from .errors import DegenerateInput, DimensionMismatch, ZeroVector
@@ -123,7 +124,7 @@ def primitive_decomposition(w):
     vector.
     """
     entries = tuple(w.entries) if isinstance(w, VolumeVector) else tuple(w)
-    g = linalg.vec_gcd(entries)
+    g = gcd(*entries)
     if g == 0:
         raise ZeroVector("volume vector is identically zero")
     first = next(e for e in entries if e)

@@ -26,11 +26,6 @@ def egcd(a, b):
     return old_r, old_x, old_y
 
 
-def vec_gcd(values):
-    """Nonnegative gcd of the values; 0 when all are zero or there are none."""
-    return gcd(*values)
-
-
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
@@ -143,7 +138,7 @@ def primitive_normal(diffs):
         minor = [row[:j] + row[j + 1:] for row in diffs]
         normal.append(sign * int_det(minor))
         sign = -sign
-    g = vec_gcd(normal)
+    g = gcd(*normal)
     if g == 0:
         return None
     if next(c for c in normal if c) < 0:

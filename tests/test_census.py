@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from importlib import import_module
+from itertools import product
 
 import pytest
 
@@ -22,6 +23,7 @@ from lattice_equiv import (
     Region,
     RegionTooLarge,
     affine_equivalent,
+    affine_key,
     affine_map_census,
     build_volume_representatives,
     canonical_polygon,
@@ -372,6 +374,39 @@ def test_growth_counts_the_classes_of_each_genus(levels_to_twenty):
         v // 2 + 1 + (v == 4) for v in range(1, 21)]
 
 
+def test_growth_counts_the_classes_of_each_cardinality(levels_to_twenty):
+    # Zong's axis: the classes with m = 3..8 lattice points.  By Pick a
+    # class with m points has volume m + g - 2 <= 2m - 5 (g <= m - 3),
+    # at most 11 here, so the growth to volume 20 holds all of them.  K
+    # counts the unimodular classes (the forms of a level), A the affine
+    # ones, by affine key and by a pairwise affine_equivalent search.
+    levels = levels_to_twenty[:6]
+    assert [len(level) for level in levels] == [1, 3, 6, 13, 21, 41]
+    affine = []
+    for level in levels:
+        forms = [LatticePolytope(2, cycle) for cycle in level]
+        reps = []
+        for p in forms:
+            if not any(affine_equivalent(p, q) for q in reps):
+                reps.append(p)
+        assert len({affine_key(p) for p in forms}) == len(reps)
+        affine.append(len(reps))
+    assert affine == [1, 2, 4, 8, 17, 31]
+
+
+def test_growth_holds_the_box_census_forms(levels_to_twenty):
+    # Every form of the box:4 census with at most 8 lattice points lies
+    # in the growth's level for its number of points.
+    forms = {canonical_polygon(p).vertices
+             for p in enumerate_convex_polygons(Region.box(4))}
+    points = {cycle: len(lattice_points(LatticePolytope(2, cycle)))
+              for cycle in forms}
+    small = [cycle for cycle in forms if points[cycle] <= 8]
+    assert len(small) == 73
+    for cycle in small:
+        assert cycle in levels_to_twenty[points[cycle] - 3]
+
+
 def traced_visits(cycle, volume, points, max_volume):
     """The points (x, y) that census._one_point_growths visits, in order:
     a point is visited when the line that takes its cross products runs.
@@ -479,15 +514,37 @@ def test_enumerate_max_vertices_validation():
 
 
 def test_region_point_count_matches_listing():
-    count = import_module("lattice_equiv.geometry")._region_point_count
-    regions = [Region.box(s) for s in (0, 1, 4, Fraction(7, 2))]
-    for make in (Region.ball, Region.orthant_ball):
-        regions += [make(r) for r in (0, 1, 2, 3, Fraction(5, 2))]
-        regions += [make(radius_sq=q) for q in (2, 8, Fraction(17, 3))]
+    # The one listing of a region, which is also its count, against the
+    # product of a range wide enough for every kind (size + 1 bounds a
+    # side and a radius), filtered and sorted.
+    listing = import_module("lattice_equiv.geometry")._region_points
+
+    def brute(region):
+        bound = int(region.size) + 1
+        low = -bound if region.kind == "ball" else 0
+        points = product(range(low, bound + 1), repeat=region.dim)
+        if region.kind == "box":
+            return sorted(p for p in points if max(p) <= region.size)
+        return sorted(p for p in points
+                      if sum(c * c for c in p) <= region.size)
+
+    regions = []
+    for dim in (1, 2, 3):
+        regions += [Region.box(s, dim) for s in (0, 1, 4, Fraction(7, 2))]
+        for make in (Region.ball, Region.orthant_ball):
+            regions += [make(r, dim=dim) for r in (0, 1, 2, 3, Fraction(5, 2))]
+            regions += [make(radius_sq=q, dim=dim)
+                        for q in (2, 8, Fraction(17, 3))]
     for region in regions:
-        assert count(region, 10 ** 6) == len(lattice_points(region)), region
-        # Past the limit a ball's count stops early, but stays above it.
-        assert (count(region, 4) > 4) == (len(lattice_points(region)) > 4)
+        expected = brute(region)
+        assert listing(region, 10 ** 6) == expected, region
+        # Under a cap of 4 the listing refuses exactly the regions with
+        # more points, and lists the others in full.
+        if len(expected) > 4:
+            with pytest.raises(RegionTooLarge, match="than the cap 4$"):
+                listing(region, 4)
+        else:
+            assert listing(region, 4) == expected, region
 
 
 def test_region_cap_is_checked_before_listing():
@@ -495,17 +552,19 @@ def test_region_cap_is_checked_before_listing():
     # address space the cap must reject them before their points exist.
     proc = run_in_small_address_space("""
 from lattice_equiv import (Region, RegionTooLarge, affine_map_census, census,
-                           enumerate_convex_polygons, primitivity_scan)
+                           enumerate_convex_polygons, lattice_points,
+                           primitivity_scan)
 regions = [Region.box(5000), Region.ball(3000), Region.orthant_ball(5000),
            Region.ball(radius_sq=10 ** 40)]
-calls = [census, primitivity_scan, enumerate_convex_polygons,
-         lambda region: affine_map_census(region, 10)]
+calls = [(census, 40), (primitivity_scan, 40), (enumerate_convex_polygons, 40),
+         (lambda region: affine_map_census(region, 10), 40),
+         (lattice_points, 1000)]
 for region in regions:
-    for call in calls:
+    for call, cap in calls:
         try:
             call(region)
         except RegionTooLarge as exc:
-            assert "more lattice points than the cap 40" in str(exc), exc
+            assert f"more lattice points than the cap {cap}" in str(exc), exc
         else:
             raise AssertionError(region)
 print("ok")

@@ -17,6 +17,8 @@ from hypothesis import given, strategies as st
 
 from conftest import apply_int_map, cross, poly, strict_hull
 from lattice_equiv import (
+    CanonicalTriangle,
+    CapExceeded,
     Caps,
     DegenerateInput,
     DimensionMismatch,
@@ -24,6 +26,7 @@ from lattice_equiv import (
     ParseError,
     RationalAffineMap,
     Region,
+    RegionTooLarge,
     affine_equivalent,
     build_volume_representatives,
     census,
@@ -36,11 +39,13 @@ from lattice_equiv import (
     normalized_volume,
     primitive_hyperplane,
     primitivity_scan,
+    shave,
     simplex_determinant,
     volume_vector,
 )
 from lattice_equiv.cli import parse_polytope
-from lattice_equiv.geometry import _ccw_lex_least, _hull_cycle, _stored_polygon
+from lattice_equiv.geometry import (
+    _ccw_lex_least, _hull_cycle, _polygon_point_count, _stored_polygon)
 
 coord = st.integers(min_value=-8, max_value=8)
 point = st.tuples(coord, coord)
@@ -339,6 +344,9 @@ COUNT_PARAMETERS = {
     "LatticePolytope": ("dimension", 1,
                         lambda n: LatticePolytope(n, ((0,), (1,)))),
     "parse_polytope": ("'dim'", 1, lambda n: _parse([[0], [1]], n)),
+    "CanonicalTriangle.g": ("g", 1, lambda n: CanonicalTriangle(n, 0, 1)),
+    "CanonicalTriangle.a": ("a", 0, lambda n: CanonicalTriangle(1, n, 2)),
+    "CanonicalTriangle.b": ("b", 1, lambda n: CanonicalTriangle(1, 0, n)),
 } | {f"Caps.{f.name}": (f"caps.{f.name}", 1,
                         lambda n, name=f.name: Caps(**{name: n}))
      for f in fields(Caps)}
@@ -383,6 +391,31 @@ def test_lattice_points_of_polytope():
     tri = poly((0, 0), (2, 0), (0, 2))
     assert lattice_points(tri) == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+
+
+def test_lattice_points_are_capped_before_they_are_listed(monkeypatch):
+    # The environment's caps.hull_points (1000 by default) bounds every
+    # planar listing: a region is refused at its 1001st point, a polygon
+    # by Pick's theorem before any of its points is listed.
+    big_box = Region.box(300)
+    big_triangle = dilate(poly((0, 0), (1, 0), (0, 1)), 100)
+    with pytest.raises(RegionTooLarge,
+                       match="^box:300 has more lattice points than the cap "
+                             "1000$"):
+        lattice_points(big_box)
+    with pytest.raises(CapExceeded,
+                       match="has 5151 lattice points, above the cap 1000$"):
+        lattice_points(big_triangle)
+    with pytest.raises(CapExceeded, match="5151 lattice points"):
+        shave(big_triangle, ((100, 0),))
+    # Pick's count refuses a polygon exactly above its cap.
+    assert _polygon_point_count(big_triangle, 5151) == 5151
+    with pytest.raises(CapExceeded, match="above the cap 5150$"):
+        _polygon_point_count(big_triangle, 5150)
+    monkeypatch.setenv("LATTICE_EQUIV_CAPS", "hull_points=100000")
+    assert len(lattice_points(big_box)) == 301 ** 2
+    assert len(lattice_points(big_triangle)) == 5151
+    assert normalized_volume(shave(big_triangle, ((100, 0),))[0]) == 9999
 
 
 def test_dilate():

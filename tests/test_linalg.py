@@ -41,15 +41,6 @@ def test_egcd(a, b):
     assert a * x + b * y == g
 
 
-def test_vec_gcd():
-    assert linalg.vec_gcd((6, -9, 15)) == 3
-    assert linalg.vec_gcd((0, 0)) == 0
-    assert linalg.vec_gcd((7,)) == 7
-    assert linalg.vec_gcd((-7,)) == 7
-    assert linalg.vec_gcd((0, -4, -6)) == 2
-    assert linalg.vec_gcd(()) == 0
-
-
 @given(square(3))
 def test_int_det_matches_fraction_elimination(m):
     assert linalg.int_det(m) == permutation_det(m)
@@ -111,7 +102,7 @@ def test_primitive_normal(case):
         return
     assert len(normal) == d
     assert all(linalg.vec_dot(normal, row) == 0 for row in rows)
-    assert linalg.vec_gcd(normal) == 1
+    assert gcd(*normal) == 1
     assert next(c for c in normal if c) > 0
 
 
