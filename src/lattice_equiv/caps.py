@@ -19,7 +19,7 @@ class Caps:
     region_points: int = 40      # max lattice points in an enumerated region
     oracle_vertices: int = 8     # max vertex count for oracle_equivalent
     max_volume: int = 12         # max V for the by-volume searches
-    hull_points: int = 1000      # max points barany or lattice_points lists
+    hull_points: int = 1000      # lattice_points and barany list at most this
 
     def __post_init__(self):
         for f in fields(self):

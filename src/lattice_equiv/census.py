@@ -12,8 +12,8 @@ of bounded volume from the unimodular triangle, one lattice point at a
 time (_growth_levels).  A point u added to a form Q adds to its volume
 the sum of the triangles over the edges u sees, a convex piecewise-linear
 function of u's x on each row, so each row is walked only over the
-points whose edge half-planes keep it within the budget, skipping ahead
-exactly while it is over (_one_point_growths).
+interval its edge half-planes leave in budget (geometry._interval, the
+polytope listing's too), skipping ahead while over (_one_point_growths).
 """
 
 from collections import Counter
@@ -35,6 +35,7 @@ from .geometry import (
     LatticePolytope,
     Region,
     _capped_points,
+    _interval,
     _stored_polygon,
     _whole,
     normalized_volume,
@@ -162,16 +163,16 @@ def _one_point_growths(cycle, volume, points, max_volume):
     (0, 0), (g, 0), u lies inside P, so g*y <= max_volume; and a
     horizontal top edge bounds y too.  On a row y, -cross_e is
     dy_e*x - c_e, linear in x, so the half-planes give an exact integer
-    interval [lo, hi], and f, a sum of maxima of linear functions, is
-    convex and piecewise linear in x: its in-budget points form one run.
-    The walk starts at lo.  Convexity puts f(x + k) at or above
-    f(x) + k*s for k >= 0, where s is f's right slope at x, so over
-    budget with s >= 0 the row has nothing left, and with s < 0 nothing
-    is in budget before x + ceil((f(x) - B) / -s).  A point with f = 0
-    lies in Q; the next one outside is the least floor(c_e / dy_e) + 1
-    over dy_e > 0.  After the run, f rises at the first point over
-    budget, so s > 0 there and the row ends.  Rows and points are
-    walked in increasing order, so the yields come out in (y, x) order.
+    interval (geometry._interval), and f, a sum of maxima of linear
+    functions, is convex and piecewise linear in x: its in-budget points
+    form one run.  The walk starts at the interval's left end.  As f is
+    convex, f(x + k) >= f(x) + k*s for k >= 0, s being f's right slope
+    at x: over budget with s >= 0 the row has nothing left, and with
+    s < 0 nothing is in budget before x + ceil((f(x) - B) / -s).  A
+    point with f = 0 lies in Q; the next one outside ends Q's own
+    interval on the row (budget 0).  After the run, f rises at the first
+    point over budget, so s > 0 there and the row ends.  Rows and points
+    are walked in increasing order, so the yields come out in (y, x) order.
 
     The edges of Q that u sees form one chain, and P is Q with that
     chain replaced by u; an endpoint of the chain collinear with u and
@@ -193,9 +194,9 @@ def _one_point_growths(cycle, volume, points, max_volume):
                if not dy and dx < 0), default=max_volume // g)
     for y in range(-(budget // g), min(top, max_volume // g) + 1):
         row = [(dx * y + k, dy) for dx, dy, k in edges]
-        x = max(-((budget + c) // -dy) for c, dy in row if dy < 0)
-        hi = min((budget + c) // dy for c, dy in row if dy > 0)
-        while x <= hi:
+        span = _interval(row, budget)
+        x = span.start
+        while x < span.stop:
             crosses = [c - dy * x for c, dy in row]
             added = -sum(c for c in crosses if c < 0)
             if added > budget:
@@ -207,7 +208,7 @@ def _one_point_growths(cycle, volume, points, max_volume):
                 x += (added - budget - slope - 1) // -slope
                 continue
             if not added:
-                x = min(c // dy for c, dy in row if dy > 0) + 1
+                x = _interval(row).stop
                 continue  # u lies in Q: jump to the first point outside
             s = next(i for i in range(n) if crosses[i] < 0 <= crosses[i - 1])
             e = s

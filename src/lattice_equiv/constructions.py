@@ -14,6 +14,7 @@ from .errors import DegenerateInput, DegenerateResult, DimensionMismatch
 from .geometry import (
     LatticePolytope,
     Region,
+    _int_points,
     _polygon_point_count,
     _polytope_points,
     _region_points,
@@ -50,7 +51,7 @@ def orthant_hull_construction(r=None, *, radius_sq=None, caps=None):
     theorem before either hull is listed: above it the quarter ball
     raises RegionTooLarge, a CapExceeded (geometry._region_points), and
     the augmented hull CapExceeded (geometry._polygon_point_count).
-    Both hulls are then listed under these caps, not the environment's.
+    Both hulls are then listed under this cap too, not the environment's.
     """
     region = Region.orthant_ball(radius=r, radius_sq=radius_sq)
     if region.size < 1:
@@ -65,9 +66,9 @@ def orthant_hull_construction(r=None, *, radius_sq=None, caps=None):
     b = ((anchor, 0), (anchor, 1))
     augmented = convex_hull_2d(base.vertices + b)
     _polygon_point_count(augmented, cap)
-    base_points = set(_polytope_points(base))
+    base_points = set(_polytope_points(base, cap))
     added = tuple(
-        pt for pt in _polytope_points(augmented) if pt not in base_points)
+        pt for pt in _polytope_points(augmented, cap) if pt not in base_points)
     return ConstructionReport(
         radius_sq=region.size,
         p=p,
@@ -82,9 +83,9 @@ def orthant_hull_construction(r=None, *, radius_sq=None, caps=None):
 
 
 def shave(q, w):
-    """Remove the vertices `w` from the polygon's lattice points and
-    retake the hull.  The points are listed by lattice_points, so a
-    polygon above the environment's caps.hull_points raises CapExceeded.
+    """Remove the vertices `w` (2d points, checked by `_int_points`) from
+    the polygon's points and retake the hull.  lattice_points lists them,
+    so a polygon above the environment's caps.hull_points raises CapExceeded.
 
     Returns (polytope, normalized volume removed).  Removing the members
     of `w` one at a time, in any order, gives the same result, because a
@@ -92,7 +93,7 @@ def shave(q, w):
     """
     if q.dim != 2:
         raise DimensionMismatch("shaving is implemented for polygons")
-    doomed = set(map(tuple, w))
+    doomed = set(_int_points(w, 2, "vertices")[0])
     if not doomed <= set(q.vertices):
         raise DegenerateInput("can only shave vertices of the polytope")
     if not doomed:

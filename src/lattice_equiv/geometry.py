@@ -204,19 +204,8 @@ class LatticePolytope:
         """Whether the polytope (dim 2 or 3) holds `point`, which passes
         `_int_points` like the vertices do."""
         (point,), _ = _int_points((point,), self.dim, "point")
-        return self._contains(point)
-
-    def _contains(self, point):
-        if self.dim == 2:
-            verts = self.vertices
-            n = len(verts)
-            for i in range(n):
-                if _cross(verts[i], verts[(i + 1) % n], point) < 0:
-                    return False
-            return True
-        if self.dim == 3:
-            return _within(_facet_inequalities_3d(self), point)
-        raise DimensionMismatch("membership implemented for dim 2 and 3 only")
+        return all(linalg.vec_dot(normal, point) + offset <= 0
+                   for normal, offset in _half_spaces(self))
 
 
 def _stored_polygon(cycle):
@@ -420,9 +409,10 @@ def dilate(p, k):
 
 def lattice_points(target):
     """Sorted list of all lattice points of a Region or a LatticePolytope,
-    counted first against the environment's caps.hull_points: above it a
-    Region raises RegionTooLarge and a polygon CapExceeded (by Pick's
-    theorem).  A 3d polytope has no cheap count and is listed uncapped."""
+    held to the environment's caps.hull_points: above it a Region raises
+    RegionTooLarge at its (cap + 1)-th point, a polygon CapExceeded by
+    Pick's theorem before any point is listed, and a 3d polytope
+    CapExceeded at its (cap + 1)-th point."""
     if not isinstance(target, (Region, LatticePolytope)):
         raise DegenerateInput(f"cannot enumerate lattice points of {target!r}")
     # caps imports geometry (for _whole), so geometry imports caps here.
@@ -432,7 +422,7 @@ def lattice_points(target):
         return _region_points(target, cap)
     if target.dim == 2:
         _polygon_point_count(target, cap)
-    return _polytope_points(target)
+    return _polytope_points(target, cap)
 
 
 def _region_points(region, cap):
@@ -485,24 +475,50 @@ def _polygon_point_count(p, cap):
     return count
 
 
-def _polytope_points(p):
-    """The polytope's points in its bounding box; a 3d polytope's facets
-    are computed once for the whole box."""
-    lows, highs = p.bounding_box()
-    box = product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
+def _interval(terms, budget=0):
+    """The range of integers t with d*t - c <= budget for every term
+    (c, d), empty if a term with d == 0 fails; `terms` must hold a term
+    with d < 0 and one with d > 0."""
+    lows, highs = [], []
+    for c, d in terms:
+        if d > 0:
+            highs.append((c + budget) // d)
+        elif d < 0:
+            lows.append(-((c + budget) // -d))
+        elif c + budget < 0:
+            return range(0)
+    return range(max(lows), min(highs) + 1)
+
+
+def _half_spaces(p):
+    """The (normal, offset) pairs whose normal . x + offset <= 0 cut out a
+    polygon (one per edge) or a 3d polytope (its facets)."""
     if p.dim == 2:
-        return sorted(filter(p._contains, box))
+        verts = p.vertices
+        return [((qy - py, px - qx), (qx - px) * py - (qy - py) * px)
+                for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[:1])]
     if p.dim == 3:
-        facets = _facet_inequalities_3d(p)
-        return sorted(pt for pt in box if _within(facets, pt))
-    raise DimensionMismatch("lattice point enumeration needs dim 2 or 3")
+        return _facet_inequalities_3d(p)
+    raise DimensionMismatch("membership and listing need dim 2 or 3")
 
 
-def _within(facets, point):
-    """Whether `point` meets every facet inequality of
-    _facet_inequalities_3d."""
-    return all(linalg.vec_dot(normal, point) + offset <= 0
-               for normal, offset in facets)
+def _polytope_points(p, cap):
+    """The sorted lattice points of a polygon or a 3d polytope: for each
+    prefix of all but the last coordinate in the bounding box, the
+    _interval of the last that its _half_spaces (computed once) leave.
+    CapExceeded at point cap + 1."""
+    halves = _half_spaces(p)
+    lows, highs = p.bounding_box()
+    columns = product(*(range(lo, hi + 1)
+                        for lo, hi in zip(lows[:-1], highs[:-1])))
+    points = (prefix + (t,) for prefix in columns for t in _interval(
+        [(-linalg.vec_dot(normal[:-1], prefix) - offset, normal[-1])
+         for normal, offset in halves]))
+    listed = list(islice(points, cap + 1))
+    if len(listed) > cap:
+        raise CapExceeded(
+            f"the polytope has more lattice points than the cap {cap}")
+    return listed
 
 
 def _facet_inequalities_3d(p):

@@ -1,6 +1,7 @@
 """Shared helpers: small builders, an independent brute-force polygon
 enumerator, the volume-budgeted box search and the per-point growth step
-that the by-volume growth is checked against, the deciders' per-attempt
+that the by-volume growth is checked against, the bounding-box filter
+that the polytope listing is checked against, the deciders' per-attempt
 search that their witnesses are checked against, and random map
 generators used across the suite."""
 
@@ -9,7 +10,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from lattice_equiv import (
 from lattice_equiv.equivalence import (
     EquivalenceWitness, NotEquivalent, _canonical_cycle, _candidate_images,
     _profile)
+from lattice_equiv.geometry import _facet_inequalities_3d
 
 
 def poly(*verts):
@@ -158,6 +160,23 @@ def reference_one_point_growths(cycle, volume, points, max_volume):
                 kept.pop(0)
             kept.append((x, y))
             yield tuple(kept), volume + added
+
+
+def reference_polytope_points(p):
+    """geometry._polytope_points as it was before its column intervals,
+    and without its cap: every point of the bounding box that lies on
+    the inner side of each edge of a polygon (a cross product) or each
+    facet inequality of a 3d polytope, sorted."""
+    lows, highs = p.bounding_box()
+    box = product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
+    if p.dim == 2:
+        edges = list(zip(p.vertices, p.vertices[1:] + p.vertices[:1]))
+        return sorted(pt for pt in box
+                      if all(cross(a, b, pt) >= 0 for a, b in edges))
+    facets = _facet_inequalities_3d(p)
+    return sorted(pt for pt in box
+                  if all(linalg.vec_dot(normal, pt) + offset <= 0
+                         for normal, offset in facets))
 
 
 def reference_solve_context(vertices, combo):

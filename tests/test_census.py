@@ -13,7 +13,8 @@ import pytest
 from conftest import (
     apply_int_map, brute_polygon_sets, budgeted_root_polygons, cross,
     oracle_class_count, poly, random_unimodular, reference_one_point_growths,
-    run_in_small_address_space, seeded, strict_hull, volume_forms)
+    reference_polytope_points, run_in_small_address_space, seeded,
+    strict_hull, volume_forms)
 from lattice_equiv import (
     Caps,
     CapExceeded,
@@ -290,6 +291,27 @@ def test_grown_forms_shave_to_the_previous_level(growth_levels):
                     continue
             assert shaved
             assert any(canonical_polygon(q).vertices in below for q in shaved)
+
+
+def test_polygon_listing_matches_the_box_filter(growth_levels):
+    # The column listing, one _interval per column, against the bounding
+    # box filter it replaced, on the 268 grown forms and the census forms
+    # of every SMALL_REGIONS region; each is also refused under a cap one
+    # below its count.
+    listing = import_module("lattice_equiv.geometry")._polytope_points
+    forms = {cycle for level in growth_levels for cycle in level}
+    assert len(forms) == 268
+    for region, _, _ in SMALL_REGIONS:
+        forms.update(canonical_polygon(p).vertices
+                     for p in enumerate_convex_polygons(region))
+    assert len(forms) > 268
+    for cycle in forms:
+        p = LatticePolytope(2, cycle)
+        expected = reference_polytope_points(p)
+        assert listing(p, len(expected)) == expected, cycle
+        with pytest.raises(CapExceeded,
+                           match=f"than the cap {len(expected) - 1}$"):
+            listing(p, len(expected) - 1)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,8 @@
 """The capped quarter-ball construction and vertex shaving."""
 
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -152,6 +154,20 @@ def test_shave_requires_vertices():
     with pytest.raises(DimensionMismatch):
         shave(LatticePolytope(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0),
                                   (0, 0, 1))), ((1, 0, 0),))
+
+
+def test_shave_takes_only_integer_points():
+    # Each row equals the vertex (2, 0) under ==, but is not a lattice
+    # point of plain ints: shave refuses it as contains does, instead of
+    # shaving (2, 0).  A point of the wrong length is a DimensionMismatch.
+    tri = poly((0, 0), (2, 0), (0, 2))
+    for row in ((2.0, 0), (2, False), (Fraction(2), 0), (Decimal(2), 0)):
+        for call in (lambda: shave(tri, [row]), lambda: tri.contains(row)):
+            with pytest.raises(DegenerateInput,
+                               match="^coordinates must be plain integers"):
+                call()
+    with pytest.raises(DimensionMismatch):
+        shave(tri, [(2, 0, 0)])
 
 
 def test_shave_order_independent():

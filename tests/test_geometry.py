@@ -5,6 +5,7 @@ import gc
 import json
 import pickle
 import re
+import time
 from dataclasses import fields
 from decimal import Decimal
 from enum import IntEnum
@@ -15,7 +16,9 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import apply_int_map, cross, poly, strict_hull
+from conftest import (
+    apply_int_map, cross, poly, random_polygon, reference_polytope_points,
+    seeded, strict_hull)
 from lattice_equiv import (
     CanonicalTriangle,
     CapExceeded,
@@ -395,10 +398,13 @@ def test_lattice_points_of_polytope():
 
 def test_lattice_points_are_capped_before_they_are_listed(monkeypatch):
     # The environment's caps.hull_points (1000 by default) bounds every
-    # planar listing: a region is refused at its 1001st point, a polygon
-    # by Pick's theorem before any of its points is listed.
+    # listing: a region and a 3d polytope are refused at their 1001st
+    # point, a polygon by Pick's theorem before any of its points is
+    # listed.
     big_box = Region.box(300)
     big_triangle = dilate(poly((0, 0), (1, 0), (0, 1)), 100)
+    big_cube = dilate(
+        LatticePolytope(3, tuple(product((0, 1), repeat=3))), 40)
     with pytest.raises(RegionTooLarge,
                        match="^box:300 has more lattice points than the cap "
                              "1000$"):
@@ -408,6 +414,10 @@ def test_lattice_points_are_capped_before_they_are_listed(monkeypatch):
         lattice_points(big_triangle)
     with pytest.raises(CapExceeded, match="5151 lattice points"):
         shave(big_triangle, ((100, 0),))
+    with pytest.raises(CapExceeded,
+                       match="^the polytope has more lattice points than "
+                             "the cap 1000$"):
+        lattice_points(big_cube)
     # Pick's count refuses a polygon exactly above its cap.
     assert _polygon_point_count(big_triangle, 5151) == 5151
     with pytest.raises(CapExceeded, match="above the cap 5150$"):
@@ -416,6 +426,60 @@ def test_lattice_points_are_capped_before_they_are_listed(monkeypatch):
     assert len(lattice_points(big_box)) == 301 ** 2
     assert len(lattice_points(big_triangle)) == 5151
     assert normalized_volume(shave(big_triangle, ((100, 0),))[0]) == 9999
+    assert len(lattice_points(big_cube)) == 41 ** 3 == 68921
+
+
+def test_thin_triangle_is_listed_by_columns():
+    # The triangle (0, 0), (n, n - 1), (n + 1, n) is unimodular, so its
+    # vertices are its only lattice points, while its bounding box holds
+    # (n + 2)^2 points.  The listing takes one interval per column, not
+    # a test per point of that box.
+    n = 3000
+    vertices = ((0, 0), (n, n - 1), (n + 1, n))
+    start = time.perf_counter()
+    assert lattice_points(poly(*vertices)) == list(vertices)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_lattice_points_3d_match_the_box_filter():
+    # Seeded point sets, prisms over seeded polygons (their side facets
+    # are vertical, with normal z-component 0, so only _interval's
+    # d == 0 test cuts a column outside them) and unimodular images of
+    # both, listed by columns against the bounding-box filter; each is
+    # also refused under a cap one below its count.
+    listing = import_module("lattice_equiv.geometry")._polytope_points
+    facets = import_module("lattice_equiv.geometry")._facet_inequalities_3d
+    rng = seeded(31)
+    shapes = []
+    while len(shapes) < 20:
+        points = {tuple(rng.randint(-2, 2) for _ in range(3))
+                  for _ in range(rng.randint(4, 7))}
+        try:
+            shapes.append(LatticePolytope(3, tuple(points)))
+        except DegenerateInput:
+            continue
+    for _ in range(20):
+        base, h = random_polygon(rng, span=2), rng.randint(1, 3)
+        shapes.append(LatticePolytope(3, tuple(
+            (x, y, z) for z in (0, h) for x, y in base.vertices)))
+    for p in shapes[:]:
+        matrix = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        for _ in range(2):
+            i, j = rng.sample(range(3), 2)
+            k = rng.choice((-2, -1, 1, 2))
+            matrix[i] = [a + k * b for a, b in zip(matrix[i], matrix[j])]
+        shift = tuple(rng.randint(-3, 3) for _ in range(3))
+        shapes.append(LatticePolytope(3, tuple(
+            apply_int_map(p.vertices, matrix, shift))))
+    vertical = 0
+    for p in shapes:
+        vertical += any(normal[2] == 0 for normal, _ in facets(p))
+        expected = reference_polytope_points(p)
+        assert listing(p, len(expected)) == expected, p
+        with pytest.raises(CapExceeded,
+                           match=f"than the cap {len(expected) - 1}$"):
+            listing(p, len(expected) - 1)
+    assert vertical >= 20
 
 
 def test_dilate():
