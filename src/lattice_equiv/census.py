@@ -19,13 +19,13 @@ polytope listing's too), skipping ahead while over (_one_point_growths).
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 
 from .caps import resolve
 # bench/tracing.py patches the names it traces here; keep them bound.
 from .equivalence import (
     _canonical_cycle,
+    _form_index,
     affine_equivalent,
     affine_key,
     canonical_polygon,
@@ -317,15 +317,6 @@ def _form_counts(region, caps, workers):
             for forms in pool.map(_share_forms, tasks):
                 counts.update(forms)
     return Counter({_stored_polygon(form): n for form, n in counts.items()})
-
-
-def _form_index(cycle):
-    """sublattice_info(form).index for the canonical cycle of a form.  The
-    cycle starts at the origin, so its vertex differences are its
-    vertices, and the index of the lattice they generate is the gcd of
-    the 2x2 minors det(v_i, v_j), as in primitivity_scan's docstring."""
-    return gcd(*(x1 * y2 - y1 * x2 for (x1, y1), (x2, y2)
-                 in combinations(cycle[1:], 2)))
 
 
 def census(region, *, caps=None, workers=None):

@@ -1,13 +1,19 @@
 """Equivalence deciders and 2d canonical forms.
 
-Two lattice polytopes are affinely equivalent exactly when their vertex
-sets have equal primitive volume vectors under some ordering, so every
-decider here searches for a vertex correspondence.  The search is
-anchored: fix d+1 affinely independent vertices of P whose volume-vector
-entry is rare, try matching tuples in Q, and accept a candidate only if
-the unique affine map it determines carries vert(P) onto vert(Q) and
-passes the mode's determinant test.  The invariants the search reads
-sit in one profile per polytope, which lives exactly as long as it.
+Two polygons are unimodularly equivalent exactly when their canonical
+cycles are equal, so `decide` answers polygons in the unimodular mode,
+and in the affine mode when both have difference-lattice index 1 (an
+affine map between such polygons is unimodular), by comparing those
+cycles; the frames that build them give the witness.  Every other pair
+(3d pairs, the det_one mode, affine pairs with an index above 1) is
+searched for a vertex correspondence, as two lattice polytopes are
+affinely equivalent exactly when their vertex sets have equal primitive
+volume vectors under some ordering.  The search is anchored: fix d+1
+affinely independent vertices of P whose volume-vector entry is rare,
+try matching tuples in Q, and accept a candidate only if the unique
+affine map it determines carries vert(P) onto vert(Q) and passes the
+mode's determinant test.  The invariants the search reads sit in one
+profile per polytope, which lives exactly as long as it.
 
 Modes:
   affine      -- any invertible rational affine map
@@ -19,7 +25,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd
 from operator import mul
 
@@ -243,11 +249,81 @@ def _check_comparable(p, q, mode):
             f"cannot compare polytopes of dimension {p.dim} and {q.dim}")
 
 
+def _form_index(cycle):
+    """sublattice_info(P).index for a polygon's vertex cycle: the index in
+    Z^2 of the lattice its vertex differences generate, which is the gcd
+    of the 2x2 minors det(v_i - v_0, v_j - v_0), taken until it is 1."""
+    x0, y0 = cycle[0]
+    index = 0
+    for (x1, y1), (x2, y2) in combinations(cycle[1:], 2):
+        index = gcd(index, (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+        if index == 1:
+            break
+    return index
+
+
+def _shoelace(cycle):
+    """Twice the signed area of a vertex cycle: the normalized volume of a
+    polygon stored counterclockwise."""
+    x0, y0 = cycle[-1]
+    total = 0
+    for x1, y1 in cycle:
+        total += x0 * y1 - x1 * y0
+        x0, y0 = x1, y1
+    return total
+
+
+def _traversal(n, start, step, flipped):
+    """The indices into a cycle of n vertices that a `_canonical_frame`
+    frame reads, in the order it reads them."""
+    read = [(start + step * k) % n for k in range(n)]
+    return [n - 1 - i for i in read] if flipped else read
+
+
+def _by_frames(p, q):
+    """Unimodular equivalence of two polygons with equal vertex counts,
+    by their canonical cycles: equal cycles mean equivalent, and then P's
+    frame followed by the inverse of Q's is the witness map.  Both frames
+    have determinant +-1, so the inverse of Q's matrix ((e, f), (g, h))
+    is s * ((h, -f), (-g, e)) with s its determinant, and the map is
+    integral.  A polygon compared with itself gets the same frame on both
+    sides, hence the identity."""
+    pv, qv = p.vertices, q.vertices
+    if _shoelace(pv) != _shoelace(qv):
+        return NotEquivalent("normalized volumes differ")
+    p_form, p_flipped, (p_start, p_step, pox, poy, a, b, c, d) = \
+        _canonical_frame(pv)
+    q_form, q_flipped, (q_start, q_step, qox, qoy, e, f, g, h) = \
+        _canonical_frame(qv)
+    if p_form != q_form:
+        return NotEquivalent(
+            "no vertex correspondence extends to an affine map")
+    s = e * h - f * g
+    rows = ((s * (a * h - b * g), s * (b * e - a * f)),
+            (s * (c * h - d * g), s * (d * e - c * f)))
+    shift = (qox - pox * rows[0][0] - poy * rows[1][0],
+             qoy - pox * rows[0][1] - poy * rows[1][1])
+    n = len(pv)
+    bijection = [None] * n
+    for i, j in zip(_traversal(n, p_start, p_step, p_flipped),
+                    _traversal(n, q_start, q_step, q_flipped)):
+        bijection[i] = j
+    return EquivalenceWitness(tuple(bijection), _map_over(rows, shift, 1))
+
+
 def decide(p, q, mode):
-    """Witness of equivalence in `mode` (one of MODES), or NotEquivalent."""
+    """Witness of equivalence in `mode` (one of MODES), or NotEquivalent.
+
+    Polygons in `unimodular` mode, and in `affine` mode when both have
+    difference-lattice index 1 (an affine map between such polygons is
+    unimodular), are decided by their canonical cycles; every other pair
+    by the vertex correspondence search."""
     _check_comparable(p, q, mode)
     if len(p.vertices) != len(q.vertices):
         return NotEquivalent("vertex counts differ")
+    if p.dim == 2 and (mode == "unimodular" or mode == "affine" and (
+            _form_index(p.vertices) == 1 == _form_index(q.vertices))):
+        return _by_frames(p, q)
     pp, qp = _profile(p), _profile(q)
     if pp.direction_signature != qp.direction_signature:
         return NotEquivalent("primitive volume vectors differ as multisets")
@@ -311,7 +387,24 @@ def canonical_triangle(t):
 
 def _canonical_cycle(cycle):
     """Smallest framed cycle of a convex lattice polygon's vertex cycle
-    (either orientation), as a raw tuple in stored order.
+    (either orientation), as a raw tuple in stored order: the cycle part
+    of `_canonical_frame`, which the census and the growth key forms by."""
+    return _canonical_frame(cycle)[0]
+
+
+def _canonical_frame(cycle):
+    """(form, flipped, frame): the smallest framed cycle of a convex
+    lattice polygon's vertex cycle (either orientation), as a raw tuple
+    in stored order, and the frame that yields it.
+
+    `flipped` says whether `cycle` ran clockwise and was read reversed.
+    The frame (start, step, ox, oy, xx, xy, yx, yy) reads the (reversed,
+    if flipped) cycle c as c[start], c[start + step], ... (indices mod n,
+    step +-1) and maps each p to (p - (ox, oy)) @ ((xx, xy), (yx, yy)),
+    an integer matrix of determinant step, so that the k-th vertex read
+    lands on form[k].  Where several frames give the form (a polygon
+    with lattice symmetries), the first in the kernel's order is
+    returned, so equal cycles get equal frames.
 
     Each directed boundary edge is an anchor: its start goes to the
     origin, the edge to (g, 0) with g its lattice length, and the
@@ -329,7 +422,8 @@ def _canonical_cycle(cycle):
     """
     n = len(cycle)
     (x0, y0), (x1, y1), (x2, y2) = cycle[:3]
-    if (x1 - x0) * (y2 - y0) < (y1 - y0) * (x2 - x0):
+    flipped = (x1 - x0) * (y2 - y0) < (y1 - y0) * (x2 - x0)
+    if flipped:
         cycle = cycle[::-1]
     # Indices into the doubled cycle need no modulo: a traversal reads
     # ring[start + step * k] with 0 <= start <= n, 0 <= k < n and step
@@ -407,13 +501,13 @@ def _canonical_cycle(cycle):
         out.append(least)
         frames = tied
         k += 1
-    start, step, ox, oy, xx, xy, yx, yy = frames[0]
+    frame = start, step, ox, oy, xx, xy, yx, yy = frames[0]
     for j in range(k, n):
         px, py = ring[start + step * j]
         px -= ox
         py -= oy
         out.append((px * xx + py * yx, px * xy + py * yy))
-    return tuple(out)
+    return tuple(out), flipped, frame
 
 
 def canonical_polygon(p):

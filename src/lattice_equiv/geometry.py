@@ -8,7 +8,7 @@ affine maps act on the right: p -> p @ A + v.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice, product
+from itertools import chain, islice
 from math import gcd, isqrt, lcm
 
 from . import linalg
@@ -490,30 +490,59 @@ def _interval(terms, budget=0):
     return range(max(lows), min(highs) + 1)
 
 
+def _edge_half_spaces(cycle):
+    """The (normal, offset) pairs, one per edge, whose
+    normal . x + offset <= 0 cut out the polygon with the counterclockwise
+    vertex cycle `cycle`."""
+    return [((qy - py, px - qx), (qx - px) * py - (qy - py) * px)
+            for (px, py), (qx, qy) in zip(cycle, cycle[1:] + cycle[:1])]
+
+
 def _half_spaces(p):
     """The (normal, offset) pairs whose normal . x + offset <= 0 cut out a
     polygon (one per edge) or a 3d polytope (its facets)."""
     if p.dim == 2:
-        verts = p.vertices
-        return [((qy - py, px - qx), (qx - px) * py - (qy - py) * px)
-                for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[:1])]
+        return _edge_half_spaces(p.vertices)
     if p.dim == 3:
         return _facet_inequalities_3d(p)
     raise DimensionMismatch("membership and listing need dim 2 or 3")
 
 
+def _lift(prefixes, halves):
+    """Each prefix, in order, followed by every integer of the last
+    coordinate that the half-spaces leave it: a lazy, sorted listing when
+    the prefixes come sorted."""
+    for prefix in prefixes:
+        for t in _interval(
+                [(-linalg.vec_dot(normal[:-1], prefix) - offset, normal[-1])
+                 for normal, offset in halves]):
+            yield prefix + (t,)
+
+
+def _polygon_points(cycle):
+    """The lattice points of the polygon with the counterclockwise vertex
+    cycle `cycle`, sorted and lazily: each x of its bounding box lifted by
+    its edges."""
+    xs = [x for x, _ in cycle]
+    return _lift(((x,) for x in range(min(xs), max(xs) + 1)),
+                 _edge_half_spaces(cycle))
+
+
 def _polytope_points(p, cap):
-    """The sorted lattice points of a polygon or a 3d polytope: for each
-    prefix of all but the last coordinate in the bounding box, the
-    _interval of the last that its _half_spaces (computed once) leave.
-    CapExceeded at point cap + 1."""
-    halves = _half_spaces(p)
-    lows, highs = p.bounding_box()
-    columns = product(*(range(lo, hi + 1)
-                        for lo, hi in zip(lows[:-1], highs[:-1])))
-    points = (prefix + (t,) for prefix in columns for t in _interval(
-        [(-linalg.vec_dot(normal[:-1], prefix) - offset, normal[-1])
-         for normal, offset in halves]))
+    """The sorted lattice points of a polygon or a 3d polytope, column by
+    column: a polygon's x runs over its bounding box and a 3d polytope's
+    (x, y) over the lattice points of its (x, y) shadow, the hull of its
+    projected vertices; each column is the _interval of the last
+    coordinate that the _half_spaces (computed once) leave.  A column is
+    visited only where the polytope's projection is, so a thin polytope
+    costs its shadow's area, not its bounding box's.  CapExceeded at
+    point cap + 1."""
+    if p.dim == 2:
+        points = _polygon_points(p.vertices)
+    else:
+        halves = _half_spaces(p)  # DimensionMismatch unless dim 3
+        shadow = _hull_cycle({v[:2] for v in p.vertices})
+        points = _lift(_polygon_points(shadow), halves)
     listed = list(islice(points, cap + 1))
     if len(listed) > cap:
         raise CapExceeded(

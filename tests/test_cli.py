@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,28 @@ def test_equiv_modes(capsys, files):
                                 a, b])
     assert code == 0
     assert json.loads(out.split("\n", 1)[1])["determinant"] == "1"
+
+
+def test_equiv_unimodular_witness_carries_each_vertex(capsys, files):
+    points = [[0, 0], [3, 0], [4, 2], [1, 3]]
+    sheared = [[x + 2 * y + 1, y - 2] for x, y in points]
+    docs = ({"dim": 2, "points": points}, {"dim": 2, "points": sheared})
+    a, b = files("a.json", docs[0]), files("b.json", docs[1])
+    code, out, _ = run(capsys, ["equiv", "--mode", "unimodular", "--witness",
+                                a, b])
+    assert code == 0
+    assert out.startswith("equivalent")
+    witness = json.loads(out.split("\n", 1)[1])
+    matrix = [[Fraction(x) for x in row] for row in witness["matrix"]]
+    shift = [Fraction(x) for x in witness["translation"]]
+    assert all(x.denominator == 1 for x in (*matrix[0], *matrix[1], *shift))
+    det = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
+    assert abs(det) == 1 and witness["determinant"] == str(det)
+    p, q = (parse_polytope(json.dumps(doc))[0] for doc in docs)
+    assert sorted(witness["bijection"]) == list(range(4))
+    for (x, y), j in zip(p.vertices, witness["bijection"]):
+        assert [x * matrix[0][c] + y * matrix[1][c] + shift[c]
+                for c in (0, 1)] == list(q.vertices[j])
 
 
 def test_equiv_without_witness_is_terse(capsys, files):

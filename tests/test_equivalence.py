@@ -42,6 +42,7 @@ from lattice_equiv import (
     primitive_decomposition,
     Region,
     shrink_to_minimal_volume,
+    sublattice_info,
     unimodular_affine_equivalent,
     unimodular_equivalent,
     volume_vector,
@@ -300,26 +301,120 @@ def same_decision(got, expect):
         == (expect.bijection, expect.map.matrix, expect.map.translation)
 
 
+def by_normal_form(p, q, mode):
+    """Whether decide answers the pair by canonical cycles, not by search:
+    polygons in unimodular mode, or in affine mode when both have
+    difference-lattice index 1."""
+    return p.dim == 2 and (mode == "unimodular" or mode == "affine" and (
+        sublattice_info(p).index == 1 == sublattice_info(q).index))
+
+
+def check_unimodular_witness(w, p, q):
+    check_witness(w, p, q)
+    assert w.map.is_integral and abs(w.map.determinant) == 1
+
+
 def test_witnesses_match_the_per_attempt_reference_search():
     # The reference forms adj(M) @ N, the shift and the Fraction witness
     # on every attempt; the deciders map P's anchor coordinates instead.
-    # Both try the candidates in the same order, so every answer, reason
-    # and witness (hence `equiv --witness` output) must be the same.
+    # Both try the candidates in the same order, so on every pair that is
+    # still searched the answer, reason and witness (hence `equiv
+    # --witness` output) must be the same.  A pair decided by canonical
+    # cycles must get the reference's and the oracle's truth value, and
+    # a unimodular witness that checks exactly.
     outcomes = Counter()
     for p, q in witness_stream(seeded(211)):
         for a, b in ((p, q), (q, p)):
             for mode in MODES:
                 got = equivalence.decide(a, b, mode)
                 expect = reference_decide(a, b, mode)
-                assert same_decision(got, expect), (a, b, mode)
-                outcomes[mode, a.dim, got.reason if not got else None] += 1
+                path = by_normal_form(a, b, mode)
+                if path:
+                    assert bool(got) == bool(expect) == bool(
+                        oracle_equivalent(a, b, mode)), (a, b, mode)
+                    if got:
+                        check_unimodular_witness(got, a, b)
+                else:
+                    assert same_decision(got, expect), (a, b, mode)
+                outcomes[path, mode, a.dim, got.reason if not got else None] \
+                    += 1
                 if len(a.vertices) <= 6:
                     got = oracle_equivalent(a, b, mode)
                     assert same_decision(got, reference_oracle(a, b, mode))
     searched = "no vertex correspondence extends to an affine map"
     for mode in MODES:
-        assert min(outcomes[mode, d, None] for d in (2, 3)) >= 8
-        assert sum(outcomes[mode, d, searched] for d in (2, 3)) >= 8
+        assert min(outcomes[False, mode, d, None] for d in (2, 3)
+                   if (mode, d) != ("unimodular", 2)) >= 8
+    for mode in ("affine", "det_one"):
+        assert sum(outcomes[False, mode, d, searched] for d in (2, 3)) >= 8
+    for mode in ("affine", "unimodular"):
+        assert outcomes[True, mode, 2, None] >= 8
+        assert sum(n for (path, m, _, reason), n in outcomes.items()
+                   if path and m == mode and reason) >= 8
+    assert outcomes[True, "unimodular", 2, searched] >= 8
+
+
+def test_normal_form_answers_match_the_oracle():
+    # Polygons with 3 to 8 vertices against a unimodular image of each
+    # (determinant -1 included) and an unrelated polygon of their vertex
+    # count, and unimodular images of two distinct grown forms with equal
+    # volume and vertex count, which only the cycles tell apart: in both
+    # modes, every answer given by canonical cycles must be the oracle's,
+    # and every witness unimodular and exact.
+    rng = seeded(227)
+
+    def image(p):
+        shift = (rng.randint(-5, 5), rng.randint(-5, 5))
+        return convex_hull_2d(
+            apply_int_map(p.vertices, random_unimodular(rng), shift))
+
+    pairs = []
+    for n in range(3, 9):
+        for _ in range(12):
+            p = random_ngon(rng, n)
+            pairs += [(p, image(p)), (p, random_ngon(rng, n))]
+    groups = {}
+    census = import_module("lattice_equiv.census")
+    for level in census._growth_levels(10):
+        for cycle, volume in level.items():
+            groups.setdefault((volume, len(cycle)), []).append(poly(*cycle))
+    twins = [(a, b) for group in groups.values()
+             for a in group for b in group if a != b]
+    pairs += [(image(a), image(b)) for a, b in rng.sample(twins, 60)]
+    outcomes = Counter()
+    for p, q in pairs:
+        for mode in ("affine", "unimodular"):
+            if not by_normal_form(p, q, mode):
+                continue
+            got = equivalence.decide(p, q, mode)
+            assert bool(got) == bool(oracle_equivalent(p, q, mode))
+            if got:
+                check_unimodular_witness(got, p, q)
+            outcomes[mode, got.reason if not got else None] += 1
+    assert min(outcomes.values()) >= 8
+    assert {reason for _, reason in outcomes} == {
+        None, "normalized volumes differ",
+        "no vertex correspondence extends to an affine map"}
+
+
+def test_self_comparison_of_symmetric_polygons_is_the_identity():
+    # Every directed edge of these frames the same cycle, so the kernel
+    # keeps all 2n frames tied to the end; both sides of a self
+    # comparison must still pick the same one.
+    rng = seeded(229)
+    hexagon = ((0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1))
+    for cycle in (SQUARE.vertices, hexagon):
+        polygons = [poly(*cycle)] + [
+            poly(*apply_int_map(cycle, random_unimodular(rng),
+                                (rng.randint(-5, 5), rng.randint(-5, 5))))
+            for _ in range(10)]
+        for p in polygons:
+            for mode in ("affine", "unimodular"):
+                assert by_normal_form(p, p, mode)
+                w = equivalence.decide(p, p, mode)
+                assert w.bijection == tuple(range(len(cycle)))
+                assert w.map.matrix == ((1, 0), (0, 1))
+                assert w.map.translation == (0, 0)
 
 
 def test_witness_maps_equal_the_publicly_built_maps():
@@ -381,11 +476,21 @@ def test_each_profile_is_built_once_through_the_traced_names(monkeypatch):
     # Coordinates no other test uses, so no equal polytope has a profile.
     p = poly((203, 11), (207, 12), (206, 15), (202, 14), (201, 12))
     q = poly(*apply_int_map(p.vertices, ((1, 0), (3, 1)), (-5, 2)))
+    # Index 1: the affine and unimodular pairs are decided by canonical
+    # cycles, which build no profile.
+    for mode in ("affine", "unimodular"):
+        assert equivalence.decide(p, q, mode)
+        assert equivalence.decide(q, p, mode)
+    assert not calls
+    assert p not in equivalence._PROFILES and q not in equivalence._PROFILES
+    # Stretched to index 2, the affine and det_one pairs are searched.
+    p2 = poly(*apply_int_map(p.vertices, ((2, 0), (0, 1)), (0, 0)))
+    q2 = poly(*apply_int_map(p2.vertices, ((1, 0), (3, 1)), (-5, 2)))
     cube = tuple((x, y, z) for x in (60, 61) for y in (0, 1) for z in (0, 3))
     p3 = LatticePolytope(3, cube)
     q3 = LatticePolytope(3, tuple(apply_int_map(
         cube, ((1, 0, 0), (2, 1, 0), (0, 0, 1)), (1, 0, 0))))
-    for a, b in ((p, q), (p3, q3)):
+    for a, b in ((p2, q2), (p3, q3)):
         assert equivalence.decide(a, b, "affine")
         assert calls == {"volume_vector": 2, "primitive_decomposition": 2}
         for mode in MODES:

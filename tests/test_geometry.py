@@ -441,10 +441,29 @@ def test_thin_triangle_is_listed_by_columns():
     assert time.perf_counter() - start < 0.5
 
 
+def test_thin_tetrahedron_is_listed_over_its_shadow(monkeypatch):
+    # The tetrahedron (0,0,0), (1,0,0), (0,1,0), (300,300,1) is unimodular,
+    # so its vertices are its only lattice points, while its bounding box
+    # has 301^2 (x, y) columns.  Its (x, y) shadow holds 303 lattice
+    # points, so listing it takes one interval per shadow row and one per
+    # shadow point: 604 in all.
+    geometry = import_module("lattice_equiv.geometry")
+    calls = []
+
+    def counted(*args, _interval=geometry._interval):
+        calls.append(args)
+        return _interval(*args)
+
+    monkeypatch.setattr(geometry, "_interval", counted)
+    vertices = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (300, 300, 1))
+    assert lattice_points(LatticePolytope(3, vertices)) == sorted(vertices)
+    assert len(calls) < 1000
+
+
 def test_lattice_points_3d_match_the_box_filter():
     # Seeded point sets, prisms over seeded polygons (their side facets
-    # are vertical, with normal z-component 0, so only _interval's
-    # d == 0 test cuts a column outside them) and unimodular images of
+    # are vertical, with normal z-component 0, and project onto edges of
+    # the (x, y) shadow whose columns are listed) and unimodular images of
     # both, listed by columns against the bounding-box filter; each is
     # also refused under a cap one below its count.
     listing = import_module("lattice_equiv.geometry")._polytope_points
