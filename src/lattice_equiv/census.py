@@ -322,14 +322,13 @@ def _form_counts(region, caps, workers):
 def census(region, *, caps=None, workers=None):
     """Counts (|H|, |K|, |A|): all polygons in the region, their
     unimodular classes (distinct canonical forms), and their affine
-    classes (distinct affine keys; an index-1 form is its own key).
+    classes (distinct affine keys).
     Normalized volume is a unimodular invariant, so the histogram adds
     each form's volume once, weighted by its polygon count.  `workers`
     sizes the call's one pool, which searches and canonicalizes; see
     _form_counts."""
     counts = _form_counts(region, caps, workers)
-    keys = {form if _form_index(form.vertices) == 1 else affine_key(form)
-            for form in counts}
+    keys = {affine_key(form) for form in counts}
     histogram = Counter()
     for form, n in counts.items():
         histogram[normalized_volume(form)] += n

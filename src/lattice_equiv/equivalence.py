@@ -1,12 +1,10 @@
 """Equivalence deciders and 2d canonical forms.
 
-Two polygons are unimodularly equivalent exactly when their canonical
-cycles are equal, so `decide` answers polygons in the unimodular mode,
-and in the affine mode when both have difference-lattice index 1 (an
-affine map between such polygons is unimodular), by comparing those
-cycles; the frames that build them give the witness.  Every other pair
-(3d pairs, the det_one mode, affine pairs with an index above 1) is
-searched for a vertex correspondence, as two lattice polytopes are
+Polygons are unimodularly equivalent exactly when their canonical cycles
+are equal, and affinely equivalent exactly when the cycles of their
+minimal-volume images are, so `decide` answers every polygon pair, in
+every mode, by canonical frames.  Higher dimensions, and the factorial
+oracle, search for a vertex correspondence: two lattice polytopes are
 affinely equivalent exactly when their vertex sets have equal primitive
 volume vectors under some ordering.  The search is anchored: fix d+1
 affinely independent vertices of P whose volume-vector entry is rare,
@@ -33,14 +31,15 @@ from . import linalg
 from .caps import resolve
 from .errors import DegenerateInput, DimensionMismatch, TooLarge
 from .geometry import (
-    LatticePolytope, RationalAffineMap, _map_over, _stored_polygon, _whole)
+    LatticePolytope, RationalAffineMap, _map_over, _stored_polygon, _whole,
+    normalized_volume)
 # bench/tracing.py patches the names it traces here; keep them bound.
 from .invariants import (
     lattice_height_vector,
     primitive_decomposition,
     volume_vector,
 )
-from .lattices import shrink_to_minimal_volume
+from .lattices import _shrink
 
 MODES = ("affine", "unimodular", "det_one")
 # Command-line spelling of each mode -> its name here.
@@ -262,68 +261,73 @@ def _form_index(cycle):
     return index
 
 
-def _shoelace(cycle):
-    """Twice the signed area of a vertex cycle: the normalized volume of a
-    polygon stored counterclockwise."""
-    x0, y0 = cycle[-1]
-    total = 0
-    for x1, y1 in cycle:
-        total += x0 * y1 - x1 * y0
-        x0, y0 = x1, y1
-    return total
-
-
 def _traversal(n, start, step, flipped):
-    """The indices into a cycle of n vertices that a `_canonical_frame`
-    frame reads, in the order it reads them."""
+    """The indices of an n-cycle in the order a frame reads them."""
     read = [(start + step * k) % n for k in range(n)]
     return [n - 1 - i for i in read] if flipped else read
 
 
-def _by_frames(p, q):
-    """Unimodular equivalence of two polygons with equal vertex counts,
-    by their canonical cycles: equal cycles mean equivalent, and then P's
-    frame followed by the inverse of Q's is the witness map.  Both frames
-    have determinant +-1, so the inverse of Q's matrix ((e, f), (g, h))
-    is s * ((h, -f), (-g, e)) with s its determinant, and the map is
-    integral.  A polygon compared with itself gets the same frame on both
-    sides, hence the identity."""
-    pv, qv = p.vertices, q.vertices
-    if _shoelace(pv) != _shoelace(qv):
+def _least_image(p):
+    """(cycle, shrink): a polygon's cycle and None at index 1, else the
+    `_shrink` image (in P's vertex order) and the shrink."""
+    shrink = _shrink(p) if _form_index(p.vertices) > 1 else None
+    return (p.vertices if shrink is None else shrink[0]), shrink
+
+
+def _by_frames(p, q, mode):
+    """Equivalence of two polygons with equal vertex counts, by the
+    canonical frames of P and Q (unimodular mode) or of their shrinks P'
+    and Q'.  Equal cycles mean equivalent; the witness, built in integers
+    over P's index, is P's shrink, P's frame, the inverse of Q's frame,
+    step * ((h, -f), (-g, e)), and the inverse of Q's shrink.  The maps
+    P' -> Q' are the tied frames of P' then that inverse, and shrinks have
+    determinant 1/index > 0, so det_one asks for equal volumes (hence
+    indices) and a tied frame with the step of Q's."""
+    if mode != "affine" and normalized_volume(p) != normalized_volume(q):
         return NotEquivalent("normalized volumes differ")
-    p_form, p_flipped, (p_start, p_step, pox, poy, a, b, c, d) = \
-        _canonical_frame(pv)
-    q_form, q_flipped, (q_start, q_step, qox, qoy, e, f, g, h) = \
-        _canonical_frame(qv)
-    if p_form != q_form:
+    (pv, p_shrink), (qv, q_shrink) = ((p.vertices, None), (q.vertices, None)) \
+        if mode == "unimodular" else (_least_image(p), _least_image(q))
+    p_form, p_flipped, p_frames = _canonical_frame(pv)
+    q_form, q_flipped, (q_frame, *_) = _canonical_frame(qv)
+    q_start, q_step, qox, qoy, e, f, g, h = q_frame
+    p_frame = p_frames[0] if mode != "det_one" else next(
+        (frame for frame in p_frames if frame[1] == q_step), None)
+    if p_form != q_form or p_frame is None:
         return NotEquivalent(
             "no vertex correspondence extends to an affine map")
-    s = e * h - f * g
-    rows = ((s * (a * h - b * g), s * (b * e - a * f)),
-            (s * (c * h - d * g), s * (d * e - c * f)))
+    p_start, p_step, pox, poy, a, b, c, d = p_frame
+    rows = ((q_step * (a * h - b * g), q_step * (b * e - a * f)),
+            (q_step * (c * h - d * g), q_step * (d * e - c * f)))
     shift = (qox - pox * rows[0][0] - poy * rows[1][0],
              qoy - pox * rows[0][1] - poy * rows[1][1])
+    # The shrinks, composed in homogeneous coordinates (rows over shift).
+    index = 1
+    if q_shrink is not None:
+        _, _, _, basis, origin = q_shrink
+        shift = linalg.row_times_matrix(shift + (1,), basis + (origin,))
+        rows = linalg.mat_mul(rows, basis)
+    if p_shrink is not None:
+        _, adj, index, _, (ox, oy) = p_shrink
+        rows = linalg.mat_mul(adj, rows)
+        shift = linalg.row_times_matrix((-ox, -oy, index), rows + (shift,))
     n = len(pv)
     bijection = [None] * n
     for i, j in zip(_traversal(n, p_start, p_step, p_flipped),
                     _traversal(n, q_start, q_step, q_flipped)):
         bijection[i] = j
-    return EquivalenceWitness(tuple(bijection), _map_over(rows, shift, 1))
+    return EquivalenceWitness(tuple(bijection), _map_over(rows, shift, index))
 
 
 def decide(p, q, mode):
     """Witness of equivalence in `mode` (one of MODES), or NotEquivalent.
 
-    Polygons in `unimodular` mode, and in `affine` mode when both have
-    difference-lattice index 1 (an affine map between such polygons is
-    unimodular), are decided by their canonical cycles; every other pair
-    by the vertex correspondence search."""
+    Polygons are decided by canonical frames (`_by_frames`) in every
+    mode, other dimensions by the vertex correspondence search."""
     _check_comparable(p, q, mode)
     if len(p.vertices) != len(q.vertices):
         return NotEquivalent("vertex counts differ")
-    if p.dim == 2 and (mode == "unimodular" or mode == "affine" and (
-            _form_index(p.vertices) == 1 == _form_index(q.vertices))):
-        return _by_frames(p, q)
+    if p.dim == 2:
+        return _by_frames(p, q, mode)
     pp, qp = _profile(p), _profile(q)
     if pp.direction_signature != qp.direction_signature:
         return NotEquivalent("primitive volume vectors differ as multisets")
@@ -393,18 +397,18 @@ def _canonical_cycle(cycle):
 
 
 def _canonical_frame(cycle):
-    """(form, flipped, frame): the smallest framed cycle of a convex
+    """(form, flipped, frames): the smallest framed cycle of a convex
     lattice polygon's vertex cycle (either orientation), as a raw tuple
-    in stored order, and the frame that yields it.
+    in stored order, and the frames that yield it.
 
     `flipped` says whether `cycle` ran clockwise and was read reversed.
     The frame (start, step, ox, oy, xx, xy, yx, yy) reads the (reversed,
     if flipped) cycle c as c[start], c[start + step], ... (indices mod n,
     step +-1) and maps each p to (p - (ox, oy)) @ ((xx, xy), (yx, yy)),
     an integer matrix of determinant step, so that the k-th vertex read
-    lands on form[k].  Where several frames give the form (a polygon
-    with lattice symmetries), the first in the kernel's order is
-    returned, so equal cycles get equal frames.
+    lands on form[k].  Every frame giving the form is returned, in the
+    kernel's order: these are all the unimodular maps onto the form, each
+    fixed by the least-length edge it sends to (0, 0) -> (g, 0).
 
     Each directed boundary edge is an anchor: its start goes to the
     origin, the edge to (g, 0) with g its lattice length, and the
@@ -501,13 +505,13 @@ def _canonical_frame(cycle):
         out.append(least)
         frames = tied
         k += 1
-    frame = start, step, ox, oy, xx, xy, yx, yy = frames[0]
+    start, step, ox, oy, xx, xy, yx, yy = frames[0]
     for j in range(k, n):
         px, py = ring[start + step * j]
         px -= ox
         py -= oy
         out.append((px * xx + py * yx, px * xy + py * yy))
-    return tuple(out), flipped, frame
+    return tuple(out), flipped, frames
 
 
 def canonical_polygon(p):
@@ -524,7 +528,10 @@ def canonical_polygon(p):
 
 def affine_key(p):
     """Normal form of a polygon's affine class: the canonical polygon of
-    its minimal-volume image.  An affine map between two polygons whose
-    vertex differences generate Z^2 carries Z^2 onto Z^2, so it is
-    unimodular; hence equal keys mean exactly affine equivalence."""
-    return canonical_polygon(shrink_to_minimal_volume(p)[0])
+    its minimal-volume image (`_least_image`), stored unchecked as in
+    canonical_polygon.  An affine map between two polygons whose vertex
+    differences generate Z^2 carries Z^2 onto Z^2, so it is unimodular;
+    hence equal keys mean exactly affine equivalence."""
+    if p.dim != 2:
+        raise DimensionMismatch("affine_key expects a polygon")
+    return _stored_polygon(_canonical_cycle(_least_image(p)[0]))

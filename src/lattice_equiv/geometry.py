@@ -151,8 +151,8 @@ class LatticePolytope:
 
     The census path stores cycles it built itself without this check,
     through `_stored_polygon`: in `enumerate_convex_polygons`, in
-    `_form_counts` and in `canonical_polygon` (its docstring names the
-    test behind each).  Every other construction runs it, the
+    `_form_counts`, `canonical_polygon` and `affine_key` (its docstring
+    names the test behind each).  Every other construction runs it, the
     `shrink_to_minimal_volume` image included.
 
     Slotted, so the many polygons of a one-worker census carry no
@@ -219,8 +219,8 @@ def _stored_polygon(cycle):
     it meets this:
     - `enumerate_convex_polygons` (root-search cycles):
       test_root_search_emits_cycles_in_stored_order;
-    - `canonical_polygon` and `_form_counts` (canonical cycles, also
-      back from the pool): test_census_path_polygons_pass_the_check.
+    - `canonical_polygon`, `affine_key`, `_form_counts` (canonical
+      cycles, also from the pool): test_census_path_polygons_pass_the_check.
 
     Call it by this name.  bench/tracing.py replaces `LatticePolytope`
     in the census and equivalence namespaces by a plain function, which
@@ -384,16 +384,16 @@ def normalized_volume(p):
     """d! times the Euclidean volume, an exact positive integer.
 
     Computed by fan triangulation from the first vertex (dim 2), by the
-    simplex determinant (any dimension, d+1 vertices), or by pyramids
+    simplex determinant (other dimensions, d+1 vertices), or by pyramids
     over facet triangulations (dim 3).
     """
     verts = p.vertices
-    if len(verts) == p.dim + 1:
-        return abs(simplex_determinant(verts))
     if p.dim == 2:
         v0 = verts[0]
         return sum(_cross(v0, verts[i], verts[i + 1])
                    for i in range(1, len(verts) - 1))
+    if len(verts) == p.dim + 1:
+        return abs(simplex_determinant(verts))
     if p.dim == 3:
         return _volume_3d(p)
     raise DimensionMismatch(

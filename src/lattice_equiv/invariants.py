@@ -94,23 +94,14 @@ def volume_vector(points, dim=None):
     An entry is the determinant of its points with a column of ones
     prepended; expanding along that column makes it the alternating sum
     of the d x d determinants of its faces' points, each of which is
-    computed once for all the entries that share it.  In the plane the
-    faces of (i, j, k) are the pairs (j, k), (i, j) and (i, k), whose
-    minors are the cross products x_j*y_k - x_k*y_j and so on, so the
-    entry is the closed form m[jk] + m[ij] - m[ik].
+    computed once for all the entries that share it.
     """
     pts, d = _int_points(points, dim)
     if len(pts) < d + 1:
         raise DegenerateInput(f"need at least {d + 1} points in dimension {d}")
-    if d == 2:
-        m = [x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in combinations(pts, 2)]
-        entries = tuple(m[a] + m[b] - m[c]
-                        for (a, b), (c,) in face_positions(len(pts), 2))
-    else:
-        minor = [linalg.int_det(rows)
-                 for rows in combinations(pts, d)].__getitem__
-        entries = tuple(sum(map(minor, even)) - sum(map(minor, odd))
-                        for even, odd in face_positions(len(pts), d))
+    minor = [linalg.int_det(rows) for rows in combinations(pts, d)].__getitem__
+    entries = tuple(sum(map(minor, even)) - sum(map(minor, odd))
+                    for even, odd in face_positions(len(pts), d))
     if not any(entries):
         raise DegenerateInput("points are not full-dimensional")
     return VolumeVector(len(pts), d, entries)

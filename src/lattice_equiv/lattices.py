@@ -104,18 +104,11 @@ def attains_minimal_volume(p):
     return sublattice_info(p).index == 1
 
 
-def shrink_to_minimal_volume(p):
-    """Map a polytope onto the minimal-volume representative of its class.
-
-    Returns (image, map).  The map sends the lexicographically smallest
-    vertex o to the origin and applies the inverse of the triangular
-    difference-lattice basis B (`_map_over` divides its integer adjugate
-    by its determinant, the index), so the map's determinant is 1/index
-    and normalized_volume(p) == index * normalized_volume(image).  The
-    image is computed in integers, each vertex as (v - o) @ adj(B) // index:
-    v - o lies in the lattice B spans, so the division is exact.  On an
-    image the map is the identity, which makes the operation idempotent.
-    """
+def _shrink(p):
+    """The shrink in integers, (image, adj, index, basis, origin): v goes
+    to (v - origin) @ adj // index, exactly, in P's vertex order, with
+    origin the lex-least vertex and adj the adjugate of the triangular
+    difference-lattice basis B; the inverse is z -> z @ B + origin."""
     info = sublattice_info(p)
     adj = linalg.int_adjugate(info.basis)
     origin = min(p.vertices)
@@ -123,6 +116,16 @@ def shrink_to_minimal_volume(p):
         tuple(x // info.index for x in
               linalg.row_times_matrix(linalg.vec_sub(v, origin), adj))
         for v in p.vertices)
+    return image, adj, info.index, info.basis, origin
+
+
+def shrink_to_minimal_volume(p):
+    """Map a polytope onto the minimal-volume representative of its class.
+
+    Returns (image, map): `_shrink`'s image and v -> (v - o) @ adj(B) /
+    index, of determinant 1/index, so normalized_volume(p) == index *
+    normalized_volume(image).  On an image the map is the identity, so
+    the operation is idempotent."""
+    image, adj, index, _, origin = _shrink(p)
     shift = tuple(-x for x in linalg.row_times_matrix(origin, adj))
-    return (LatticePolytope(p.dim, image),
-            _map_over(adj, shift, info.index))
+    return LatticePolytope(p.dim, image), _map_over(adj, shift, index)

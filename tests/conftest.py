@@ -243,9 +243,10 @@ def reference_search(p, q, mode, combo, images):
 
 
 def reference_decide(p, q, mode):
-    """equivalence.decide with its search done by reference_search: the
-    same checks, anchor and candidate order, so the same answer, reason
-    and witness."""
+    """The vertex search of equivalence.decide, done by reference_search:
+    the same checks, anchor and candidate order, so for a 3d pair the same
+    answer, reason and witness as decide; polygons, which decide answers
+    by canonical frames, get the search's truth value."""
     if len(p.vertices) != len(q.vertices):
         return NotEquivalent("vertex counts differ")
     pp, qp = _profile(p), _profile(q)

@@ -862,11 +862,13 @@ def test_form_index_matches_sublattice_index():
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("region", [region for region, _, _ in SMALL_REGIONS])
 def test_census_path_polygons_pass_the_check(region, workers):
-    """enumerate_convex_polygons, canonical_polygon and _form_counts
-    store the cycles they build without LatticePolytope's check.  The
-    check must accept each of them, and leave it as it is, plain ints
-    included; the framed cycle is also checked from a unimodular image
-    of every polygon, and the forms also after a trip through the pool."""
+    """enumerate_convex_polygons, canonical_polygon, affine_key and
+    _form_counts store the cycles they build without LatticePolytope's
+    check.  The check must accept each of them, and leave it as it is,
+    plain ints included; the framed cycle is also checked from a
+    unimodular image of every polygon, the forms also after a trip
+    through the pool, and the affine key of every form, those of index
+    above 1 (framed from their shrink images) included."""
     rng = seeded(15)
     for p in enumerate_convex_polygons(region):
         image = LatticePolytope(2, tuple(apply_int_map(
@@ -878,20 +880,27 @@ def test_census_path_polygons_pass_the_check(region, workers):
             assert LatticePolytope(2, q.vertices) == q
             assert all(type(c) is int for v in q.vertices for c in v)
     form_counts = import_module("lattice_equiv.census")._form_counts
+    shrunk = 0
     for form in form_counts(region, None, workers):
-        assert LatticePolytope(2, form.vertices) == form
-        assert all(type(c) is int for v in form.vertices for c in v)
+        key = affine_key(form)
+        shrunk += not attains_minimal_volume(form)
+        for q in (form, key):
+            assert LatticePolytope(2, q.vertices) == q
+            assert all(type(c) is int for v in q.vertices for c in v)
+    assert shrunk == {"ball:2": 31, "box:3": 39, "ball:1": 2, "box:2": 8,
+                      "orthant-ball:2": 2, "orthant-ball:3": 18,
+                      }.get(region.label(), 0)
 
 
 def test_census_path_builds_no_checked_polytope(monkeypatch):
-    """No checked polytope per polygon: the census and primitivity scan
-    build none through the census and equivalence modules' names.  Not
-    none at all: census(box:3) builds 39 in lattices by design, one
-    shrink_to_minimal_volume image per index > 1 form."""
+    """No checked polytope at all: the census and primitivity scan build
+    none through the census, equivalence and lattices modules' names;
+    affine_key frames the integer image of _shrink, so the 39 index > 1
+    forms of box:3 get no shrink_to_minimal_volume polytope either."""
     def refuse(*args):
         raise AssertionError("the census path built a checked polytope")
 
-    for name in ("census", "equivalence"):
+    for name in ("census", "equivalence", "lattices"):
         # the package re-exports the census() function under the module's name
         monkeypatch.setattr(import_module("lattice_equiv." + name),
                             "LatticePolytope", refuse)

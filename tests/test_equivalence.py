@@ -83,7 +83,14 @@ def test_rescaled_triangle_pair_determinant_one():
 
 
 def test_self_comparison_is_identity():
-    for p in (UNIT, SQUARE, WIDE):
+    # WIDE (index 90) and the stretched polygons have index above 1, so
+    # each side is shrunk and framed the same way, and the shrink, the
+    # frame and their inverses cancel.
+    rng = seeded(241)
+    stretches = [poly(*apply_int_map(random_ngon(rng, n).vertices,
+                                     ((k, 0), (0, 1)), (0, 0)))
+                 for n in range(3, 8) for k in (2, 3)]
+    for p in (UNIT, SQUARE, WIDE, *stretches):
         for decide in (affine_equivalent, unimodular_equivalent,
                        unimodular_affine_equivalent):
             w = decide(p, p)
@@ -301,78 +308,97 @@ def same_decision(got, expect):
         == (expect.bijection, expect.map.matrix, expect.map.translation)
 
 
-def by_normal_form(p, q, mode):
-    """Whether decide answers the pair by canonical cycles, not by search:
-    polygons in unimodular mode, or in affine mode when both have
-    difference-lattice index 1."""
-    return p.dim == 2 and (mode == "unimodular" or mode == "affine" and (
-        sublattice_info(p).index == 1 == sublattice_info(q).index))
-
-
-def check_unimodular_witness(w, p, q):
+def check_exact_witness(w, p, q, mode):
+    """A witness checked exactly: a permutation that the map follows onto
+    Q's vertices, integral with det +-1 in the unimodular mode and of
+    det exactly +1 in the det_one mode."""
     check_witness(w, p, q)
-    assert w.map.is_integral and abs(w.map.determinant) == 1
+    det = w.map.determinant
+    assert det != 0
+    if mode == "unimodular":
+        assert w.map.is_integral and abs(det) == 1
+    if mode == "det_one":
+        assert det == 1
 
 
 def test_witnesses_match_the_per_attempt_reference_search():
     # The reference forms adj(M) @ N, the shift and the Fraction witness
     # on every attempt; the deciders map P's anchor coordinates instead.
-    # Both try the candidates in the same order, so on every pair that is
-    # still searched the answer, reason and witness (hence `equiv
-    # --witness` output) must be the same.  A pair decided by canonical
-    # cycles must get the reference's and the oracle's truth value, and
-    # a unimodular witness that checks exactly.
+    # Both try the candidates in the same order, so on every 3d pair the
+    # answer, reason and witness (hence `equiv --witness` output) must be
+    # the same.  Every polygon pair is decided by canonical frames: in
+    # all three modes it must get the reference search's and the
+    # oracle's truth value, and a witness that checks exactly.
     outcomes = Counter()
     for p, q in witness_stream(seeded(211)):
         for a, b in ((p, q), (q, p)):
             for mode in MODES:
                 got = equivalence.decide(a, b, mode)
                 expect = reference_decide(a, b, mode)
-                path = by_normal_form(a, b, mode)
-                if path:
+                if a.dim == 2:
                     assert bool(got) == bool(expect) == bool(
                         oracle_equivalent(a, b, mode)), (a, b, mode)
                     if got:
-                        check_unimodular_witness(got, a, b)
+                        check_exact_witness(got, a, b, mode)
                 else:
                     assert same_decision(got, expect), (a, b, mode)
-                outcomes[path, mode, a.dim, got.reason if not got else None] \
-                    += 1
+                outcomes[mode, a.dim, got.reason if not got else None] += 1
                 if len(a.vertices) <= 6:
                     got = oracle_equivalent(a, b, mode)
                     assert same_decision(got, reference_oracle(a, b, mode))
     searched = "no vertex correspondence extends to an affine map"
     for mode in MODES:
-        assert min(outcomes[False, mode, d, None] for d in (2, 3)
-                   if (mode, d) != ("unimodular", 2)) >= 8
-    for mode in ("affine", "det_one"):
-        assert sum(outcomes[False, mode, d, searched] for d in (2, 3)) >= 8
-    for mode in ("affine", "unimodular"):
-        assert outcomes[True, mode, 2, None] >= 8
-        assert sum(n for (path, m, _, reason), n in outcomes.items()
-                   if path and m == mode and reason) >= 8
-    assert outcomes[True, "unimodular", 2, searched] >= 8
+        for d in (2, 3):
+            assert outcomes[mode, d, None] >= 8
+            assert sum(n for (m, dim, reason), n in outcomes.items()
+                       if (m, dim) == (mode, d) and reason) >= 8
+        assert outcomes[mode, 2, searched] >= 8
+    for mode in ("unimodular", "det_one"):
+        assert outcomes[mode, 2, "normalized volumes differ"] >= 8
+
+
+def stretched(cycle, k, axis=0):
+    return [tuple(k * c if i == axis else c for i, c in enumerate(v))
+            for v in cycle]
+
+
+def mirrored(cycle):
+    return [(-x, y) for x, y in cycle]
+
+
+def unimodular_image(rng, cycle):
+    """The cycle under a random unimodular map and shift, and the map's
+    determinant."""
+    m = random_unimodular(rng)
+    shift = (rng.randint(-5, 5), rng.randint(-5, 5))
+    image = poly(*strict_hull(apply_int_map(cycle, m, shift)))
+    return image, m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
 def test_normal_form_answers_match_the_oracle():
-    # Polygons with 3 to 8 vertices against a unimodular image of each
-    # (determinant -1 included) and an unrelated polygon of their vertex
-    # count, and unimodular images of two distinct grown forms with equal
-    # volume and vertex count, which only the cycles tell apart: in both
-    # modes, every answer given by canonical cycles must be the oracle's,
-    # and every witness unimodular and exact.
+    # Polygons with 3 to 8 vertices against a unimodular image (determinant
+    # -1 included) of each, of its mirror, of its stretch by k = 2 or 3 and
+    # of an unrelated polygon of their vertex count, the stretch along x
+    # against an image of the stretch along y, and unimodular images of
+    # two distinct grown forms with equal volume and vertex count, which
+    # only the cycles tell apart: in every mode, each answer given by
+    # canonical frames must be the oracle's, and each witness must check
+    # exactly.
     rng = seeded(227)
 
     def image(p):
-        shift = (rng.randint(-5, 5), rng.randint(-5, 5))
-        return convex_hull_2d(
-            apply_int_map(p.vertices, random_unimodular(rng), shift))
+        return unimodular_image(rng, p.vertices)[0]
 
     pairs = []
     for n in range(3, 9):
         for _ in range(12):
             p = random_ngon(rng, n)
-            pairs += [(p, image(p)), (p, random_ngon(rng, n))]
+            k = rng.choice((2, 3))
+            wide = poly(*stretched(p.vertices, k))
+            tall = poly(*stretched(p.vertices, k, axis=1))
+            pairs += [(p, image(p)), (p, random_ngon(rng, n)),
+                      (p, image(poly(*mirrored(p.vertices)))),
+                      (p, image(wide)), (wide, image(tall))]
     groups = {}
     census = import_module("lattice_equiv.census")
     for level in census._growth_levels(10):
@@ -383,13 +409,11 @@ def test_normal_form_answers_match_the_oracle():
     pairs += [(image(a), image(b)) for a, b in rng.sample(twins, 60)]
     outcomes = Counter()
     for p, q in pairs:
-        for mode in ("affine", "unimodular"):
-            if not by_normal_form(p, q, mode):
-                continue
+        for mode in MODES:
             got = equivalence.decide(p, q, mode)
             assert bool(got) == bool(oracle_equivalent(p, q, mode))
             if got:
-                check_unimodular_witness(got, p, q)
+                check_exact_witness(got, p, q, mode)
             outcomes[mode, got.reason if not got else None] += 1
     assert min(outcomes.values()) >= 8
     assert {reason for _, reason in outcomes} == {
@@ -409,12 +433,84 @@ def test_self_comparison_of_symmetric_polygons_is_the_identity():
                                 (rng.randint(-5, 5), rng.randint(-5, 5))))
             for _ in range(10)]
         for p in polygons:
-            for mode in ("affine", "unimodular"):
-                assert by_normal_form(p, p, mode)
+            for mode in MODES:
                 w = equivalence.decide(p, p, mode)
                 assert w.bijection == tuple(range(len(cycle)))
                 assert w.map.matrix == ((1, 0), (0, 1))
                 assert w.map.translation == (0, 0)
+
+
+CHIRAL = ((0, 0), (1, 0), (3, 2), (0, 1))
+
+
+def test_chiral_quadrilateral_against_images_of_its_mirror():
+    # CHIRAL has no lattice symmetry of determinant -1, so a map onto its
+    # mirror has determinant -1: a unimodular image of the mirror under a
+    # map of determinant det is an image of CHIRAL of determinant -det,
+    # hence det_one-equivalent to it exactly when det is -1.  Stretched
+    # by 2, both sides have index 2 and are compared through their shrinks.
+    assert not oracle_equivalent(poly(*CHIRAL), poly(*mirrored(CHIRAL)),
+                                 "det_one")
+    rng = seeded(233)
+    dets = Counter()
+    for k in (1, 2):
+        p = poly(*stretched(CHIRAL, k))
+        for _ in range(20):
+            q, det = unimodular_image(rng, mirrored(p.vertices))
+            dets[det] += 1
+            for a, b in ((p, q), (q, p)):
+                for mode in MODES:
+                    got = equivalence.decide(a, b, mode)
+                    assert bool(got) == (mode != "det_one" or det == -1), \
+                        (a, b, mode)
+                    if got:
+                        check_exact_witness(got, a, b, mode)
+    assert min(dets[1], dets[-1]) >= 8
+
+
+def test_reflection_symmetric_polygons_are_det_one_equivalent_to_mirrors():
+    # Each has a lattice reflection, so its mirror images are det_one
+    # images of it too, and the witness must use a frame of P whose
+    # orientation matches Q's.  The kite has index 2.
+    rng = seeded(239)
+    kite = ((0, 0), (2, 1), (0, 3), (-2, 1))
+    pentagon = ((0, 0), (1, 0), (2, 1), (1, 2), (0, 1))
+    for cycle in (kite, pentagon, stretched(pentagon, 3, axis=1)):
+        p = poly(*cycle)
+        for _ in range(12):
+            q, _ = unimodular_image(rng, mirrored(cycle))
+            for a, b in ((p, q), (q, p)):
+                for mode in MODES:
+                    got = equivalence.decide(a, b, mode)
+                    check_exact_witness(got, a, b, mode)
+
+
+def test_triangles_of_index_eight_are_det_one_equivalent():
+    # Both have index 8 and normalized volume 8; the shrinks carry both
+    # onto unimodular triangles, and the witness undoes Q's shrink.  The
+    # swap of coordinates carries P onto Q too, with determinant -1.
+    p = poly((0, 0), (4, 0), (0, 2))
+    q = poly((0, 0), (2, 0), (0, 4))
+    assert sublattice_info(p).index == sublattice_info(q).index == 8
+    w = unimodular_affine_equivalent(p, q)
+    check_exact_witness(w, p, q, "det_one")
+    assert w.map.matrix == ((Fraction(1, 2), 0), (0, 2))
+    assert w.map.translation == (0, 0)
+    for mode in ("affine", "unimodular"):
+        check_exact_witness(equivalence.decide(p, q, mode), p, q, mode)
+
+
+def test_polygon_pairs_never_reach_the_vertex_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a polygon pair reached the vertex search")
+
+    monkeypatch.setattr(equivalence, "_search", refuse)
+    decided = Counter()
+    for p, q in witness_stream(seeded(257)):
+        if p.dim == 2:
+            for mode in MODES:
+                decided[mode, bool(equivalence.decide(p, q, mode))] += 1
+    assert min(decided.values()) >= 40
 
 
 def test_witness_maps_equal_the_publicly_built_maps():
@@ -476,28 +572,29 @@ def test_each_profile_is_built_once_through_the_traced_names(monkeypatch):
     # Coordinates no other test uses, so no equal polytope has a profile.
     p = poly((203, 11), (207, 12), (206, 15), (202, 14), (201, 12))
     q = poly(*apply_int_map(p.vertices, ((1, 0), (3, 1)), (-5, 2)))
-    # Index 1: the affine and unimodular pairs are decided by canonical
-    # cycles, which build no profile.
-    for mode in ("affine", "unimodular"):
-        assert equivalence.decide(p, q, mode)
-        assert equivalence.decide(q, p, mode)
-    assert not calls
-    assert p not in equivalence._PROFILES and q not in equivalence._PROFILES
-    # Stretched to index 2, the affine and det_one pairs are searched.
+    # Polygons, at index 1 and stretched to index 2, are decided by
+    # canonical frames in every mode, which build no profile.
     p2 = poly(*apply_int_map(p.vertices, ((2, 0), (0, 1)), (0, 0)))
     q2 = poly(*apply_int_map(p2.vertices, ((1, 0), (3, 1)), (-5, 2)))
+    for a, b in ((p, q), (p2, q2)):
+        for mode in MODES:
+            assert equivalence.decide(a, b, mode)
+            assert equivalence.decide(b, a, mode)
+        assert a not in equivalence._PROFILES
+        assert b not in equivalence._PROFILES
+    assert not calls
+    # A 3d pair is searched: one profile each, however often it is asked.
     cube = tuple((x, y, z) for x in (60, 61) for y in (0, 1) for z in (0, 3))
     p3 = LatticePolytope(3, cube)
     q3 = LatticePolytope(3, tuple(apply_int_map(
         cube, ((1, 0, 0), (2, 1, 0), (0, 0, 1)), (1, 0, 0))))
-    for a, b in ((p2, q2), (p3, q3)):
-        assert equivalence.decide(a, b, "affine")
-        assert calls == {"volume_vector": 2, "primitive_decomposition": 2}
-        for mode in MODES:
-            assert equivalence.decide(a, b, mode)
-            assert equivalence.decide(b, a, mode)
-        assert calls == {"volume_vector": 2, "primitive_decomposition": 2}
-        calls.clear()
+    assert equivalence.decide(p3, q3, "affine")
+    assert calls == {"volume_vector": 2, "primitive_decomposition": 2}
+    for mode in MODES:
+        assert equivalence.decide(p3, q3, mode)
+        assert equivalence.decide(q3, p3, mode)
+    assert calls == {"volume_vector": 2, "primitive_decomposition": 2}
+    assert p3 in equivalence._PROFILES and q3 in equivalence._PROFILES
 
 
 def test_content_check_and_search_agree_with_oracle_on_box_forms():
