@@ -25,7 +25,6 @@ from .caps import resolve
 # bench/tracing.py patches the names it traces here; keep them bound.
 from .equivalence import (
     _canonical_cycle,
-    _form_index,
     affine_equivalent,
     affine_key,
     canonical_polygon,
@@ -41,7 +40,7 @@ from .geometry import (
     normalized_volume,
 )
 # No census code calls sublattice_info; bench/tracing.py still patches it.
-from .lattices import sublattice_info
+from .lattices import _form_index, sublattice_info
 
 
 @dataclass(frozen=True)

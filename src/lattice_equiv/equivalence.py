@@ -2,16 +2,17 @@
 
 Polygons are unimodularly equivalent exactly when their canonical cycles
 are equal, and affinely equivalent exactly when the cycles of their
-minimal-volume images are, so `decide` answers every polygon pair, in
-every mode, by canonical frames.  Higher dimensions, and the factorial
-oracle, search for a vertex correspondence: two lattice polytopes are
-affinely equivalent exactly when their vertex sets have equal primitive
-volume vectors under some ordering.  The search is anchored: fix d+1
-affinely independent vertices of P whose volume-vector entry is rare,
-try matching tuples in Q, and accept a candidate only if the unique
-affine map it determines carries vert(P) onto vert(Q) and passes the
-mode's determinant test.  The invariants the search reads sit in one
-profile per polytope, which lives exactly as long as it.
+minimal-volume images (`lattices._least_image`) are, so `decide` answers
+every polygon pair, in every mode, by canonical frames.  Higher
+dimensions, and the factorial oracle, search for a vertex
+correspondence: two lattice polytopes are affinely equivalent exactly
+when their vertex sets have equal primitive volume vectors under some
+ordering.  The search is anchored: fix d+1 affinely independent vertices
+of P whose volume-vector entry is rare, try matching tuples in Q, and
+accept a candidate only if the unique affine map it determines carries
+vert(P) onto vert(Q) and passes the mode's determinant test.  The
+invariants the search reads sit in one profile per polytope, which lives
+exactly as long as it.
 
 Modes:
   affine      -- any invertible rational affine map
@@ -23,7 +24,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import permutations
 from math import gcd
 from operator import mul
 
@@ -39,7 +40,7 @@ from .invariants import (
     primitive_decomposition,
     volume_vector,
 )
-from .lattices import _shrink
+from .lattices import _least_image
 
 MODES = ("affine", "unimodular", "det_one")
 # Command-line spelling of each mode -> its name here.
@@ -248,30 +249,10 @@ def _check_comparable(p, q, mode):
             f"cannot compare polytopes of dimension {p.dim} and {q.dim}")
 
 
-def _form_index(cycle):
-    """sublattice_info(P).index for a polygon's vertex cycle: the index in
-    Z^2 of the lattice its vertex differences generate, which is the gcd
-    of the 2x2 minors det(v_i - v_0, v_j - v_0), taken until it is 1."""
-    x0, y0 = cycle[0]
-    index = 0
-    for (x1, y1), (x2, y2) in combinations(cycle[1:], 2):
-        index = gcd(index, (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
-        if index == 1:
-            break
-    return index
-
-
 def _traversal(n, start, step, flipped):
     """The indices of an n-cycle in the order a frame reads them."""
     read = [(start + step * k) % n for k in range(n)]
     return [n - 1 - i for i in read] if flipped else read
-
-
-def _least_image(p):
-    """(cycle, shrink): a polygon's cycle and None at index 1, else the
-    `_shrink` image (in P's vertex order) and the shrink."""
-    shrink = _shrink(p) if _form_index(p.vertices) > 1 else None
-    return (p.vertices if shrink is None else shrink[0]), shrink
 
 
 def _by_frames(p, q, mode):

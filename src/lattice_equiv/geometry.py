@@ -36,13 +36,24 @@ def _exact(value, name):
     return Fraction(value)
 
 
+def _plain_ints(rows, what):
+    """Refuse, with DegenerateInput, any entry of the rows that is not a
+    plain int: a bool, float, Fraction, str or Decimal would be read
+    inexactly or by guess; an int subclass is kept as given."""
+    if not all(type(c) is int for row in rows for c in row):
+        for c in chain.from_iterable(rows):
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise DegenerateInput(
+                    f"{what} must be plain integers, got {c!r}")
+
+
 def _int_points(points, dim=None, what="points"):
     """The points as coordinate tuples, and their dimension: the one check
     of points from outside the package, a single point passed as (point,).
 
-    Every coordinate must be a plain int (a bool is not; an int subclass
-    is kept as given), and every point `dim` long.  `dim`, taken from the
-    first point when it is None, passes `_whole` as an integer >= 1.
+    Every coordinate must pass `_plain_ints`, and every point be `dim`
+    long.  `dim`, taken from the first point when it is None, passes
+    `_whole` as an integer >= 1.
     """
     try:
         pts = tuple(map(tuple, points))
@@ -50,11 +61,7 @@ def _int_points(points, dim=None, what="points"):
         raise DegenerateInput(
             f"{what} {points!r} are not a sequence of "
             f"coordinate sequences") from None
-    if not all(type(c) is int for p in pts for c in p):
-        for c in chain.from_iterable(pts):
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise DegenerateInput(
-                    f"coordinates must be plain integers, got {c!r}")
+    _plain_ints(pts, "coordinates")
     if dim is None:
         if not pts:
             raise DegenerateInput("empty point set")

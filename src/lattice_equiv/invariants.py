@@ -13,7 +13,7 @@ from math import gcd
 
 from . import linalg
 from .errors import DegenerateInput, DimensionMismatch, ZeroVector
-from .geometry import _int_points
+from .geometry import _int_points, _plain_ints
 
 
 @lru_cache(maxsize=None)
@@ -112,9 +112,14 @@ def primitive_decomposition(w):
 
     The direction has coprime entries and a positive first nonzero entry;
     the signed content absorbs the rest.  Raises ZeroVector on the zero
-    vector.
+    vector, and DegenerateInput on a raw sequence with an entry that is
+    not a plain int (`_plain_ints`); a VolumeVector is read unchecked.
     """
-    entries = tuple(w.entries) if isinstance(w, VolumeVector) else tuple(w)
+    if isinstance(w, VolumeVector):
+        entries = w.entries
+    else:
+        entries = tuple(w)
+        _plain_ints((entries,), "volume vector entries")
     g = gcd(*entries)
     if g == 0:
         raise ZeroVector("volume vector is identically zero")

@@ -3,14 +3,18 @@
 A polytope attains the minimal volume in its affine equivalence class
 exactly when its vertex differences generate all of Z^d; the shrink map
 below sends any polytope to such a representative by the inverse of a
-triangular basis of the difference lattice.
+triangular basis of the difference lattice.  One elimination serves
+`hnf` and the basis, and census and equivalence read a polygon's index
+and minimal-volume image here.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import gcd, prod
 
 from . import linalg
 from .errors import DegenerateInput
-from .geometry import LatticePolytope, _map_over
+from .geometry import LatticePolytope, _map_over, _plain_ints
 
 
 @dataclass(frozen=True)
@@ -27,24 +31,18 @@ class HnfResult:
     pivot_columns: tuple
 
 
-def hnf(rows):
-    m = len(rows)
-    if m == 0:
-        raise DegenerateInput("empty matrix")
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise DegenerateInput("ragged matrix")
-    h = [list(r) for r in rows]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
+def _echelon(h, n):
+    """Bring the first n columns of the int rows h (a list whose rows are
+    replaced, not written into) to Hermite form in place; later columns
+    take the same row operations.  Returns (rank, pivot columns)."""
     row = 0
     pivots = []
     for col in range(n):
-        pivot = next((i for i in range(row, m) if h[i][col]), None)
+        pivot = next((i for i in range(row, len(h)) if h[i][col]), None)
         if pivot is None:
             continue
         h[row], h[pivot] = h[pivot], h[row]
-        u[row], u[pivot] = u[pivot], u[row]
-        for i in range(row + 1, m):
+        for i in range(row + 1, len(h)):
             if not h[i][col]:
                 continue
             a, b = h[row][col], h[i][col]
@@ -54,26 +52,32 @@ def hnf(rows):
                 [x * ra + y * rb for ra, rb in zip(h[row], h[i])],
                 [p * ra + q * rb for ra, rb in zip(h[row], h[i])],
             )
-            u[row], u[i] = (
-                [x * ra + y * rb for ra, rb in zip(u[row], u[i])],
-                [p * ra + q * rb for ra, rb in zip(u[row], u[i])],
-            )
         if h[row][col] < 0:
             h[row] = [-x for x in h[row]]
-            u[row] = [-x for x in u[row]]
         for i in range(row):
             q = h[i][col] // h[row][col]
             if q:
                 h[i] = [a - q * b for a, b in zip(h[i], h[row])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[row])]
         pivots.append(col)
         row += 1
-    return HnfResult(
-        tuple(tuple(r) for r in h),
-        tuple(tuple(r) for r in u),
-        row,
-        tuple(pivots),
-    )
+    return row, tuple(pivots)
+
+
+def hnf(rows):
+    """HnfResult of a matrix of plain ints (`geometry._plain_ints`); U is
+    what `_echelon`'s row operations make of an appended identity block."""
+    m = len(rows)
+    if m == 0:
+        raise DegenerateInput("empty matrix")
+    n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise DegenerateInput("ragged matrix")
+    _plain_ints(rows, "matrix entries")
+    h = [list(r) + [int(i == j) for j in range(m)]
+         for i, r in enumerate(rows)]
+    rank, pivots = _echelon(h, n)
+    return HnfResult(tuple(tuple(r[:n]) for r in h),
+                     tuple(tuple(r[n:]) for r in h), rank, pivots)
 
 
 @dataclass(frozen=True)
@@ -88,14 +92,10 @@ def sublattice_info(p):
     v_i - v_1)."""
     anchor = p.vertices[0]
     diffs = [linalg.vec_sub(q, anchor) for q in p.vertices[1:]]
-    result = hnf(diffs)
-    if result.rank != p.dim:
+    if _echelon(diffs, p.dim)[0] != p.dim:
         raise DegenerateInput("difference lattice is not full-dimensional")
-    basis = result.h[:p.dim]
-    index = 1
-    for i in range(p.dim):
-        index *= basis[i][i]
-    return SublatticeInfo(basis, index)
+    basis = tuple(map(tuple, diffs[:p.dim]))
+    return SublatticeInfo(basis, prod(basis[i][i] for i in range(p.dim)))
 
 
 def attains_minimal_volume(p):
@@ -117,6 +117,26 @@ def _shrink(p):
               linalg.row_times_matrix(linalg.vec_sub(v, origin), adj))
         for v in p.vertices)
     return image, adj, info.index, info.basis, origin
+
+
+def _form_index(cycle):
+    """sublattice_info(P).index for a polygon's vertex cycle: the index in
+    Z^2 of the lattice its vertex differences generate, which is the gcd
+    of the 2x2 minors det(v_i - v_0, v_j - v_0), taken until it is 1."""
+    x0, y0 = cycle[0]
+    index = 0
+    for (x1, y1), (x2, y2) in combinations(cycle[1:], 2):
+        index = gcd(index, (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+        if index == 1:
+            break
+    return index
+
+
+def _least_image(p):
+    """(cycle, shrink): a polygon's cycle and None at index 1, else the
+    `_shrink` image (in P's vertex order) and the shrink."""
+    shrink = _shrink(p) if _form_index(p.vertices) > 1 else None
+    return (p.vertices if shrink is None else shrink[0]), shrink
 
 
 def shrink_to_minimal_volume(p):

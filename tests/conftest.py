@@ -2,8 +2,10 @@
 enumerator, the volume-budgeted box search and the per-point growth step
 that the by-volume growth is checked against, the bounding-box filter
 that the polytope listing is checked against, the deciders' per-attempt
-search that their witnesses are checked against, and random map
-generators used across the suite."""
+search that their witnesses are checked against, the two-list Hermite
+form that `hnf` and `sublattice_info` are checked against, the small
+regions and 3d shapes several modules test on, and random map generators
+used across the suite."""
 
 import os
 import random
@@ -16,12 +18,35 @@ from pathlib import Path
 
 import lattice_equiv
 from lattice_equiv import (
-    LatticePolytope, RationalAffineMap, Region, lattice_points, linalg,
-    oracle_equivalent)
+    DegenerateInput, HnfResult, LatticePolytope, RationalAffineMap, Region,
+    lattice_points, linalg, oracle_equivalent)
 from lattice_equiv.equivalence import (
     EquivalenceWitness, NotEquivalent, _canonical_cycle, _candidate_images,
     _profile)
 from lattice_equiv.geometry import _facet_inequalities_3d
+
+
+# Every ball, box and orthant ball of integer size with at most 16 lattice
+# points, with its census A and K.
+SMALL_REGIONS = [
+    (Region.ball(2), 44, 75),
+    (Region.box(3), 109, 148),
+    (Region.ball(0), 0, 0),
+    (Region.ball(1), 2, 3),
+    (Region.box(1), 2, 2),
+    (Region.box(2), 9, 17),
+    (Region.orthant_ball(1), 1, 1),
+    (Region.orthant_ball(2), 3, 5),
+    (Region.orthant_ball(3), 25, 43),
+]
+
+CUBE = tuple((x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1))
+FRUSTUM = ((0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0),
+           (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
+OCTAHEDRON = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+              (0, 0, 1), (0, 0, -1))
+PRISM = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1))
+SIMPLEX = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def poly(*verts):
@@ -179,6 +204,58 @@ def reference_polytope_points(p):
                          for normal, offset in facets))
 
 
+def reference_hnf(rows):
+    """lattices.hnf as it was when it carried U as a second list of rows
+    through every row operation, frozen: the reference that the single
+    elimination, with U read off an identity block, must equal exactly."""
+    m = len(rows)
+    if m == 0:
+        raise DegenerateInput("empty matrix")
+    n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise DegenerateInput("ragged matrix")
+    h = [list(r) for r in rows]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    row = 0
+    pivots = []
+    for col in range(n):
+        pivot = next((i for i in range(row, m) if h[i][col]), None)
+        if pivot is None:
+            continue
+        h[row], h[pivot] = h[pivot], h[row]
+        u[row], u[pivot] = u[pivot], u[row]
+        for i in range(row + 1, m):
+            if not h[i][col]:
+                continue
+            a, b = h[row][col], h[i][col]
+            g, x, y = linalg.egcd(a, b)
+            p, q = -(b // g), a // g
+            h[row], h[i] = (
+                [x * ra + y * rb for ra, rb in zip(h[row], h[i])],
+                [p * ra + q * rb for ra, rb in zip(h[row], h[i])],
+            )
+            u[row], u[i] = (
+                [x * ra + y * rb for ra, rb in zip(u[row], u[i])],
+                [p * ra + q * rb for ra, rb in zip(u[row], u[i])],
+            )
+        if h[row][col] < 0:
+            h[row] = [-x for x in h[row]]
+            u[row] = [-x for x in u[row]]
+        for i in range(row):
+            q = h[i][col] // h[row][col]
+            if q:
+                h[i] = [a - q * b for a, b in zip(h[i], h[row])]
+                u[i] = [a - q * b for a, b in zip(u[i], u[row])]
+        pivots.append(col)
+        row += 1
+    return HnfResult(
+        tuple(tuple(r) for r in h),
+        tuple(tuple(r) for r in u),
+        row,
+        tuple(pivots),
+    )
+
+
 def reference_solve_context(vertices, combo):
     """The anchor tuple, its base vertex, and det and adjugate of its
     difference matrix."""
@@ -292,6 +369,18 @@ def random_unimodular(rng, shears=4):
     if rng.random() < 0.5:
         m = [m[1], m[0]]
     return tuple(tuple(row) for row in m)
+
+
+def random_unimodular_3d(rng):
+    """Product of integer row shears, then an optional row swap."""
+    m = [[int(i == j) for j in range(3)] for i in range(3)]
+    for _ in range(4):
+        src, dst = rng.sample(range(3), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        m[dst] = [a + k * b for a, b in zip(m[dst], m[src])]
+    if rng.random() < 0.5:
+        m[0], m[1] = m[1], m[0]
+    return tuple(map(tuple, m))
 
 
 def apply_int_map(points, matrix, shift):

@@ -11,10 +11,10 @@ from itertools import product
 import pytest
 
 from conftest import (
-    apply_int_map, brute_polygon_sets, budgeted_root_polygons, cross,
-    oracle_class_count, poly, random_unimodular, reference_one_point_growths,
-    reference_polytope_points, run_in_small_address_space, seeded,
-    strict_hull, volume_forms)
+    SMALL_REGIONS, apply_int_map, brute_polygon_sets, budgeted_root_polygons,
+    cross, oracle_class_count, poly, random_unimodular,
+    reference_one_point_growths, reference_polytope_points,
+    run_in_small_address_space, seeded, strict_hull, volume_forms)
 from lattice_equiv import (
     Caps,
     CapExceeded,
@@ -648,21 +648,6 @@ def pairwise_affine_class_count(polys):
         if not any(affine_equivalent(form, seen) for seen in classes):
             classes.append(form)
     return len(classes)
-
-
-# Every ball, box and orthant ball of integer size with at most 16 lattice
-# points, with its census A and K.
-SMALL_REGIONS = [
-    (Region.ball(2), 44, 75),
-    (Region.box(3), 109, 148),
-    (Region.ball(0), 0, 0),
-    (Region.ball(1), 2, 3),
-    (Region.box(1), 2, 2),
-    (Region.box(2), 9, 17),
-    (Region.orthant_ball(1), 1, 1),
-    (Region.orthant_ball(2), 3, 5),
-    (Region.orthant_ball(3), 25, 43),
-]
 
 
 @pytest.mark.parametrize("region, expected",

@@ -11,12 +11,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    CUBE,
+    FRUSTUM,
+    OCTAHEDRON,
+    PRISM,
+    SIMPLEX,
     apply_int_map,
     budgeted_root_polygons,
     oracle_class_count,
     poly,
     random_polygon,
     random_unimodular,
+    random_unimodular_3d,
     reference_decide,
     reference_oracle,
     seeded,
@@ -238,25 +244,6 @@ def random_ngon(rng, n):
             return LatticePolytope(2, tuple(hull))
 
 
-def random_unimodular_3d(rng):
-    """Product of integer row shears, then an optional row swap."""
-    m = [[int(i == j) for j in range(3)] for i in range(3)]
-    for _ in range(4):
-        src, dst = rng.sample(range(3), 2)
-        k = rng.choice((-2, -1, 1, 2))
-        m[dst] = [a + k * b for a, b in zip(m[dst], m[src])]
-    if rng.random() < 0.5:
-        m[0], m[1] = m[1], m[0]
-    return tuple(map(tuple, m))
-
-
-CUBE = tuple((x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1))
-FRUSTUM = ((0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0),
-           (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
-OCTAHEDRON = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-              (0, 0, 1), (0, 0, -1))
-PRISM = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1))
-SIMPLEX = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 # Each 3d shape and one with the same vertex count that is not its image.
 SHAPES_3D = ((CUBE, FRUSTUM), (OCTAHEDRON, PRISM), (PRISM, OCTAHEDRON),
              (SIMPLEX, ((0, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 3))))

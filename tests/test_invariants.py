@@ -1,6 +1,7 @@
 """Volume vectors, primitive decomposition, hyperplanes, lattice heights."""
 
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -83,6 +84,16 @@ def test_primitive_decomposition_reproduces():
 def test_primitive_decomposition_zero():
     with pytest.raises(ZeroVector):
         primitive_decomposition((0, 0, 0))
+
+
+@pytest.mark.parametrize("entries", [
+    [0.5, 1], [Fraction(2), 4], ["a"], [True, 2], [2, Decimal(4)], (3, 1.0),
+], ids=["float", "fraction", "str", "bool", "decimal", "later-float"])
+def test_primitive_decomposition_refuses_entries_that_are_not_plain_ints(
+        entries):
+    # A raw sequence is checked as point coordinates are.
+    with pytest.raises(DegenerateInput, match="plain integers"):
+        primitive_decomposition(entries)
 
 
 def test_primitive_hyperplane_examples():

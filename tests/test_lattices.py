@@ -1,21 +1,35 @@
 """Hermite normal form, sublattice index, and the minimal-volume shrink."""
 
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
+from importlib import import_module
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import poly, random_polygon, seeded
+from conftest import (
+    CUBE, FRUSTUM, OCTAHEDRON, PRISM, SMALL_REGIONS, apply_int_map, poly,
+    random_polygon, random_unimodular, random_unimodular_3d, reference_hnf,
+    seeded)
 from lattice_equiv import (
+    DegenerateInput,
     LatticePolytope,
+    Region,
+    SublatticeInfo,
+    affine_key,
     attains_minimal_volume,
+    build_volume_representatives,
+    census,
     dilate,
     hnf,
     normalized_volume,
     shrink_to_minimal_volume,
     sublattice_info,
 )
+from lattice_equiv.equivalence import decide
 
 UNIT = poly((0, 0), (1, 0), (0, 1))
 SQUARE = poly((0, 0), (1, 0), (1, 1), (0, 1))
@@ -59,6 +73,139 @@ def test_hnf_shape_properties(rows):
         for j in range(3):
             got = sum(r.u[i][k] * rows[k][j] for k in range(len(rows)))
             assert got == r.h[i][j]
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([], "empty matrix"),
+    ([[0.5], [1, 2]], "ragged matrix"),
+    ([[0.5, 1], [1, 0]], "plain integers, got 0.5"),
+    ([[Fraction(1, 2), 1], [1, 0]], "plain integers, got Fraction"),
+    ([[True, 1], [1, 0]], "plain integers, got True"),
+    ([["1", 2]], "plain integers, got '1'"),
+    ([[Decimal(1), 2]], "plain integers, got Decimal"),
+    ([[1, 0], [0, 2.0]], "plain integers, got 2.0"),
+], ids=["empty", "ragged-first", "float", "fraction", "bool", "str",
+        "decimal", "later-float"])
+def test_hnf_refuses_entries_that_are_not_plain_ints(rows, message):
+    # The shape checks come first; then every entry must pass the rule
+    # that point coordinates do, or the "HNF" is not over the integers.
+    with pytest.raises(DegenerateInput, match=message):
+        hnf(rows)
+
+
+def reference_matrices(rng, count):
+    """Seeded int matrices up to 6 x 5, entries in [-6, 6], tall, square
+    and wide; a quarter each get a zero row, a zero column or, with at
+    least three rows, a row that combines two others."""
+    yield [[0] * 5 for _ in range(6)]
+    yield [[0]]
+    for _ in range(count):
+        m, n = rng.randint(1, 6), rng.randint(1, 5)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        kind = rng.randrange(4)
+        if kind == 1:
+            rows[rng.randrange(m)] = [0] * n
+        elif kind == 2:
+            col = rng.randrange(n)
+            for row in rows:
+                row[col] = 0
+        elif kind == 3 and m >= 3:
+            a, b, c = rng.sample(range(m), 3)
+            j, k = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[c] = [j * x + k * y for x, y in zip(rows[a], rows[b])]
+        yield rows
+
+
+def test_hnf_equals_the_two_list_reference():
+    # One elimination with U read off an appended identity block runs the
+    # row operations of the two-list form in the same order, so h, u,
+    # rank and pivots are equal, ints included.
+    seen = Counter()
+    for rows in reference_matrices(seeded(41), 3000):
+        got = hnf(rows)
+        expected = reference_hnf(rows)
+        assert got == expected and repr(got) == repr(expected), rows
+        m, n = len(rows), len(rows[0])
+        seen["tall" if m > n else "wide" if m < n else "square"] += 1
+        seen["deficient"] += got.rank < min(m, n)
+        seen["zero row"] += any(not any(row) for row in rows)
+        seen["zero column"] += any(not any(col) for col in zip(*rows))
+        seen["negative"] += any(x < 0 for row in rows for x in row)
+    assert len(seen) == 7 and min(seen.values()) >= 300, seen
+
+
+def reference_sublattice(p):
+    """The first d rows of the two-list Hermite form of the vertex
+    differences v_i - v_0, and the product of their pivots."""
+    anchor = p.vertices[0]
+    result = reference_hnf([[a - b for a, b in zip(v, anchor)]
+                            for v in p.vertices[1:]])
+    basis = result.h[:p.dim]
+    return SublatticeInfo(basis, prod(
+        row[col] for row, col in zip(basis, result.pivot_columns)))
+
+
+def sublattice_cases():
+    """The census forms of every small region and the forms grown to
+    volume 12; the 3d cube, frustum, octahedron, prism and seeded
+    simplices, each stretched along x by k = 1, 2, 3, as given and under
+    a seeded unimodular map."""
+    module = import_module("lattice_equiv.census")
+    for region, _, _ in SMALL_REGIONS:
+        yield from module._form_counts(region, None, 1)
+    for level in module._growth_levels(12):
+        yield from (LatticePolytope(2, cycle) for cycle in level)
+    rng = seeded(43)
+    shapes = [CUBE, FRUSTUM, OCTAHEDRON, PRISM]
+    while len(shapes) < 14:
+        simplex = [tuple(rng.randint(-3, 3) for _ in range(3))
+                   for _ in range(4)]
+        if reference_hnf([[a - b for a, b in zip(v, simplex[0])]
+                          for v in simplex[1:]]).rank == 3:
+            shapes.append(tuple(simplex))
+    for shape in shapes:
+        for k in (1, 2, 3):
+            stretched = [(k * x, y, z) for x, y, z in shape]
+            shift = tuple(rng.randint(-5, 5) for _ in range(3))
+            yield LatticePolytope(3, tuple(stretched))
+            yield LatticePolytope(3, tuple(apply_int_map(
+                stretched, random_unimodular_3d(rng), shift)))
+
+
+def test_sublattice_info_equals_the_two_list_reference():
+    seen = Counter()
+    for p in sublattice_cases():
+        info = sublattice_info(p)
+        expected = reference_sublattice(p)
+        assert info == expected and repr(info) == repr(expected), p
+        seen[p.dim, info.index > 1] += 1
+    assert seen == {(2, False): 363, (2, True): 199,
+                    (3, False): 6, (3, True): 78}, seen
+
+
+def test_no_polygon_path_builds_the_unimodular_factor(monkeypatch):
+    # Only hnf builds U; the shrink, the affine key, the 2d deciders, the
+    # census and the volume representatives reach the difference lattice
+    # without it.
+    def refuse(rows):
+        raise AssertionError("a polygon path built the unimodular factor")
+
+    monkeypatch.setattr(import_module("lattice_equiv.lattices"), "hnf",
+                        refuse)
+    rng = seeded(47)
+    forms = [poly((0, 0), (2, 0), (0, 2)), dilate(SQUARE, 3),
+             poly((4, 7), (6, 7), (4, 9)), poly((0, 0), (6, 0), (0, 15))]
+    for p in forms:
+        assert not attains_minimal_volume(p)
+        image, _ = shrink_to_minimal_volume(p)
+        assert affine_key(p) == affine_key(image)
+        q = LatticePolytope(2, tuple(apply_int_map(
+            p.vertices, random_unimodular(rng), (3, -2))))
+        for mode in ("affine", "det_one"):
+            assert decide(p, q, mode) or mode == "det_one"
+            assert decide(p, image, mode) or mode == "det_one"
+    assert census(Region.box(3)).a == 109
+    assert len(build_volume_representatives(8)) == 17
 
 
 def test_sublattice_index_examples():
