@@ -112,13 +112,18 @@ def primitive_decomposition(w):
 
     The direction has coprime entries and a positive first nonzero entry;
     the signed content absorbs the rest.  Raises ZeroVector on the zero
-    vector, and DegenerateInput on a raw sequence with an entry that is
-    not a plain int (`_plain_ints`); a VolumeVector is read unchecked.
+    vector, and DegenerateInput on what is not a sequence or on a raw
+    sequence with an entry that is not a plain int (`_plain_ints`); a
+    VolumeVector is read unchecked.
     """
     if isinstance(w, VolumeVector):
         entries = w.entries
     else:
-        entries = tuple(w)
+        try:
+            entries = tuple(w)
+        except TypeError:
+            raise DegenerateInput(
+                f"volume vector {w!r} is not a sequence") from None
         _plain_ints((entries,), "volume vector entries")
     g = gcd(*entries)
     if g == 0:

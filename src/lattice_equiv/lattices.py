@@ -3,9 +3,11 @@
 A polytope attains the minimal volume in its affine equivalence class
 exactly when its vertex differences generate all of Z^d; the shrink map
 below sends any polytope to such a representative by the inverse of a
-triangular basis of the difference lattice.  One elimination serves
-`hnf` and the basis, and census and equivalence read a polygon's index
-and minimal-volume image here.
+triangular basis of the difference lattice.  A polygon's index is the
+gcd of its 2x2 minors, and its basis and image follow in closed form
+from that index; one elimination serves `hnf` and the basis in other
+dimensions.  Census and equivalence read a polygon's index and
+minimal-volume image here.
 """
 
 from dataclasses import dataclass
@@ -64,8 +66,14 @@ def _echelon(h, n):
 
 
 def hnf(rows):
-    """HnfResult of a matrix of plain ints (`geometry._plain_ints`); U is
-    what `_echelon`'s row operations make of an appended identity block."""
+    """HnfResult of a sequence of rows of plain ints
+    (`geometry._plain_ints`); U is what `_echelon`'s row operations make
+    of an appended identity block."""
+    try:
+        rows = tuple(map(tuple, rows))
+    except TypeError:
+        raise DegenerateInput(
+            f"matrix {rows!r} is not a sequence of rows") from None
     m = len(rows)
     if m == 0:
         raise DegenerateInput("empty matrix")
@@ -89,7 +97,11 @@ class SublatticeInfo:
 def sublattice_info(p):
     """Basis and index of the difference lattice of a polytope: the
     lattice generated by the pairwise vertex differences (equivalently
-    v_i - v_1)."""
+    v_i - v_1).  A polygon's is closed-form (`_form_index`, `_basis_2d`);
+    other dimensions run `_echelon` on the differences."""
+    index = _form_index(p.vertices) if p.dim == 2 else 0
+    if index:
+        return SublatticeInfo(_basis_2d(p.vertices, index), index)
     anchor = p.vertices[0]
     diffs = [linalg.vec_sub(q, anchor) for q in p.vertices[1:]]
     if _echelon(diffs, p.dim)[0] != p.dim:
@@ -104,14 +116,23 @@ def attains_minimal_volume(p):
     return sublattice_info(p).index == 1
 
 
-def _shrink(p):
+def _shrink(p, index=None):
     """The shrink in integers, (image, adj, index, basis, origin): v goes
     to (v - origin) @ adj // index, exactly, in P's vertex order, with
     origin the lex-least vertex and adj the adjugate of the triangular
-    difference-lattice basis B; the inverse is z -> z @ B + origin."""
+    difference-lattice basis B; the inverse is z -> z @ B + origin.  A
+    polygon's index may be passed in, and its image is written out from
+    B = ((a, b), (0, c)) and adj = ((c, -b), (0, a))."""
+    origin = min(p.vertices)
+    if p.dim == 2:
+        index = index or _form_index(p.vertices)
+        (a, b), (_, c) = basis = _basis_2d(p.vertices, index)
+        ox, oy = origin
+        image = tuple(((x - ox) // a, (a * (y - oy) - b * (x - ox)) // index)
+                      for x, y in p.vertices)
+        return image, ((c, -b), (0, a)), index, basis, origin
     info = sublattice_info(p)
     adj = linalg.int_adjugate(info.basis)
-    origin = min(p.vertices)
     image = tuple(
         tuple(x // info.index for x in
               linalg.row_times_matrix(linalg.vec_sub(v, origin), adj))
@@ -132,10 +153,25 @@ def _form_index(cycle):
     return index
 
 
+def _basis_2d(cycle, index):
+    """The Hermite basis ((a, b), (0, c)) of the difference lattice of a
+    polygon's vertex cycle, given its index (`_form_index`): a is the gcd
+    of the x-differences, b the y of a lattice vector with x = a (one
+    Bezout chain over the differences) reduced mod c, and c = index // a."""
+    (x0, y0), a, b = cycle[0], 0, 0
+    for x, y in cycle[1:]:
+        a, s, t = linalg.egcd(a, x - x0)
+        b = s * b + t * (y - y0)
+    c = index // a
+    return (a, b % c), (0, c)
+
+
 def _least_image(p):
     """(cycle, shrink): a polygon's cycle and None at index 1, else the
-    `_shrink` image (in P's vertex order) and the shrink."""
-    shrink = _shrink(p) if _form_index(p.vertices) > 1 else None
+    `_shrink` image (in P's vertex order) and the shrink, which takes the
+    index `_form_index` found."""
+    index = _form_index(p.vertices)
+    shrink = _shrink(p, index) if index > 1 else None
     return (p.vertices if shrink is None else shrink[0]), shrink
 
 

@@ -96,6 +96,13 @@ def test_primitive_decomposition_refuses_entries_that_are_not_plain_ints(
         primitive_decomposition(entries)
 
 
+@pytest.mark.parametrize("w", [5, None], ids=["int", "none"])
+def test_primitive_decomposition_refuses_what_is_not_a_sequence(w):
+    # The shape is checked before the entries are read.
+    with pytest.raises(DegenerateInput, match="is not a sequence"):
+        primitive_decomposition(w)
+
+
 def test_primitive_hyperplane_examples():
     h = primitive_hyperplane([(0, 0), (2, 0)])
     assert (h.normal, h.offset) == ((0, 1), 0)

@@ -93,6 +93,14 @@ def test_hnf_refuses_entries_that_are_not_plain_ints(rows, message):
         hnf(rows)
 
 
+@pytest.mark.parametrize("rows", [5, [1, 2], [[1, 2], 3]],
+                         ids=["int", "flat", "later-int"])
+def test_hnf_refuses_what_is_not_a_sequence_of_rows(rows):
+    # The shape is checked before it is read, as _int_points checks points.
+    with pytest.raises(DegenerateInput, match="not a sequence of rows"):
+        hnf(rows)
+
+
 def reference_matrices(rng, count):
     """Seeded int matrices up to 6 x 5, entries in [-6, 6], tall, square
     and wide; a quarter each get a zero row, a zero column or, with at
@@ -183,19 +191,79 @@ def test_sublattice_info_equals_the_two_list_reference():
                     (3, False): 6, (3, True): 78}, seen
 
 
-def test_no_polygon_path_builds_the_unimodular_factor(monkeypatch):
-    # Only hnf builds U; the shrink, the affine key, the 2d deciders, the
-    # census and the volume representatives reach the difference lattice
-    # without it.
-    def refuse(rows):
-        raise AssertionError("a polygon path built the unimodular factor")
+def reference_shrink(p):
+    """`_shrink` read off the two-list Hermite form: the image
+    (v - origin) @ adj(B) // index of every vertex, origin the lex-least
+    vertex, with the general 2x2 adjugate."""
+    info = reference_sublattice(p)
+    (a, b), (c, d) = info.basis
+    adj = ((d, -b), (-c, a))
+    ox, oy = origin = min(p.vertices)
+    image = tuple(
+        tuple(((x - ox) * adj[0][j] + (y - oy) * adj[1][j]) // info.index
+              for j in range(2))
+        for x, y in p.vertices)
+    return image, adj, info.index, info.basis, origin
 
-    monkeypatch.setattr(import_module("lattice_equiv.lattices"), "hnf",
-                        refuse)
-    rng = seeded(47)
+
+def test_closed_form_shrink_equals_the_two_list_reference():
+    # Seeded polygons with negative coordinates, stretched by up to 6 along
+    # each axis between seeded unimodular maps: the closed-form basis and
+    # image are the reference's, whether or not the index is passed in,
+    # and the basis is, from every vertex of the cycle as anchor.
+    lattices = import_module("lattice_equiv.lattices")
+    rng = seeded(53)
+    seen = Counter()
+    for _ in range(1500):
+        stretch = ((rng.randint(1, 6), 0), (0, rng.randint(1, 6)))
+        maps = (random_unimodular(rng), stretch, random_unimodular(rng))
+        dx, dy = rng.randint(-9, 9), rng.randint(-9, 9)
+        points = random_polygon(rng).vertices
+        for matrix in maps:
+            points = apply_int_map(points, matrix, (0, 0))
+        p = LatticePolytope(2, tuple((x + dx, y + dy) for x, y in points))
+        info = sublattice_info(p)
+        expected = reference_sublattice(p)
+        assert info == expected and repr(info) == repr(expected), p
+        (a, _), (_, c) = info.basis
+        # Stored order puts a vertex right of the first one second, so
+        # the Bezout chain meets dx = 0 first only from another anchor.
+        for k in range(1, len(p.vertices)):
+            cycle = p.vertices[k:] + p.vertices[:k]
+            index = lattices._form_index(cycle)
+            assert index == info.index
+            assert lattices._basis_2d(cycle, index) == reference_hnf(
+                [(x - cycle[0][0], y - cycle[0][1])
+                 for x, y in cycle[1:]]).h[:2] == info.basis, cycle
+            seen["first dx = 0"] += cycle[1][0] == cycle[0][0]
+        least = lattices._least_image(p)
+        if info.index == 1:
+            assert least == (p.vertices, None)
+            seen["index 1"] += 1
+            continue
+        shrink = reference_shrink(p)
+        assert lattices._shrink(p) == shrink and repr(
+            lattices._shrink(p, info.index)) == repr(shrink), p
+        assert least == (shrink[0], shrink)
+        seen["index > 1"] += 1
+        seen["index >= 36"] += info.index >= 36
+        seen["negative"] += any(x < 0 for v in p.vertices for x in v)
+        seen["c = 1"] += c == 1
+        seen["a = 1"] += a == 1
+    assert seen == {"index 1": 22, "index > 1": 1478, "index >= 36": 559,
+                    "negative": 1444, "first dx = 0": 55, "c = 1": 65,
+                    "a = 1": 456}, seen
+
+
+def run_polygon_paths(rng):
+    """Reach the difference lattice of index > 1 polygons through
+    `sublattice_info`, the shrink, `affine_key`, the `affine` and
+    `det_one` deciders, the census and the volume representatives."""
     forms = [poly((0, 0), (2, 0), (0, 2)), dilate(SQUARE, 3),
-             poly((4, 7), (6, 7), (4, 9)), poly((0, 0), (6, 0), (0, 15))]
+             poly((4, 7), (6, 7), (4, 9)), poly((0, 0), (6, 0), (0, 15)),
+             poly((0, 0), (1, 3), (-1, 6), (-2, 3))]
     for p in forms:
+        assert sublattice_info(p) == reference_sublattice(p)
         assert not attains_minimal_volume(p)
         image, _ = shrink_to_minimal_volume(p)
         assert affine_key(p) == affine_key(image)
@@ -206,6 +274,29 @@ def test_no_polygon_path_builds_the_unimodular_factor(monkeypatch):
             assert decide(p, image, mode) or mode == "det_one"
     assert census(Region.box(3)).a == 109
     assert len(build_volume_representatives(8)) == 17
+
+
+def test_no_polygon_path_builds_the_unimodular_factor(monkeypatch):
+    # Only hnf builds U; no polygon path reaches it.
+    def refuse(rows):
+        raise AssertionError("a polygon path built the unimodular factor")
+
+    monkeypatch.setattr(import_module("lattice_equiv.lattices"), "hnf",
+                        refuse)
+    run_polygon_paths(seeded(47))
+
+
+def test_no_polygon_path_runs_the_elimination(monkeypatch):
+    # A polygon's basis and image follow from its index in closed form, so
+    # no polygon path reaches _echelon; a 3d polytope does.
+    def refuse(h, n):
+        raise AssertionError("a path ran the elimination")
+
+    monkeypatch.setattr(import_module("lattice_equiv.lattices"), "_echelon",
+                        refuse)
+    run_polygon_paths(seeded(59))
+    with pytest.raises(AssertionError, match="ran the elimination"):
+        sublattice_info(LatticePolytope(3, CUBE))
 
 
 def test_sublattice_index_examples():
