@@ -424,9 +424,9 @@ def affine_map_census(region, budget, *, caps=None):
     of the region, up to `budget` pairs, with the largest squared row
     norm seen.  The distinct count is bounded by the number of ordered
     simplex pairs, since a witness matrix is determined by an anchor
-    simplex and its image."""
-    if type(budget) is not int or budget < 1:
-        raise DegenerateInput("budget must be a positive integer")
+    simplex and its image.  `budget` passes geometry._whole as an integer
+    >= 1."""
+    _whole(budget, 1, "budget")
     polys = enumerate_convex_polygons(region, caps=caps)
     examined = 0
     matrices = set()

@@ -257,46 +257,42 @@ def _traversal(n, start, step, flipped):
 
 def _by_frames(p, q, mode):
     """Equivalence of two polygons with equal vertex counts, by the
-    canonical frames of P and Q (unimodular mode) or of their shrinks P'
-    and Q'.  Equal cycles mean equivalent; the witness, built in integers
-    over P's index, is P's shrink, P's frame, the inverse of Q's frame,
-    step * ((h, -f), (-g, e)), and the inverse of Q's shrink.  The maps
-    P' -> Q' are the tied frames of P' then that inverse, and shrinks have
-    determinant 1/index > 0, so det_one asks for equal volumes (hence
-    indices) and a tied frame with the step of Q's."""
+    canonical frames of P and Q (unimodular mode) or of their
+    minimal-volume images P' and Q' (`_least_image`).  Equal cycles mean
+    equivalent, and the frames read them in corresponding order: that is
+    the bijection, and the witness is the one affine map sending P's
+    first three vertices (affinely independent, as P is strictly convex)
+    onto their partners.  Each tied frame of P' followed by the inverse
+    of Q's frame is a map P' -> Q', and shrinks have determinant
+    1/index > 0, so det_one asks for equal volumes (hence indices) and a
+    tied frame with the step of Q's."""
     if mode != "affine" and normalized_volume(p) != normalized_volume(q):
         return NotEquivalent("normalized volumes differ")
-    (pv, p_shrink), (qv, q_shrink) = ((p.vertices, None), (q.vertices, None)) \
-        if mode == "unimodular" else (_least_image(p), _least_image(q))
+    pv, qv = (p.vertices, q.vertices) if mode == "unimodular" else (
+        _least_image(p), _least_image(q))
     p_form, p_flipped, p_frames = _canonical_frame(pv)
-    q_form, q_flipped, (q_frame, *_) = _canonical_frame(qv)
-    q_start, q_step, qox, qoy, e, f, g, h = q_frame
+    q_form, q_flipped, ((q_start, q_step, *_), *_) = _canonical_frame(qv)
     p_frame = p_frames[0] if mode != "det_one" else next(
         (frame for frame in p_frames if frame[1] == q_step), None)
     if p_form != q_form or p_frame is None:
         return NotEquivalent(
             "no vertex correspondence extends to an affine map")
-    p_start, p_step, pox, poy, a, b, c, d = p_frame
-    rows = ((q_step * (a * h - b * g), q_step * (b * e - a * f)),
-            (q_step * (c * h - d * g), q_step * (d * e - c * f)))
-    shift = (qox - pox * rows[0][0] - poy * rows[1][0],
-             qoy - pox * rows[0][1] - poy * rows[1][1])
-    # The shrinks, composed in homogeneous coordinates (rows over shift).
-    index = 1
-    if q_shrink is not None:
-        _, _, _, basis, origin = q_shrink
-        shift = linalg.row_times_matrix(shift + (1,), basis + (origin,))
-        rows = linalg.mat_mul(rows, basis)
-    if p_shrink is not None:
-        _, adj, index, _, (ox, oy) = p_shrink
-        rows = linalg.mat_mul(adj, rows)
-        shift = linalg.row_times_matrix((-ox, -oy, index), rows + (shift,))
     n = len(pv)
     bijection = [None] * n
-    for i, j in zip(_traversal(n, p_start, p_step, p_flipped),
+    for i, j in zip(_traversal(n, p_frame[0], p_frame[1], p_flipped),
                     _traversal(n, q_start, q_step, q_flipped)):
         bijection[i] = j
-    return EquivalenceWitness(tuple(bijection), _map_over(rows, shift, index))
+    # M, N: the difference rows of the two triples from p0 and q0; the
+    # map is v -> ((v - p0) @ adj(M) @ N) / det(M) + q0, as in _attempt.
+    (x0, y0), (x1, y1), (x2, y2) = p.vertices[:3]
+    (u0, v0), (u1, v1), (u2, v2) = (q.vertices[j] for j in bijection[:3])
+    a, b, c, d = x1 - x0, y1 - y0, x2 - x0, y2 - y0
+    e, f, g, h = u1 - u0, v1 - v0, u2 - u0, v2 - v0
+    det = a * d - b * c
+    rows = ((d * e - b * g, d * f - b * h), (a * g - c * e, a * h - c * f))
+    shift = (det * u0 - x0 * rows[0][0] - y0 * rows[1][0],
+             det * v0 - x0 * rows[0][1] - y0 * rows[1][1])
+    return EquivalenceWitness(tuple(bijection), _map_over(rows, shift, det))
 
 
 def decide(p, q, mode):
@@ -515,4 +511,4 @@ def affine_key(p):
     hence equal keys mean exactly affine equivalence."""
     if p.dim != 2:
         raise DimensionMismatch("affine_key expects a polygon")
-    return _stored_polygon(_canonical_cycle(_least_image(p)[0]))
+    return _stored_polygon(_canonical_cycle(_least_image(p)))

@@ -419,7 +419,9 @@ def lattice_points(target):
     held to the environment's caps.hull_points: above it a Region raises
     RegionTooLarge at its (cap + 1)-th point, a polygon CapExceeded by
     Pick's theorem before any point is listed, and a 3d polytope
-    CapExceeded at its (cap + 1)-th point."""
+    CapExceeded at its (cap + 1)-th point.  A polytope is listed row by
+    row (`_polytope_points`), so a thin polygon costs its points, not its
+    bounding box."""
     if not isinstance(target, (Region, LatticePolytope)):
         raise DegenerateInput(f"cannot enumerate lattice points of {target!r}")
     # caps imports geometry (for _whole), so geometry imports caps here.
@@ -528,22 +530,36 @@ def _lift(prefixes, halves):
 
 def _polygon_points(cycle):
     """The lattice points of the polygon with the counterclockwise vertex
-    cycle `cycle`, sorted and lazily: each x of its bounding box lifted by
-    its edges."""
-    xs = [x for x, _ in cycle]
-    return _lift(((x,) for x in range(min(xs), max(xs) + 1)),
-                 _edge_half_spaces(cycle))
+    cycle `cycle`, lazily, row by row above its first edge.  With w = (a, b)
+    that edge's primitive direction, g its lattice length, o = cycle[0]
+    and ua + vb = 1, the unimodular p -> (t, s) = (det(w, p - o),
+    (p - o).(u, v)) lays the edge on the row t = 0.  The rows run to the
+    polygon's lattice height over that edge, at most its normalized volume
+    over g, so the time follows the point count (Pick), not the width.
+    Each row is lifted by its edges and mapped back by p = o + s*w +
+    t*(-v, u): the points come in row order, not sorted."""
+    (ox, oy), (x1, y1) = cycle[:2]
+    g = gcd(x1 - ox, y1 - oy)
+    a, b = (x1 - ox) // g, (y1 - oy) // g
+    _, u, v = linalg.egcd(a, b)
+    # The map has determinant -1, so the reversed cycle's image runs
+    # counterclockwise.
+    image = [(a * (y - oy) - b * (x - ox), u * (x - ox) + v * (y - oy))
+             for x, y in reversed(cycle)]
+    rows = range(max(t for t, _ in image) + 1)
+    return ((ox + s * a - t * v, oy + s * b + t * u)
+            for t, s in _lift(((t,) for t in rows), _edge_half_spaces(image)))
 
 
 def _polytope_points(p, cap):
-    """The sorted lattice points of a polygon or a 3d polytope, column by
-    column: a polygon's x runs over its bounding box and a 3d polytope's
-    (x, y) over the lattice points of its (x, y) shadow, the hull of its
-    projected vertices; each column is the _interval of the last
-    coordinate that the _half_spaces (computed once) leave.  A column is
-    visited only where the polytope's projection is, so a thin polytope
-    costs its shadow's area, not its bounding box's.  CapExceeded at
-    point cap + 1."""
+    """The sorted lattice points of a polygon or a 3d polytope, row by
+    row: a polygon's rows lie above its first edge (`_polygon_points`),
+    and a 3d polytope's (x, y) run over the lattice points of its (x, y)
+    shadow, the hull of its projected vertices, each lifted by the
+    _interval of z that the _half_spaces (computed once) leave.  A thin
+    polygon costs its points, not its bounding box, and a thin 3d
+    polytope its shadow's.  The at most `cap` points listed are sorted;
+    CapExceeded at point cap + 1."""
     if p.dim == 2:
         points = _polygon_points(p.vertices)
     else:
@@ -554,7 +570,7 @@ def _polytope_points(p, cap):
     if len(listed) > cap:
         raise CapExceeded(
             f"the polytope has more lattice points than the cap {cap}")
-    return listed
+    return sorted(listed)
 
 
 def _facet_inequalities_3d(p):

@@ -6,8 +6,8 @@ below sends any polytope to such a representative by the inverse of a
 triangular basis of the difference lattice.  A polygon's index is the
 gcd of its 2x2 minors, and its basis and image follow in closed form
 from that index; one elimination serves `hnf` and the basis in other
-dimensions.  Census and equivalence read a polygon's index and
-minimal-volume image here.
+dimensions.  Census and equivalence read a polygon's index and its
+minimal-volume image (`_least_image`) here, never the shrink map.
 """
 
 from dataclasses import dataclass
@@ -117,27 +117,29 @@ def attains_minimal_volume(p):
 
 
 def _shrink(p, index=None):
-    """The shrink in integers, (image, adj, index, basis, origin): v goes
-    to (v - origin) @ adj // index, exactly, in P's vertex order, with
-    origin the lex-least vertex and adj the adjugate of the triangular
+    """The shrink in integers, (image, adj, index, origin): v goes to
+    (v - origin) @ adj // index, exactly, in P's vertex order, with origin
+    the lex-least vertex and adj the adjugate of the triangular
     difference-lattice basis B; the inverse is z -> z @ B + origin.  A
     polygon's index may be passed in, and its image is written out from
-    B = ((a, b), (0, c)) and adj = ((c, -b), (0, a))."""
+    B = ((a, b), (0, c)) and adj = ((c, -b), (0, a)).  Only
+    `shrink_to_minimal_volume` reads the map; `_least_image` reads the
+    image."""
     origin = min(p.vertices)
     if p.dim == 2:
         index = index or _form_index(p.vertices)
-        (a, b), (_, c) = basis = _basis_2d(p.vertices, index)
+        (a, b), (_, c) = _basis_2d(p.vertices, index)
         ox, oy = origin
         image = tuple(((x - ox) // a, (a * (y - oy) - b * (x - ox)) // index)
                       for x, y in p.vertices)
-        return image, ((c, -b), (0, a)), index, basis, origin
+        return image, ((c, -b), (0, a)), index, origin
     info = sublattice_info(p)
     adj = linalg.int_adjugate(info.basis)
     image = tuple(
         tuple(x // info.index for x in
               linalg.row_times_matrix(linalg.vec_sub(v, origin), adj))
         for v in p.vertices)
-    return image, adj, info.index, info.basis, origin
+    return image, adj, info.index, origin
 
 
 def _form_index(cycle):
@@ -167,12 +169,11 @@ def _basis_2d(cycle, index):
 
 
 def _least_image(p):
-    """(cycle, shrink): a polygon's cycle and None at index 1, else the
-    `_shrink` image (in P's vertex order) and the shrink, which takes the
-    index `_form_index` found."""
+    """A polygon's minimal-volume image, in P's vertex order: its own cycle
+    at index 1, else the `_shrink` image, which takes the index
+    `_form_index` found."""
     index = _form_index(p.vertices)
-    shrink = _shrink(p, index) if index > 1 else None
-    return (p.vertices if shrink is None else shrink[0]), shrink
+    return _shrink(p, index)[0] if index > 1 else p.vertices
 
 
 def shrink_to_minimal_volume(p):
@@ -182,6 +183,6 @@ def shrink_to_minimal_volume(p):
     index, of determinant 1/index, so normalized_volume(p) == index *
     normalized_volume(image).  On an image the map is the identity, so
     the operation is idempotent."""
-    image, adj, index, _, origin = _shrink(p)
+    image, adj, index, origin = _shrink(p)
     shift = tuple(-x for x in linalg.row_times_matrix(origin, adj))
     return LatticePolytope(p.dim, image), _map_over(adj, shift, index)

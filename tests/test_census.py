@@ -1038,7 +1038,7 @@ def test_affine_map_census_identity_only():
 def test_affine_map_census_validation():
     for budget in (0, -1, 2.5, 3.0, "5", None, True):
         with pytest.raises(DegenerateInput,
-                           match="budget must be a positive integer"):
+                           match="budget must be an integer >= 1"):
             affine_map_census(Region.ball(1), budget)
 
 

@@ -474,8 +474,9 @@ def test_reflection_symmetric_polygons_are_det_one_equivalent_to_mirrors():
 
 def test_triangles_of_index_eight_are_det_one_equivalent():
     # Both have index 8 and normalized volume 8; the shrinks carry both
-    # onto unimodular triangles, and the witness undoes Q's shrink.  The
-    # swap of coordinates carries P onto Q too, with determinant -1.
+    # onto unimodular triangles, and the witness maps P onto Q itself, not
+    # onto Q's shrink.  The swap of coordinates carries P onto Q too,
+    # with determinant -1.
     p = poly((0, 0), (4, 0), (0, 2))
     q = poly((0, 0), (2, 0), (0, 4))
     assert sublattice_info(p).index == sublattice_info(q).index == 8
@@ -485,6 +486,38 @@ def test_triangles_of_index_eight_are_det_one_equivalent():
     assert w.map.translation == (0, 0)
     for mode in ("affine", "unimodular"):
         check_exact_witness(equivalence.decide(p, q, mode), p, q, mode)
+
+
+def test_polygon_witnesses_read_only_the_shrink_image(monkeypatch):
+    # The 2d witness is solved from the vertex bijection, so a shrink that
+    # keeps its image and index but returns a wrong adjugate and origin
+    # changes no answer and no witness: every affine and det_one witness
+    # still checks exactly.  Only index > 1 sides reach the shrink.
+    lattices = import_module("lattice_equiv.lattices")
+    shrink = lattices._shrink
+    pairs = [(a, b) for p, q in witness_stream(seeded(263)) if p.dim == 2
+             for a, b in ((p, q), (q, p))]
+    modes = ("affine", "det_one")
+    expected = {(a, b, mode): equivalence.decide(a, b, mode)
+                for a, b in pairs for mode in modes}
+    scrambled = []
+
+    def wrong(p, index=None):
+        image, adj, index, (ox, oy) = shrink(p, index)
+        scrambled.append(p)
+        return image, ((adj[1][1], 1), (-1, adj[0][0])), index, (ox + 1, oy)
+
+    monkeypatch.setattr(lattices, "_shrink", wrong)
+    outcomes = Counter()
+    for (a, b, mode), expect in expected.items():
+        got = equivalence.decide(a, b, mode)
+        assert same_decision(got, expect), (a, b, mode)
+        if got:
+            check_exact_witness(got, a, b, mode)
+        outcomes[mode, bool(got)] += 1
+    assert outcomes == {("affine", True): 304, ("affine", False): 80,
+                        ("det_one", True): 114, ("det_one", False): 270}
+    assert len(scrambled) == 684
 
 
 def test_polygon_pairs_never_reach_the_vertex_search(monkeypatch):

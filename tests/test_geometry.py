@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
-    apply_int_map, cross, poly, random_polygon, reference_polytope_points,
-    seeded, strict_hull)
+    apply_int_map, cross, poly, random_polygon, random_unimodular,
+    reference_polytope_points, seeded, strict_hull)
 from lattice_equiv import (
     CanonicalTriangle,
     CapExceeded,
@@ -432,13 +432,35 @@ def test_lattice_points_are_capped_before_they_are_listed(monkeypatch):
 def test_thin_triangle_is_listed_by_columns():
     # The triangle (0, 0), (n, n - 1), (n + 1, n) is unimodular, so its
     # vertices are its only lattice points, while its bounding box holds
-    # (n + 2)^2 points.  The listing takes one interval per column, not
-    # a test per point of that box.
-    n = 3000
+    # (n + 2)^2 points.  The listing takes its rows above the first edge,
+    # two here, not the columns of that box.
+    n = 10 ** 6
     vertices = ((0, 0), (n, n - 1), (n + 1, n))
     start = time.perf_counter()
     assert lattice_points(poly(*vertices)) == list(vertices)
     assert time.perf_counter() - start < 0.5
+
+
+def test_polygon_rows_above_an_oblique_edge_match_the_box_filter():
+    # Seeded polygons under seeded unimodular shears, so the first edge
+    # is oblique and the rows above it cross the axes: the listing
+    # equals the bounding-box filter, sorted, and is refused under a cap
+    # one below its count.
+    listing = import_module("lattice_equiv.geometry")._polytope_points
+    rng = seeded(37)
+    oblique = 0
+    for _ in range(300):
+        base = random_polygon(rng, span=3)
+        p = poly(*apply_int_map(base.vertices, random_unimodular(rng, 2),
+                                (rng.randint(-5, 5), rng.randint(-5, 5))))
+        (x0, y0), (x1, y1) = p.vertices[:2]
+        oblique += x1 != x0 and y1 != y0
+        expected = reference_polytope_points(p)
+        assert listing(p, len(expected)) == expected, p
+        with pytest.raises(CapExceeded,
+                           match=f"than the cap {len(expected) - 1}$"):
+            listing(p, len(expected) - 1)
+    assert oblique == 281
 
 
 def test_thin_tetrahedron_is_listed_over_its_shadow(monkeypatch):
