@@ -25,8 +25,8 @@ from .caps import resolve
 # bench/tracing.py patches the names it traces here; keep them bound.
 from .equivalence import (
     _canonical_cycle,
+    _form_key,
     affine_equivalent,
-    affine_key,
     canonical_polygon,
 )
 from .errors import CapExceeded, DegenerateInput
@@ -327,7 +327,7 @@ def census(region, *, caps=None, workers=None):
     sizes the call's one pool, which searches and canonicalizes; see
     _form_counts."""
     counts = _form_counts(region, caps, workers)
-    keys = {affine_key(form) for form in counts}
+    keys = {_form_key(form) for form in counts}
     histogram = Counter()
     for form, n in counts.items():
         histogram[normalized_volume(form)] += n

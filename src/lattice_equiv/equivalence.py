@@ -7,12 +7,17 @@ every polygon pair, in every mode, by canonical frames.  Higher
 dimensions, and the factorial oracle, search for a vertex
 correspondence: two lattice polytopes are affinely equivalent exactly
 when their vertex sets have equal primitive volume vectors under some
-ordering.  The search is anchored: fix d+1 affinely independent vertices
-of P whose volume-vector entry is rare, try matching tuples in Q, and
-accept a candidate only if the unique affine map it determines carries
-vert(P) onto vert(Q) and passes the mode's determinant test.  The
-invariants the search reads sit in one profile per polytope, which lives
-exactly as long as it.
+ordering.  Before the search, `decide` rejects a pair whose vertex
+counts differ, whose primitive volume vectors differ as multisets of
+absolute values, and then, in the unimodular and det_one modes, whose
+contents differ, or in the affine mode, whose facet sizes read off the
+volume vector's signs differ ("facet sizes differ"; the oracle does not
+take this shortcut).  The search is anchored: fix d+1 affinely
+independent vertices of P whose volume-vector entry is rare, try
+matching tuples in Q, and accept a candidate only if the unique affine
+map it determines carries vert(P) onto vert(Q) and passes the mode's
+determinant test.  The invariants the search reads sit in one profile
+per polytope, which lives exactly as long as it.
 
 Modes:
   affine      -- any invertible rational affine map
@@ -40,6 +45,7 @@ from .invariants import (
     primitive_decomposition,
     volume_vector,
 )
+from .invariants import facet_signature
 from .lattices import _least_image
 
 MODES = ("affine", "unimodular", "det_one")
@@ -111,6 +117,12 @@ class _Profile:
         self.direction = primitive.direction
         self.direction_signature = tuple(sorted(map(abs, self.direction)))
         self.content = abs(primitive.content)
+
+    @cached_property
+    def facet_signature(self):
+        """Sorted facet sizes (invariants.facet_signature): an affine
+        invariant, read off the signs of the volume vector."""
+        return facet_signature(self.direction, len(self.vertices), self.dim)
 
     @cached_property
     def entry_by_combo(self):
@@ -308,10 +320,16 @@ def decide(p, q, mode):
     pp, qp = _profile(p), _profile(q)
     if pp.direction_signature != qp.direction_signature:
         return NotEquivalent("primitive volume vectors differ as multisets")
-    # With equal direction multisets, the volume vectors are equal as
-    # multisets of |entries| exactly when their contents agree in size.
-    if mode in ("unimodular", "det_one") and pp.content != qp.content:
-        return NotEquivalent("volume vectors differ as multisets")
+    if mode != "affine":
+        # With equal direction multisets, the volume vectors are equal as
+        # multisets of |entries| exactly when their contents agree in size.
+        if pp.content != qp.content:
+            return NotEquivalent("volume vectors differ as multisets")
+    elif p.dim >= 3 and pp.facet_signature != qp.facet_signature:
+        # The octahedron and the prism agree in both volume vectors and
+        # differ only here.  The other modes reject them by content, so
+        # there the signatures would only cost the positive pairs.
+        return NotEquivalent("facet sizes differ")
     combo, value, context = pp.anchor
     images = _candidate_images(qp.entry_by_combo, combo, value)
     return _search(p, q, mode, context, images) or NotEquivalent(
@@ -512,3 +530,13 @@ def affine_key(p):
     if p.dim != 2:
         raise DimensionMismatch("affine_key expects a polygon")
     return _stored_polygon(_canonical_cycle(_least_image(p)))
+
+
+def _form_key(form):
+    """affine_key of a polygon already in canonical form, as the census
+    holds them: a form that is its own minimal-volume image is its own
+    canonical polygon, hence its own key, and is not framed again."""
+    image = _least_image(form)
+    if image is form.vertices:
+        return form
+    return _stored_polygon(_canonical_cycle(image))

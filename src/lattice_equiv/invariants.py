@@ -4,12 +4,16 @@ The volume vector collects the simplex determinants of all (d+1)-subsets
 of an ordered point set; its primitive decomposition splits off the gcd
 content.  The lattice height vector collects, for every point, its exact
 integer heights over the hyperplanes spanned by the remaining points.
+The facet signature reads from the volume vector's signs alone which
+d-subsets span a supporting hyperplane, and how many further points lie
+on each; unlike the vectors, it does not depend on the order.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
+from operator import itemgetter
 
 from . import linalg
 from .errors import DegenerateInput, DimensionMismatch, ZeroVector
@@ -33,6 +37,60 @@ def face_positions(n, d):
         faces = [position[combo[:k] + combo[k + 1:]] for k in range(d + 1)]
         out.append((tuple(faces[0::2]), tuple(faces[1::2])))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def side_positions(n, d):
+    """(gather, chunks): where to read the sign of det(S, l), the
+    determinant with l last, for each d-subset S of range(n) (in
+    index_combinations order) and each l in range(n) not in S (in
+    increasing order).
+
+    Moving l from last place to its sorted place in S plus l passes the
+    members of S above l, so det(S, l) is the volume-vector entry of S
+    plus l, negated when that count is odd.  Applied to the entries'
+    signs followed by their negations, `gather` picks for every (S, l) in
+    turn the entry's lex position in index_combinations(n, d + 1),
+    shifted into the negations when the count is odd; `chunks` slices
+    what it picks into one run of n - d per S."""
+    position = {sub: k for k, sub in enumerate(index_combinations(n, d + 1))}
+    flip = len(position)
+    picks = []
+    for sub in index_combinations(n, d):
+        for l in range(n):
+            if l not in sub:
+                above = sum(i > l for i in sub)
+                picks.append(position[tuple(sorted(sub + (l,)))]
+                             + flip * (above % 2))
+    m = n - d
+    return itemgetter(*picks), tuple(
+        slice(k, k + m) for k in range(0, len(picks), m))
+
+
+# Swaps the sign bytes of positive (1) and negative (2) entries.
+_NEGATE_SIGNS = bytes.maketrans(b"\x01\x02", b"\x02\x01")
+
+
+def facet_signature(entries, n, d):
+    """Sorted numbers of the other points on the hyperplane of each
+    d-subset S of n points in dimension d whose hyperplane supports
+    their hull, read from the signs of their volume vector's `entries`
+    (or of its primitive direction).  S supports the hull when det(S, l)
+    has one sign over the other points l, zeros allowed, and the zeros
+    are the points on that hyperplane; an S with every det(S, l) zero
+    spans no hyperplane and is skipped.  For the vertices of a 3d
+    polytope, a facet with k vertices gives C(k, 3) entries k - 3.  The
+    signs are the chirotope of the points, which an affine map changes
+    at most by one global sign, so the signature is an affine
+    invariant of the vertex set."""
+    gather, chunks = side_positions(n, d)
+    signs = bytes((e > 0) + 2 * (e < 0) for e in entries)
+    sides = bytes(gather(signs + signs.translate(_NEGATE_SIGNS)))
+    return tuple(sorted(
+        zeros for zeros in (
+            run.count(0) for run in map(sides.__getitem__, chunks)
+            if 1 not in run or 2 not in run)
+        if zeros < n - d))
 
 
 @dataclass(frozen=True)

@@ -323,7 +323,10 @@ def reference_decide(p, q, mode):
     """The vertex search of equivalence.decide, done by reference_search:
     the same checks, anchor and candidate order, so for a 3d pair the same
     answer, reason and witness as decide; polygons, which decide answers
-    by canonical frames, get the search's truth value."""
+    by canonical frames, get the search's truth value.  decide's
+    facet-size check is left out on purpose, so that its "facet sizes
+    differ" answers are checked against a search that never reads them:
+    there this answers no by exhausting its candidates."""
     if len(p.vertices) != len(q.vertices):
         return NotEquivalent("vertex counts differ")
     pp, qp = _profile(p), _profile(q)

@@ -844,6 +844,25 @@ def test_form_index_matches_sublattice_index():
                for form in box_forms) == 253
 
 
+def test_census_keys_equal_affine_key_on_the_box_forms():
+    # The census keys its canonical forms through equivalence._form_key,
+    # which takes an index-1 form as its own key; on every form of box:4
+    # and box:5 that must be affine_key's key, forms of index > 1
+    # included, and give census's A.
+    module = import_module("lattice_equiv.census")
+    form_key = import_module("lattice_equiv.equivalence")._form_key
+    for region, k, a, shrunk in ((Region.box(4), 1517, 1264, 253),
+                                 (Region.box(5), 15359, 14453, 906)):
+        forms = list(module._form_counts(region, None, 2))
+        keys = [form_key(form) for form in forms]
+        assert keys == [affine_key(form) for form in forms]
+        framed = [key is not form for key, form in zip(keys, forms)]
+        assert framed == [module._form_index(form.vertices) > 1
+                          for form in forms]
+        assert sum(framed) == shrunk
+        assert (len(forms), len(set(keys))) == (k, a)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("region", [region for region, _, _ in SMALL_REGIONS])
 def test_census_path_polygons_pass_the_check(region, workers):
@@ -880,8 +899,9 @@ def test_census_path_polygons_pass_the_check(region, workers):
 def test_census_path_builds_no_checked_polytope(monkeypatch):
     """No checked polytope at all: the census and primitivity scan build
     none through the census, equivalence and lattices modules' names;
-    affine_key frames the integer image of _shrink, so the 39 index > 1
-    forms of box:3 get no shrink_to_minimal_volume polytope either."""
+    the census keys (equivalence._form_key) frame the integer image of
+    _shrink, so the 39 index > 1 forms of box:3 get no
+    shrink_to_minimal_volume polytope either."""
     def refuse(*args):
         raise AssertionError("the census path built a checked polytope")
 

@@ -5,7 +5,7 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from importlib import import_module
-from math import cos, gcd, pi, sin
+from math import comb, cos, gcd, pi, sin
 
 import pytest
 from hypothesis import given, strategies as st
@@ -184,6 +184,7 @@ def test_coprime_volume_vector_forces_unimodular():
 
 
 MODES = equivalence.MODES
+FACETS = "facet sizes differ"
 DECIDERS = (affine_equivalent, unimodular_equivalent,
             unimodular_affine_equivalent)
 
@@ -313,9 +314,12 @@ def test_witnesses_match_the_per_attempt_reference_search():
     # on every attempt; the deciders map P's anchor coordinates instead.
     # Both try the candidates in the same order, so on every 3d pair the
     # answer, reason and witness (hence `equiv --witness` output) must be
-    # the same.  Every polygon pair is decided by canonical frames: in
-    # all three modes it must get the reference search's and the
-    # oracle's truth value, and a witness that checks exactly.
+    # the same, except where decide rejects an affine pair by facet sizes
+    # before its search: the reference has no such check, and must
+    # answer no there, as must the oracle.  Every polygon pair is decided
+    # by canonical frames: in all three modes it must get the reference
+    # search's and the oracle's truth value, and a witness that checks
+    # exactly.
     outcomes = Counter()
     for p, q in witness_stream(seeded(211)):
         for a, b in ((p, q), (q, p)):
@@ -327,6 +331,10 @@ def test_witnesses_match_the_per_attempt_reference_search():
                         oracle_equivalent(a, b, mode)), (a, b, mode)
                     if got:
                         check_exact_witness(got, a, b, mode)
+                elif not got and got.reason == FACETS:
+                    assert not expect, (a, b, mode)
+                    if len(a.vertices) <= 6:
+                        assert not oracle_equivalent(a, b, mode), (a, b, mode)
                 else:
                     assert same_decision(got, expect), (a, b, mode)
                 outcomes[mode, a.dim, got.reason if not got else None] += 1
@@ -342,6 +350,10 @@ def test_witnesses_match_the_per_attempt_reference_search():
         assert outcomes[mode, 2, searched] >= 8
     for mode in ("unimodular", "det_one"):
         assert outcomes[mode, 2, "normalized volumes differ"] >= 8
+    # The octahedron against images of the prism, in both orders.
+    assert outcomes["affine", 3, FACETS] == 16
+    assert all(reason != FACETS for (m, _, reason) in outcomes
+               if m != "affine")
 
 
 def stretched(cycle, k, axis=0):
@@ -648,6 +660,128 @@ def test_content_check_and_search_agree_with_oracle_on_box_forms():
             and lattice_height_vector(p.vertices).abs_signature()
             != lattice_height_vector(q.vertices).abs_signature())
     assert heights_differ == 222
+
+
+def shapes_3d(rng):
+    """The four bench shapes (cube, frustum, octahedron, prism), seeded
+    simplices and prisms over seeded polygons: vertex lists in convex
+    position, no three of a facet's vertices collinear."""
+    shapes = [CUBE, FRUSTUM, OCTAHEDRON, PRISM]
+    while len(shapes) < 14:
+        rows = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3)]
+        if linalg.int_det(rows):
+            shapes.append(((0, 0, 0), *rows))
+    for _ in range(10):
+        base, h = random_polygon(rng, span=2), rng.randint(1, 3)
+        shapes.append(tuple((x, y, z)
+                            for z in (0, h) for x, y in base.vertices))
+    return shapes
+
+
+def images_3d(rng, verts):
+    """A unimodular image of `verts`, a stretched one ((x, ...) ->
+    (k*x, ...), then unimodular) and a relabeling, each shifted."""
+    k = rng.choice((2, 3))
+    stretched = [(k * v[0], *v[1:]) for v in verts]
+    relabeled = list(verts)
+    rng.shuffle(relabeled)
+    return [apply_int_map(source, random_unimodular_3d(rng),
+                          tuple(rng.randint(-3, 3) for _ in range(3)))
+            for source in (verts, stretched, relabeled)]
+
+
+def facet_signature(verts):
+    p = LatticePolytope(3, tuple(verts))
+    return equivalence._profile(p).facet_signature
+
+
+def test_facet_signature_counts_the_facets_of_the_hyperplane_routine():
+    # Each facet with k vertices, found by _facet_inequalities_3d, spans
+    # C(k, 3) supporting vertex triples, each with k - 3 other vertices
+    # on its plane.
+    facets = import_module("lattice_equiv.geometry")._facet_inequalities_3d
+    rng = seeded(269)
+    checked = Counter()
+    for shape in shapes_3d(rng):
+        for verts in [shape] + images_3d(rng, shape):
+            p = LatticePolytope(3, tuple(verts))
+            expect = []
+            for normal, offset in facets(p):
+                k = sum(linalg.vec_dot(normal, v) + offset == 0 for v in verts)
+                expect += [k - 3] * comb(k, 3)
+            assert facet_signature(verts) == tuple(sorted(expect)), verts
+            checked[len(verts)] += 1
+    assert facet_signature(OCTAHEDRON) == (0,) * 8
+    assert facet_signature(PRISM) == (0, 0) + (1,) * 12
+    assert facet_signature(CUBE) == facet_signature(FRUSTUM) == (1,) * 24
+    assert checked[4] == 40 and sum(checked.values()) == 96
+    # A 3d polytope's points are stored as given, so (1, 0, 0) can sit
+    # on an edge: its triple with that edge's ends spans no plane and is
+    # skipped, leaving three triples on each of the two facets it is on.
+    on_edge = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert facet_signature(on_edge) == (0, 0) + (1,) * 6
+
+
+def test_facet_signature_is_kept_by_rational_affine_maps():
+    # The stretch along x and the stretch along y of a shape, each under
+    # a unimodular map, differ by a rational affine map that is not
+    # integral; the decider finds that map and both keep the signature.
+    rng = seeded(271)
+    for shape in shapes_3d(rng):
+        k = rng.choice((2, 3))
+        along_x = [(k * x, y, z) for x, y, z in shape]
+        along_y = [(x, k * y, z) for x, y, z in shape]
+        a, b = (LatticePolytope(3, tuple(apply_int_map(
+            verts, random_unimodular_3d(rng),
+            tuple(rng.randint(-3, 3) for _ in range(3)))))
+            for verts in (along_x, along_y))
+        witness = affine_equivalent(a, b)
+        assert witness and not witness.map.is_integral
+        assert facet_signature(a.vertices) == facet_signature(b.vertices) \
+            == facet_signature(shape)
+
+
+def test_facet_size_check_agrees_with_oracle_on_3d_pairs():
+    # Every shape with at most 8 vertices against its images, and against
+    # an image of each of the next three shapes with its vertex count (the
+    # octahedron, the prism and the prisms over triangles; the cube, the
+    # frustum and the prisms over quadrilaterals), both orders, in all
+    # three modes: each answer is the oracle's.
+    rng = seeded(277)
+    shapes = [shape for shape in shapes_3d(rng) if len(shape) <= 8]
+    pairs = []
+    for i, shape in enumerate(shapes):
+        pairs += [(shape, image) for image in images_3d(rng, shape)]
+        others = [other for other in shapes[i + 1:]
+                  if len(other) == len(shape)]
+        pairs += [(shape, rng.choice(images_3d(rng, other)))
+                  for other in others[:3]]
+    outcomes = Counter()
+    for p, q in pairs:
+        p, q = LatticePolytope(3, tuple(p)), LatticePolytope(3, tuple(q))
+        for a, b in ((p, q), (q, p)):
+            for mode in MODES:
+                got = equivalence.decide(a, b, mode)
+                assert bool(got) == bool(oracle_equivalent(a, b, mode)), \
+                    (a, b, mode)
+                outcomes[mode, got.reason if not got else None] += 1
+    assert outcomes["affine", FACETS] >= 6
+    assert min(outcomes[mode, None] for mode in MODES) >= 80
+    for shape, other in ((OCTAHEDRON, PRISM), (CUBE, FRUSTUM)):
+        p, q = LatticePolytope(3, shape), LatticePolytope(3, other)
+        for a, b in ((p, q), (q, p)):
+            assert not affine_equivalent(a, b)
+            assert not oracle_equivalent(a, b)
+
+
+def test_octahedron_and_prism_are_rejected_before_the_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the pair reached the vertex search")
+
+    monkeypatch.setattr(equivalence, "_search", refuse)
+    p, q = LatticePolytope(3, OCTAHEDRON), LatticePolytope(3, PRISM)
+    assert affine_equivalent(p, q) == equivalence.NotEquivalent(FACETS)
+    assert affine_equivalent(q, p) == equivalence.NotEquivalent(FACETS)
 
 
 def random_rational_affine_image(rng, p):
