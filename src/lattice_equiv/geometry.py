@@ -1,6 +1,6 @@
 """Core exact geometry: lattice polytopes, rational affine maps, regions.
 
-All coordinates are Python ints (or Fractions where a map is involved),
+All coordinates are Python ints, and a map is ints over one denominator,
 so every predicate in this module is exact.  Points are row vectors and
 affine maps act on the right: p -> p @ A + v.
 """
@@ -238,61 +238,89 @@ def _stored_polygon(cycle):
     return p
 
 
-@dataclass(frozen=True)
+class _Fractions:
+    """A map's `matrix` or `translation`: the first read of either builds
+    both as Fractions into the map's __dict__, which then shadows this
+    descriptor (functools.cached_property locks on each first read before
+    Python 3.12)."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, m, owner=None):
+        if m is None:
+            return self
+        den, held = m.den, vars(m)
+        held["matrix"] = tuple([tuple([Fraction(x, den) for x in row])
+                                for row in m.rows])
+        held["translation"] = tuple([Fraction(s, den) for s in m.shift])
+        return held[self.name]
+
+
+@dataclass(frozen=True, init=False)
 class RationalAffineMap:
-    """Invertible-or-not affine map p -> p @ matrix + translation, whose
-    entries the constructor converts to Fractions through `_exact`, the
-    rule a region's size and radius follow too.  The library builds its
-    own maps from integers through `_map_over`."""
+    """Affine map p -> p @ matrix + translation, held as ints over one
+    denominator, p -> (p @ rows + shift) / den, with den > 0 and the gcd
+    of den and every entry 1, so that equal maps have equal fields.  The
+    constructor's entries pass `_exact`, as a region's size and radius
+    do; the library builds its own maps from ints through `_map_over`."""
 
-    matrix: tuple
-    translation: tuple
+    rows: tuple
+    shift: tuple
+    den: int
+    matrix = _Fractions()
+    translation = _Fractions()
 
-    def __post_init__(self):
-        m = tuple(tuple(_exact(x, "map entry") for x in row)
-                  for row in self.matrix)
-        t = tuple(_exact(x, "map entry") for x in self.translation)
+    def __init__(self, matrix, translation):
+        m = [[_exact(x, "map entry") for x in row] for row in matrix]
+        t = [_exact(x, "map entry") for x in translation]
         if len(m) != len(t) or any(len(row) != len(t) for row in m):
             raise DimensionMismatch("matrix and translation sizes disagree")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "translation", t)
+        # Over the lcm of their denominators, the entries are in lowest terms.
+        den = lcm(*(x.denominator for x in chain(t, *m)))
+        vars(self).update(den=den, shift=tuple(int(x * den) for x in t),
+                          rows=tuple(tuple(int(x * den) for x in row)
+                                     for row in m))
 
     @cached_property
     def determinant(self):
-        """Exact determinant: the matrix scaled to integers by the lcm of
-        its denominators, then divided by that lcm to the n-th power."""
-        scale = lcm(*(x.denominator for row in self.matrix for x in row))
-        rows = [[x.numerator * (scale // x.denominator) for x in row]
-                for row in self.matrix]
-        return Fraction(linalg.int_det(rows), scale ** len(rows))
+        return Fraction(linalg.int_det(self.rows), self.den ** len(self.rows))
+
+    def _check_dim(self, dim, what):
+        if dim != len(self.shift):
+            raise DimensionMismatch(f"a map of dimension {len(self.shift)} "
+                                    f"cannot {what} of dimension {dim}")
+
+    def _scaled(self, point):
+        return [x + s for x, s in zip(
+            linalg.row_times_matrix(point, self.rows), self.shift)]
 
     def apply(self, point):
         """The image, as Fractions, of a lattice point that passes
         `_int_points` with the map's dimension."""
-        (point,), _ = _int_points((point,), len(self.translation), "point")
-        return self._image(point)
-
-    def _image(self, point):
-        img = linalg.row_times_matrix(point, self.matrix)
-        return tuple(x + t for x, t in zip(img, self.translation))
+        (point,), _ = _int_points((point,), len(self.shift), "point")
+        return tuple(Fraction(x, self.den) for x in self._scaled(point))
 
     def apply_polytope(self, p):
+        self._check_dim(p.dim, "map a polytope")
         ints = []
-        for img in map(self._image, p.vertices):
-            if any(x.denominator != 1 for x in img):
+        for img in map(self._scaled, p.vertices):
+            if any(x % self.den for x in img):
                 raise DegenerateInput("image is not a lattice polytope")
-            ints.append(tuple(int(x) for x in img))
+            ints.append(tuple(x // self.den for x in img))
         return LatticePolytope(p.dim, tuple(ints))
 
     def then(self, other):
         """Composite map: apply self first, then other."""
-        m = linalg.mat_mul(self.matrix, other.matrix)
-        return RationalAffineMap(m, other._image(self.translation))
+        other._check_dim(len(self.shift), "follow a map")
+        moved = linalg.row_times_matrix(self.shift, other.rows)
+        return _map_over(linalg.mat_mul(self.rows, other.rows), tuple(
+            x + self.den * s for x, s in zip(moved, other.shift)),
+            self.den * other.den)
 
     @property
     def is_integral(self):
-        return (all(x.denominator == 1 for row in self.matrix for x in row)
-                and all(x.denominator == 1 for x in self.translation))
+        return self.den == 1
 
     @property
     def is_unimodular(self):
@@ -300,14 +328,19 @@ class RationalAffineMap:
 
 
 def _map_over(rows, shift, den):
-    """The map p -> (p @ rows + shift) / den for d rows of d ints, d ints
-    and a nonzero int den: the library's one path from an integer solution
-    to a map, without the constructor's conversion and size check (checked
+    """The map p -> (p @ rows + shift) / den for a tuple of d tuples of d
+    ints, a tuple of d ints and a nonzero int den, divided by their gcd
+    with its sign: the library's one path from an integer solution to a
+    map, with no Fraction and without the constructor's checks (tested
     in tests/test_equivalence.py: *_maps_equal_the_publicly_built_maps)."""
+    g = gcd(den, *shift, *chain.from_iterable(rows))
+    if den < 0:
+        g = -g
+    if g != 1:
+        rows = tuple([tuple([x // g for x in row]) for row in rows])
+        shift, den = tuple([s // g for s in shift]), den // g
     m = object.__new__(RationalAffineMap)
-    object.__setattr__(m, "matrix", tuple(
-        tuple(Fraction(x, den) for x in row) for row in rows))
-    object.__setattr__(m, "translation", tuple(Fraction(s, den) for s in shift))
+    vars(m).update(rows=rows, shift=shift, den=den)
     return m
 
 

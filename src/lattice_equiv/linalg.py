@@ -78,22 +78,31 @@ def int_det(rows):
 
 
 def int_adjugate(rows):
-    """Adjugate of a square integer matrix: adj(M) @ M = det(M) * I."""
+    """Adjugate of a square integer matrix: adj(M) @ M = det(M) * I.
+    Closed forms up to 3x3, as in `int_det`; cofactors beyond."""
     n = len(rows)
     if n == 1:
         return ((1,),)
     if n == 2:
         (a, b), (c, d) = rows
         return ((d, -b), (-c, a))
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [[rows[r][c] for c in range(n) if c != i]
-                     for r in range(n) if r != j]
-            row.append((-1) ** (i + j) * int_det(minor))
-        out.append(tuple(row))
-    return tuple(out)
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return ((e * i - f * h, c * h - b * i, b * f - c * e),
+                (f * g - d * i, a * i - c * g, c * d - a * f),
+                (d * h - e * g, b * g - a * h, a * e - b * d))
+    return _cofactor_adjugate(rows)
+
+
+def _cofactor_adjugate(rows):
+    """adj(M) by cofactors, of any size: entry (i, j) is the signed minor
+    of M without row j and column i.  `int_adjugate` beyond 3x3, and the
+    reference its closed forms are tested against."""
+    n = len(rows)
+    return tuple(tuple((-1) ** (i + j) * int_det(
+        [[x for c, x in enumerate(r) if c != i]
+         for k, r in enumerate(rows) if k != j]) for j in range(n))
+        for i in range(n))
 
 
 def int_rank(rows):

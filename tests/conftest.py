@@ -4,8 +4,9 @@ that the by-volume growth is checked against, the bounding-box filter
 that the polytope listing is checked against, the deciders' per-attempt
 search that their witnesses are checked against, the two-list Hermite
 form that `hnf` and `sublattice_info` are checked against, the small
-regions and 3d shapes several modules test on, and random map generators
-used across the suite."""
+regions and 3d shapes several modules test on, the Leibniz determinant
+that `int_det` and a map's determinant are checked against, and random
+map generators used across the suite."""
 
 import os
 import random
@@ -401,6 +402,21 @@ def random_polygon(rng, span=4, tries=50):
         if hull is not None:
             return LatticePolytope(2, tuple(hull))
     raise AssertionError("random polygon generation failed")
+
+
+def permutation_det(m):
+    """Leibniz expansion: the signed sum over all permutations of the
+    products m[0][s(0)] * ... * m[n-1][s(n-1)]."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
 
 
 def seeded(seed):

@@ -108,6 +108,47 @@ def test_equiv_modes(capsys, files):
     assert json.loads(out.split("\n", 1)[1])["determinant"] == "1"
 
 
+# equiv --witness output in each mode, pinned.  The polygon pair's
+# witness reflects (determinant -2) and is solved as rows, shift and
+# denominator sharing the factor 6; the 3d pair's is solved over the
+# negative denominator -4 with the factor 2 in common.
+PINNED_WITNESSES = [
+    ({"dim": 2, "points": [[0, 0], [3, 0], [4, 2], [1, 3]]},
+     {"dim": 2, "points": [[2, -1], [2, 5], [4, 7], [5, 1]]},
+     {"affine": {"bijection": [0, 3, 2, 1],
+                 "matrix": [["0", "2"], ["1", "0"]],
+                 "translation": ["2", "-1"], "determinant": "-2"}}),
+    ({"dim": 3, "points": [[1, -1, 1], [-1, 1, -1], [0, 1, 0], [0, -1, 0],
+                           [-1, 1, 1], [1, -1, -1]]},
+     {"dim": 3, "points": [[1, -1, -2], [-3, 3, -2], [-3, -1, -3],
+                           [1, 3, -1], [-2, 1, -2], [0, 1, -2]]},
+     {"affine": {"bijection": [0, 1, 2, 3, 4, 5],
+                 "matrix": [["-1/2", "-3", "-1"], ["-2", "-2", "-1"],
+                            ["1/2", "-1", "0"]],
+                 "translation": ["-1", "1", "-2"], "determinant": "-1"},
+      "det-one": {"bijection": [0, 1, 4, 5, 2, 3],
+                  "matrix": [["1", "0", "1/2"], ["-1", "0", "0"],
+                             ["0", "-2", "-1/2"]],
+                  "translation": ["-1", "1", "-2"], "determinant": "1"}}),
+]
+
+
+@pytest.mark.parametrize("first, second, witnesses", PINNED_WITNESSES,
+                         ids=["polygons", "3d"])
+def test_equiv_witness_output_is_pinned(capsys, files, first, second,
+                                        witnesses):
+    a, b = files("a.json", first), files("b.json", second)
+    for mode in ("affine", "unimodular", "det-one"):
+        code, out, _ = run(capsys, ["equiv", "--mode", mode, "--witness",
+                                    a, b])
+        if mode in witnesses:
+            assert code == 0
+            assert out == "equivalent\n" + json.dumps(
+                witnesses[mode], indent=2) + "\n"
+        else:
+            assert (code, out) == (1, "not-equivalent\n")
+
+
 def test_equiv_unimodular_witness_carries_each_vertex(capsys, files):
     points = [[0, 0], [3, 0], [4, 2], [1, 3]]
     sheared = [[x + 2 * y + 1, y - 2] for x, y in points]

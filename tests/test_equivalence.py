@@ -591,6 +591,44 @@ def test_shrink_maps_equal_the_publicly_built_maps():
         assert move.apply_polytope(p) == image
 
 
+def test_deciding_builds_no_fraction(monkeypatch):
+    # A witness map is held as ints over one denominator, so deciding, in
+    # every mode and in 2d and 3d, constructs no Fraction in geometry.
+    # Reading matrix and translation afterwards builds them: Fractions
+    # that carry every vertex of P onto its partner in Q, which fixes the
+    # map, and for a 3d pair equal the per-attempt reference search's map.
+    geometry = import_module("lattice_equiv.geometry")
+    pairs = witness_stream(seeded(227))
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(geometry, "Fraction", counted)
+    answers = [(p, q, mode, equivalence.decide(p, q, mode))
+               for p, q in pairs for mode in MODES]
+    assert built == []
+    monkeypatch.undo()
+    positives = Counter()
+    for p, q, mode, got in answers:
+        if not got:
+            continue
+        positives[p.dim, mode] += 1
+        m = got.map
+        assert all(type(x) is Fraction
+                   for row in m.matrix + (m.translation,) for x in row)
+        for v, j in zip(p.vertices, got.bijection):
+            assert tuple(sum(x * row[c] for x, row in zip(v, m.matrix))
+                         + t for c, t in enumerate(m.translation)) \
+                == q.vertices[j]
+        if p.dim == 3:
+            expect = reference_decide(p, q, mode).map
+            assert (m.matrix, m.translation) == (
+                expect.matrix, expect.translation)
+    assert len(positives) == 6 and min(positives.values()) >= 10, positives
+
+
 def test_each_profile_is_built_once_through_the_traced_names(monkeypatch):
     # The benchmark's per-layer invariants metrics count calls made
     # through these two module names; a hot path that bypassed them

@@ -6,19 +6,22 @@ import json
 import pickle
 import re
 import time
+from collections import Counter
 from dataclasses import fields
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
 from importlib import import_module
 from itertools import permutations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
-    apply_int_map, cross, poly, random_polygon, random_unimodular,
-    reference_polytope_points, seeded, strict_hull)
+    apply_int_map, cross, permutation_det, poly, random_polygon,
+    random_unimodular, random_unimodular_3d, reference_polytope_points,
+    seeded, strict_hull)
 from lattice_equiv import (
     CanonicalTriangle,
     CapExceeded,
@@ -592,8 +595,8 @@ def test_affine_map_apply():
 
 def test_affine_map_converts_and_checks_its_entries():
     # The public constructor's work, which the library's own maps skip by
-    # being built through geometry._map_over: ints become Fractions, and
-    # the sizes must agree.
+    # being built through geometry._map_over: int entries read back as
+    # Fractions, and the sizes must agree.
     move = RationalAffineMap(((0, 1), (1, 0)), (1, 0))
     assert all(type(x) is Fraction
                for row in move.matrix + (move.translation,) for x in row)
@@ -634,6 +637,102 @@ def test_affine_map_compose():
     b = RationalAffineMap(((2, 0), (0, 2)), (0, 0))
     assert a.then(b).apply((0, 0)) == (2, 4)
     assert b.then(a).apply((0, 0)) == (1, 2)
+
+
+def test_affine_map_refuses_another_dimension():
+    # A map composes only with a map of its own dimension and maps only a
+    # polytope of its own dimension; the error names both dimensions.
+    flat = RationalAffineMap(((1, 0), (0, 1)), (1, 2))
+    solid = RationalAffineMap(((0, 1, 0), (1, 0, 0), (0, 0, 2)), (1, 0, 0))
+    square = poly((0, 0), (1, 0), (1, 1), (0, 1))
+    cube = LatticePolytope(3, tuple(product((0, 1), repeat=3)))
+    for call in (lambda: flat.then(solid), lambda: solid.then(flat),
+                 lambda: flat.apply_polytope(cube),
+                 lambda: solid.apply_polytope(square)):
+        with pytest.raises(DimensionMismatch) as caught:
+            call()
+        assert "dimension 2" in str(caught.value)
+        assert "dimension 3" in str(caught.value)
+
+
+def _fraction_image(matrix, translation, point):
+    """point @ matrix + translation over Fractions."""
+    return tuple(sum((p * row[c] for p, row in zip(point, matrix)),
+                     Fraction(0)) + translation[c]
+                 for c in range(len(translation)))
+
+
+def test_integer_map_form_agrees_with_fraction_arithmetic():
+    # A map is held as ints over one positive denominator in lowest terms,
+    # so _map_over(k * rows, k * shift, k * den), for any k != 0, equals
+    # and hashes as the map built from the Fractions rows / den and
+    # shift / den.  Each operation must agree with the same operation done
+    # here on those Fractions: determinant, apply, apply_polytope (which
+    # refuses a fractional image), is_integral, is_unimodular and then.
+    geometry = import_module("lattice_equiv.geometry")
+    rng = seeded(331)
+    bodies = {2: poly((0, 0), (2, 0), (1, 3)),
+              3: LatticePolytope(3, ((0, 0, 0), (2, 0, 0), (0, 3, 0),
+                                     (1, 1, 2)))}
+    seen = Counter()
+    for trial in range(400):
+        d = 2 + trial % 2
+        den = rng.choice((1, 2, 3, 4, 6)) * rng.choice((1, -1))
+        if trial % 4 < 2:
+            # den times a unimodular matrix and an integer shift.
+            unit = (random_unimodular(rng) if d == 2
+                    else random_unimodular_3d(rng))
+            rows = [[den * x for x in row] for row in unit]
+            shift = [den * rng.randint(-3, 3) for _ in range(d)]
+        else:
+            rows = [[rng.randint(-6, 6) for _ in range(d)] for _ in range(d)]
+            shift = [rng.randint(-6, 6) for _ in range(d)]
+        k = rng.choice((1, -1, 2, 3))
+        built = geometry._map_over(
+            tuple(tuple(k * x for x in row) for row in rows),
+            tuple(k * s for s in shift), k * den)
+        matrix = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+        translation = tuple(Fraction(s, den) for s in shift)
+        public = RationalAffineMap(matrix, translation)
+        assert built == public and hash(built) == hash(public)
+        assert built.den > 0 and gcd(
+            built.den, *built.shift, *sum(built.rows, ())) == 1
+        assert built.matrix == matrix and built.translation == translation
+        det = permutation_det(matrix)
+        assert built.determinant == det
+        integral = all(x.denominator == 1
+                       for x in translation + sum(matrix, ()))
+        assert built.is_integral == integral
+        assert built.is_unimodular == (integral and abs(det) == 1)
+        seen["integral"] += integral
+        seen["unimodular"] += built.is_unimodular
+        point = tuple(rng.randint(-5, 5) for _ in range(d))
+        assert built.apply(point) == _fraction_image(
+            matrix, translation, point)
+        image = [_fraction_image(matrix, translation, v)
+                 for v in bodies[d].vertices]
+        if any(x.denominator != 1 for v in image for x in v):
+            seen["refused"] += 1
+            with pytest.raises(DegenerateInput):
+                built.apply_polytope(bodies[d])
+        elif det:
+            seen["mapped"] += 1
+            assert built.apply_polytope(bodies[d]) == LatticePolytope(
+                d, tuple(tuple(map(int, v)) for v in image))
+        other = RationalAffineMap(
+            tuple(tuple(rng.randint(-4, 4) for _ in range(d))
+                  for _ in range(d)),
+            tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 5)))
+                  for _ in range(d)))
+        both = built.then(other)
+        assert both.matrix == tuple(
+            tuple(sum((a * b for a, b in zip(row, col)), Fraction(0))
+                  for col in zip(*other.matrix)) for row in matrix)
+        assert both.translation == _fraction_image(
+            other.matrix, other.translation, translation)
+        assert both == RationalAffineMap(both.matrix, both.translation)
+    assert min(seen[key] for key in (
+        "integral", "unimodular", "refused", "mapped")) >= 40, seen
 
 
 def test_volume_3d_prism():

@@ -1,12 +1,12 @@
 """Exact linear algebra helpers."""
 
 from fractions import Fraction
-from itertools import permutations
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import permutation_det, seeded
 from lattice_equiv import RationalAffineMap, linalg
 
 ints = st.integers(min_value=-50, max_value=50)
@@ -17,21 +17,6 @@ fractions = st.builds(Fraction, st.integers(min_value=-9, max_value=9),
 def square(n, entries=ints):
     return st.lists(st.lists(entries, min_size=n, max_size=n),
                     min_size=n, max_size=n).map(lambda m: tuple(map(tuple, m)))
-
-
-def permutation_det(m):
-    """Leibniz expansion: the signed sum over all permutations of the
-    products m[0][s(0)] * ... * m[n-1][s(n-1)]."""
-    n = len(m)
-    total = 0
-    for perm in permutations(range(n)):
-        inversions = sum(perm[i] > perm[j]
-                         for i in range(n) for j in range(i + 1, n))
-        term = (-1) ** inversions
-        for i, j in enumerate(perm):
-            term *= m[i][j]
-        total += term
-    return total
 
 
 @given(ints, ints)
@@ -71,6 +56,25 @@ def test_adjugate_identity(m):
 
 def test_adjugate_2x2():
     assert linalg.int_adjugate(((3, 1), (4, 2))) == ((2, -1), (-4, 3))
+
+
+def test_adjugate_closed_forms_match_the_cofactor_loop():
+    # int_adjugate has closed forms up to 3x3 and runs the cofactor loop
+    # beyond.  On seeded 1x1 to 4x4 matrices, singular ones included (a
+    # repeated row), it must equal that loop and satisfy
+    # adj(M) @ M == det(M) * I.
+    rng = seeded(307)
+    for n in range(1, 5):
+        for trial in range(150):
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if n > 1 and trial % 10 == 0:
+                m[-1] = list(m[0])
+            m = tuple(map(tuple, m))
+            adj = linalg.int_adjugate(m)
+            assert adj == linalg._cofactor_adjugate(m)
+            det = linalg.int_det(m)
+            assert linalg.mat_mul(adj, m) == tuple(
+                tuple(det * (i == j) for j in range(n)) for i in range(n))
 
 
 def test_rank():
