@@ -28,8 +28,8 @@ from .equivalence import (
     decide,
 )
 from .errors import LatticeError, ParseError
-from .geometry import (LatticePolytope, Region, _int_points, _whole,
-                       convex_hull_2d, normalized_volume)
+from .geometry import (LatticePolytope, Region, _facets_3d, _int_points,
+                       _whole, convex_hull_2d, normalized_volume)
 from .invariants import (
     lattice_height_vector,
     primitive_decomposition,
@@ -43,9 +43,11 @@ def parse_polytope(text):
 
     'dim' and the points pass the library's checks, `geometry._whole`
     and `geometry._int_points`, whose errors come back as ParseError.  In
-    dimensions 1 and 2 the convex hull is taken; a True second return
-    value flags input points that were not vertices (dropped with a
-    warning by the CLI).
+    dimensions 1 to 3 the convex hull is taken (in dimension 3, the
+    points on three facets or more, in input order, duplicates dropped);
+    a True second return value flags input points that were not vertices
+    (dropped with a warning by the CLI).  Points of dimension 4 and above
+    are kept as given.
     """
     try:
         doc = json.loads(text)
@@ -61,10 +63,16 @@ def parse_polytope(text):
         clean, _ = _int_points(points, _whole(dim, 1, "'dim'"))
     except LatticeError as exc:
         raise ParseError(str(exc)) from exc
-    if dim not in (1, 2):
+    if dim > 3:
         return LatticePolytope(dim, clean), False
-    poly = (convex_hull_2d(clean) if dim == 2 else
-            LatticePolytope(1, tuple({min(clean), max(clean)})))
+    if dim == 3:
+        distinct = tuple(dict.fromkeys(clean))
+        corners = _facets_3d(distinct)[2]  # DegenerateInput unless they span
+        poly = LatticePolytope(3, tuple(
+            v for i, v in enumerate(distinct) if i in corners))
+    else:
+        poly = (convex_hull_2d(clean) if dim == 2 else
+                LatticePolytope(1, tuple({min(clean), max(clean)})))
     return poly, set(poly.vertices) != set(clean)
 
 

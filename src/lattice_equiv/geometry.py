@@ -5,10 +5,11 @@ so every predicate in this module is exact.  Points are row vectors and
 affine maps act on the right: p -> p @ A + v.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, combinations, islice
 from math import gcd, isqrt, lcm
 
 from . import linalg
@@ -424,9 +425,10 @@ def normalized_volume(p):
     """d! times the Euclidean volume, an exact positive integer.
 
     Computed by fan triangulation from the first vertex (dim 2), by the
-    simplex determinant (other dimensions, d+1 vertices), or by pyramids
-    over facet triangulations (dim 3).
-    """
+    simplex determinant (other dimensions, d+1 vertices), or (dim 3) as
+    volume vector entries: point 0 over the fan of each facet without it
+    (`_facets_3d`) from its first vertex, along its edges (pairs of its
+    vertices on a second facet)."""
     verts = p.vertices
     if p.dim == 2:
         v0 = verts[0]
@@ -435,7 +437,12 @@ def normalized_volume(p):
     if len(verts) == p.dim + 1:
         return abs(simplex_determinant(verts))
     if p.dim == 3:
-        return _volume_3d(p)
+        entry, planes, corners = _facets_3d(verts)
+        faces = [[i for i in on if i in corners] for on in planes]
+        edges = Counter(chain.from_iterable(combinations(f, 2) for f in faces))
+        return sum(abs(entry[0, apex, a, b])
+                   for on, (apex, *rest) in zip(planes, faces) if on[0]
+                   for a, b in combinations(rest, 2) if edges[a, b] == 2)
     raise DimensionMismatch(
         "volume of a non-simplex is implemented for dim 2 and 3 only")
 
@@ -542,12 +549,23 @@ def _edge_half_spaces(cycle):
 
 def _half_spaces(p):
     """The (normal, offset) pairs whose normal . x + offset <= 0 cut out a
-    polygon (one per edge) or a 3d polytope (its facets)."""
+    polygon (one per edge) or a 3d polytope (one per facet of `_facets_3d`,
+    its first triple's normal turned toward a point off it)."""
+    verts = p.vertices
     if p.dim == 2:
-        return _edge_half_spaces(p.vertices)
-    if p.dim == 3:
-        return _facet_inequalities_3d(p)
-    raise DimensionMismatch("membership and listing need dim 2 or 3")
+        return _edge_half_spaces(verts)
+    if p.dim != 3:
+        raise DimensionMismatch("membership and listing need dim 2 or 3")
+    out = []
+    for on, (i, j, k) in _facets_3d(verts)[1].items():
+        normal = linalg.primitive_normal(
+            (linalg.vec_sub(verts[j], verts[i]),
+             linalg.vec_sub(verts[k], verts[i])))
+        offset = -linalg.vec_dot(normal, verts[i])
+        off = next(v for l, v in enumerate(verts) if l not in on)
+        s = -1 if linalg.vec_dot(normal, off) + offset > 0 else 1
+        out.append((tuple(s * c for c in normal), s * offset))
+    return out
 
 
 def _lift(prefixes, halves):
@@ -606,53 +624,14 @@ def _polytope_points(p, cap):
     return sorted(listed)
 
 
-def _facet_inequalities_3d(p):
-    """All supporting facet inequalities (normal, offset) with
-    normal . x + offset <= 0 over the polytope."""
-    verts = p.vertices
-    seen = set()
-    out = []
-    n = len(verts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                normal = linalg.primitive_normal(
-                    (linalg.vec_sub(verts[j], verts[i]),
-                     linalg.vec_sub(verts[k], verts[i])))
-                if normal is None:
-                    continue
-                offset = -linalg.vec_dot(normal, verts[i])
-                vals = [linalg.vec_dot(normal, v) + offset for v in verts]
-                if all(x <= 0 for x in vals):
-                    key = (normal, offset)
-                elif all(x >= 0 for x in vals):
-                    key = (tuple(-c for c in normal), -offset)
-                else:
-                    continue
-                if key not in seen:
-                    seen.add(key)
-                    out.append(key)
-    return out
-
-
-def _volume_3d(p):
-    verts = p.vertices
-    apex = verts[0]
-    total = 0
-    for normal, offset in _facet_inequalities_3d(p):
-        if linalg.vec_dot(normal, apex) + offset == 0:
-            continue  # pyramid over this facet is flat
-        face = [v for v in verts if linalg.vec_dot(normal, v) + offset == 0]
-        drop = max(range(3), key=lambda ax: abs(normal[ax]))
-        keep = [ax for ax in range(3) if ax != drop]
-        flat = {(v[keep[0]], v[keep[1]]): v for v in face}
-        cycle = _hull_cycle(flat.keys()) if len(flat) >= 3 else None
-        if cycle is None:
-            continue
-        f0 = flat[cycle[0]]
-        a0 = linalg.vec_sub(f0, apex)
-        for i in range(1, len(cycle) - 1):
-            a1 = linalg.vec_sub(flat[cycle[i]], apex)
-            a2 = linalg.vec_sub(flat[cycle[i + 1]], apex)
-            total += abs(linalg.int_det((a0, a1, a2)))
-    return total
+def _facets_3d(points):
+    """(entry, facets, vertices) of 3d points that span space: their volume
+    vector by index quadruple, its `invariants.facets`, and the indices
+    of the points on three facets or more, which are the hull's vertices."""
+    # invariants imports geometry, so geometry imports invariants here.
+    from .invariants import facets, index_combinations, volume_vector
+    entries, n = volume_vector(points, 3).entries, len(points)
+    planes = facets(entries, n, 3)
+    count = Counter(chain.from_iterable(planes))
+    return (dict(zip(index_combinations(n, 4), entries)), planes,
+            {i for i, k in count.items() if k >= 3})

@@ -71,6 +71,17 @@ def side_positions(n, d):
 _NEGATE_SIGNS = bytes.maketrans(b"\x01\x02", b"\x02\x01")
 
 
+def _sides(entries, n, d):
+    """For each d-subset S of n points, in index_combinations order, the
+    bytes run of the signs of det(S, l) over the other points l in
+    increasing order (0 zero, 1 positive, 2 negative), read from the
+    signs of their volume vector's `entries`."""
+    gather, chunks = side_positions(n, d)
+    signs = bytes((e > 0) + 2 * (e < 0) for e in entries)
+    sides = bytes(gather(signs + signs.translate(_NEGATE_SIGNS)))
+    return map(sides.__getitem__, chunks)
+
+
 def facet_signature(entries, n, d):
     """Sorted numbers of the other points on the hyperplane of each
     d-subset S of n points in dimension d whose hyperplane supports
@@ -83,14 +94,24 @@ def facet_signature(entries, n, d):
     signs are the chirotope of the points, which an affine map changes
     at most by one global sign, so the signature is an affine
     invariant of the vertex set."""
-    gather, chunks = side_positions(n, d)
-    signs = bytes((e > 0) + 2 * (e < 0) for e in entries)
-    sides = bytes(gather(signs + signs.translate(_NEGATE_SIGNS)))
     return tuple(sorted(
         zeros for zeros in (
-            run.count(0) for run in map(sides.__getitem__, chunks)
+            run.count(0) for run in _sides(entries, n, d)
             if 1 not in run or 2 not in run)
         if zeros < n - d))
+
+
+def facets(entries, n, d):
+    """The facets of the hull of n points in dimension d, read from the
+    same signs as `facet_signature`: a dict from the sorted indices of
+    the points on each facet to the first d-subset that spans it."""
+    out = {}
+    for sub, run in zip(index_combinations(n, d), _sides(entries, n, d)):
+        if (1 not in run or 2 not in run) and run.count(0) < n - d:
+            rest = iter(run)
+            out.setdefault(tuple(
+                l for l in range(n) if l in sub or not next(rest)), sub)
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Shared helpers: small builders, an independent brute-force polygon
 enumerator, the volume-budgeted box search and the per-point growth step
-that the by-volume growth is checked against, the bounding-box filter
-that the polytope listing is checked against, the deciders' per-attempt
-search that their witnesses are checked against, the two-list Hermite
-form that `hnf` and `sublattice_info` are checked against, the small
-regions and 3d shapes several modules test on, the Leibniz determinant
-that `int_det` and a map's determinant are checked against, and random
-map generators used across the suite."""
+that the by-volume growth is checked against, the frozen triple-loop
+facets and projection volume and the bounding-box filter that the 3d
+half-spaces, the volume and the polytope listing are checked against,
+the deciders' per-attempt search that their witnesses are checked
+against, the two-list Hermite form that `hnf` and `sublattice_info` are
+checked against, the small regions and 3d shapes several modules test
+on, the Leibniz determinant that `int_det` and a map's determinant are
+checked against, and random map generators used across the suite."""
 
 import os
 import random
@@ -24,7 +25,7 @@ from lattice_equiv import (
 from lattice_equiv.equivalence import (
     EquivalenceWitness, NotEquivalent, _canonical_cycle, _candidate_images,
     _profile)
-from lattice_equiv.geometry import _facet_inequalities_3d
+from lattice_equiv.geometry import _hull_cycle
 
 
 # Every ball, box and orthant ball of integer size with at most 16 lattice
@@ -188,6 +189,64 @@ def reference_one_point_growths(cycle, volume, points, max_volume):
             yield tuple(kept), volume + added
 
 
+def reference_facet_inequalities(p):
+    """geometry._facet_inequalities_3d as it was before the facets were
+    read from the volume vector's signs, frozen: every vertex triple that
+    spans a plane with all vertices on one side gives that plane's
+    (normal, offset), normal . x + offset <= 0 over the polytope, once."""
+    verts = p.vertices
+    seen = set()
+    out = []
+    n = len(verts)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                normal = linalg.primitive_normal(
+                    (linalg.vec_sub(verts[j], verts[i]),
+                     linalg.vec_sub(verts[k], verts[i])))
+                if normal is None:
+                    continue
+                offset = -linalg.vec_dot(normal, verts[i])
+                vals = [linalg.vec_dot(normal, v) + offset for v in verts]
+                if all(x <= 0 for x in vals):
+                    key = (normal, offset)
+                elif all(x >= 0 for x in vals):
+                    key = (tuple(-c for c in normal), -offset)
+                else:
+                    continue
+                if key not in seen:
+                    seen.add(key)
+                    out.append(key)
+    return out
+
+
+def reference_volume_3d(p):
+    """geometry._volume_3d as it was, frozen: pyramids from the first
+    vertex over a fan of each facet of reference_facet_inequalities,
+    whose vertex cycle is the hull of the facet's points projected along
+    the normal's largest axis."""
+    verts = p.vertices
+    apex = verts[0]
+    total = 0
+    for normal, offset in reference_facet_inequalities(p):
+        if linalg.vec_dot(normal, apex) + offset == 0:
+            continue  # pyramid over this facet is flat
+        face = [v for v in verts if linalg.vec_dot(normal, v) + offset == 0]
+        drop = max(range(3), key=lambda ax: abs(normal[ax]))
+        keep = [ax for ax in range(3) if ax != drop]
+        flat = {(v[keep[0]], v[keep[1]]): v for v in face}
+        cycle = _hull_cycle(flat.keys()) if len(flat) >= 3 else None
+        if cycle is None:
+            continue
+        f0 = flat[cycle[0]]
+        a0 = linalg.vec_sub(f0, apex)
+        for i in range(1, len(cycle) - 1):
+            a1 = linalg.vec_sub(flat[cycle[i]], apex)
+            a2 = linalg.vec_sub(flat[cycle[i + 1]], apex)
+            total += abs(linalg.int_det((a0, a1, a2)))
+    return total
+
+
 def reference_polytope_points(p):
     """geometry._polytope_points as it was before its column intervals,
     and without its cap: every point of the bounding box that lies on
@@ -199,7 +258,7 @@ def reference_polytope_points(p):
         edges = list(zip(p.vertices, p.vertices[1:] + p.vertices[:1]))
         return sorted(pt for pt in box
                       if all(cross(a, b, pt) >= 0 for a, b in edges))
-    facets = _facet_inequalities_3d(p)
+    facets = reference_facet_inequalities(p)
     return sorted(pt for pt in box
                   if all(linalg.vec_dot(normal, pt) + offset <= 0
                          for normal, offset in facets))

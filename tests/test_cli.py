@@ -397,6 +397,47 @@ def test_hull_warning_on_stderr(capsys, files):
     assert "convex hull" in err
 
 
+def test_3d_input_is_replaced_by_its_hull(capsys, files):
+    # A cube of side 2 plus its centre reads as the cube, with a warning;
+    # 2 * unit simplex plus (1, 0, 0), a point on an edge, reads as the
+    # simplex, so the two are equivalent.  A repeated vertex is dropped
+    # without a warning, as in the plane, and the kept vertices stay in
+    # input order.  Points that do not span space are bad input.
+    corners = [[x, y, z] for x in (0, 2) for y in (0, 2) for z in (0, 2)]
+    cube = files("cube.json", {"dim": 3, "points": corners})
+    centred = files("centred.json",
+                    {"dim": 3, "points": corners[:4] + [[1, 1, 1]]
+                     + corners[4:] + [corners[0]]})
+    code, plain, err = run(capsys, ["invariants", cube])
+    assert (code, err) == (0, "")
+    assert json.loads(plain)["vertex_count"] == 8
+    code, out, err = run(capsys, ["invariants", centred])
+    assert (code, out) == (0, plain)
+    assert "centred.json" in err and "convex hull" in err
+    simplex = [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]]
+    two = files("two.json", {"dim": 3, "points": simplex})
+    edged = files("edged.json", {
+        "dim": 3, "points": simplex[:1] + [[1, 0, 0]] + simplex[1:]})
+    code, out, err = run(capsys, ["equiv", "--mode", "affine", edged, two])
+    assert (code, out) == (0, "equivalent\n")
+    assert "edged.json" in err and "convex hull" in err
+    repeated = json.dumps({"dim": 3, "points": simplex + [[0, 0, 0]]})
+    assert parse_polytope(repeated) \
+        == (LatticePolytope(3, tuple(map(tuple, simplex))), False)
+    for flat in (simplex[:3], simplex[:3] + [[2, 2, 0]], [[1, 1, 1]] * 5):
+        path = files("flat.json", {"dim": 3, "points": flat})
+        assert run(capsys, ["invariants", path])[0] == 3
+
+
+def test_4d_input_is_kept_as_given():
+    # In dimension 4 and above the points are stored as given: the unit
+    # simplex plus (1, 1, 1, 1) and (0, 0, 0, 2) keeps all seven.
+    points = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+              [0, 0, 0, 1], [1, 1, 1, 1], [0, 0, 0, 2]]
+    p, dropped = parse_polytope(json.dumps({"dim": 4, "points": points}))
+    assert (p.vertices, dropped) == (tuple(map(tuple, points)), False)
+
+
 def test_segment_takes_its_endpoints(capsys, files):
     assert parse_polytope(json.dumps({"dim": 1, "points": [[2], [0], [1]]})) \
         == (LatticePolytope(1, ((0,), (2,))), True)

@@ -24,6 +24,7 @@ from conftest import (
     random_unimodular,
     random_unimodular_3d,
     reference_decide,
+    reference_facet_inequalities,
     reference_oracle,
     seeded,
     strict_hull,
@@ -734,17 +735,16 @@ def facet_signature(verts):
 
 
 def test_facet_signature_counts_the_facets_of_the_hyperplane_routine():
-    # Each facet with k vertices, found by _facet_inequalities_3d, spans
-    # C(k, 3) supporting vertex triples, each with k - 3 other vertices
-    # on its plane.
-    facets = import_module("lattice_equiv.geometry")._facet_inequalities_3d
+    # Each facet with k vertices, found by the frozen triple loop
+    # reference_facet_inequalities, spans C(k, 3) supporting vertex
+    # triples, each with k - 3 other vertices on its plane.
     rng = seeded(269)
     checked = Counter()
     for shape in shapes_3d(rng):
         for verts in [shape] + images_3d(rng, shape):
             p = LatticePolytope(3, tuple(verts))
             expect = []
-            for normal, offset in facets(p):
+            for normal, offset in reference_facet_inequalities(p):
                 k = sum(linalg.vec_dot(normal, v) + offset == 0 for v in verts)
                 expect += [k - 3] * comb(k, 3)
             assert facet_signature(verts) == tuple(sorted(expect)), verts

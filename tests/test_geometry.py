@@ -19,9 +19,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
-    apply_int_map, cross, permutation_det, poly, random_polygon,
-    random_unimodular, random_unimodular_3d, reference_polytope_points,
-    seeded, strict_hull)
+    CUBE as UNIT_CUBE, FRUSTUM, OCTAHEDRON, PRISM, SIMPLEX, apply_int_map,
+    cross, permutation_det, poly, random_polygon, random_unimodular,
+    random_unimodular_3d, reference_facet_inequalities,
+    reference_polytope_points, reference_volume_3d, seeded, strict_hull)
 from lattice_equiv import (
     CanonicalTriangle,
     CapExceeded,
@@ -492,7 +493,6 @@ def test_lattice_points_3d_match_the_box_filter():
     # both, listed by columns against the bounding-box filter; each is
     # also refused under a cap one below its count.
     listing = import_module("lattice_equiv.geometry")._polytope_points
-    facets = import_module("lattice_equiv.geometry")._facet_inequalities_3d
     rng = seeded(31)
     shapes = []
     while len(shapes) < 20:
@@ -517,7 +517,8 @@ def test_lattice_points_3d_match_the_box_filter():
             apply_int_map(p.vertices, matrix, shift))))
     vertical = 0
     for p in shapes:
-        vertical += any(normal[2] == 0 for normal, _ in facets(p))
+        vertical += any(normal[2] == 0
+                        for normal, _ in reference_facet_inequalities(p))
         expected = reference_polytope_points(p)
         assert listing(p, len(expected)) == expected, p
         with pytest.raises(CapExceeded,
@@ -755,26 +756,98 @@ def test_contains_3d():
     assert len(lattice_points(cube)) == 27
 
 
+def seeded_point_sets_3d(rng, count, span):
+    """`count` seeded sets of 4 to 9 distinct points of [-span, span]^3
+    that span space, in random order: many hold points inside the hull,
+    on a facet or on an edge."""
+    grid = list(product(range(-span, span + 1), repeat=3))
+    sets = []
+    while len(sets) < count:
+        points = tuple(rng.sample(grid, rng.randint(4, 9)))
+        try:
+            sets.append(LatticePolytope(3, points))
+        except DegenerateInput:
+            continue
+    return sets
+
+
+def test_3d_facets_match_the_triple_loop_on_seeded_point_sets():
+    # On 2,000 seeded point sets, a unimodular image of each and the named
+    # shapes (the side-2 cube with its centre, a facet centre and an edge
+    # midpoint among them), the half-spaces equal the frozen triple loop's
+    # as sets, the volume equals the frozen projection volume, and the
+    # points on three facets or more are exactly those whose removal
+    # lowers that volume (or leaves too few points to span space).  A
+    # unimodular image keeps the volume and the point order, so its
+    # volume and vertex indices are the set's.
+    rng = seeded(281)
+    doubled = tuple(product((0, 2), repeat=3))
+    named = [LatticePolytope(3, verts) for verts in (
+        UNIT_CUBE, FRUSTUM, OCTAHEDRON, PRISM, SIMPLEX,
+        doubled + ((1, 1, 1), (1, 1, 0), (1, 0, 0)))]
+    facets = import_module("lattice_equiv.geometry")._facets_3d
+    half_spaces = import_module("lattice_equiv.geometry")._half_spaces
+    inside = 0
+    for p in named + seeded_point_sets_3d(rng, 2000, 3):
+        volume = reference_volume_3d(p)
+        vertices = facets(p.vertices)[2]
+        for i, v in enumerate(p.vertices):
+            rest = p.vertices[:i] + p.vertices[i + 1:]
+            try:
+                lowers = reference_volume_3d(LatticePolytope(3, rest)) < volume
+            except DegenerateInput:
+                lowers = True
+            assert (i in vertices) == lowers, (p, v)
+        inside += len(p.vertices) - len(vertices)
+        image = LatticePolytope(3, tuple(apply_int_map(
+            p.vertices, random_unimodular_3d(rng),
+            tuple(rng.randint(-3, 3) for _ in range(3)))))
+        assert facets(image.vertices)[2] == vertices, p
+        assert normalized_volume(p) == normalized_volume(image) == volume, p
+        for q in (p, image):
+            assert sorted(half_spaces(q)) \
+                == sorted(reference_facet_inequalities(q)), q
+    assert inside == 897
+
+
+def test_contains_3d_matches_the_box_filter_with_non_vertex_points():
+    # Seeded point sets that hold points inside their hull, on a facet or
+    # on an edge: over the bounding box grown by one, `contains` holds
+    # exactly the points that the bounding-box filter lists.
+    facets = import_module("lattice_equiv.geometry")._facets_3d
+    shapes = [p for p in seeded_point_sets_3d(seeded(283), 60, 2)
+              if len(facets(p.vertices)[2]) < len(p.vertices)][:20]
+    assert len(shapes) == 20
+    for p in shapes:
+        listed = set(reference_polytope_points(p))
+        lows, highs = p.bounding_box()
+        for pt in product(*(range(lo - 1, hi + 2)
+                            for lo, hi in zip(lows, highs))):
+            assert p.contains(pt) == (pt in listed), (p, pt)
+
+
 def test_lattice_points_3d_match_brute_force_with_one_facet_list(
         monkeypatch):
-    # The listing computes the facets once, not once per point of the
-    # bounding box.  Cubes of side 2 and 4 hold 27 and 125 points; the
-    # corner simplex x/4 + y/3 + z/2 <= 1 is counted by its inequality,
-    # and a unimodular image of it holds the images of those points.
-    module = import_module("lattice_equiv.geometry")
-    facets = module._facet_inequalities_3d
+    # The listing reads the facets once, from one volume vector of the
+    # polytope's vertices, not once per point of the bounding box.  Cubes
+    # of side 2 and 4 hold 27 and 125 points; the corner simplex
+    # x/4 + y/3 + z/2 <= 1 is counted by its inequality, and a unimodular
+    # image of it holds the images of those points.
+    module = import_module("lattice_equiv.invariants")
+    facets, volume_vector = module.facets, module.volume_vector
     calls = []
 
-    def counted(p):
-        calls.append(p)
-        return facets(p)
+    def counted(entries, n, d):
+        calls.append((entries, n, d))
+        return facets(entries, n, d)
 
-    monkeypatch.setattr(module, "_facet_inequalities_3d", counted)
+    monkeypatch.setattr(module, "facets", counted)
 
     def listed(p):
         calls.clear()
         points = lattice_points(p)
-        assert calls == [p]
+        assert calls == [(volume_vector(p.vertices).entries,
+                          len(p.vertices), 3)]
         return points
 
     for side, count in ((2, 27), (4, 125)):
