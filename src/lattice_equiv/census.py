@@ -440,8 +440,9 @@ def affine_map_census(region, budget, *, caps=None):
             examined += 1
             witness = affine_equivalent(first, second)
             if witness:
-                matrices.add(witness.map.matrix)
-                for row in witness.map.matrix:
+                matrix = witness.map.matrix
+                matrices.add(matrix)
+                for row in matrix:
                     norm_sq = sum(x * x for x in row)
                     if max_sq is None or norm_sq > max_sq:
                         max_sq = norm_sq

@@ -8,7 +8,6 @@ affine maps act on the right: p -> p @ A + v.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, combinations, islice
 from math import gcd, isqrt, lcm
 
@@ -155,7 +154,8 @@ class LatticePolytope:
     hull taken, to tell points out of strictly convex position from a
     wrong vertex order.  For dim 1 the vertices must be the segment's two
     endpoints, stored lesser first.  For dim >= 3 the list is stored as
-    given and convex position is not verified.
+    given, its differences from the first vertex must have rank dim
+    (`linalg._echelon`), and convex position is not verified.
 
     The census path stores cycles it built itself without this check,
     through `_stored_polygon`: in `enumerate_convex_polygons`, in
@@ -192,7 +192,7 @@ class LatticePolytope:
             verts = cycle
         else:
             diffs = [linalg.vec_sub(v, verts[0]) for v in verts[1:]]
-            if linalg.int_rank(diffs) != self.dim:
+            if linalg._echelon(diffs, self.dim)[0] != self.dim:
                 raise DegenerateInput("vertices do not span the ambient space")
         object.__setattr__(self, "vertices", verts)
 
@@ -239,38 +239,19 @@ def _stored_polygon(cycle):
     return p
 
 
-class _Fractions:
-    """A map's `matrix` or `translation`: the first read of either builds
-    both as Fractions into the map's __dict__, which then shadows this
-    descriptor (functools.cached_property locks on each first read before
-    Python 3.12)."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, m, owner=None):
-        if m is None:
-            return self
-        den, held = m.den, vars(m)
-        held["matrix"] = tuple([tuple([Fraction(x, den) for x in row])
-                                for row in m.rows])
-        held["translation"] = tuple([Fraction(s, den) for s in m.shift])
-        return held[self.name]
-
-
 @dataclass(frozen=True, init=False)
 class RationalAffineMap:
     """Affine map p -> p @ matrix + translation, held as ints over one
     denominator, p -> (p @ rows + shift) / den, with den > 0 and the gcd
     of den and every entry 1, so that equal maps have equal fields.  The
+    Fraction `matrix`, `translation` and `determinant` are computed on
+    each read, so equality, hashing and pickling see the ints only.  The
     constructor's entries pass `_exact`, as a region's size and radius
     do; the library builds its own maps from ints through `_map_over`."""
 
     rows: tuple
     shift: tuple
     den: int
-    matrix = _Fractions()
-    translation = _Fractions()
 
     def __init__(self, matrix, translation):
         m = [[_exact(x, "map entry") for x in row] for row in matrix]
@@ -283,7 +264,16 @@ class RationalAffineMap:
                           rows=tuple(tuple(int(x * den) for x in row)
                                      for row in m))
 
-    @cached_property
+    @property
+    def matrix(self):
+        return tuple([tuple([Fraction(x, self.den) for x in row])
+                      for row in self.rows])
+
+    @property
+    def translation(self):
+        return tuple([Fraction(s, self.den) for s in self.shift])
+
+    @property
     def determinant(self):
         return Fraction(linalg.int_det(self.rows), self.den ** len(self.rows))
 

@@ -5,7 +5,7 @@ exactly when its vertex differences generate all of Z^d; the shrink map
 below sends any polytope to such a representative by the inverse of a
 triangular basis of the difference lattice.  A polygon's index is the
 gcd of its 2x2 minors, and its basis and image follow in closed form
-from that index; one elimination serves `hnf` and the basis in other
+from that index; `linalg._echelon` serves `hnf` and the basis in other
 dimensions.  Census and equivalence read a polygon's index and its
 minimal-volume image (`_least_image`) here, never the shrink map.
 """
@@ -15,6 +15,7 @@ from itertools import combinations
 from math import gcd, prod
 
 from . import linalg
+from .linalg import _echelon
 from .errors import DegenerateInput
 from .geometry import LatticePolytope, _map_over, _plain_ints
 
@@ -31,38 +32,6 @@ class HnfResult:
     u: tuple
     rank: int
     pivot_columns: tuple
-
-
-def _echelon(h, n):
-    """Bring the first n columns of the int rows h (a list whose rows are
-    replaced, not written into) to Hermite form in place; later columns
-    take the same row operations.  Returns (rank, pivot columns)."""
-    row = 0
-    pivots = []
-    for col in range(n):
-        pivot = next((i for i in range(row, len(h)) if h[i][col]), None)
-        if pivot is None:
-            continue
-        h[row], h[pivot] = h[pivot], h[row]
-        for i in range(row + 1, len(h)):
-            if not h[i][col]:
-                continue
-            a, b = h[row][col], h[i][col]
-            g, x, y = linalg.egcd(a, b)
-            p, q = -(b // g), a // g
-            h[row], h[i] = (
-                [x * ra + y * rb for ra, rb in zip(h[row], h[i])],
-                [p * ra + q * rb for ra, rb in zip(h[row], h[i])],
-            )
-        if h[row][col] < 0:
-            h[row] = [-x for x in h[row]]
-        for i in range(row):
-            q = h[i][col] // h[row][col]
-            if q:
-                h[i] = [a - q * b for a, b in zip(h[i], h[row])]
-        pivots.append(col)
-        row += 1
-    return row, tuple(pivots)
 
 
 def hnf(rows):

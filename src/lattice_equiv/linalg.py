@@ -1,10 +1,11 @@
 """Small exact linear algebra helpers over int.
 
-Everything here works on tuples of tuples.  Matrices are row-major and
-points are row vectors, so an affine image is computed as p @ A + v.
-Determinants and inverses are fraction-free: closed forms or Bareiss
-elimination, and the adjugate, so callers with rational entries scale
-them to integers first.
+Matrices are row-major tuples of tuples and points are row vectors, so
+an affine image is computed as p @ A + v.  Determinants and inverses are
+fraction-free: closed forms or Bareiss elimination, and the adjugate, so
+callers with rational entries scale them to integers first.  The one
+row elimination, `_echelon`, brings a list of rows to Hermite form in
+place, for `lattices` and the span check of `geometry.LatticePolytope`.
 """
 
 from math import gcd
@@ -105,32 +106,36 @@ def _cofactor_adjugate(rows):
         for i in range(n))
 
 
-def int_rank(rows):
-    """Rank of an integer matrix, by exact fraction-free elimination."""
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    cols = len(m[0])
-    rank = 0
-    col = 0
-    while rank < len(m) and col < cols:
-        pivot = None
-        for i in range(rank, len(m)):
-            if m[i][col]:
-                pivot = i
-                break
+def _echelon(h, n):
+    """Bring the first n columns of the int rows h (a list whose rows are
+    replaced, not written into) to Hermite form in place; later columns
+    take the same row operations.  Returns (rank, pivot columns)."""
+    row = 0
+    pivots = []
+    for col in range(n):
+        pivot = next((i for i in range(row, len(h)) if h[i][col]), None)
         if pivot is None:
-            col += 1
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for i in range(rank + 1, len(m)):
-            if m[i][col]:
-                f = m[i][col]
-                p = m[rank][col]
-                m[i] = [p * a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        col += 1
-    return rank
+        h[row], h[pivot] = h[pivot], h[row]
+        for i in range(row + 1, len(h)):
+            if not h[i][col]:
+                continue
+            a, b = h[row][col], h[i][col]
+            g, x, y = egcd(a, b)
+            p, q = -(b // g), a // g
+            h[row], h[i] = (
+                [x * ra + y * rb for ra, rb in zip(h[row], h[i])],
+                [p * ra + q * rb for ra, rb in zip(h[row], h[i])],
+            )
+        if h[row][col] < 0:
+            h[row] = [-x for x in h[row]]
+        for i in range(row):
+            q = h[i][col] // h[row][col]
+            if q:
+                h[i] = [a - q * b for a, b in zip(h[i], h[row])]
+        pivots.append(col)
+        row += 1
+    return row, tuple(pivots)
 
 
 def primitive_normal(diffs):

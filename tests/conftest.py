@@ -4,7 +4,8 @@ that the by-volume growth is checked against, the frozen triple-loop
 facets and projection volume and the bounding-box filter that the 3d
 half-spaces, the volume and the polytope listing are checked against,
 the deciders' per-attempt search that their witnesses are checked
-against, the two-list Hermite form that `hnf` and `sublattice_info` are
+against, the two-list Hermite form that `hnf` and (as
+`reference_sublattice`) `sublattice_info` and the polygon index are
 checked against, the small regions and 3d shapes several modules test
 on, the Leibniz determinant that `int_det` and a map's determinant are
 checked against, and random map generators used across the suite."""
@@ -15,13 +16,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import lattice_equiv
 from lattice_equiv import (
     DegenerateInput, HnfResult, LatticePolytope, RationalAffineMap, Region,
-    lattice_points, linalg, oracle_equivalent)
+    SublatticeInfo, lattice_points, linalg, oracle_equivalent)
 from lattice_equiv.equivalence import (
     EquivalenceWitness, NotEquivalent, _canonical_cycle, _candidate_images,
     _profile)
@@ -314,6 +315,17 @@ def reference_hnf(rows):
         row,
         tuple(pivots),
     )
+
+
+def reference_sublattice(p):
+    """The first d rows of the two-list Hermite form of the vertex
+    differences v_i - v_0, and the product of their pivots."""
+    anchor = p.vertices[0]
+    result = reference_hnf([[a - b for a, b in zip(v, anchor)]
+                            for v in p.vertices[1:]])
+    basis = result.h[:p.dim]
+    return SublatticeInfo(basis, prod(
+        row[col] for row, col in zip(basis, result.pivot_columns)))
 
 
 def reference_solve_context(vertices, combo):

@@ -14,7 +14,8 @@ from conftest import (
     SMALL_REGIONS, apply_int_map, brute_polygon_sets, budgeted_root_polygons,
     cross, oracle_class_count, poly, random_unimodular,
     reference_one_point_growths, reference_polytope_points,
-    run_in_small_address_space, seeded, strict_hull, volume_forms)
+    reference_sublattice, run_in_small_address_space, seeded, strict_hull,
+    volume_forms)
 from lattice_equiv import (
     Caps,
     CapExceeded,
@@ -832,14 +833,15 @@ def test_pool_tasks_hold_only_the_points_and_a_share(pool_sizes, monkeypatch):
 
 def test_form_index_matches_sublattice_index():
     # The census index-tests its box forms, build_volume_representatives
-    # the grown forms.
+    # the grown forms; the closed form must give the index of the frozen
+    # two-list Hermite form of the vertex differences.
     module = import_module("lattice_equiv.census")
     box_forms = list(module._form_counts(Region.box(4), None, 1))
     grown_forms = [LatticePolytope(2, cycle)
                    for level in module._growth_levels(8) for cycle in level]
     for forms in (box_forms, grown_forms):
         assert [module._form_index(form.vertices) for form in forms] == \
-            [sublattice_info(form).index for form in forms]
+            [reference_sublattice(form).index for form in forms]
     assert sum(module._form_index(form.vertices) > 1
                for form in box_forms) == 253
 

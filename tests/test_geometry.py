@@ -668,8 +668,9 @@ def test_integer_map_form_agrees_with_fraction_arithmetic():
     # so _map_over(k * rows, k * shift, k * den), for any k != 0, equals
     # and hashes as the map built from the Fractions rows / den and
     # shift / den.  Each operation must agree with the same operation done
-    # here on those Fractions: determinant, apply, apply_polytope (which
-    # refuses a fractional image), is_integral, is_unimodular and then.
+    # here on those Fractions: matrix, translation, determinant, apply,
+    # apply_polytope (which refuses a fractional image), is_integral,
+    # is_unimodular and then.
     geometry = import_module("lattice_equiv.geometry")
     rng = seeded(331)
     bodies = {2: poly((0, 0), (2, 0), (1, 3)),
@@ -695,12 +696,18 @@ def test_integer_map_form_agrees_with_fraction_arithmetic():
         matrix = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
         translation = tuple(Fraction(s, den) for s in shift)
         public = RationalAffineMap(matrix, translation)
+        det = permutation_det(matrix)
+        for amap in (built, public):
+            # The Fraction fields are computed on each read and kept
+            # nowhere, so equality, hashing and pickling see the ints only.
+            for _ in range(2):
+                assert amap.matrix == matrix
+                assert amap.translation == translation
+                assert amap.determinant == det
+            assert sorted(vars(amap)) == ["den", "rows", "shift"]
         assert built == public and hash(built) == hash(public)
         assert built.den > 0 and gcd(
             built.den, *built.shift, *sum(built.rows, ())) == 1
-        assert built.matrix == matrix and built.translation == translation
-        det = permutation_det(matrix)
-        assert built.determinant == det
         integral = all(x.denominator == 1
                        for x in translation + sum(matrix, ()))
         assert built.is_integral == integral
@@ -754,6 +761,25 @@ def test_contains_3d():
     assert cube.contains((0, 0, 2))
     assert not cube.contains((3, 0, 0))
     assert len(lattice_points(cube)) == 27
+
+
+def test_span_check_in_dimension_3_and_up():
+    # The differences from the first vertex must have full rank, all of
+    # them and not the first d: the lex-ordered unit cube's first three
+    # differences lie in the plane x = 0.
+    for dim, points in (
+            (3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))),
+            (3, ((0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0), (1, 1, 0))),
+            (4, ((0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 0),
+                 (1, 1, 1, 2), (2, 0, 0, 2)))):
+        with pytest.raises(DegenerateInput,
+                           match="^vertices do not span the ambient space$"):
+            LatticePolytope(dim, points)
+    assert UNIT_CUBE == tuple(sorted(UNIT_CUBE))
+    assert LatticePolytope(3, UNIT_CUBE).vertices == UNIT_CUBE
+    simplex = ((0, 0, 0, 0),) + tuple(
+        tuple(int(i == j) for j in range(4)) for i in range(4))
+    assert LatticePolytope(4, simplex).vertices == simplex
 
 
 def seeded_point_sets_3d(rng, count, span):

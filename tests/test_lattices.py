@@ -5,7 +5,6 @@ from decimal import Decimal
 from fractions import Fraction
 from importlib import import_module
 from itertools import product
-from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,12 +12,11 @@ from hypothesis import given, strategies as st
 from conftest import (
     CUBE, FRUSTUM, OCTAHEDRON, PRISM, SMALL_REGIONS, apply_int_map, poly,
     random_polygon, random_unimodular, random_unimodular_3d, reference_hnf,
-    seeded)
+    reference_sublattice, seeded)
 from lattice_equiv import (
     DegenerateInput,
     LatticePolytope,
     Region,
-    SublatticeInfo,
     affine_key,
     attains_minimal_volume,
     build_volume_representatives,
@@ -140,17 +138,6 @@ def test_hnf_equals_the_two_list_reference():
         seen["zero column"] += any(not any(col) for col in zip(*rows))
         seen["negative"] += any(x < 0 for row in rows for x in row)
     assert len(seen) == 7 and min(seen.values()) >= 300, seen
-
-
-def reference_sublattice(p):
-    """The first d rows of the two-list Hermite form of the vertex
-    differences v_i - v_0, and the product of their pivots."""
-    anchor = p.vertices[0]
-    result = reference_hnf([[a - b for a, b in zip(v, anchor)]
-                            for v in p.vertices[1:]])
-    basis = result.h[:p.dim]
-    return SublatticeInfo(basis, prod(
-        row[col] for row, col in zip(basis, result.pivot_columns)))
 
 
 def sublattice_cases():
@@ -289,15 +276,19 @@ def test_no_polygon_path_builds_the_unimodular_factor(monkeypatch):
 
 def test_no_polygon_path_runs_the_elimination(monkeypatch):
     # A polygon's basis and image follow from its index in closed form, so
-    # no polygon path reaches _echelon; a 3d polytope does.
+    # no polygon path reaches _echelon, under either name its callers look
+    # it up by (lattices, and linalg for the span check of dim >= 3); the
+    # difference lattice of a 3d polytope does.
     def refuse(h, n):
         raise AssertionError("a path ran the elimination")
 
-    monkeypatch.setattr(import_module("lattice_equiv.lattices"), "_echelon",
-                        refuse)
+    cube = LatticePolytope(3, CUBE)
+    for name in ("lattices", "linalg"):
+        monkeypatch.setattr(import_module(f"lattice_equiv.{name}"),
+                            "_echelon", refuse)
     run_polygon_paths(seeded(59))
     with pytest.raises(AssertionError, match="ran the elimination"):
-        sublattice_info(LatticePolytope(3, CUBE))
+        sublattice_info(cube)
 
 
 def test_sublattice_index_examples():

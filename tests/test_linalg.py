@@ -77,11 +77,16 @@ def test_adjugate_closed_forms_match_the_cofactor_loop():
                 tuple(det * (i == j) for j in range(n)) for i in range(n))
 
 
+def rank(rows):
+    """The rank of the rows, read off the one elimination."""
+    return linalg._echelon(list(rows), len(rows[0]))[0]
+
+
 def test_rank():
-    assert linalg.int_rank([(1, 2), (2, 4)]) == 1
-    assert linalg.int_rank([(1, 0), (0, 1)]) == 2
-    assert linalg.int_rank([(0, 0)]) == 0
-    assert linalg.int_rank([(2, 4, 6), (1, 2, 3), (0, 0, 1)]) == 2
+    assert rank([(1, 2), (2, 4)]) == 1
+    assert rank([(1, 0), (0, 1)]) == 2
+    assert rank([(0, 0)]) == 0
+    assert rank([(2, 4, 6), (1, 2, 3), (0, 0, 1)]) == 2
 
 
 @st.composite
@@ -101,7 +106,7 @@ def hyperplane_diffs(draw):
 def test_primitive_normal(case):
     d, rows = case
     normal = linalg.primitive_normal(rows)
-    if linalg.int_rank(rows) < d - 1:
+    if linalg._echelon(list(rows), d)[0] < d - 1:
         assert normal is None
         return
     assert len(normal) == d
