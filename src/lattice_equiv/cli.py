@@ -28,7 +28,7 @@ from .equivalence import (
     decide,
 )
 from .errors import LatticeError, ParseError
-from .geometry import (LatticePolytope, Region, _facets_3d, _int_points,
+from .geometry import (LatticePolytope, Region, _hull_of, _int_points,
                        _whole, convex_hull_2d, normalized_volume)
 from .invariants import (
     lattice_height_vector,
@@ -42,12 +42,11 @@ def parse_polytope(text):
     """Parse a polytope document: {"dim": d, "points": [[...], ...]}.
 
     'dim' and the points pass the library's checks, `geometry._whole`
-    and `geometry._int_points`, whose errors come back as ParseError.  In
-    dimensions 1 to 3 the convex hull is taken (in dimension 3, the
-    points on three facets or more, in input order, duplicates dropped);
-    a True second return value flags input points that were not vertices
-    (dropped with a warning by the CLI).  Points of dimension 4 and above
-    are kept as given.
+    and `geometry._int_points`, whose errors come back as ParseError.  The
+    convex hull is taken in every dimension (from dimension 3 on, the
+    vertices by `geometry._hull_of`'s meet rule, in input order,
+    duplicates dropped); a True second return value flags input points
+    that were not vertices (dropped with a warning by the CLI).
     """
     try:
         doc = json.loads(text)
@@ -63,12 +62,10 @@ def parse_polytope(text):
         clean, _ = _int_points(points, _whole(dim, 1, "'dim'"))
     except LatticeError as exc:
         raise ParseError(str(exc)) from exc
-    if dim > 3:
-        return LatticePolytope(dim, clean), False
-    if dim == 3:
+    if dim >= 3:
         distinct = tuple(dict.fromkeys(clean))
-        corners = _facets_3d(distinct)[2]  # DegenerateInput unless they span
-        poly = LatticePolytope(3, tuple(
+        corners = _hull_of(distinct, dim)[2]  # DegenerateInput unless they span
+        poly = LatticePolytope(dim, tuple(
             v for i, v in enumerate(distinct) if i in corners))
     else:
         poly = (convex_hull_2d(clean) if dim == 2 else

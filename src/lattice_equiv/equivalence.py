@@ -10,9 +10,10 @@ when their vertex sets have equal primitive volume vectors under some
 ordering.  Before the search, `decide` rejects a pair whose vertex
 counts differ, whose primitive volume vectors differ as multisets of
 absolute values, and then, in the unimodular and det_one modes, whose
-contents differ, or in the affine mode, whose facet sizes read off the
-volume vector's signs differ ("facet sizes differ"; the oracle does not
-take this shortcut).  The search is anchored: fix d+1 affinely
+contents differ, or in the affine mode, whose facet sizes differ: the
+vertex counts of the facets in the hull record that the polytope's
+constructor left (`geometry._hull`; "facet sizes differ", a shortcut the
+oracle does not take).  The search is anchored: fix d+1 affinely
 independent vertices of P whose volume-vector entry is rare, try
 matching tuples in Q, and accept a candidate only if the unique affine
 map it determines carries vert(P) onto vert(Q) and passes the mode's
@@ -37,15 +38,14 @@ from . import linalg
 from .caps import resolve
 from .errors import DegenerateInput, DimensionMismatch, TooLarge
 from .geometry import (
-    LatticePolytope, RationalAffineMap, _map_over, _stored_polygon, _whole,
-    normalized_volume)
+    LatticePolytope, RationalAffineMap, _hull, _map_over, _stored_polygon,
+    _whole, normalized_volume)
 # bench/tracing.py patches the names it traces here; keep them bound.
 from .invariants import (
     lattice_height_vector,
     primitive_decomposition,
     volume_vector,
 )
-from .invariants import facet_signature
 from .lattices import _least_image
 
 MODES = ("affine", "unimodular", "det_one")
@@ -117,12 +117,6 @@ class _Profile:
         self.direction = primitive.direction
         self.direction_signature = tuple(sorted(map(abs, self.direction)))
         self.content = abs(primitive.content)
-
-    @cached_property
-    def facet_signature(self):
-        """Sorted facet sizes (invariants.facet_signature): an affine
-        invariant, read off the signs of the volume vector."""
-        return facet_signature(self.direction, len(self.vertices), self.dim)
 
     @cached_property
     def entry_by_combo(self):
@@ -325,10 +319,11 @@ def decide(p, q, mode):
         # multisets of |entries| exactly when their contents agree in size.
         if pp.content != qp.content:
             return NotEquivalent("volume vectors differ as multisets")
-    elif p.dim >= 3 and pp.facet_signature != qp.facet_signature:
+    elif p.dim >= 3 and (sorted(map(len, _hull(p)[1]))
+                         != sorted(map(len, _hull(q)[1]))):
         # The octahedron and the prism agree in both volume vectors and
         # differ only here.  The other modes reject them by content, so
-        # there the signatures would only cost the positive pairs.
+        # there the facet sizes would only cost the positive pairs.
         return NotEquivalent("facet sizes differ")
     combo, value, context = pp.anchor
     images = _candidate_images(qp.entry_by_combo, combo, value)

@@ -5,6 +5,7 @@ so every predicate in this module is exact.  Points are row vectors and
 affine maps act on the right: p -> p @ A + v.
 """
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,8 +155,8 @@ class LatticePolytope:
     hull taken, to tell points out of strictly convex position from a
     wrong vertex order.  For dim 1 the vertices must be the segment's two
     endpoints, stored lesser first.  For dim >= 3 the list is stored as
-    given, its differences from the first vertex must have rank dim
-    (`linalg._echelon`), and convex position is not verified.
+    given once `_hull_of` finds that it spans space and that every point
+    is a vertex; its hull record stays in `_HULLS` while it lives.
 
     The census path stores cycles it built itself without this check,
     through `_stored_polygon`: in `enumerate_convex_polygons`, in
@@ -190,11 +191,12 @@ class LatticePolytope:
                     raise DegenerateInput("vertices are not in strictly convex position")
                 raise DegenerateInput("vertex order is not a convex cycle")
             verts = cycle
-        else:
-            diffs = [linalg.vec_sub(v, verts[0]) for v in verts[1:]]
-            if linalg._echelon(diffs, self.dim)[0] != self.dim:
-                raise DegenerateInput("vertices do not span the ambient space")
         object.__setattr__(self, "vertices", verts)
+        if self.dim >= 3:
+            entry, planes, corners = _hull_of(verts, self.dim)
+            if len(corners) != len(verts):
+                raise DegenerateInput("vertices are not in strictly convex position")
+            _HULLS[self] = [entry, planes, None]
 
     def __reduce__(self):
         return type(self), (self.dim, self.vertices)
@@ -416,9 +418,9 @@ def normalized_volume(p):
 
     Computed by fan triangulation from the first vertex (dim 2), by the
     simplex determinant (other dimensions, d+1 vertices), or (dim 3) as
-    volume vector entries: point 0 over the fan of each facet without it
-    (`_facets_3d`) from its first vertex, along its edges (pairs of its
-    vertices on a second facet)."""
+    volume vector entries of the hull record (`_hull`): vertex 0 over the
+    fan of each facet without it from the facet's first vertex, along its
+    edges (pairs of its vertices on a second facet)."""
     verts = p.vertices
     if p.dim == 2:
         v0 = verts[0]
@@ -427,11 +429,11 @@ def normalized_volume(p):
     if len(verts) == p.dim + 1:
         return abs(simplex_determinant(verts))
     if p.dim == 3:
-        entry, planes, corners = _facets_3d(verts)
-        faces = [[i for i in on if i in corners] for on in planes]
-        edges = Counter(chain.from_iterable(combinations(f, 2) for f in faces))
+        entry, planes, _ = _hull(p)
+        edges = Counter(chain.from_iterable(
+            combinations(on, 2) for on in planes))
         return sum(abs(entry[0, apex, a, b])
-                   for on, (apex, *rest) in zip(planes, faces) if on[0]
+                   for apex, *rest in planes if apex
                    for a, b in combinations(rest, 2) if edges[a, b] == 2)
     raise DimensionMismatch(
         "volume of a non-simplex is implemented for dim 2 and 3 only")
@@ -539,23 +541,26 @@ def _edge_half_spaces(cycle):
 
 def _half_spaces(p):
     """The (normal, offset) pairs whose normal . x + offset <= 0 cut out a
-    polygon (one per edge) or a 3d polytope (one per facet of `_facets_3d`,
-    its first triple's normal turned toward a point off it)."""
+    polygon (one per edge) or a 3d polytope (one per facet of `_hull`,
+    its first triple's normal turned toward a vertex off it; built on
+    first use and kept in the record)."""
     verts = p.vertices
     if p.dim == 2:
         return _edge_half_spaces(verts)
     if p.dim != 3:
         raise DimensionMismatch("membership and listing need dim 2 or 3")
-    out = []
-    for on, (i, j, k) in _facets_3d(verts)[1].items():
-        normal = linalg.primitive_normal(
-            (linalg.vec_sub(verts[j], verts[i]),
-             linalg.vec_sub(verts[k], verts[i])))
-        offset = -linalg.vec_dot(normal, verts[i])
-        off = next(v for l, v in enumerate(verts) if l not in on)
-        s = -1 if linalg.vec_dot(normal, off) + offset > 0 else 1
-        out.append((tuple(s * c for c in normal), s * offset))
-    return out
+    hull = _hull(p)
+    if hull[2] is None:
+        hull[2] = halves = []
+        for on, (i, j, k) in hull[1].items():
+            normal = linalg.primitive_normal(
+                (linalg.vec_sub(verts[j], verts[i]),
+                 linalg.vec_sub(verts[k], verts[i])))
+            offset = -linalg.vec_dot(normal, verts[i])
+            off = next(v for l, v in enumerate(verts) if l not in on)
+            s = -1 if linalg.vec_dot(normal, off) + offset > 0 else 1
+            halves.append((tuple(s * c for c in normal), s * offset))
+    return hull[2]
 
 
 def _lift(prefixes, halves):
@@ -597,7 +602,7 @@ def _polytope_points(p, cap):
     row: a polygon's rows lie above its first edge (`_polygon_points`),
     and a 3d polytope's (x, y) run over the lattice points of its (x, y)
     shadow, the hull of its projected vertices, each lifted by the
-    _interval of z that the _half_spaces (computed once) leave.  A thin
+    _interval of z that the _half_spaces (read once) leave.  A thin
     polygon costs its points, not its bounding box, and a thin 3d
     polytope its shadow's.  The at most `cap` points listed are sorted;
     CapExceeded at point cap + 1."""
@@ -614,14 +619,35 @@ def _polytope_points(p, cap):
     return sorted(listed)
 
 
-def _facets_3d(points):
-    """(entry, facets, vertices) of 3d points that span space: their volume
-    vector by index quadruple, its `invariants.facets`, and the indices
-    of the points on three facets or more, which are the hull's vertices."""
+# [entry, facets, half-spaces or None] of each live polytope of dimension
+# 3 and up, held like equivalence._PROFILES (a slot would cost every
+# polygon 8 bytes); `_half_spaces` fills in the half-spaces.
+_HULLS = weakref.WeakKeyDictionary()
+
+
+def _hull(p):
+    """The hull record of a polytope of dimension 3 and up, built anew
+    only if an equal polytope held its entry and has gone."""
+    hull = _HULLS.get(p)
+    if hull is None:
+        hull = _HULLS[p] = [*_hull_of(p.vertices, p.dim)[:2], None]
+    return hull
+
+
+def _hull_of(points, d):
+    """(entry, facets, vertices) of n >= d + 1 distinct points in dimension
+    d >= 3: their volume vector by index tuple, its `invariants.facets`,
+    and the vertex indices by the meet rule: i is a vertex exactly when
+    the point sets of the facets through i meet in {i} (through an
+    interior point none pass, and they meet in every point).
+    DegenerateInput when the volume vector is zero."""
     # invariants imports geometry, so geometry imports invariants here.
     from .invariants import facets, index_combinations, volume_vector
-    entries, n = volume_vector(points, 3).entries, len(points)
-    planes = facets(entries, n, 3)
-    count = Counter(chain.from_iterable(planes))
-    return (dict(zip(index_combinations(n, 4), entries)), planes,
-            {i for i, k in count.items() if k >= 3})
+    try:
+        entries, n = volume_vector(points, d).entries, len(points)
+    except DegenerateInput:
+        raise DegenerateInput("vertices do not span the ambient space") from None
+    planes, every = facets(entries, n, d), set(range(n))
+    return (dict(zip(index_combinations(n, d + 1), entries)), planes,
+            {i for i in every if len(every.intersection(
+                *(on for on in planes if i in on))) == 1})

@@ -4,9 +4,8 @@ The volume vector collects the simplex determinants of all (d+1)-subsets
 of an ordered point set; its primitive decomposition splits off the gcd
 content.  The lattice height vector collects, for every point, its exact
 integer heights over the hyperplanes spanned by the remaining points.
-The facet signature reads from the volume vector's signs alone which
-d-subsets span a supporting hyperplane, and how many further points lie
-on each; unlike the vectors, it does not depend on the order.
+The facets of the points' hull are read from the volume vector's signs
+alone, for `geometry._hull_of`, the one hull routine of the library.
 """
 
 from dataclasses import dataclass
@@ -82,29 +81,13 @@ def _sides(entries, n, d):
     return map(sides.__getitem__, chunks)
 
 
-def facet_signature(entries, n, d):
-    """Sorted numbers of the other points on the hyperplane of each
-    d-subset S of n points in dimension d whose hyperplane supports
-    their hull, read from the signs of their volume vector's `entries`
-    (or of its primitive direction).  S supports the hull when det(S, l)
-    has one sign over the other points l, zeros allowed, and the zeros
-    are the points on that hyperplane; an S with every det(S, l) zero
-    spans no hyperplane and is skipped.  For the vertices of a 3d
-    polytope, a facet with k vertices gives C(k, 3) entries k - 3.  The
-    signs are the chirotope of the points, which an affine map changes
-    at most by one global sign, so the signature is an affine
-    invariant of the vertex set."""
-    return tuple(sorted(
-        zeros for zeros in (
-            run.count(0) for run in _sides(entries, n, d)
-            if 1 not in run or 2 not in run)
-        if zeros < n - d))
-
-
 def facets(entries, n, d):
     """The facets of the hull of n points in dimension d, read from the
-    same signs as `facet_signature`: a dict from the sorted indices of
-    the points on each facet to the first d-subset that spans it."""
+    signs of their volume vector's `entries`: a dict from the sorted
+    indices of the points on each facet to the first d-subset that spans
+    it.  S spans a facet when det(S, l) has one sign over the other points
+    l, zeros (the other points on it) allowed; an S with every det(S, l)
+    zero spans no hyperplane and is skipped."""
     out = {}
     for sub, run in zip(index_combinations(n, d), _sides(entries, n, d)):
         if (1 not in run or 2 not in run) and run.count(0) < n - d:

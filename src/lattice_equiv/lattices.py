@@ -73,8 +73,7 @@ def sublattice_info(p):
         return SublatticeInfo(_basis_2d(p.vertices, index), index)
     anchor = p.vertices[0]
     diffs = [linalg.vec_sub(q, anchor) for q in p.vertices[1:]]
-    if _echelon(diffs, p.dim)[0] != p.dim:
-        raise DegenerateInput("difference lattice is not full-dimensional")
+    _echelon(diffs, p.dim)  # full rank: the polytope's constructor checked
     basis = tuple(map(tuple, diffs[:p.dim]))
     return SublatticeInfo(basis, prod(basis[i][i] for i in range(p.dim)))
 

@@ -5,7 +5,7 @@ an affine image is computed as p @ A + v.  Determinants and inverses are
 fraction-free: closed forms or Bareiss elimination, and the adjugate, so
 callers with rational entries scale them to integers first.  The one
 row elimination, `_echelon`, brings a list of rows to Hermite form in
-place, for `lattices` and the span check of `geometry.LatticePolytope`.
+place, for `lattices`.
 """
 
 from math import gcd
@@ -32,7 +32,7 @@ def vec_sub(a, b):
 
 
 def vec_dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def row_times_matrix(v, m):

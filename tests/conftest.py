@@ -190,12 +190,12 @@ def reference_one_point_growths(cycle, volume, points, max_volume):
             yield tuple(kept), volume + added
 
 
-def reference_facet_inequalities(p):
+def reference_facet_inequalities(verts):
     """geometry._facet_inequalities_3d as it was before the facets were
-    read from the volume vector's signs, frozen: every vertex triple that
-    spans a plane with all vertices on one side gives that plane's
-    (normal, offset), normal . x + offset <= 0 over the polytope, once."""
-    verts = p.vertices
+    read from the volume vector's signs, frozen, on a list of 3d points
+    (a polytope's vertices, or any points): every triple that spans a
+    plane with all the points on one side gives that plane's (normal,
+    offset), normal . x + offset <= 0 over their hull, once."""
     seen = set()
     out = []
     n = len(verts)
@@ -221,15 +221,15 @@ def reference_facet_inequalities(p):
     return out
 
 
-def reference_volume_3d(p):
-    """geometry._volume_3d as it was, frozen: pyramids from the first
-    vertex over a fan of each facet of reference_facet_inequalities,
-    whose vertex cycle is the hull of the facet's points projected along
-    the normal's largest axis."""
-    verts = p.vertices
+def reference_volume_3d(verts):
+    """geometry._volume_3d as it was, frozen, on a list of 3d points:
+    pyramids from the first point over a fan of each facet of
+    reference_facet_inequalities, whose vertex cycle is the hull of the
+    facet's points projected along the normal's largest axis.  Points
+    that do not span space have volume 0."""
     apex = verts[0]
     total = 0
-    for normal, offset in reference_facet_inequalities(p):
+    for normal, offset in reference_facet_inequalities(verts):
         if linalg.vec_dot(normal, apex) + offset == 0:
             continue  # pyramid over this facet is flat
         face = [v for v in verts if linalg.vec_dot(normal, v) + offset == 0]
@@ -259,7 +259,7 @@ def reference_polytope_points(p):
         edges = list(zip(p.vertices, p.vertices[1:] + p.vertices[:1]))
         return sorted(pt for pt in box
                       if all(cross(a, b, pt) >= 0 for a, b in edges))
-    facets = reference_facet_inequalities(p)
+    facets = reference_facet_inequalities(p.vertices)
     return sorted(pt for pt in box
                   if all(linalg.vec_dot(normal, pt) + offset <= 0
                          for normal, offset in facets))

@@ -429,13 +429,26 @@ def test_3d_input_is_replaced_by_its_hull(capsys, files):
         assert run(capsys, ["invariants", path])[0] == 3
 
 
-def test_4d_input_is_kept_as_given():
-    # In dimension 4 and above the points are stored as given: the unit
-    # simplex plus (1, 1, 1, 1) and (0, 0, 0, 2) keeps all seven.
+def test_4d_input_is_replaced_by_its_hull(capsys, files):
+    # In dimension 4 the hull is taken as in 3D: of the unit simplex plus
+    # (1, 1, 1, 1) and (0, 0, 0, 2), the point (0, 0, 0, 1) halves an edge
+    # and is dropped with a warning, and the six vertices stay in input
+    # order.  Points that are all vertices are kept as given, silently.
     points = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
               [0, 0, 0, 1], [1, 1, 1, 1], [0, 0, 0, 2]]
+    hull = points[:4] + points[5:]
     p, dropped = parse_polytope(json.dumps({"dim": 4, "points": points}))
-    assert (p.vertices, dropped) == (tuple(map(tuple, points)), False)
+    assert (p.vertices, dropped) == (tuple(map(tuple, hull)), True)
+    assert parse_polytope(json.dumps({"dim": 4, "points": hull})) \
+        == (p, False)
+    given = files("given.json", {"dim": 4, "points": points})
+    kept = files("kept.json", {"dim": 4, "points": hull})
+    code, plain, err = run(capsys, ["invariants", kept])
+    assert (code, err) == (0, "")
+    assert json.loads(plain)["vertex_count"] == 6
+    code, out, err = run(capsys, ["invariants", given])
+    assert (code, out) == (0, plain)
+    assert "given.json" in err and "convex hull" in err
 
 
 def test_segment_takes_its_endpoints(capsys, files):

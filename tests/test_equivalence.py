@@ -5,7 +5,7 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from importlib import import_module
-from math import comb, cos, gcd, pi, sin
+from math import cos, gcd, pi, sin
 
 import pytest
 from hypothesis import given, strategies as st
@@ -54,7 +54,7 @@ from lattice_equiv import (
     unimodular_equivalent,
     volume_vector,
 )
-from lattice_equiv import equivalence, linalg
+from lattice_equiv import equivalence, invariants, linalg
 
 UNIT = poly((0, 0), (1, 0), (0, 1))
 SQUARE = poly((0, 0), (1, 0), (1, 1), (0, 1))
@@ -729,41 +729,48 @@ def images_3d(rng, verts):
             for source in (verts, stretched, relabeled)]
 
 
-def facet_signature(verts):
-    p = LatticePolytope(3, tuple(verts))
-    return equivalence._profile(p).facet_signature
+def facet_sizes(verts):
+    """The facet sizes the affine decider compares: the sorted vertex
+    counts of the facets in the polytope's hull record."""
+    hull = import_module("lattice_equiv.geometry")._hull
+    return sorted(map(len, hull(LatticePolytope(3, tuple(verts)))[1]))
 
 
-def test_facet_signature_counts_the_facets_of_the_hyperplane_routine():
-    # Each facet with k vertices, found by the frozen triple loop
-    # reference_facet_inequalities, spans C(k, 3) supporting vertex
-    # triples, each with k - 3 other vertices on its plane.
+def reference_facet_sizes(verts):
+    """The sorted vertex counts of the facets that the frozen triple loop
+    reference_facet_inequalities finds."""
+    return sorted(
+        sum(linalg.vec_dot(normal, v) + offset == 0 for v in verts)
+        for normal, offset in reference_facet_inequalities(verts))
+
+
+def test_facet_sizes_count_the_facets_of_the_hyperplane_routine():
+    # The decider's facet sizes, read from the hull record, are the vertex
+    # counts of the facets the frozen triple loop finds.
     rng = seeded(269)
     checked = Counter()
     for shape in shapes_3d(rng):
         for verts in [shape] + images_3d(rng, shape):
-            p = LatticePolytope(3, tuple(verts))
-            expect = []
-            for normal, offset in reference_facet_inequalities(p):
-                k = sum(linalg.vec_dot(normal, v) + offset == 0 for v in verts)
-                expect += [k - 3] * comb(k, 3)
-            assert facet_signature(verts) == tuple(sorted(expect)), verts
+            assert facet_sizes(verts) == reference_facet_sizes(verts), verts
             checked[len(verts)] += 1
-    assert facet_signature(OCTAHEDRON) == (0,) * 8
-    assert facet_signature(PRISM) == (0, 0) + (1,) * 12
-    assert facet_signature(CUBE) == facet_signature(FRUSTUM) == (1,) * 24
+    assert facet_sizes(OCTAHEDRON) == [3] * 8
+    assert facet_sizes(PRISM) == [3, 3, 4, 4, 4]
+    assert facet_sizes(CUBE) == facet_sizes(FRUSTUM) == [4] * 6
     assert checked[4] == 40 and sum(checked.values()) == 96
-    # A 3d polytope's points are stored as given, so (1, 0, 0) can sit
-    # on an edge: its triple with that edge's ends spans no plane and is
-    # skipped, leaving three triples on each of the two facets it is on.
+    # No polytope holds a point that is not a vertex, so the raw points
+    # go to the facet routine itself: (1, 0, 0) sits on an edge, its triple
+    # with that edge's ends spans no plane and is skipped, and it lies on
+    # the two facets through that edge.
     on_edge = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert facet_signature(on_edge) == (0, 0) + (1,) * 6
+    assert invariants.facets(volume_vector(on_edge).entries, 5, 3) == {
+        (0, 1, 2, 3): (0, 1, 3), (0, 1, 2, 4): (0, 1, 4),
+        (0, 3, 4): (0, 3, 4), (2, 3, 4): (2, 3, 4)}
 
 
-def test_facet_signature_is_kept_by_rational_affine_maps():
+def test_facet_sizes_are_kept_by_rational_affine_maps():
     # The stretch along x and the stretch along y of a shape, each under
     # a unimodular map, differ by a rational affine map that is not
-    # integral; the decider finds that map and both keep the signature.
+    # integral; the decider finds that map and both keep the facet sizes.
     rng = seeded(271)
     for shape in shapes_3d(rng):
         k = rng.choice((2, 3))
@@ -775,8 +782,8 @@ def test_facet_signature_is_kept_by_rational_affine_maps():
             for verts in (along_x, along_y))
         witness = affine_equivalent(a, b)
         assert witness and not witness.map.is_integral
-        assert facet_signature(a.vertices) == facet_signature(b.vertices) \
-            == facet_signature(shape)
+        assert facet_sizes(a.vertices) == facet_sizes(b.vertices) \
+            == reference_facet_sizes(shape)
 
 
 def test_facet_size_check_agrees_with_oracle_on_3d_pairs():

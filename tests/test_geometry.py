@@ -6,13 +6,14 @@ import json
 import pickle
 import re
 import time
+import weakref
 from collections import Counter
 from dataclasses import fields
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
 from importlib import import_module
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
 import pytest
@@ -518,7 +519,8 @@ def test_lattice_points_3d_match_the_box_filter():
     vertical = 0
     for p in shapes:
         vertical += any(normal[2] == 0
-                        for normal, _ in reference_facet_inequalities(p))
+                        for normal, _ in reference_facet_inequalities(
+                            p.vertices))
         expected = reference_polytope_points(p)
         assert listing(p, len(expected)) == expected, p
         with pytest.raises(CapExceeded,
@@ -783,84 +785,148 @@ def test_span_check_in_dimension_3_and_up():
 
 
 def seeded_point_sets_3d(rng, count, span):
-    """`count` seeded sets of 4 to 9 distinct points of [-span, span]^3
-    that span space, in random order: many hold points inside the hull,
-    on a facet or on an edge."""
+    """`count` seeded tuples of 4 to 9 distinct points of [-span, span]^3
+    that span space (their volume vector is not zero), in random order:
+    many hold points inside their hull, on a facet or on an edge."""
     grid = list(product(range(-span, span + 1), repeat=3))
     sets = []
     while len(sets) < count:
         points = tuple(rng.sample(grid, rng.randint(4, 9)))
         try:
-            sets.append(LatticePolytope(3, points))
+            volume_vector(points)
         except DegenerateInput:
             continue
+        sets.append(points)
     return sets
 
 
 def test_3d_facets_match_the_triple_loop_on_seeded_point_sets():
     # On 2,000 seeded point sets, a unimodular image of each and the named
     # shapes (the side-2 cube with its centre, a facet centre and an edge
-    # midpoint among them), the half-spaces equal the frozen triple loop's
-    # as sets, the volume equals the frozen projection volume, and the
-    # points on three facets or more are exactly those whose removal
-    # lowers that volume (or leaves too few points to span space).  A
-    # unimodular image keeps the volume and the point order, so its
-    # volume and vertex indices are the set's.
+    # midpoint among them), the vertices by the meet rule of `_hull_of`
+    # are exactly the points whose removal lowers the frozen projection
+    # volume (points that do not span space have volume 0).  The polytope
+    # of those vertices has the frozen volume of all the points, and the
+    # half-spaces of the frozen triple loop on all the points, as sets.  A
+    # unimodular image keeps the volume and the point order, so its volume
+    # and vertex indices are the set's.
     rng = seeded(281)
     doubled = tuple(product((0, 2), repeat=3))
-    named = [LatticePolytope(3, verts) for verts in (
-        UNIT_CUBE, FRUSTUM, OCTAHEDRON, PRISM, SIMPLEX,
-        doubled + ((1, 1, 1), (1, 1, 0), (1, 0, 0)))]
-    facets = import_module("lattice_equiv.geometry")._facets_3d
-    half_spaces = import_module("lattice_equiv.geometry")._half_spaces
+    named = [UNIT_CUBE, FRUSTUM, OCTAHEDRON, PRISM, SIMPLEX,
+             doubled + ((1, 1, 1), (1, 1, 0), (1, 0, 0))]
+    geometry = import_module("lattice_equiv.geometry")
     inside = 0
-    for p in named + seeded_point_sets_3d(rng, 2000, 3):
-        volume = reference_volume_3d(p)
-        vertices = facets(p.vertices)[2]
-        for i, v in enumerate(p.vertices):
-            rest = p.vertices[:i] + p.vertices[i + 1:]
-            try:
-                lowers = reference_volume_3d(LatticePolytope(3, rest)) < volume
-            except DegenerateInput:
-                lowers = True
-            assert (i in vertices) == lowers, (p, v)
-        inside += len(p.vertices) - len(vertices)
-        image = LatticePolytope(3, tuple(apply_int_map(
-            p.vertices, random_unimodular_3d(rng),
-            tuple(rng.randint(-3, 3) for _ in range(3)))))
-        assert facets(image.vertices)[2] == vertices, p
-        assert normalized_volume(p) == normalized_volume(image) == volume, p
-        for q in (p, image):
-            assert sorted(half_spaces(q)) \
-                == sorted(reference_facet_inequalities(q)), q
+    for points in named + seeded_point_sets_3d(rng, 2000, 3):
+        volume = reference_volume_3d(points)
+        vertices = geometry._hull_of(points, 3)[2]
+        for i, v in enumerate(points):
+            lowers = reference_volume_3d(points[:i] + points[i + 1:]) < volume
+            assert (i in vertices) == lowers, (points, v)
+        inside += len(points) - len(vertices)
+        image = tuple(apply_int_map(
+            points, random_unimodular_3d(rng),
+            tuple(rng.randint(-3, 3) for _ in range(3))))
+        assert geometry._hull_of(image, 3)[2] == vertices, points
+        for raw in (points, image):
+            q = LatticePolytope(3, tuple(raw[i] for i in sorted(vertices)))
+            assert normalized_volume(q) == volume, raw
+            assert sorted(geometry._half_spaces(q)) \
+                == sorted(reference_facet_inequalities(raw)), raw
     assert inside == 897
+
+
+def test_meet_rule_matches_caratheodory_on_seeded_point_sets():
+    # By Caratheodory's theorem a point is not a vertex of the hull of a
+    # point set exactly when it lies in a simplex of d + 1 of the other
+    # points; barycentric coordinates, as integers over det(M) through
+    # linalg.int_adjugate, test that exactly.  The meet rule agrees on
+    # seeded 3d and 4d sets, many of them with points that are not
+    # vertices.
+    geometry = import_module("lattice_equiv.geometry")
+    linalg = import_module("lattice_equiv.linalg")
+
+    def in_simplex(point, simplex):
+        base = simplex[0]
+        m = [linalg.vec_sub(v, base) for v in simplex[1:]]
+        det = linalg.int_det(m)
+        if not det:
+            return False
+        coords = linalg.row_times_matrix(
+            linalg.vec_sub(point, base), linalg.int_adjugate(m))
+        sign = 1 if det > 0 else -1
+        return (all(sign * c >= 0 for c in coords)
+                and sign * sum(coords) <= abs(det))
+
+    def vertices(points, d):
+        return {i for i, v in enumerate(points)
+                if not any(in_simplex(v, simplex) for simplex in combinations(
+                    points[:i] + points[i + 1:], d + 1))}
+
+    rng = seeded(293)
+    seen = Counter()
+    for d, count, span, most in ((3, 300, 2, 9), (4, 300, 1, 8)):
+        grid = list(product(range(-span, span + 1), repeat=d))
+        checked = 0
+        while checked < count:
+            points = tuple(rng.sample(grid, rng.randint(d + 1, most)))
+            try:
+                volume_vector(points)
+            except DegenerateInput:
+                continue
+            expect = vertices(points, d)
+            assert geometry._hull_of(points, d)[2] == expect, points
+            seen[d, len(expect) < len(points)] += 1
+            checked += 1
+    assert seen == {(3, True): 126, (3, False): 174,
+                    (4, True): 43, (4, False): 257}
+
+
+def test_the_hull_is_certified_in_the_library():
+    # Points that are not all vertices are refused in every dimension from
+    # 3 on, so none of these is stored, nor compared by the vertex counts
+    # of a wrong vertex set: the side-2 cube plus its centre, 2 * unit
+    # simplex plus (1, 0, 0) on an edge, and the 4d unit simplex plus
+    # (1, 1, 1, 1) and (0, 0, 0, 2), which puts (0, 0, 0, 1) on an edge.
+    simplex_4d = ((0, 0, 0, 0),) + tuple(
+        tuple(int(i == j) for j in range(4)) for i in range(4))
+    for dim, points in (
+            (3, tuple(product((0, 2), repeat=3)) + ((1, 1, 1),)),
+            (3, ((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 0, 0))),
+            (4, simplex_4d + ((1, 1, 1, 1), (0, 0, 0, 2)))):
+        with pytest.raises(
+                DegenerateInput,
+                match="^vertices are not in strictly convex position$"):
+            LatticePolytope(dim, points)
+    hull = simplex_4d[:4] + ((1, 1, 1, 1), (0, 0, 0, 2))
+    assert LatticePolytope(4, hull).vertices == hull
 
 
 def test_contains_3d_matches_the_box_filter_with_non_vertex_points():
     # Seeded point sets that hold points inside their hull, on a facet or
-    # on an edge: over the bounding box grown by one, `contains` holds
-    # exactly the points that the bounding-box filter lists.
-    facets = import_module("lattice_equiv.geometry")._facets_3d
-    shapes = [p for p in seeded_point_sets_3d(seeded(283), 60, 2)
-              if len(facets(p.vertices)[2]) < len(p.vertices)][:20]
+    # on an edge, each stored as the polytope of its hull's vertices: over
+    # the points' bounding box grown by one, `contains` holds exactly the
+    # points that every facet inequality of the frozen triple loop on all
+    # the points holds.
+    hull_of = import_module("lattice_equiv.geometry")._hull_of
+    shapes = [points for points in seeded_point_sets_3d(seeded(283), 60, 2)
+              if len(hull_of(points, 3)[2]) < len(points)][:20]
     assert len(shapes) == 20
-    for p in shapes:
-        listed = set(reference_polytope_points(p))
-        lows, highs = p.bounding_box()
-        for pt in product(*(range(lo - 1, hi + 2)
-                            for lo, hi in zip(lows, highs))):
-            assert p.contains(pt) == (pt in listed), (p, pt)
+    for points in shapes:
+        p = LatticePolytope(3, tuple(
+            points[i] for i in sorted(hull_of(points, 3)[2])))
+        facets = reference_facet_inequalities(points)
+        for pt in product(*(range(min(c) - 1, max(c) + 2)
+                            for c in zip(*points))):
+            assert p.contains(pt) == all(
+                sum(a * b for a, b in zip(normal, pt)) + offset <= 0
+                for normal, offset in facets), (p, pt)
 
 
-def test_lattice_points_3d_match_brute_force_with_one_facet_list(
-        monkeypatch):
-    # The listing reads the facets once, from one volume vector of the
-    # polytope's vertices, not once per point of the bounding box.  Cubes
-    # of side 2 and 4 hold 27 and 125 points; the corner simplex
-    # x/4 + y/3 + z/2 <= 1 is counted by its inequality, and a unimodular
-    # image of it holds the images of those points.
+def counted_facets(monkeypatch):
+    """The list of the (entries, n, d) that `invariants.facets` is called
+    with from now on, and the unpatched `invariants.volume_vector`."""
     module = import_module("lattice_equiv.invariants")
-    facets, volume_vector = module.facets, module.volume_vector
+    facets = module.facets
     calls = []
 
     def counted(entries, n, d):
@@ -868,26 +934,49 @@ def test_lattice_points_3d_match_brute_force_with_one_facet_list(
         return facets(entries, n, d)
 
     monkeypatch.setattr(module, "facets", counted)
+    return calls
 
-    def listed(p):
+
+def test_lattice_points_3d_match_brute_force_with_one_facet_list(
+        monkeypatch):
+    # The constructor reads the facets once, from one volume vector of the
+    # polytope's vertices, and keeps them: the listing reads them no more.
+    # Cubes of side 2 and 4 hold 27 and 125 points; the corner simplex
+    # x/4 + y/3 + z/2 <= 1 is counted by its inequality, and a unimodular
+    # image of it holds the images of those points.
+    calls = counted_facets(monkeypatch)
+
+    def listed(verts):
         calls.clear()
-        points = lattice_points(p)
+        p = LatticePolytope(3, tuple(verts))
         assert calls == [(volume_vector(p.vertices).entries,
                           len(p.vertices), 3)]
+        calls.clear()
+        points = lattice_points(p)
+        assert calls == []
         return points
 
     for side, count in ((2, 27), (4, 125)):
-        cube = LatticePolytope(3, tuple(product((0, side), repeat=3)))
-        points = listed(cube)
+        points = listed(product((0, side), repeat=3))
         assert len(points) == count
         assert points == list(product(range(side + 1), repeat=3))
     corner = ((0, 0, 0), (4, 0, 0), (0, 3, 0), (0, 0, 2))
     brute = [pt for pt in product(range(5), range(4), range(3))
              if 6 * pt[0] + 8 * pt[1] + 12 * pt[2] <= 24]
-    assert listed(LatticePolytope(3, corner)) == brute
+    assert listed(corner) == brute
     matrix, shift = ((0, 1, -1), (1, 2, 0), (0, 0, 1)), (1, -2, 3)
-    image = LatticePolytope(3, tuple(apply_int_map(corner, matrix, shift)))
-    assert listed(image) == sorted(apply_int_map(brute, matrix, shift))
+    assert listed(apply_int_map(corner, matrix, shift)) \
+        == sorted(apply_int_map(brute, matrix, shift))
+
+
+def test_contains_reads_the_facets_once_per_polytope(monkeypatch):
+    # 1,000 `contains` calls on the side-2 cube, 2 of them inside, read
+    # the facets of the one volume vector its constructor built, once.
+    calls = counted_facets(monkeypatch)
+    cube = LatticePolytope(3, tuple(product((0, 2), repeat=3)))
+    inside = sum(cube.contains((x, x - 1, 2 - x)) for x in range(-499, 501))
+    assert inside == 2
+    assert calls == [(volume_vector(cube.vertices).entries, 8, 3)]
 
 
 BIG_TRIANGLE = poly((0, 0), (2, 0), (0, 2))
@@ -933,8 +1022,9 @@ def test_strict_hull_oracle_agrees_with_hull():
 def test_polytopes_are_slotted():
     """A polytope has no __dict__.  The census's unchecked _stored_polygon
     and the checked constructor build equal polygons with equal hashes,
-    pickle and copy rebuild any polytope, and the decider's profile
-    cache drops a polygon's entry with the polygon."""
+    pickle and copy rebuild any polytope, the decider's profile cache
+    drops a polygon's entry with the polygon, and the hull map drops a
+    3d polytope's with the polytope."""
     equivalence = import_module("lattice_equiv.equivalence")
     cycle = ((203, 11), (206, 11), (207, 13), (203, 12))  # in no other test
     stored = _stored_polygon(cycle)
@@ -950,6 +1040,13 @@ def test_polytopes_are_slotted():
             assert type(clone) is LatticePolytope
     equivalence._profile(stored)
     assert checked in equivalence._PROFILES
-    del stored
+    hulls = import_module("lattice_equiv.geometry")._HULLS
+    solid = LatticePolytope(3, ((5, 0, 0), (0, 7, 0), (0, 0, 11), (0, 0, 0)))
+    assert solid in hulls
+    gc.collect()
+    held = len(hulls)
+    gone = weakref.ref(solid)
+    del stored, solid
     gc.collect()
     assert checked not in equivalence._PROFILES
+    assert gone() is None and len(hulls) == held - 1

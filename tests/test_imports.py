@@ -64,3 +64,25 @@ def test_only_geometry_builds_the_fractions_of_a_map():
         modules.update(alias.name for node in ast.walk(tree)
                        if isinstance(node, ast.Import) for alias in node.names)
         assert "fractions" not in modules, name
+
+
+def test_only_geometry_reads_the_facets():
+    # invariants.facets has one caller, geometry._hull_of, whose record
+    # every reader of a polytope's facets shares; a call anywhere else
+    # would be a second facet routine.
+    callers = []
+    for path in sorted((ROOT / "src" / "lattice_equiv").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        local = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and node.module == "invariants"
+                 for alias in node.names if alias.name == "facets"}
+        callers += [path.stem for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and (
+                        isinstance(node.func, ast.Name)
+                        and node.func.id in local
+                        or isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "facets"
+                        and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id == "invariants")]
+    assert callers == ["geometry"]
