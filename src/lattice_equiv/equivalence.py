@@ -18,7 +18,9 @@ independent vertices of P whose volume-vector entry is rare, try
 matching tuples in Q, and accept a candidate only if the unique affine
 map it determines carries vert(P) onto vert(Q) and passes the mode's
 determinant test.  The invariants the search reads sit in one profile
-per polytope, which lives exactly as long as it.
+per polytope, which lives exactly as long as it; from dimension 3 on,
+the profile takes its volume vector from the hull record
+(`geometry._hull`), so deciding computes none: the constructor did.
 
 Modes:
   affine      -- any invertible rational affine map
@@ -105,14 +107,18 @@ class CanonicalTriangle:
 
 
 class _Profile:
-    """Decider invariants of one polytope.  Built from its vertices and
-    dimension, never from the polytope itself, so that a profile does not
-    keep its own key in _PROFILES alive."""
+    """Decider invariants of one polytope.  Built from its vertices,
+    dimension and volume vector, never from the polytope itself, so that
+    a profile does not keep its own key in _PROFILES alive.  `_profile`
+    passes the volume vector of the hull record (`geometry._hull`) from
+    dimension 3 on, and computes it only below, where there is no record
+    (the oracle's polygons, segments); a `VolumeVector` holds no
+    reference to its polytope, so sharing it keeps no key alive."""
 
-    def __init__(self, vertices, dim):
+    def __init__(self, vertices, dim, volume):
         self.vertices = vertices
         self.dim = dim
-        self.volume = volume_vector(vertices, dim)
+        self.volume = volume
         primitive = primitive_decomposition(self.volume)
         self.direction = primitive.direction
         self.direction_signature = tuple(sorted(map(abs, self.direction)))
@@ -163,7 +169,9 @@ _PROFILES = weakref.WeakKeyDictionary()
 def _profile(p):
     profile = _PROFILES.get(p)
     if profile is None:
-        profile = _PROFILES[p] = _Profile(p.vertices, p.dim)
+        volume = (_hull(p)[0] if p.dim >= 3 else
+                  volume_vector(p.vertices, p.dim))
+        profile = _PROFILES[p] = _Profile(p.vertices, p.dim, volume)
     return profile
 
 

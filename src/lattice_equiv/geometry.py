@@ -193,10 +193,10 @@ class LatticePolytope:
             verts = cycle
         object.__setattr__(self, "vertices", verts)
         if self.dim >= 3:
-            entry, planes, corners = _hull_of(verts, self.dim)
+            volume, planes, corners = _hull_of(verts, self.dim)
             if len(corners) != len(verts):
                 raise DegenerateInput("vertices are not in strictly convex position")
-            _HULLS[self] = [entry, planes, None]
+            _HULLS[self] = [volume, planes, None]
 
     def __reduce__(self):
         return type(self), (self.dim, self.vertices)
@@ -418,9 +418,10 @@ def normalized_volume(p):
 
     Computed by fan triangulation from the first vertex (dim 2), by the
     simplex determinant (other dimensions, d+1 vertices), or (dim 3) as
-    volume vector entries of the hull record (`_hull`): vertex 0 over the
-    fan of each facet without it from the facet's first vertex, along its
-    edges (pairs of its vertices on a second facet)."""
+    entries of the hull record's volume vector (`_hull`), read by lex
+    position: vertex 0 over the fan of each facet without it from the
+    facet's first vertex, along its edges (pairs of its vertices on a
+    second facet)."""
     verts = p.vertices
     if p.dim == 2:
         v0 = verts[0]
@@ -429,10 +430,13 @@ def normalized_volume(p):
     if len(verts) == p.dim + 1:
         return abs(simplex_determinant(verts))
     if p.dim == 3:
-        entry, planes, _ = _hull(p)
+        # invariants imports geometry, so geometry imports invariants here.
+        from .invariants import index_positions
+        volume, planes, _ = _hull(p)
+        entries, at = volume.entries, index_positions(len(verts), 4)
         edges = Counter(chain.from_iterable(
             combinations(on, 2) for on in planes))
-        return sum(abs(entry[0, apex, a, b])
+        return sum(abs(entries[at[0, apex, a, b]])
                    for apex, *rest in planes if apex
                    for a, b in combinations(rest, 2) if edges[a, b] == 2)
     raise DimensionMismatch(
@@ -619,15 +623,21 @@ def _polytope_points(p, cap):
     return sorted(listed)
 
 
-# [entry, facets, half-spaces or None] of each live polytope of dimension
-# 3 and up, held like equivalence._PROFILES (a slot would cost every
-# polygon 8 bytes); `_half_spaces` fills in the half-spaces.
+# [volume vector, facets, half-spaces or None] of each live polytope of
+# dimension 3 and up, held like equivalence._PROFILES (a slot would cost
+# every polygon 8 bytes); `_half_spaces` fills in the half-spaces.  Its
+# readers: `contains` and `_polytope_points` (the half-spaces), the 3d
+# `normalized_volume` (volume vector and facets), and the decider's
+# `_profile` and affine facet check (volume vector; facets).  A
+# `VolumeVector` holds no reference to its polytope, so a profile that
+# shares it does not keep the key alive.
 _HULLS = weakref.WeakKeyDictionary()
 
 
 def _hull(p):
-    """The hull record of a polytope of dimension 3 and up, built anew
-    only if an equal polytope held its entry and has gone."""
+    """The hull record of a polytope of dimension 3 and up: the one its
+    constructor built, or, if an equal polytope held its entry and has
+    gone, built anew here."""
     hull = _HULLS.get(p)
     if hull is None:
         hull = _HULLS[p] = [*_hull_of(p.vertices, p.dim)[:2], None]
@@ -635,19 +645,21 @@ def _hull(p):
 
 
 def _hull_of(points, d):
-    """(entry, facets, vertices) of n >= d + 1 distinct points in dimension
-    d >= 3: their volume vector by index tuple, its `invariants.facets`,
-    and the vertex indices by the meet rule: i is a vertex exactly when
-    the point sets of the facets through i meet in {i} (through an
-    interior point none pass, and they meet in every point).
-    DegenerateInput when the volume vector is zero."""
+    """(volume, facets, vertices) of a tuple of n distinct points in
+    dimension d >= 3 that have passed `_int_points` (the constructor and
+    `cli.parse_polytope` check them first): their `VolumeVector`, its
+    `invariants.facets`, and the vertex indices by the meet rule: i is a
+    vertex exactly when the point sets of the facets through i meet in
+    {i} (through an interior point none pass, and they meet in every
+    point).  DegenerateInput when the volume vector is zero, as it is for
+    fewer than d + 1 points."""
     # invariants imports geometry, so geometry imports invariants here.
-    from .invariants import facets, index_combinations, volume_vector
+    from .invariants import _volume_vector, facets
     try:
-        entries, n = volume_vector(points, d).entries, len(points)
+        volume = _volume_vector(points, d)
     except DegenerateInput:
         raise DegenerateInput("vertices do not span the ambient space") from None
-    planes, every = facets(entries, n, d), set(range(n))
-    return (dict(zip(index_combinations(n, d + 1), entries)), planes,
-            {i for i in every if len(every.intersection(
-                *(on for on in planes if i in on))) == 1})
+    n = volume.n
+    planes, every = facets(volume.entries, n, d), set(range(n))
+    return volume, planes, {i for i in every if len(every.intersection(
+        *(on for on in planes if i in on))) == 1}

@@ -26,11 +26,17 @@ def index_combinations(n, k):
 
 
 @lru_cache(maxsize=None)
+def index_positions(n, k):
+    """The position of each k-subset of range(n) in index_combinations."""
+    return {sub: i for i, sub in enumerate(index_combinations(n, k))}
+
+
+@lru_cache(maxsize=None)
 def face_positions(n, d):
     """For each (d+1)-subset of range(n), in index_combinations order,
     the positions in index_combinations(n, d) of its faces: those that
     drop its 0th, 2nd, ... index, then those that drop its 1st, 3rd, ..."""
-    position = {sub: k for k, sub in enumerate(index_combinations(n, d))}
+    position = index_positions(n, d)
     out = []
     for combo in index_combinations(n, d + 1):
         faces = [position[combo[:k] + combo[k + 1:]] for k in range(d + 1)]
@@ -52,7 +58,7 @@ def side_positions(n, d):
     turn the entry's lex position in index_combinations(n, d + 1),
     shifted into the negations when the count is odd; `chunks` slices
     what it picks into one run of n - d per S."""
-    position = {sub: k for k, sub in enumerate(index_combinations(n, d + 1))}
+    position = index_positions(n, d + 1)
     flip = len(position)
     picks = []
     for sub in index_combinations(n, d):
@@ -161,6 +167,14 @@ def volume_vector(points, dim=None):
     pts, d = _int_points(points, dim)
     if len(pts) < d + 1:
         raise DegenerateInput(f"need at least {d + 1} points in dimension {d}")
+    return _volume_vector(pts, d)
+
+
+def _volume_vector(pts, d):
+    """`volume_vector` of a tuple of points that have passed `_int_points`
+    in dimension d, without checking them again: the one computation,
+    which `geometry._hull_of` calls for the points its callers checked.
+    Fewer than d + 1 points give the zero vector's DegenerateInput."""
     minor = [linalg.int_det(rows) for rows in combinations(pts, d)].__getitem__
     entries = tuple(sum(map(minor, even)) - sum(map(minor, odd))
                     for even, odd in face_positions(len(pts), d))

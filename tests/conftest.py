@@ -447,10 +447,15 @@ def random_unimodular(rng, shears=4):
 
 
 def random_unimodular_3d(rng):
-    """Product of integer row shears, then an optional row swap."""
-    m = [[int(i == j) for j in range(3)] for i in range(3)]
-    for _ in range(4):
-        src, dst = rng.sample(range(3), 2)
+    return random_unimodular_nd(rng, 3)
+
+
+def random_unimodular_nd(rng, d):
+    """Product of d + 1 integer row shears of the d x d identity, then an
+    optional swap of the first two rows."""
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(d + 1):
+        src, dst = rng.sample(range(d), 2)
         k = rng.choice((-2, -1, 1, 2))
         m[dst] = [a + k * b for a, b in zip(m[dst], m[src])]
     if rng.random() < 0.5:

@@ -5,6 +5,7 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from importlib import import_module
+from itertools import chain
 from math import cos, gcd, pi, sin
 
 import pytest
@@ -23,6 +24,7 @@ from conftest import (
     random_polygon,
     random_unimodular,
     random_unimodular_3d,
+    random_unimodular_nd,
     reference_decide,
     reference_facet_inequalities,
     reference_oracle,
@@ -655,17 +657,29 @@ def test_each_profile_is_built_once_through_the_traced_names(monkeypatch):
         assert b not in equivalence._PROFILES
     assert not calls
     # A 3d pair is searched: one profile each, however often it is asked.
+    # Its volume vector is the one the constructor put in the hull record,
+    # so none is computed through the traced name, and every volume
+    # vector computed anywhere (`invariants._volume_vector`) is the
+    # constructor's: one per polytope.
+    computed = []
+    compute = invariants._volume_vector
+    monkeypatch.setattr(invariants, "_volume_vector",
+                        lambda *args: computed.append(args) or compute(*args))
     cube = tuple((x, y, z) for x in (60, 61) for y in (0, 1) for z in (0, 3))
     p3 = LatticePolytope(3, cube)
     q3 = LatticePolytope(3, tuple(apply_int_map(
         cube, ((1, 0, 0), (2, 1, 0), (0, 0, 1)), (1, 0, 0))))
+    assert computed == [(p3.vertices, 3), (q3.vertices, 3)]
     assert equivalence.decide(p3, q3, "affine")
-    assert calls == {"volume_vector": 2, "primitive_decomposition": 2}
+    assert calls == {"primitive_decomposition": 2}
     for mode in MODES:
         assert equivalence.decide(p3, q3, mode)
         assert equivalence.decide(q3, p3, mode)
-    assert calls == {"volume_vector": 2, "primitive_decomposition": 2}
-    assert p3 in equivalence._PROFILES and q3 in equivalence._PROFILES
+    assert calls == {"primitive_decomposition": 2}
+    assert len(computed) == 2
+    hull = import_module("lattice_equiv.geometry")._hull
+    for p in (p3, q3):
+        assert equivalence._PROFILES[p].volume is hull(p)[0]
 
 
 def test_content_check_and_search_agree_with_oracle_on_box_forms():
@@ -827,6 +841,103 @@ def test_octahedron_and_prism_are_rejected_before_the_search(monkeypatch):
     p, q = LatticePolytope(3, OCTAHEDRON), LatticePolytope(3, PRISM)
     assert affine_equivalent(p, q) == equivalence.NotEquivalent(FACETS)
     assert affine_equivalent(q, p) == equivalence.NotEquivalent(FACETS)
+
+
+def direct_volume_vector(p):
+    """The simplex determinant of each (d + 1)-subset of P's vertices, one
+    by one, in index_combinations order."""
+    geometry = import_module("lattice_equiv.geometry")
+    verts = p.vertices
+    return tuple(geometry.simplex_determinant([verts[i] for i in combo])
+                 for combo in invariants.index_combinations(
+                     len(verts), p.dim + 1))
+
+
+def test_the_profile_reads_the_volume_vector_of_the_hull_record():
+    # From dimension 3 on, the decider's profile holds the very volume
+    # vector of the polytope's hull record, and its entries are the
+    # direct simplex determinants, on the 3d shapes, 4d prisms over the
+    # small ones, seeded 4d simplices, and a unimodular image of each.
+    hull = import_module("lattice_equiv.geometry")._hull
+    rng = seeded(311)
+    shapes = shapes_3d(rng)
+    solids = list(shapes)
+    for shape in shapes:
+        if len(shape) <= 8:
+            solids.append([(*v, 0) for v in shape]
+                          + [(*v, rng.randint(1, 2)) for v in shape])
+    while len(solids) < len(shapes) + 20:
+        rows = [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(4)]
+        if linalg.int_det(rows):
+            solids.append([(0, 0, 0, 0), *rows])
+    seen = Counter()
+    for verts in solids:
+        d = len(verts[0])
+        image = apply_int_map(verts, random_unimodular_nd(rng, d),
+                              tuple(rng.randint(-3, 3) for _ in range(d)))
+        for p in (LatticePolytope(d, tuple(verts)),
+                  LatticePolytope(d, tuple(image))):
+            volume = equivalence._profile(p).volume
+            assert volume is hull(p)[0]
+            assert volume.entries == direct_volume_vector(p), p
+            seen[d] += 1
+    assert seen == {3: 48, 4: 46}
+
+
+def test_deciding_shares_or_rebuilds_the_hull_records_volume_vector(
+        monkeypatch):
+    # Seeded 3d pairs, in all three modes and both orders, answer as the
+    # oracle does, and compute no volume vector beyond their constructors'.
+    # Then two equal polytopes: the second's constructor replaces the
+    # first's record, which goes with the first, so deciding with the
+    # second rebuilds the record through geometry._hull, once, and the
+    # profile holds that record's vector.
+    hull = import_module("lattice_equiv.geometry")._hull
+    hulls = import_module("lattice_equiv.geometry")._HULLS
+    computed = []
+    compute = invariants._volume_vector
+    monkeypatch.setattr(invariants, "_volume_vector",
+                        lambda *args: computed.append(args) or compute(*args))
+    rng = seeded(313)
+    shapes = [shape for shape in shapes_3d(rng) if len(shape) <= 6]
+    pairs = [(shape, image) for shape in shapes
+             for image in images_3d(rng, shape)[:2]]
+    pairs += [(a, b) for a in shapes for b in shapes
+              if a is not b and len(a) == len(b)][:10]
+    # One live polytope per vertex list, so each keeps its own record.
+    solids = {}
+    for verts in map(tuple, chain.from_iterable(pairs)):
+        if verts not in solids:
+            solids[verts] = LatticePolytope(3, verts)
+    assert len(computed) == len(solids)
+    outcomes = Counter()
+    for p, q in pairs:
+        p, q = solids[tuple(p)], solids[tuple(q)]
+        for a, b in ((p, q), (q, p)):
+            for mode in MODES:
+                got = equivalence.decide(a, b, mode)
+                assert bool(got) == bool(oracle_equivalent(a, b, mode)), \
+                    (a, b, mode)
+                outcomes[bool(got)] += 1
+    assert len(computed) == len(solids)
+    assert outcomes == {True: 142, False: 122}
+    # Coordinates no other test uses, so no other polytope holds a record.
+    verts = ((70, 0, 0), (73, 0, 0), (70, 2, 0), (70, 0, 5), (72, 1, 2))
+    first, second = LatticePolytope(3, verts), LatticePolytope(3, verts)
+    gone = weakref.ref(first)
+    del first
+    gc.collect()
+    assert gone() is None and second not in hulls
+    other = LatticePolytope(3, tuple(apply_int_map(
+        verts, random_unimodular_3d(rng), (1, 2, 3))))
+    built = len(computed)
+    for mode in MODES:
+        assert bool(equivalence.decide(second, other, mode)) \
+            == bool(oracle_equivalent(second, other, mode))
+    assert computed[built:] == [(second.vertices, 3)]
+    volume = equivalence._PROFILES[second].volume
+    assert volume is hull(second)[0] is hulls[second][0]
+    assert volume.entries == direct_volume_vector(second)
 
 
 def random_rational_affine_image(rng, p):

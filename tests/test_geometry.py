@@ -1023,8 +1023,10 @@ def test_polytopes_are_slotted():
     """A polytope has no __dict__.  The census's unchecked _stored_polygon
     and the checked constructor build equal polygons with equal hashes,
     pickle and copy rebuild any polytope, the decider's profile cache
-    drops a polygon's entry with the polygon, and the hull map drops a
-    3d polytope's with the polytope."""
+    drops a polygon's entry with the polygon, and once a 3d polytope has
+    been decided in every mode, the profile cache and the hull map drop
+    its entries with it (the profile shares the record's volume vector,
+    which holds no reference to the polytope)."""
     equivalence = import_module("lattice_equiv.equivalence")
     cycle = ((203, 11), (206, 11), (207, 13), (203, 12))  # in no other test
     stored = _stored_polygon(cycle)
@@ -1042,11 +1044,17 @@ def test_polytopes_are_slotted():
     assert checked in equivalence._PROFILES
     hulls = import_module("lattice_equiv.geometry")._HULLS
     solid = LatticePolytope(3, ((5, 0, 0), (0, 7, 0), (0, 0, 11), (0, 0, 0)))
+    image = LatticePolytope(3, tuple((x, y, -z) for x, y, z in solid.vertices))
     assert solid in hulls
+    for mode in equivalence.MODES:
+        assert equivalence.decide(solid, image, mode)
+    assert equivalence._PROFILES[solid].volume is hulls[solid][0]
     gc.collect()
-    held = len(hulls)
+    held, profiled = len(hulls), len(equivalence._PROFILES)
     gone = weakref.ref(solid)
     del stored, solid
     gc.collect()
     assert checked not in equivalence._PROFILES
     assert gone() is None and len(hulls) == held - 1
+    assert len(equivalence._PROFILES) == profiled - 2
+    assert image in hulls and image in equivalence._PROFILES
