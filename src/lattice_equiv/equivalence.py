@@ -11,16 +11,16 @@ ordering.  Before the search, `decide` rejects a pair whose vertex
 counts differ, whose primitive volume vectors differ as multisets of
 absolute values, and then, in the unimodular and det_one modes, whose
 contents differ, or in the affine mode, whose facet sizes differ: the
-vertex counts of the facets in the hull record that the polytope's
-constructor left (`geometry._hull`; "facet sizes differ", a shortcut the
-oracle does not take).  The search is anchored: fix d+1 affinely
+vertex counts of the facets in the record that the polytope's
+constructor left (`LatticePolytope._record`; "facet sizes differ", a
+shortcut the oracle does not take).  The search is anchored: fix d+1 affinely
 independent vertices of P whose volume-vector entry is rare, try
 matching tuples in Q, and accept a candidate only if the unique affine
 map it determines carries vert(P) onto vert(Q) and passes the mode's
-determinant test.  The invariants the search reads sit in one profile
-per polytope, which lives exactly as long as it; from dimension 3 on,
-the profile takes its volume vector from the hull record
-(`geometry._hull`), so deciding computes none: the constructor did.
+determinant test.  The invariants the search reads sit in a profile;
+from dimension 3 on, each polytope keeps its own in its record, which
+also gives the profile its volume vector, so deciding computes none:
+the constructor did.
 
 Modes:
   affine      -- any invertible rational affine map
@@ -28,7 +28,6 @@ Modes:
   det_one     -- determinant exactly +1, matrix need not be integral
 """
 
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,7 +39,7 @@ from . import linalg
 from .caps import resolve
 from .errors import DegenerateInput, DimensionMismatch, TooLarge
 from .geometry import (
-    LatticePolytope, RationalAffineMap, _hull, _map_over, _stored_polygon,
+    LatticePolytope, RationalAffineMap, _map_over, _stored_polygon,
     _whole, normalized_volume)
 # bench/tracing.py patches the names it traces here; keep them bound.
 from .invariants import (
@@ -108,12 +107,10 @@ class CanonicalTriangle:
 
 class _Profile:
     """Decider invariants of one polytope.  Built from its vertices,
-    dimension and volume vector, never from the polytope itself, so that
-    a profile does not keep its own key in _PROFILES alive.  `_profile`
-    passes the volume vector of the hull record (`geometry._hull`) from
-    dimension 3 on, and computes it only below, where there is no record
-    (the oracle's polygons, segments); a `VolumeVector` holds no
-    reference to its polytope, so sharing it keeps no key alive."""
+    dimension and volume vector, never from the polytope itself: the
+    profile sits in its polytope's record, and a `VolumeVector` holds no
+    reference to its polytope either, so polytope, record and profile
+    form no cycle and reference counting frees them together."""
 
     def __init__(self, vertices, dim, volume):
         self.vertices = vertices
@@ -162,17 +159,17 @@ class _Profile:
         return combo, base, linalg.int_det(m), adj, coords
 
 
-# Each live polytope's profile; an entry goes when its polytope does.
-_PROFILES = weakref.WeakKeyDictionary()
-
-
 def _profile(p):
-    profile = _PROFILES.get(p)
-    if profile is None:
-        volume = (_hull(p)[0] if p.dim >= 3 else
-                  volume_vector(p.vertices, p.dim))
-        profile = _PROFILES[p] = _Profile(p.vertices, p.dim, volume)
-    return profile
+    """The profile of `p`: from dimension 3 on, the one its record holds,
+    built on first use from the record's volume vector.  The oracle's
+    polygons and segments have no record, so each call builds theirs
+    anew."""
+    if p.dim < 3:
+        return _Profile(p.vertices, p.dim, volume_vector(p.vertices, p.dim))
+    record = p._record
+    if record[3] is None:
+        record[3] = _Profile(p.vertices, p.dim, record[0])
+    return record[3]
 
 
 def _attempt(p, q, context, image, mode, scaled_targets):
@@ -327,8 +324,8 @@ def decide(p, q, mode):
         # multisets of |entries| exactly when their contents agree in size.
         if pp.content != qp.content:
             return NotEquivalent("volume vectors differ as multisets")
-    elif p.dim >= 3 and (sorted(map(len, _hull(p)[1]))
-                         != sorted(map(len, _hull(q)[1]))):
+    elif p.dim >= 3 and (sorted(map(len, p._record[1]))
+                         != sorted(map(len, q._record[1]))):
         # The octahedron and the prism agree in both volume vectors and
         # differ only here.  The other modes reject them by content, so
         # there the facet sizes would only cost the positive pairs.

@@ -5,7 +5,6 @@ so every predicate in this module is exact.  Points are row vectors and
 affine maps act on the right: p -> p @ A + v.
 """
 
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,7 +155,12 @@ class LatticePolytope:
     wrong vertex order.  For dim 1 the vertices must be the segment's two
     endpoints, stored lesser first.  For dim >= 3 the list is stored as
     given once `_hull_of` finds that it spans space and that every point
-    is a vertex; its hull record stays in `_HULLS` while it lives.
+    is a vertex, and the polytope keeps that hull's record in its
+    `_record` slot: [volume vector, facets, half-spaces, profile], the
+    last two None until `_half_spaces` and `equivalence._profile` fill
+    them on first use.  The 3d `normalized_volume` reads the first two,
+    the affine decider the facets.  A polygon or a segment leaves the
+    slot unset.
 
     The census path stores cycles it built itself without this check,
     through `_stored_polygon`: in `enumerate_convex_polygons`, in
@@ -165,12 +169,14 @@ class LatticePolytope:
     `shrink_to_minimal_volume` image included.
 
     Slotted, so the many polygons of a one-worker census carry no
-    `__dict__`; `__weakref__` is listed by hand (3.10 has no
-    `weakref_slot`).  A frozen class refuses the default restore of
-    slots, so pickle and copy rebuild a polytope through the check.
+    `__dict__`, and with no slot for weak references: nothing outside a
+    polytope holds its derived data.  `_record` is a slot, not a field, so
+    equality, hashing, repr and pickling see `dim` and `vertices` only.
+    A frozen class refuses the default restore of slots, so pickle and
+    copy rebuild a polytope through the check.
     """
 
-    __slots__ = ("dim", "vertices", "__weakref__")
+    __slots__ = ("dim", "vertices", "_record")
     dim: int
     vertices: tuple
 
@@ -196,7 +202,8 @@ class LatticePolytope:
             volume, planes, corners = _hull_of(verts, self.dim)
             if len(corners) != len(verts):
                 raise DegenerateInput("vertices are not in strictly convex position")
-            _HULLS[self] = [volume, planes, None]
+            object.__setattr__(
+                self, "_record", [volume, planes, None, None])
 
     def __reduce__(self):
         return type(self), (self.dim, self.vertices)
@@ -418,7 +425,7 @@ def normalized_volume(p):
 
     Computed by fan triangulation from the first vertex (dim 2), by the
     simplex determinant (other dimensions, d+1 vertices), or (dim 3) as
-    entries of the hull record's volume vector (`_hull`), read by lex
+    entries of the volume vector in the polytope's `_record`, read by lex
     position: vertex 0 over the fan of each facet without it from the
     facet's first vertex, along its edges (pairs of its vertices on a
     second facet)."""
@@ -432,7 +439,7 @@ def normalized_volume(p):
     if p.dim == 3:
         # invariants imports geometry, so geometry imports invariants here.
         from .invariants import index_positions
-        volume, planes, _ = _hull(p)
+        volume, planes = p._record[:2]
         entries, at = volume.entries, index_positions(len(verts), 4)
         edges = Counter(chain.from_iterable(
             combinations(on, 2) for on in planes))
@@ -545,18 +552,18 @@ def _edge_half_spaces(cycle):
 
 def _half_spaces(p):
     """The (normal, offset) pairs whose normal . x + offset <= 0 cut out a
-    polygon (one per edge) or a 3d polytope (one per facet of `_hull`,
-    its first triple's normal turned toward a vertex off it; built on
-    first use and kept in the record)."""
+    polygon (one per edge) or a 3d polytope (one per facet of its
+    `_record`, its first triple's normal turned toward a vertex off it;
+    built on first use and kept in the record)."""
     verts = p.vertices
     if p.dim == 2:
         return _edge_half_spaces(verts)
     if p.dim != 3:
         raise DimensionMismatch("membership and listing need dim 2 or 3")
-    hull = _hull(p)
-    if hull[2] is None:
-        hull[2] = halves = []
-        for on, (i, j, k) in hull[1].items():
+    record = p._record
+    if record[2] is None:
+        record[2] = halves = []
+        for on, (i, j, k) in record[1].items():
             normal = linalg.primitive_normal(
                 (linalg.vec_sub(verts[j], verts[i]),
                  linalg.vec_sub(verts[k], verts[i])))
@@ -564,7 +571,7 @@ def _half_spaces(p):
             off = next(v for l, v in enumerate(verts) if l not in on)
             s = -1 if linalg.vec_dot(normal, off) + offset > 0 else 1
             halves.append((tuple(s * c for c in normal), s * offset))
-    return hull[2]
+    return record[2]
 
 
 def _lift(prefixes, halves):
@@ -623,30 +630,10 @@ def _polytope_points(p, cap):
     return sorted(listed)
 
 
-# [volume vector, facets, half-spaces or None] of each live polytope of
-# dimension 3 and up, held like equivalence._PROFILES (a slot would cost
-# every polygon 8 bytes); `_half_spaces` fills in the half-spaces.  Its
-# readers: `contains` and `_polytope_points` (the half-spaces), the 3d
-# `normalized_volume` (volume vector and facets), and the decider's
-# `_profile` and affine facet check (volume vector; facets).  A
-# `VolumeVector` holds no reference to its polytope, so a profile that
-# shares it does not keep the key alive.
-_HULLS = weakref.WeakKeyDictionary()
-
-
-def _hull(p):
-    """The hull record of a polytope of dimension 3 and up: the one its
-    constructor built, or, if an equal polytope held its entry and has
-    gone, built anew here."""
-    hull = _HULLS.get(p)
-    if hull is None:
-        hull = _HULLS[p] = [*_hull_of(p.vertices, p.dim)[:2], None]
-    return hull
-
-
 def _hull_of(points, d):
     """(volume, facets, vertices) of a tuple of n distinct points in
-    dimension d >= 3 that have passed `_int_points` (the constructor and
+    dimension d >= 3 that have passed `_int_points` (the constructor,
+    which keeps the first two in the polytope's `_record`, and
     `cli.parse_polytope` check them first): their `VolumeVector`, its
     `invariants.facets`, and the vertex indices by the meet rule: i is a
     vertex exactly when the point sets of the facets through i meet in

@@ -430,6 +430,23 @@ def test_growth_holds_the_box_census_forms(levels_to_twenty):
         assert cycle in levels_to_twenty[points[cycle] - 3]
 
 
+def test_growth_holds_the_box_5_census_forms(levels_to_twenty):
+    # The box:5 census's forms with m = 3..8 lattice points number 1, 3,
+    # 6, 13, 21 and 39, each in the growth's level for its m: box:5 holds
+    # every class with m <= 7 and 39 of the 41 with m = 8.  By Pick a
+    # form with m points has volume at most 2m - 5, so only the forms of
+    # volume <= 11 have their points listed.
+    forms = import_module("lattice_equiv.census")._form_counts(
+        Region.box(5), None, 2)
+    points = {p.vertices: len(lattice_points(p))
+              for p in forms if normalized_volume(p) <= 11}
+    small = [cycle for cycle in points if points[cycle] <= 8]
+    assert sorted(Counter(points[cycle] for cycle in small).items()) == [
+        (3, 1), (4, 3), (5, 6), (6, 13), (7, 21), (8, 39)]
+    for cycle in small:
+        assert cycle in levels_to_twenty[points[cycle] - 3]
+
+
 def traced_visits(cycle, volume, points, max_volume):
     """The points (x, y) that census._one_point_growths visits, in order:
     a point is visited when the line that takes its cross products runs.

@@ -1,6 +1,7 @@
 """Equivalence deciders, canonical forms, and the brute-force oracle."""
 
 import gc
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -642,7 +643,6 @@ def test_each_profile_is_built_once_through_the_traced_names(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(equivalence, name, counted)
-    # Coordinates no other test uses, so no equal polytope has a profile.
     p = poly((203, 11), (207, 12), (206, 15), (202, 14), (201, 12))
     q = poly(*apply_int_map(p.vertices, ((1, 0), (3, 1)), (-5, 2)))
     # Polygons, at index 1 and stretched to index 2, are decided by
@@ -653,11 +653,10 @@ def test_each_profile_is_built_once_through_the_traced_names(monkeypatch):
         for mode in MODES:
             assert equivalence.decide(a, b, mode)
             assert equivalence.decide(b, a, mode)
-        assert a not in equivalence._PROFILES
-        assert b not in equivalence._PROFILES
+        assert not hasattr(a, "_record") and not hasattr(b, "_record")
     assert not calls
     # A 3d pair is searched: one profile each, however often it is asked.
-    # Its volume vector is the one the constructor put in the hull record,
+    # Its volume vector is the one the constructor put in the record,
     # so none is computed through the traced name, and every volume
     # vector computed anywhere (`invariants._volume_vector`) is the
     # constructor's: one per polytope.
@@ -677,9 +676,9 @@ def test_each_profile_is_built_once_through_the_traced_names(monkeypatch):
         assert equivalence.decide(q3, p3, mode)
     assert calls == {"primitive_decomposition": 2}
     assert len(computed) == 2
-    hull = import_module("lattice_equiv.geometry")._hull
     for p in (p3, q3):
-        assert equivalence._PROFILES[p].volume is hull(p)[0]
+        assert equivalence._profile(p) is p._record[3]
+        assert p._record[3].volume is p._record[0]
 
 
 def test_content_check_and_search_agree_with_oracle_on_box_forms():
@@ -745,9 +744,8 @@ def images_3d(rng, verts):
 
 def facet_sizes(verts):
     """The facet sizes the affine decider compares: the sorted vertex
-    counts of the facets in the polytope's hull record."""
-    hull = import_module("lattice_equiv.geometry")._hull
-    return sorted(map(len, hull(LatticePolytope(3, tuple(verts)))[1]))
+    counts of the facets in the polytope's record."""
+    return sorted(map(len, LatticePolytope(3, tuple(verts))._record[1]))
 
 
 def reference_facet_sizes(verts):
@@ -759,7 +757,7 @@ def reference_facet_sizes(verts):
 
 
 def test_facet_sizes_count_the_facets_of_the_hyperplane_routine():
-    # The decider's facet sizes, read from the hull record, are the vertex
+    # The decider's facet sizes, read from the record, are the vertex
     # counts of the facets the frozen triple loop finds.
     rng = seeded(269)
     checked = Counter()
@@ -854,11 +852,11 @@ def direct_volume_vector(p):
 
 
 def test_the_profile_reads_the_volume_vector_of_the_hull_record():
-    # From dimension 3 on, the decider's profile holds the very volume
-    # vector of the polytope's hull record, and its entries are the
-    # direct simplex determinants, on the 3d shapes, 4d prisms over the
-    # small ones, seeded 4d simplices, and a unimodular image of each.
-    hull = import_module("lattice_equiv.geometry")._hull
+    # From dimension 3 on, the decider's profile, kept in the polytope's
+    # record, holds the very volume vector of that record, and its
+    # entries are the direct simplex determinants, on the 3d shapes, 4d
+    # prisms over the small ones, seeded 4d simplices, and a unimodular
+    # image of each.
     rng = seeded(311)
     shapes = shapes_3d(rng)
     solids = list(shapes)
@@ -877,23 +875,19 @@ def test_the_profile_reads_the_volume_vector_of_the_hull_record():
                               tuple(rng.randint(-3, 3) for _ in range(d)))
         for p in (LatticePolytope(d, tuple(verts)),
                   LatticePolytope(d, tuple(image))):
-            volume = equivalence._profile(p).volume
-            assert volume is hull(p)[0]
-            assert volume.entries == direct_volume_vector(p), p
+            profile = equivalence._profile(p)
+            assert profile is p._record[3] and profile.volume is p._record[0]
+            assert profile.volume.entries == direct_volume_vector(p), p
             seen[d] += 1
     assert seen == {3: 48, 4: 46}
 
 
-def test_deciding_shares_or_rebuilds_the_hull_records_volume_vector(
-        monkeypatch):
+def test_deciding_shares_each_polytopes_own_volume_vector(monkeypatch):
     # Seeded 3d pairs, in all three modes and both orders, answer as the
     # oracle does, and compute no volume vector beyond their constructors'.
-    # Then two equal polytopes: the second's constructor replaces the
-    # first's record, which goes with the first, so deciding with the
-    # second rebuilds the record through geometry._hull, once, and the
-    # profile holds that record's vector.
-    hull = import_module("lattice_equiv.geometry")._hull
-    hulls = import_module("lattice_equiv.geometry")._HULLS
+    # Then two equal polytopes: each holds its own record, dropping one
+    # leaves the other's as it was, and deciding with the survivor
+    # computes no volume vector: its profile holds its record's.
     computed = []
     compute = invariants._volume_vector
     monkeypatch.setattr(invariants, "_volume_vector",
@@ -904,7 +898,7 @@ def test_deciding_shares_or_rebuilds_the_hull_records_volume_vector(
              for image in images_3d(rng, shape)[:2]]
     pairs += [(a, b) for a in shapes for b in shapes
               if a is not b and len(a) == len(b)][:10]
-    # One live polytope per vertex list, so each keeps its own record.
+    # One polytope per vertex list, so each list is constructed once.
     solids = {}
     for verts in map(tuple, chain.from_iterable(pairs)):
         if verts not in solids:
@@ -921,22 +915,22 @@ def test_deciding_shares_or_rebuilds_the_hull_records_volume_vector(
                 outcomes[bool(got)] += 1
     assert len(computed) == len(solids)
     assert outcomes == {True: 142, False: 122}
-    # Coordinates no other test uses, so no other polytope holds a record.
     verts = ((70, 0, 0), (73, 0, 0), (70, 2, 0), (70, 0, 5), (72, 1, 2))
     first, second = LatticePolytope(3, verts), LatticePolytope(3, verts)
-    gone = weakref.ref(first)
+    assert first == second and first._record is not second._record
+    record, held = second._record, list(second._record)
     del first
-    gc.collect()
-    assert gone() is None and second not in hulls
+    assert second._record is record
+    assert all(x is y for x, y in zip(record, held))
     other = LatticePolytope(3, tuple(apply_int_map(
         verts, random_unimodular_3d(rng), (1, 2, 3))))
     built = len(computed)
     for mode in MODES:
         assert bool(equivalence.decide(second, other, mode)) \
             == bool(oracle_equivalent(second, other, mode))
-    assert computed[built:] == [(second.vertices, 3)]
-    volume = equivalence._PROFILES[second].volume
-    assert volume is hull(second)[0] is hulls[second][0]
+    assert computed[built:] == []
+    volume = equivalence._profile(second).volume
+    assert volume is record[0] is held[0] and record[3] is not None
     assert volume.entries == direct_volume_vector(second)
 
 
@@ -1313,21 +1307,55 @@ def test_library_accepts_only_library_mode_names():
 
 
 def test_deciders_do_not_keep_their_inputs_alive():
-    # Coordinates no other test uses, so no equal polytope holds a profile.
+    # Deciding or checking a pair adds no reference to either polytope:
+    # no cache outside a polytope holds it, and no profile in a record
+    # points back at its polytope.
     p = poly((101, 7), (104, 7), (105, 9), (101, 8))
     q = poly(*apply_int_map(p.vertices, ((1, 0), (2, 1)), (-3, 5)))
     cube = tuple((x, y, z) for x in (50, 51) for y in (0, 1) for z in (0, 2))
     p3 = LatticePolytope(3, cube)
     q3 = LatticePolytope(3, tuple(apply_int_map(
         cube, ((1, 0, 0), (1, 1, 0), (0, 0, 1)), (0, 0, 0))))
+
+    def counts():
+        return [sys.getrefcount(x) for x in (p, q, p3, q3)]
+
     for mode in MODES:
-        assert equivalence.decide(p, q, mode)
-        assert oracle_equivalent(p, q, mode)
-        assert equivalence.decide(p3, q3, mode)
-    refs = [weakref.ref(x) for x in (p, q, p3, q3)]
-    del p, q, p3, q3
-    gc.collect()
-    assert [r() for r in refs] == [None] * 4
+        for a, b in ((p, q), (p3, q3)):
+            for decider in (equivalence.decide, oracle_equivalent):
+                before = counts()
+                assert decider(a, b, mode)
+                assert counts() == before, (decider, a.dim, mode)
+
+
+def test_records_die_by_reference_counting():
+    # With the cycle collector off, a 3d polytope decided in every mode
+    # and by the oracle frees its volume vector and its profile as soon
+    # as the last reference to it goes: polytope, record and profile
+    # form no cycle, and no module-level container holds any of them.
+    cube = tuple((x, y, z) for x in (80, 81) for y in (0, 1) for z in (0, 2))
+    p = LatticePolytope(3, cube)
+    q = LatticePolytope(3, tuple(apply_int_map(
+        cube, ((1, 0, 0), (1, 1, 0), (0, 0, 1)), (2, 0, 0))))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for mode in MODES:
+            assert equivalence.decide(p, q, mode)
+            assert equivalence.decide(q, p, mode)
+            assert oracle_equivalent(p, q, mode)
+        volume, profile = p._record[0], p._record[3]
+        assert type(volume) is invariants.VolumeVector
+        assert type(profile) is equivalence._Profile
+        refs = [weakref.ref(volume), weakref.ref(profile)]
+        del volume, profile
+        assert [r() is not None for r in refs] == [True, True]
+        del p
+        assert [r() for r in refs] == [None, None]
+        assert q._record[3] is not None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_answers_do_not_depend_on_call_history():

@@ -5,6 +5,7 @@ import gc
 import json
 import pickle
 import re
+import sys
 import time
 import weakref
 from collections import Counter
@@ -1020,19 +1021,26 @@ def test_strict_hull_oracle_agrees_with_hull():
 
 
 def test_polytopes_are_slotted():
-    """A polytope has no __dict__.  The census's unchecked _stored_polygon
-    and the checked constructor build equal polygons with equal hashes,
-    pickle and copy rebuild any polytope, the decider's profile cache
-    drops a polygon's entry with the polygon, and once a 3d polytope has
-    been decided in every mode, the profile cache and the hull map drop
-    its entries with it (the profile shares the record's volume vector,
-    which holds no reference to the polytope)."""
+    """A polytope has no __dict__ and cannot be weakly referenced, at the
+    size it had with a weak-reference slot in place of `_record`.  The
+    census's unchecked _stored_polygon and the checked constructor build
+    equal polygons with equal hashes, pickle and copy rebuild any
+    polytope, a polygon keeps no record, even once profiled, and once a
+    3d polytope has been decided in every mode, its record holds its
+    profile, which shares the record's volume vector and goes with the
+    polytope while an equal twin keeps its own."""
     equivalence = import_module("lattice_equiv.equivalence")
-    cycle = ((203, 11), (206, 11), (207, 13), (203, 12))  # in no other test
+    cycle = ((203, 11), (206, 11), (207, 13), (203, 12))
     stored = _stored_polygon(cycle)
     checked = LatticePolytope(2, cycle[2:] + cycle[:2])
     assert not hasattr(stored, "__dict__")
     assert stored == checked and hash(stored) == hash(checked)
+    assert LatticePolytope.__slots__ == ("dim", "vertices", "_record")
+    assert [f.name for f in fields(LatticePolytope)] == ["dim", "vertices"]
+    with pytest.raises(TypeError):
+        weakref.ref(checked)
+    weak = type("Weak", (), {"__slots__": ("dim", "vertices", "__weakref__")})
+    assert sys.getsizeof(stored) == sys.getsizeof(weak())
     cube = LatticePolytope(3, tuple(product((0, 1), repeat=3)))
     segment = LatticePolytope(1, ((4,), (2,)))
     for p in (stored, cube, segment):
@@ -1041,20 +1049,18 @@ def test_polytopes_are_slotted():
             assert clone == p and clone.vertices == p.vertices
             assert type(clone) is LatticePolytope
     equivalence._profile(stored)
-    assert checked in equivalence._PROFILES
-    hulls = import_module("lattice_equiv.geometry")._HULLS
+    assert not any(hasattr(p, "_record") for p in (stored, checked, segment))
     solid = LatticePolytope(3, ((5, 0, 0), (0, 7, 0), (0, 0, 11), (0, 0, 0)))
     image = LatticePolytope(3, tuple((x, y, -z) for x, y, z in solid.vertices))
-    assert solid in hulls
+    twin = LatticePolytope(3, solid.vertices)
     for mode in equivalence.MODES:
         assert equivalence.decide(solid, image, mode)
-    assert equivalence._PROFILES[solid].volume is hulls[solid][0]
+        assert equivalence.decide(twin, image, mode)
+    assert solid._record[3].volume is solid._record[0]
+    assert solid._record[3] is not twin._record[3]
+    gone = weakref.ref(solid._record[3])
+    del solid
     gc.collect()
-    held, profiled = len(hulls), len(equivalence._PROFILES)
-    gone = weakref.ref(solid)
-    del stored, solid
-    gc.collect()
-    assert checked not in equivalence._PROFILES
-    assert gone() is None and len(hulls) == held - 1
-    assert len(equivalence._PROFILES) == profiled - 2
-    assert image in hulls and image in equivalence._PROFILES
+    assert gone() is None
+    assert twin._record[3].volume is twin._record[0]
+    assert image._record[3].volume is image._record[0]
