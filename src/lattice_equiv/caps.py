@@ -6,7 +6,7 @@ e.g. ``LATTICE_EQUIV_CAPS="region_points=60,max_volume=20"``.
 """
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .errors import DegenerateInput
 from .geometry import _whole
@@ -27,24 +27,23 @@ class Caps:
 
     @classmethod
     def from_env(cls):
-        """Default caps, raised by any values set in LATTICE_EQUIV_CAPS."""
-        base = cls()
+        """Default caps, raised by any values set in LATTICE_EQUIV_CAPS:
+        the one shared _DEFAULT when it is unset."""
         raw = os.environ.get(ENV_VAR, "").strip()
         if not raw:
-            return base
+            return _DEFAULT
         known = {f.name for f in fields(cls)}
         overrides = {}
-        for item in raw.split(","):
-            item = item.strip()
-            if not item:
-                continue
+        for item in filter(None, map(str.strip, raw.split(","))):
             key, _, value = item.partition("=")
             key = key.strip()
             if key not in known or not value.strip().isdigit():
                 raise ValueError(f"bad {ENV_VAR} entry: {item!r}")
-            overrides[key] = max(int(value), getattr(base, key))
-        return cls(**{f.name: overrides.get(f.name, getattr(base, f.name))
-                      for f in fields(cls)})
+            overrides[key] = max(int(value), getattr(_DEFAULT, key))
+        return replace(_DEFAULT, **overrides)
+
+
+_DEFAULT = Caps()
 
 
 def resolve(caps):

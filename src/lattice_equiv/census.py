@@ -17,7 +17,6 @@ polytope listing's too), skipping ahead while over (_one_point_growths).
 """
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
@@ -296,7 +295,8 @@ def _form_counts(region, caps, workers):
     in one share (_share_forms).  The Counters are merged in share order;
     no polygon or cycle crosses the pool.  The per-form work of census
     and primitivity_scan (index tests, affine keys) stays in the parent.
-    A polygon is built once per distinct form."""
+    A polygon is built once per distinct form.  The pool modules load
+    here, on a process's first pooled census or scan, and nowhere else."""
     share_count = 0
     if workers is not None and _whole(workers, 1, "workers") > 1:
         points = _capped_points(region, resolve(caps).region_points)
@@ -311,6 +311,7 @@ def _form_counts(region, caps, workers):
     else:
         tasks = [(points, tuple(vectors[k::share_count]))
                  for k in range(share_count)]
+        from concurrent.futures import ProcessPoolExecutor
         counts = Counter()
         with ProcessPoolExecutor(max_workers=share_count) as pool:
             for forms in pool.map(_share_forms, tasks):

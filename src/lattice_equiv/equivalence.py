@@ -43,6 +43,7 @@ from .geometry import (
     _whole, normalized_volume)
 # bench/tracing.py patches the names it traces here; keep them bound.
 from .invariants import (
+    _volume_vector,
     lattice_height_vector,
     primitive_decomposition,
     volume_vector,
@@ -106,15 +107,14 @@ class CanonicalTriangle:
 
 
 class _Profile:
-    """Decider invariants of one polytope.  Built from its vertices,
-    dimension and volume vector, never from the polytope itself: the
-    profile sits in its polytope's record, and a `VolumeVector` holds no
-    reference to its polytope either, so polytope, record and profile
-    form no cycle and reference counting frees them together."""
+    """Decider invariants of one polytope.  Built from its vertices and
+    volume vector, never from the polytope itself: the profile sits in
+    its polytope's record, and a `VolumeVector` holds no reference to its
+    polytope either, so polytope, record and profile form no cycle and
+    reference counting frees them together."""
 
-    def __init__(self, vertices, dim, volume):
+    def __init__(self, vertices, volume):
         self.vertices = vertices
-        self.dim = dim
         self.volume = volume
         primitive = primitive_decomposition(self.volume)
         self.direction = primitive.direction
@@ -139,36 +139,35 @@ class _Profile:
             if best is None or rank < best[0]:
                 best = (rank, combo, abs(entry))
         _, combo, value = best
-        return combo, value, self.solve_context(combo)
+        return combo, value, _solve_context(self.vertices, combo)
 
-    def solve_context(self, combo):
-        """Data for solving maps out of the vertex tuple `combo`: the
-        tuple itself, its base vertex p0, det M and adj(M) for the
-        difference matrix M with rows v_i - p0 (i in combo[1:]), and the
-        anchor coordinates (v - p0) @ adj(M) of every other vertex v,
-        paired with its index.  As M @ adj(M) = det(M) * I, these are
-        det(M) times v's coordinates in the affine frame of the tuple,
-        so they do not depend on the image tried."""
-        verts = self.vertices
-        base = verts[combo[0]]
-        m = tuple(linalg.vec_sub(verts[i], base) for i in combo[1:])
-        adj = linalg.int_adjugate(m)
-        coords = tuple(
-            (i, linalg.row_times_matrix(linalg.vec_sub(v, base), adj))
-            for i, v in enumerate(verts) if i not in combo)
-        return combo, base, linalg.int_det(m), adj, coords
+
+def _solve_context(verts, combo):
+    """Data for solving maps out of the vertex tuple `combo`: the tuple
+    itself, its base vertex p0, det M and adj(M) for the difference
+    matrix M with rows v_i - p0 (i in combo[1:]), and the anchor
+    coordinates (v - p0) @ adj(M) of every other vertex v, paired with
+    its index.  As M @ adj(M) = det(M) * I, these are det(M) times v's
+    coordinates in the affine frame of the tuple, so they do not depend
+    on the image tried."""
+    base = verts[combo[0]]
+    m = tuple(linalg.vec_sub(verts[i], base) for i in combo[1:])
+    adj = linalg.int_adjugate(m)
+    coords = tuple(
+        (i, linalg.row_times_matrix(linalg.vec_sub(v, base), adj))
+        for i, v in enumerate(verts) if i not in combo)
+    return combo, base, linalg.int_det(m), adj, coords
 
 
 def _profile(p):
     """The profile of `p`: from dimension 3 on, the one its record holds,
-    built on first use from the record's volume vector.  The oracle's
-    polygons and segments have no record, so each call builds theirs
-    anew."""
+    built on first use from the record's volume vector.  Segments have
+    no record, so each call builds theirs anew."""
     if p.dim < 3:
-        return _Profile(p.vertices, p.dim, volume_vector(p.vertices, p.dim))
+        return _Profile(p.vertices, volume_vector(p.vertices, p.dim))
     record = p._record
     if record[3] is None:
-        record[3] = _Profile(p.vertices, p.dim, record[0])
+        record[3] = _Profile(p.vertices, record[0])
     return record[3]
 
 
@@ -363,12 +362,12 @@ def oracle_equivalent(p, q, mode="affine", caps=None):
             f"oracle handles at most {caps.oracle_vertices} vertices")
     if len(q.vertices) != n:
         return NotEquivalent("vertex counts differ")
-    profile = _profile(p)
-    w = profile.volume
+    # The constructor checked the vertices; from dimension 3 on, it kept w.
+    w = p._record[0] if p.dim >= 3 else _volume_vector(p.vertices, p.dim)
     combo = next(c for c, e in zip(w.combinations(), w.entries) if e)
     images = permutations(range(n), p.dim + 1)
-    return _search(p, q, mode, profile.solve_context(combo), images) or \
-        NotEquivalent("exhausted all vertex correspondences")
+    return _search(p, q, mode, _solve_context(p.vertices, combo), images) \
+        or NotEquivalent("exhausted all vertex correspondences")
 
 
 def canonical_triangle(t):

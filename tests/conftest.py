@@ -1,8 +1,9 @@
 """Shared helpers: small builders, an independent brute-force polygon
 enumerator, the volume-budgeted box search and the per-point growth step
 that the by-volume growth is checked against, the frozen triple-loop
-facets and projection volume and the bounding-box filter that the 3d
-half-spaces, the volume and the polytope listing are checked against,
+facets and projection volume, the Caratheodory vertex test and the
+bounding-box filter that the 3d half-spaces, the volume, the hull's
+vertices and the polytope listing are checked against,
 the deciders' per-attempt search that their witnesses are checked
 against, the two-list Hermite form that `hnf` and (as
 `reference_sublattice`) `sublattice_info` and the polygon index are
@@ -246,6 +247,30 @@ def reference_volume_3d(verts):
             a2 = linalg.vec_sub(flat[cycle[i + 1]], apex)
             total += abs(linalg.int_det((a0, a1, a2)))
     return total
+
+
+def reference_vertices(points, d):
+    """Indices of the points that are vertices of their hull in R^d, by
+    Caratheodory's theorem: a point is not a vertex exactly when it lies
+    in a simplex of d + 1 of the other points.  Barycentric coordinates,
+    as integers over det(M) through linalg.int_adjugate, test that
+    exactly; each simplex is solved once, for every point outside it."""
+    vertices = set(range(len(points)))
+    for simplex in combinations(range(len(points)), d + 1):
+        base = points[simplex[0]]
+        m = [linalg.vec_sub(points[i], base) for i in simplex[1:]]
+        det = linalg.int_det(m)
+        if not det:
+            continue
+        adj = linalg.int_adjugate(m)
+        sign = 1 if det > 0 else -1
+        for i in vertices.difference(simplex):
+            coords = linalg.row_times_matrix(
+                linalg.vec_sub(points[i], base), adj)
+            if (all(sign * c >= 0 for c in coords)
+                    and sign * sum(coords) <= abs(det)):
+                vertices.remove(i)
+    return vertices
 
 
 def reference_polytope_points(p):

@@ -1,5 +1,6 @@
 """Polygon enumeration, class censuses, by-volume counts, and scans."""
 
+import concurrent.futures
 import inspect
 import json
 import sys
@@ -86,8 +87,9 @@ def test_enumerate_deterministic():
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Replace the census module's process pool by one that maps inline;
-    return the list of the max_workers each pool was asked for."""
+    """Replace the process pool, under the name the census's pool branch
+    imports, by one that maps inline; return the list of the max_workers
+    each pool was asked for."""
     sizes = []
 
     class InlinePool:
@@ -103,9 +105,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    # the package re-exports the census() function under the module's name
-    monkeypatch.setattr(import_module("lattice_equiv.census"),
-                        "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return sizes
 
 
@@ -129,8 +129,7 @@ class NoPool:
 
 @pytest.fixture
 def no_pool(monkeypatch):
-    monkeypatch.setattr(import_module("lattice_equiv.census"),
-                        "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
 
 
 def test_one_worker_and_enumeration_start_no_pool(no_pool):
@@ -140,6 +139,32 @@ def test_one_worker_and_enumeration_start_no_pool(no_pool):
         enumerate_convex_polygons(region, workers=2)
     assert census(region, workers=1).h == 861
     assert primitivity_scan(region, workers=1).examined == 550
+
+
+def test_only_a_pooled_census_loads_the_pool_modules():
+    # A fresh interpreter that imports the package, runs a one-worker
+    # census, decides a 2d and a 3d pair and builds the volume
+    # representatives has loaded no pool module; its first pooled census
+    # loads them.
+    result = run_in_small_address_space(
+        "import sys\n"
+        "from lattice_equiv import (LatticePolytope, Region,"
+        " affine_equivalent, build_volume_representatives, census)\n"
+        "POOL = ('concurrent.futures.process', 'multiprocessing')\n"
+        "def loaded():\n"
+        "    return [m for m in POOL if m in sys.modules]\n"
+        "assert census(Region.box(2), workers=1).h == 168\n"
+        "cube = tuple((x, y, z) for x in (0, 1) for y in (0, 1)"
+        " for z in (0, 1))\n"
+        "assert affine_equivalent(LatticePolytope(3, cube), LatticePolytope("
+        "3, tuple((x + y, y, z) for x, y, z in cube)))\n"
+        "assert affine_equivalent(LatticePolytope(2, ((0, 0), (1, 0), "
+        "(0, 1))), LatticePolytope(2, ((0, 0), (2, 0), (0, 1))))\n"
+        "assert len(build_volume_representatives(6)) == 9\n"
+        "assert loaded() == [], loaded()\n"
+        "assert census(Region.box(2), workers=2).h == 168\n"
+        "assert loaded() == list(POOL), loaded()\n")
+    assert result.returncode == 0, result.stderr
 
 
 def test_workers_validation(no_pool):
@@ -1103,7 +1128,8 @@ def test_caps_env_parsing(monkeypatch):
     with pytest.raises(ValueError):
         Caps.from_env()
     monkeypatch.delenv("LATTICE_EQUIV_CAPS")
-    assert Caps.from_env() == Caps()
+    # Unset, every call shares one default (the caps are frozen).
+    assert Caps.from_env() is Caps.from_env() == Caps()
 
 
 def test_caps_argument_must_be_a_caps():

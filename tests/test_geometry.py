@@ -14,7 +14,7 @@ from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
 from importlib import import_module
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import gcd
 
 import pytest
@@ -24,7 +24,8 @@ from conftest import (
     CUBE as UNIT_CUBE, FRUSTUM, OCTAHEDRON, PRISM, SIMPLEX, apply_int_map,
     cross, permutation_det, poly, random_polygon, random_unimodular,
     random_unimodular_3d, reference_facet_inequalities,
-    reference_polytope_points, reference_volume_3d, seeded, strict_hull)
+    reference_polytope_points, reference_vertices, reference_volume_3d,
+    seeded, strict_hull)
 from lattice_equiv import (
     CanonicalTriangle,
     CapExceeded,
@@ -805,12 +806,12 @@ def test_3d_facets_match_the_triple_loop_on_seeded_point_sets():
     # On 2,000 seeded point sets, a unimodular image of each and the named
     # shapes (the side-2 cube with its centre, a facet centre and an edge
     # midpoint among them), the vertices by the meet rule of `_hull_of`
-    # are exactly the points whose removal lowers the frozen projection
-    # volume (points that do not span space have volume 0).  The polytope
-    # of those vertices has the frozen volume of all the points, and the
-    # half-spaces of the frozen triple loop on all the points, as sets.  A
-    # unimodular image keeps the volume and the point order, so its volume
-    # and vertex indices are the set's.
+    # are exactly the points that lie in no simplex of the others
+    # (Caratheodory).  The polytope of those vertices has the frozen
+    # projection volume of all the points, and the half-spaces of the
+    # frozen triple loop on all the points, as sets.  A unimodular image
+    # keeps the volume and the point order, so its volume and vertex
+    # indices are the set's.
     rng = seeded(281)
     doubled = tuple(product((0, 2), repeat=3))
     named = [UNIT_CUBE, FRUSTUM, OCTAHEDRON, PRISM, SIMPLEX,
@@ -820,9 +821,7 @@ def test_3d_facets_match_the_triple_loop_on_seeded_point_sets():
     for points in named + seeded_point_sets_3d(rng, 2000, 3):
         volume = reference_volume_3d(points)
         vertices = geometry._hull_of(points, 3)[2]
-        for i, v in enumerate(points):
-            lowers = reference_volume_3d(points[:i] + points[i + 1:]) < volume
-            assert (i in vertices) == lowers, (points, v)
+        assert vertices == reference_vertices(points, 3), points
         inside += len(points) - len(vertices)
         image = tuple(apply_int_map(
             points, random_unimodular_3d(rng),
@@ -839,30 +838,10 @@ def test_3d_facets_match_the_triple_loop_on_seeded_point_sets():
 def test_meet_rule_matches_caratheodory_on_seeded_point_sets():
     # By Caratheodory's theorem a point is not a vertex of the hull of a
     # point set exactly when it lies in a simplex of d + 1 of the other
-    # points; barycentric coordinates, as integers over det(M) through
-    # linalg.int_adjugate, test that exactly.  The meet rule agrees on
+    # points (conftest.reference_vertices).  The meet rule agrees on
     # seeded 3d and 4d sets, many of them with points that are not
     # vertices.
     geometry = import_module("lattice_equiv.geometry")
-    linalg = import_module("lattice_equiv.linalg")
-
-    def in_simplex(point, simplex):
-        base = simplex[0]
-        m = [linalg.vec_sub(v, base) for v in simplex[1:]]
-        det = linalg.int_det(m)
-        if not det:
-            return False
-        coords = linalg.row_times_matrix(
-            linalg.vec_sub(point, base), linalg.int_adjugate(m))
-        sign = 1 if det > 0 else -1
-        return (all(sign * c >= 0 for c in coords)
-                and sign * sum(coords) <= abs(det))
-
-    def vertices(points, d):
-        return {i for i, v in enumerate(points)
-                if not any(in_simplex(v, simplex) for simplex in combinations(
-                    points[:i] + points[i + 1:], d + 1))}
-
     rng = seeded(293)
     seen = Counter()
     for d, count, span, most in ((3, 300, 2, 9), (4, 300, 1, 8)):
@@ -874,7 +853,7 @@ def test_meet_rule_matches_caratheodory_on_seeded_point_sets():
                 volume_vector(points)
             except DegenerateInput:
                 continue
-            expect = vertices(points, d)
+            expect = reference_vertices(points, d)
             assert geometry._hull_of(points, d)[2] == expect, points
             seen[d, len(expect) < len(points)] += 1
             checked += 1

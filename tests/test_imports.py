@@ -86,3 +86,43 @@ def test_only_geometry_reads_the_facets():
                         and isinstance(node.func.value, ast.Name)
                         and node.func.value.id == "invariants")]
     assert callers == ["geometry"]
+
+
+def module_level_imports(source):
+    """Top-level package names that `source` imports when it is loaded:
+    every import outside a function body (class bodies and module-level
+    blocks run on import), in sorted order."""
+    names = set()
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+        pending.extend(ast.iter_child_nodes(node))
+    return sorted(names)
+
+
+def test_module_level_imports_skip_function_bodies():
+    source = ("import os.path\nfrom . import linalg\n"
+              "class C:\n    from concurrent import futures\n"
+              "try:\n    import multiprocessing as mp\nexcept ImportError:\n"
+              "    pass\n"
+              "def f():\n    from concurrent.futures import ProcessPoolExecutor\n")
+    assert module_level_imports(source) == [
+        "concurrent", "multiprocessing", "os"]
+
+
+def test_no_module_loads_the_pool_on_import():
+    # concurrent.futures.process and multiprocessing cost about 2.4 MB of
+    # peak RSS and 15-35 ms in every process that loads them; only a
+    # pooled census uses them, so census._form_counts imports them in
+    # its pool branch.
+    loaded = [f"{path.name}: {name}"
+              for path in sorted((ROOT / "src" / "lattice_equiv").glob("*.py"))
+              for name in module_level_imports(path.read_text())
+              if name in ("concurrent", "multiprocessing")]
+    assert loaded == []
