@@ -6,24 +6,25 @@ e.g. ``LATTICE_EQUIV_CAPS="region_points=60,max_volume=20"``.
 """
 
 import os
-from dataclasses import dataclass, fields, replace
 
 from .errors import DegenerateInput
-from .geometry import _whole
+from .geometry import _Value, _whole
 
 ENV_VAR = "LATTICE_EQUIV_CAPS"
 
 
-@dataclass(frozen=True)
-class Caps:
-    region_points: int = 40      # max lattice points in an enumerated region
-    oracle_vertices: int = 8     # max vertex count for oracle_equivalent
-    max_volume: int = 12         # max V for the by-volume searches
-    hull_points: int = 1000      # lattice_points and barany list at most this
+class Caps(_Value):
+    _defaults = {
+        "region_points": 40,     # max lattice points in an enumerated region
+        "oracle_vertices": 8,    # max vertex count for oracle_equivalent
+        "max_volume": 12,        # max V for the by-volume searches
+        "hull_points": 1000,     # lattice_points and barany list at most this
+    }
+    __slots__ = tuple(_defaults)
 
     def __post_init__(self):
-        for f in fields(self):
-            _whole(getattr(self, f.name), 1, f"caps.{f.name}")
+        for name in self._fields:
+            _whole(getattr(self, name), 1, f"caps.{name}")
 
     @classmethod
     def from_env(cls):
@@ -32,15 +33,15 @@ class Caps:
         raw = os.environ.get(ENV_VAR, "").strip()
         if not raw:
             return _DEFAULT
-        known = {f.name for f in fields(cls)}
         overrides = {}
         for item in filter(None, map(str.strip, raw.split(","))):
             key, _, value = item.partition("=")
             key = key.strip()
-            if key not in known or not value.strip().isdigit():
+            if key not in cls._fields or not value.strip().isdigit():
                 raise ValueError(f"bad {ENV_VAR} entry: {item!r}")
             overrides[key] = max(int(value), getattr(_DEFAULT, key))
-        return replace(_DEFAULT, **overrides)
+        return cls(**{name: overrides.get(name, getattr(_DEFAULT, name))
+                      for name in cls._fields})
 
 
 _DEFAULT = Caps()

@@ -17,7 +17,6 @@ polytope listing's too), skipping ahead while over (_one_point_growths).
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 
 from .caps import resolve
@@ -31,7 +30,7 @@ from .equivalence import (
 from .errors import CapExceeded, DegenerateInput
 from .geometry import (
     LatticePolytope,
-    Region,
+    _Value,
     _capped_points,
     _interval,
     _stored_polygon,
@@ -42,29 +41,32 @@ from .geometry import (
 from .lattices import _form_index, sublattice_info
 
 
-@dataclass(frozen=True)
-class ClassCensus:
-    region: Region
-    h: int  # polygons in the region
-    k: int  # unimodular classes among them
-    a: int  # affine classes among them
-    volume_histogram: tuple  # sorted (normalized volume, polygon count) pairs
+class ClassCensus(_Value):
+    __slots__ = (
+        "region",
+        "h",                 # polygons in the region
+        "k",                 # unimodular classes among them
+        "a",                 # affine classes among them
+        "volume_histogram",  # sorted (normalized volume, polygon count) pairs
+    )
 
 
-@dataclass(frozen=True)
-class PrimitivityReport:
-    region: Region
-    examined: int            # polygons whose vertex differences span Z^2
-    counterexamples: tuple   # always (): |content| equals the index
+class PrimitivityReport(_Value):
+    __slots__ = (
+        "region",
+        "examined",          # polygons whose vertex differences span Z^2
+        "counterexamples",   # always (): |content| equals the index
+    )
 
 
-@dataclass(frozen=True)
-class AffineMapCensus:
-    region: Region
-    examined_pairs: int
-    distinct_maps: int
-    max_row_norm_sq: object        # exact Fraction, or None if no witness
-    normalized_constant_sq: object  # max_row_norm_sq / r**4 for balls
+class AffineMapCensus(_Value):
+    __slots__ = (
+        "region",
+        "examined_pairs",
+        "distinct_maps",
+        "max_row_norm_sq",         # exact Fraction, or None if no witness
+        "normalized_constant_sq",  # max_row_norm_sq / r**4 for balls
+    )
 
 
 def _root_polygons(points, root_index, max_vertices, first_edges=None):

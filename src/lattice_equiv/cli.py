@@ -28,7 +28,7 @@ from .equivalence import (
     decide,
 )
 from .errors import LatticeError, ParseError
-from .geometry import (LatticePolytope, Region, _hull_of, _int_points,
+from .geometry import (LatticePolytope, Region, _hull_polytope, _int_points,
                        _whole, convex_hull_2d, normalized_volume)
 from .invariants import (
     lattice_height_vector,
@@ -45,8 +45,9 @@ def parse_polytope(text):
     and `geometry._int_points`, whose errors come back as ParseError.  The
     convex hull is taken in every dimension (from dimension 3 on, the
     vertices by `geometry._hull_of`'s meet rule, in input order,
-    duplicates dropped); a True second return value flags input points
-    that were not vertices (dropped with a warning by the CLI).
+    duplicates dropped, through `geometry._hull_polytope`); a True second
+    return value flags input points that were not vertices (dropped with
+    a warning by the CLI).
     """
     try:
         doc = json.loads(text)
@@ -63,10 +64,8 @@ def parse_polytope(text):
     except LatticeError as exc:
         raise ParseError(str(exc)) from exc
     if dim >= 3:
-        distinct = tuple(dict.fromkeys(clean))
-        corners = _hull_of(distinct, dim)[2]  # DegenerateInput unless they span
-        poly = LatticePolytope(dim, tuple(
-            v for i, v in enumerate(distinct) if i in corners))
+        # DegenerateInput unless the points span space.
+        poly = _hull_polytope(tuple(dict.fromkeys(clean)), dim)
     else:
         poly = (convex_hull_2d(clean) if dim == 2 else
                 LatticePolytope(1, tuple({min(clean), max(clean)})))
@@ -129,7 +128,9 @@ def emit_census_csv(rows):
 
 def _cmd_invariants(args):
     poly = _load(args.polytope)
-    w = volume_vector(poly.vertices, poly.dim)
+    # From dimension 3 on, the polytope's record holds its volume vector.
+    w = (poly._record[0] if poly.dim >= 3
+         else volume_vector(poly.vertices, poly.dim))
     prim = primitive_decomposition(w)
     heights = lattice_height_vector(poly.vertices, poly.dim)
     abs_heights, undefined = heights.abs_signature()

@@ -6,14 +6,11 @@ x-coordinate and doubling again adds exactly one new lattice point
 column, which the report verifies against the expected two-case formula.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .caps import resolve
 from .errors import DegenerateInput, DegenerateResult, DimensionMismatch
 from .geometry import (
-    LatticePolytope,
     Region,
+    _Value,
     _int_points,
     _polygon_point_count,
     _polytope_points,
@@ -25,17 +22,18 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
-    radius_sq: Fraction
-    p: int                   # largest x over the quarter-ball lattice points
-    case: int                # 1 if (p, 0) is alone on x = p, else 2
-    base: LatticePolytope        # doubled quarter-ball hull
-    augmented: LatticePolytope   # base plus the doubled cap
-    b: tuple                 # cap column: ((x, 0), (x, 1)) at x = 2p or 2p+1
-    volume_delta: int
-    added_points: tuple      # lattice points of augmented not in base
-    identity_holds: bool     # added_points == b without its first element
+class ConstructionReport(_Value):
+    __slots__ = (
+        "radius_sq",        # the quarter ball's squared radius, a Fraction
+        "p",                # largest x over the quarter-ball lattice points
+        "case",             # 1 if (p, 0) is alone on x = p, else 2
+        "base",             # doubled quarter-ball hull, a LatticePolytope
+        "augmented",        # base plus the doubled cap, a LatticePolytope
+        "b",                # cap column: ((x, 0), (x, 1)) at x = 2p or 2p+1
+        "volume_delta",
+        "added_points",     # lattice points of augmented not in base
+        "identity_holds",   # added_points == b without its first element
+    )
 
 
 def orthant_hull_construction(r=None, *, radius_sq=None, caps=None):

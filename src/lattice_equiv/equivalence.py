@@ -29,7 +29,6 @@ Modes:
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from math import gcd
@@ -39,8 +38,8 @@ from . import linalg
 from .caps import resolve
 from .errors import DegenerateInput, DimensionMismatch, TooLarge
 from .geometry import (
-    LatticePolytope, RationalAffineMap, _map_over, _stored_polygon,
-    _whole, normalized_volume)
+    LatticePolytope, _Value, _map_over, _stored_polygon, _whole,
+    normalized_volume)
 # bench/tracing.py patches the names it traces here; keep them bound.
 from .invariants import (
     _volume_vector,
@@ -55,26 +54,24 @@ MODES = ("affine", "unimodular", "det_one")
 CLI_MODES = {mode.replace("_", "-"): mode for mode in MODES}
 
 
-@dataclass(frozen=True)
-class NotEquivalent:
+class NotEquivalent(_Value):
     """Falsy result carrying the reason the search gave up."""
 
-    reason: str = ""
+    __slots__ = ("reason",)
+    _defaults = {"reason": ""}
 
     def __bool__(self):
         return False
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
-    """bijection[i] = j means map carries P's vertex i onto Q's vertex j."""
+class EquivalenceWitness(_Value):
+    """bijection[i] = j means `map`, a RationalAffineMap, carries P's
+    vertex i onto Q's vertex j."""
 
-    bijection: tuple
-    map: RationalAffineMap
+    __slots__ = ("bijection", "map")
 
 
-@dataclass(frozen=True)
-class CanonicalTriangle:
+class CanonicalTriangle(_Value):
     """Normal form (0,0), (g,0), (a,b) of a lattice triangle: plain ints
     g, b >= 1 and 0 <= a < b (`_whole`).
 
@@ -83,9 +80,7 @@ class CanonicalTriangle:
     unimodularly equivalent.
     """
 
-    g: int
-    a: int
-    b: int
+    __slots__ = ("g", "a", "b")
 
     def __post_init__(self):
         _whole(self.g, 1, "g")

@@ -6,7 +6,6 @@ affine maps act on the right: p -> p @ A + v.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice
 from math import gcd, isqrt, lcm
@@ -140,8 +139,68 @@ def _is_convex_cycle(cycle):
     return True
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class _Value:
+    """Base of the library's immutable value classes.
+
+    A subclass names its fields, in order, in `__slots__`; a slot whose
+    name starts with an underscore (`_record`, `__weakref__`) is not a
+    field, and equality, hashing, repr and pickling never see it.  The
+    last fields may take defaults from a `_defaults` dict.  For each
+    subclass the base compiles, as dataclasses would, an `__init__` taking
+    the fields by position or keyword and then running the class's
+    `__post_init__`, if it has one, and an `__eq__` (same class, equal
+    fields in order) and a `__hash__` (that of the field tuple) that read
+    the fields directly.  A class that writes its own `__init__` keeps it
+    and gets the compiled one as `_fill`, which sets the fields unchecked.
+    Assigning or deleting any attribute raises AttributeError, so
+    `__post_init__` sets a field through `object.__setattr__`; pickle and
+    copy rebuild a value through its constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = cls._fields = tuple(
+            name for name in cls.__slots__ if not name.startswith("_"))
+        defaults = getattr(cls, "_defaults", {})
+        own = "".join(f"self.{name}, " for name in fields)
+        lines = ["def __eq__(self, other):",
+                 " if other.__class__ is self.__class__:",
+                 f"  return ({own}) == ({own.replace('self.', 'other.')})",
+                 " return NotImplemented",
+                 "def __hash__(self):",
+                 f" return hash(({own}))"]
+        init = "_fill" if "__init__" in vars(cls) else "__init__"
+        lines.append("def {}(self, {}):".format(init, ", ".join(
+            f"{name}=defaults[{name!r}]" if name in defaults else name
+            for name in fields)))
+        lines += [f" set_{name}(self, {name})" for name in fields]
+        if init == "__init__" and hasattr(cls, "__post_init__"):
+            lines.append(" self.__post_init__()")
+        namespace = {f"set_{name}": getattr(cls, name).__set__
+                     for name in fields}
+        namespace["defaults"] = defaults
+        exec("\n".join(lines), namespace)
+        for name in ("__eq__", "__hash__", init):
+            namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, namespace[name])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class LatticePolytope(_Value):
     """Full-dimensional lattice polytope given by its ordered vertex list.
 
     The vertices and `dim` pass `_int_points`, then a shape check.  For
@@ -171,14 +230,11 @@ class LatticePolytope:
     Slotted, so the many polygons of a one-worker census carry no
     `__dict__`, and with no slot for weak references: nothing outside a
     polytope holds its derived data.  `_record` is a slot, not a field, so
-    equality, hashing, repr and pickling see `dim` and `vertices` only.
-    A frozen class refuses the default restore of slots, so pickle and
-    copy rebuild a polytope through the check.
+    equality, hashing, repr and pickling see `dim` and `vertices` only;
+    pickle and copy rebuild a polytope through the check.
     """
 
     __slots__ = ("dim", "vertices", "_record")
-    dim: int
-    vertices: tuple
 
     def __post_init__(self):
         verts, _ = _int_points(self.vertices, self.dim, "vertices")
@@ -204,9 +260,6 @@ class LatticePolytope:
                 raise DegenerateInput("vertices are not in strictly convex position")
             object.__setattr__(
                 self, "_record", [volume, planes, None, None])
-
-    def __reduce__(self):
-        return type(self), (self.dim, self.vertices)
 
     def serialize(self):
         """Flat tuple of the vertex coordinates, in stored order."""
@@ -248,19 +301,17 @@ def _stored_polygon(cycle):
     return p
 
 
-@dataclass(frozen=True, init=False)
-class RationalAffineMap:
+class RationalAffineMap(_Value):
     """Affine map p -> p @ matrix + translation, held as ints over one
     denominator, p -> (p @ rows + shift) / den, with den > 0 and the gcd
     of den and every entry 1, so that equal maps have equal fields.  The
     Fraction `matrix`, `translation` and `determinant` are computed on
     each read, so equality, hashing and pickling see the ints only.  The
     constructor's entries pass `_exact`, as a region's size and radius
-    do; the library builds its own maps from ints through `_map_over`."""
+    do; the library builds its own maps from ints through `_map_over`,
+    and so do pickle and copy."""
 
-    rows: tuple
-    shift: tuple
-    den: int
+    __slots__ = ("rows", "shift", "den")
 
     def __init__(self, matrix, translation):
         m = [[_exact(x, "map entry") for x in row] for row in matrix]
@@ -269,9 +320,11 @@ class RationalAffineMap:
             raise DimensionMismatch("matrix and translation sizes disagree")
         # Over the lcm of their denominators, the entries are in lowest terms.
         den = lcm(*(x.denominator for x in chain(t, *m)))
-        vars(self).update(den=den, shift=tuple(int(x * den) for x in t),
-                          rows=tuple(tuple(int(x * den) for x in row)
-                                     for row in m))
+        self._fill(tuple(tuple(int(x * den) for x in row) for row in m),
+                   tuple(int(x * den) for x in t), den)
+
+    def __reduce__(self):
+        return _map_over, (self.rows, self.shift, self.den)
 
     @property
     def matrix(self):
@@ -340,22 +393,21 @@ def _map_over(rows, shift, den):
         rows = tuple([tuple([x // g for x in row]) for row in rows])
         shift, den = tuple([s // g for s in shift]), den // g
     m = object.__new__(RationalAffineMap)
-    vars(m).update(rows=rows, shift=shift, den=den)
+    m._fill(rows, shift, den)
     return m
 
 
 _REGION_KINDS = ("ball", "box", "orthant-ball")
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(_Value):
     """Origin-anchored search region: a ball, a box [0, side]^d, or the
     nonnegative part of a ball, of exact size (`_exact`, as map entries;
-    a ball's is its squared radius) and dimension (`_whole`)."""
+    a ball's is its squared radius, a box's its side length) and
+    dimension (`_whole`, 2 by default)."""
 
-    kind: str
-    size: Fraction     # squared radius for balls, side length for boxes
-    dim: int = 2
+    __slots__ = ("kind", "size", "dim")
+    _defaults = {"dim": 2}
 
     def __post_init__(self):
         if self.kind not in _REGION_KINDS:
@@ -650,3 +702,21 @@ def _hull_of(points, d):
     planes, every = facets(volume.entries, n, d), set(range(n))
     return volume, planes, {i for i in every if len(every.intersection(
         *(on for on in planes if i in on))) == 1}
+
+
+def _hull_polytope(points, d):
+    """The LatticePolytope of the vertices of the hull of `points`, in
+    their order: distinct points in dimension d >= 3 that have passed
+    `_int_points` (`cli.parse_polytope`'s hull).  When every point is a
+    vertex, the one `_hull_of` that finds so is the polytope's record, as
+    the constructor's would be; otherwise the constructor takes the hull
+    of the vertices anew."""
+    volume, planes, corners = _hull_of(points, d)
+    if len(corners) < len(points):
+        return LatticePolytope(d, tuple(
+            v for i, v in enumerate(points) if i in corners))
+    p = object.__new__(LatticePolytope)
+    object.__setattr__(p, "dim", d)
+    object.__setattr__(p, "vertices", points)
+    object.__setattr__(p, "_record", [volume, planes, None, None])
+    return p

@@ -8,7 +8,6 @@ The facets of the points' hull are read from the volume vector's signs
 alone, for `geometry._hull_of`, the one hull routine of the library.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
@@ -16,7 +15,7 @@ from operator import itemgetter
 
 from . import linalg
 from .errors import DegenerateInput, DimensionMismatch, ZeroVector
-from .geometry import _int_points, _plain_ints
+from .geometry import _Value, _int_points, _plain_ints
 
 
 @lru_cache(maxsize=None)
@@ -103,11 +102,9 @@ def facets(entries, n, d):
     return out
 
 
-@dataclass(frozen=True)
-class VolumeVector:
-    n: int
-    dim: int
-    entries: tuple
+class VolumeVector(_Value):
+    # A weak reference can watch a polytope's record free its vector.
+    __slots__ = ("n", "dim", "entries", "__weakref__")
 
     def combinations(self):
         return index_combinations(self.n, self.dim + 1)
@@ -116,28 +113,28 @@ class VolumeVector:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class PrimitiveVolumeVector:
-    content: int      # signed: content * direction reproduces the vector
-    direction: tuple  # gcd 1, first nonzero entry positive
+class PrimitiveVolumeVector(_Value):
+    __slots__ = (
+        "content",    # signed: content * direction reproduces the vector
+        "direction",  # gcd 1, first nonzero entry positive
+    )
 
 
-@dataclass(frozen=True)
-class PrimitiveHyperplane:
+class PrimitiveHyperplane(_Value):
     """Primitive integer equation normal . x + offset = 0."""
 
-    normal: tuple
-    offset: int
+    __slots__ = ("normal", "offset")
 
     def height(self, point):
         return linalg.vec_dot(self.normal, point) + self.offset
 
 
-@dataclass(frozen=True)
-class LatticeHeightVector:
-    n: int
-    dim: int
-    blocks: tuple  # blocks[i][j]: height of point i over j-th d-subset of the rest
+class LatticeHeightVector(_Value):
+    __slots__ = (
+        "n",
+        "dim",
+        "blocks",  # blocks[i][j]: height of point i over j-th d-subset of the rest
+    )
 
     def abs_signature(self):
         """Relabeling-invariant summary: sorted |heights| plus the count of

@@ -10,28 +10,23 @@ dimensions.  Census and equivalence read a polygon's index and its
 minimal-volume image (`_least_image`) here, never the shrink map.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
 
 from . import linalg
 from .linalg import _echelon
 from .errors import DegenerateInput
-from .geometry import LatticePolytope, _map_over, _plain_ints
+from .geometry import LatticePolytope, _Value, _map_over, _plain_ints
 
 
-@dataclass(frozen=True)
-class HnfResult:
+class HnfResult(_Value):
     """Row-style Hermite normal form h = u @ m with unimodular u.
 
     Pivots are positive, entries above a pivot are reduced into
     [0, pivot), and zero rows sit at the bottom.
     """
 
-    h: tuple
-    u: tuple
-    rank: int
-    pivot_columns: tuple
+    __slots__ = ("h", "u", "rank", "pivot_columns")
 
 
 def hnf(rows):
@@ -57,10 +52,11 @@ def hnf(rows):
                      tuple(tuple(r[n:]) for r in h), rank, pivots)
 
 
-@dataclass(frozen=True)
-class SublatticeInfo:
-    basis: tuple  # rows of an upper-triangular lattice basis
-    index: int    # index in Z^d, the product of the basis pivots
+class SublatticeInfo(_Value):
+    __slots__ = (
+        "basis",  # rows of an upper-triangular lattice basis
+        "index",  # index in Z^d, the product of the basis pivots
+    )
 
 
 def sublattice_info(p):

@@ -222,15 +222,19 @@ def reference_facet_inequalities(verts):
     return out
 
 
-def reference_volume_3d(verts):
+def reference_volume_3d(verts, facets=None):
     """geometry._volume_3d as it was, frozen, on a list of 3d points:
     pyramids from the first point over a fan of each facet of
     reference_facet_inequalities, whose vertex cycle is the hull of the
     facet's points projected along the normal's largest axis.  Points
-    that do not span space have volume 0."""
+    that do not span space have volume 0.  `facets`, when given, is
+    reference_facet_inequalities(verts), taken by a caller that needs it
+    too."""
+    if facets is None:
+        facets = reference_facet_inequalities(verts)
     apex = verts[0]
     total = 0
-    for normal, offset in reference_facet_inequalities(verts):
+    for normal, offset in facets:
         if linalg.vec_dot(normal, apex) + offset == 0:
             continue  # pyramid over this facet is flat
         face = [v for v in verts if linalg.vec_dot(normal, v) + offset == 0]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -427,6 +428,32 @@ def test_3d_input_is_replaced_by_its_hull(capsys, files):
     for flat in (simplex[:3], simplex[:3] + [[2, 2, 0]], [[1, 1, 1]] * 5):
         path = files("flat.json", {"dim": 3, "points": flat})
         assert run(capsys, ["invariants", path])[0] == 3
+
+
+def test_each_3d_input_takes_one_volume_vector(capsys, files, monkeypatch):
+    # parse_polytope keeps the hull it takes as the polytope's record, and
+    # invariants and equiv read the volume vector there: one vector per
+    # input whose points are all vertices.  An input with a point to drop
+    # takes a second, as the constructor hulls the kept vertices anew.
+    invariants = import_module("lattice_equiv.invariants")
+    calls = []
+    real = invariants._volume_vector
+    monkeypatch.setattr(invariants, "_volume_vector",
+                        lambda pts, d: calls.append(d) or real(pts, d))
+    corners = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    cube = files("cube.json", {"dim": 3, "points": corners})
+    sheared = files("sheared.json", {"dim": 3, "points": [
+        [x + y, y, z] for x, y, z in corners]})
+    centred = files("centred.json", {"dim": 3, "points": [
+        [2 * c for c in corner] for corner in corners] + [[1, 1, 1]]})
+    for argv, out, count in (
+            (["invariants", cube], None, 1),
+            (["equiv", "--mode", "affine", cube, sheared], "equivalent\n", 2),
+            (["invariants", centred], None, 2)):
+        calls.clear()
+        code, printed, _ = run(capsys, argv)
+        assert code == 0 and out in (None, printed)
+        assert calls == [3] * count, argv
 
 
 def test_4d_input_is_replaced_by_its_hull(capsys, files):

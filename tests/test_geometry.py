@@ -9,7 +9,6 @@ import sys
 import time
 import weakref
 from collections import Counter
-from dataclasses import fields
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
@@ -33,29 +32,36 @@ from lattice_equiv import (
     DegenerateInput,
     DimensionMismatch,
     LatticePolytope,
+    NotEquivalent,
     ParseError,
     RationalAffineMap,
     Region,
     RegionTooLarge,
     affine_equivalent,
+    affine_map_census,
     build_volume_representatives,
     census,
     classes_by_volume,
     convex_hull_2d,
     dilate,
     enumerate_convex_polygons,
+    hnf,
     lattice_height_vector,
     lattice_points,
     normalized_volume,
+    orthant_hull_construction,
+    primitive_decomposition,
     primitive_hyperplane,
     primitivity_scan,
     shave,
     simplex_determinant,
+    sublattice_info,
     volume_vector,
 )
 from lattice_equiv.cli import parse_polytope
 from lattice_equiv.geometry import (
-    _ccw_lex_least, _hull_cycle, _polygon_point_count, _stored_polygon)
+    _Value, _ccw_lex_least, _hull_cycle, _polygon_point_count,
+    _stored_polygon)
 
 coord = st.integers(min_value=-8, max_value=8)
 point = st.tuples(coord, coord)
@@ -357,9 +363,9 @@ COUNT_PARAMETERS = {
     "CanonicalTriangle.g": ("g", 1, lambda n: CanonicalTriangle(n, 0, 1)),
     "CanonicalTriangle.a": ("a", 0, lambda n: CanonicalTriangle(1, n, 2)),
     "CanonicalTriangle.b": ("b", 1, lambda n: CanonicalTriangle(1, 0, n)),
-} | {f"Caps.{f.name}": (f"caps.{f.name}", 1,
-                        lambda n, name=f.name: Caps(**{name: n}))
-     for f in fields(Caps)}
+} | {f"Caps.{name}": (f"caps.{name}", 1,
+                      lambda n, name=name: Caps(**{name: n}))
+     for name in Caps._fields}
 
 
 @pytest.mark.parametrize("entry", COUNT_PARAMETERS)
@@ -708,7 +714,8 @@ def test_integer_map_form_agrees_with_fraction_arithmetic():
                 assert amap.matrix == matrix
                 assert amap.translation == translation
                 assert amap.determinant == det
-            assert sorted(vars(amap)) == ["den", "rows", "shift"]
+            assert not hasattr(amap, "__dict__")
+            assert type(amap).__slots__ == ("rows", "shift", "den")
         assert built == public and hash(built) == hash(public)
         assert built.den > 0 and gcd(
             built.den, *built.shift, *sum(built.rows, ())) == 1
@@ -809,9 +816,10 @@ def test_3d_facets_match_the_triple_loop_on_seeded_point_sets():
     # are exactly the points that lie in no simplex of the others
     # (Caratheodory).  The polytope of those vertices has the frozen
     # projection volume of all the points, and the half-spaces of the
-    # frozen triple loop on all the points, as sets.  A unimodular image
-    # keeps the volume and the point order, so its volume and vertex
-    # indices are the set's.
+    # frozen triple loop on all the points, as sets (taken once per set,
+    # for the volume and the half-spaces).  A unimodular image keeps the
+    # volume and the point order, so its volume and vertex indices are the
+    # set's.
     rng = seeded(281)
     doubled = tuple(product((0, 2), repeat=3))
     named = [UNIT_CUBE, FRUSTUM, OCTAHEDRON, PRISM, SIMPLEX,
@@ -819,7 +827,8 @@ def test_3d_facets_match_the_triple_loop_on_seeded_point_sets():
     geometry = import_module("lattice_equiv.geometry")
     inside = 0
     for points in named + seeded_point_sets_3d(rng, 2000, 3):
-        volume = reference_volume_3d(points)
+        facets = reference_facet_inequalities(points)
+        volume = reference_volume_3d(points, facets)
         vertices = geometry._hull_of(points, 3)[2]
         assert vertices == reference_vertices(points, 3), points
         inside += len(points) - len(vertices)
@@ -827,11 +836,11 @@ def test_3d_facets_match_the_triple_loop_on_seeded_point_sets():
             points, random_unimodular_3d(rng),
             tuple(rng.randint(-3, 3) for _ in range(3))))
         assert geometry._hull_of(image, 3)[2] == vertices, points
-        for raw in (points, image):
+        for raw, halves in ((points, facets),
+                            (image, reference_facet_inequalities(image))):
             q = LatticePolytope(3, tuple(raw[i] for i in sorted(vertices)))
             assert normalized_volume(q) == volume, raw
-            assert sorted(geometry._half_spaces(q)) \
-                == sorted(reference_facet_inequalities(raw)), raw
+            assert sorted(geometry._half_spaces(q)) == sorted(halves), raw
     assert inside == 897
 
 
@@ -999,6 +1008,82 @@ def test_strict_hull_oracle_agrees_with_hull():
     assert tuple(strict_hull(pts)) == convex_hull_2d(pts).vertices
 
 
+# One call per value class of the library, each building equal values on
+# every call.
+VALUES = [
+    lambda: LatticePolytope(3, UNIT_CUBE),
+    lambda: RationalAffineMap(((2, Fraction(1, 3)), (0, 1)), (Fraction(1, 2), 4)),
+    lambda: Region.ball(radius_sq=5),
+    Caps,
+    lambda: volume_vector(UNIT_CUBE),
+    lambda: primitive_decomposition((2, -4, 6)),
+    lambda: primitive_hyperplane(((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    lambda: lattice_height_vector(SIMPLEX),
+    lambda: hnf([[2, 4], [1, 3]]),
+    lambda: sublattice_info(poly((0, 0), (2, 0), (0, 2))),
+    lambda: NotEquivalent("vertex counts differ"),
+    lambda: affine_equivalent(poly((0, 0), (1, 0), (0, 1)),
+                              poly((0, 0), (2, 0), (0, 1))),
+    lambda: CanonicalTriangle(2, 1, 3),
+    lambda: census(Region.box(1)),
+    lambda: primitivity_scan(Region.box(1)),
+    lambda: affine_map_census(Region.ball(1), 10),
+    lambda: orthant_hull_construction(2),
+]
+
+
+def test_values_compare_hash_print_and_copy_by_their_fields():
+    """Each of the 17 value classes, built on geometry._Value, keeps what
+    frozen dataclasses gave: equal fields make equal values whose hash is
+    that of the field tuple; an instance of another class, even with the
+    same fields and values, is not equal; the repr lists the fields in
+    order; no field can be assigned or deleted; copy, deepcopy and pickle
+    give an equal value; and no value has a __dict__.  A slot that is not
+    a field (a polytope's `_record`, a weak reference) is in none of
+    these."""
+    built = [(make(), make()) for make in VALUES]
+    library = {cls for cls in _Value.__subclasses__()
+               if cls.__module__.startswith("lattice_equiv.")}
+    assert {type(x) for x, _ in built} == library and len(library) == 17
+    for x, y in built:
+        cls, fields = type(x), type(x)._fields
+        values = tuple(getattr(x, name) for name in fields)
+        twin = type("Twin", (_Value,), {"__slots__": fields})(*values)
+        assert x is not y and x == y and not x != y
+        assert hash(x) == hash(y) == hash(values)
+        assert x != twin and twin != x and x != values
+        assert repr(x) == "{}({})".format(cls.__name__, ", ".join(
+            f"{name}={value!r}" for name, value in zip(fields, values)))
+        for name, value in zip(fields, values):
+            with pytest.raises(AttributeError):
+                setattr(x, name, value)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert x == y
+        for clone in (copy.copy(x), copy.deepcopy(x),
+                      pickle.loads(pickle.dumps(x))):
+            assert type(clone) is cls and clone == x
+        assert not hasattr(x, "__dict__")
+    cube = built[0][0]
+    assert cube._record and "_record" not in repr(cube)
+    assert repr(Region.box(3)) \
+        == "Region(kind='box', size=Fraction(3, 1), dim=2)"
+
+
+def test_values_take_their_fields_by_position_or_keyword():
+    # Every field can be named, the last ones have their defaults, and a
+    # missing or unknown argument is refused as by any Python function.
+    assert CanonicalTriangle(g=2, b=3, a=1) == CanonicalTriangle(2, 1, 3)
+    assert Region("box", 3) == Region(kind="box", size=3, dim=2)
+    assert NotEquivalent() == NotEquivalent(reason="")
+    assert Caps(max_volume=20) == Caps(40, 8, 20, 1000)
+    assert Caps().hull_points == 1000
+    for call in (lambda: CanonicalTriangle(2, 1), lambda: Caps(cap=3),
+                 lambda: NotEquivalent("a", "b")):
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_polytopes_are_slotted():
     """A polytope has no __dict__ and cannot be weakly referenced, at the
     size it had with a weak-reference slot in place of `_record`.  The
@@ -1015,7 +1100,7 @@ def test_polytopes_are_slotted():
     assert not hasattr(stored, "__dict__")
     assert stored == checked and hash(stored) == hash(checked)
     assert LatticePolytope.__slots__ == ("dim", "vertices", "_record")
-    assert [f.name for f in fields(LatticePolytope)] == ["dim", "vertices"]
+    assert LatticePolytope._fields == ("dim", "vertices")
     with pytest.raises(TypeError):
         weakref.ref(checked)
     weak = type("Weak", (), {"__slots__": ("dim", "vertices", "__weakref__")})

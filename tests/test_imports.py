@@ -4,6 +4,8 @@ import ast
 import importlib.util
 from pathlib import Path
 
+from conftest import run_in_small_address_space
+
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
 
@@ -126,3 +128,44 @@ def test_no_module_loads_the_pool_on_import():
               for name in module_level_imports(path.read_text())
               if name in ("concurrent", "multiprocessing")]
     assert loaded == []
+
+
+def test_no_module_imports_dataclasses():
+    # The value classes derive their methods from geometry._Value; the
+    # dataclasses module, with the inspect it loads, cost about 25 ms of
+    # every process's start-up.
+    importers = []
+    for path in sorted((ROOT / "src" / "lattice_equiv").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                importers.append(path.name)
+    assert importers == []
+
+
+def test_no_process_loads_dataclasses_or_inspect():
+    # A fresh interpreter that imports the package and its CLI, runs a one-
+    # and a two-worker census, decides a 2d and a 3d pair and builds the
+    # volume representatives has loaded neither module.
+    result = run_in_small_address_space(
+        "import sys\n"
+        "import lattice_equiv.cli\n"
+        "from lattice_equiv import (LatticePolytope, Region,"
+        " affine_equivalent, build_volume_representatives, census)\n"
+        "assert census(Region.box(2), workers=1).h == 168\n"
+        "cube = tuple((x, y, z) for x in (0, 1) for y in (0, 1)"
+        " for z in (0, 1))\n"
+        "assert affine_equivalent(LatticePolytope(3, cube), LatticePolytope("
+        "3, tuple((x + y, y, z) for x, y, z in cube)))\n"
+        "assert affine_equivalent(LatticePolytope(2, ((0, 0), (1, 0), "
+        "(0, 1))), LatticePolytope(2, ((0, 0), (2, 0), (0, 1))))\n"
+        "assert len(build_volume_representatives(6)) == 9\n"
+        "assert census(Region.box(2), workers=2).h == 168\n"
+        "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "assert loaded == [], loaded\n")
+    assert result.returncode == 0, result.stderr
