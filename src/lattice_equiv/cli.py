@@ -31,9 +31,9 @@ from .errors import LatticeError, ParseError
 from .geometry import (LatticePolytope, Region, _hull_polytope, _int_points,
                        _whole, convex_hull_2d, normalized_volume)
 from .invariants import (
+    _volume_of,
     lattice_height_vector,
     primitive_decomposition,
-    volume_vector,
 )
 from .lattices import shrink_to_minimal_volume, sublattice_info
 
@@ -128,9 +128,7 @@ def emit_census_csv(rows):
 
 def _cmd_invariants(args):
     poly = _load(args.polytope)
-    # From dimension 3 on, the polytope's record holds its volume vector.
-    w = (poly._record[0] if poly.dim >= 3
-         else volume_vector(poly.vertices, poly.dim))
+    w = _volume_of(poly)
     prim = primitive_decomposition(w)
     heights = lattice_height_vector(poly.vertices, poly.dim)
     abs_heights, undefined = heights.abs_signature()

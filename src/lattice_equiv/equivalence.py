@@ -17,10 +17,10 @@ shortcut the oracle does not take).  The search is anchored: fix d+1 affinely
 independent vertices of P whose volume-vector entry is rare, try
 matching tuples in Q, and accept a candidate only if the unique affine
 map it determines carries vert(P) onto vert(Q) and passes the mode's
-determinant test.  The invariants the search reads sit in a profile;
-from dimension 3 on, each polytope keeps its own in its record, which
-also gives the profile its volume vector, so deciding computes none:
-the constructor did.
+determinant test.  Each call takes the invariants it reads (primitive
+decompositions, anchor, entry map) afresh and keeps none; the volume
+vectors they come from are the ones the constructors left in the
+records from dimension 3 on, so deciding computes none there.
 
 Modes:
   affine      -- any invertible rational affine map
@@ -29,7 +29,6 @@ Modes:
 """
 
 from collections import Counter
-from functools import cached_property
 from itertools import permutations
 from math import gcd
 from operator import mul
@@ -42,7 +41,7 @@ from .geometry import (
     normalized_volume)
 # bench/tracing.py patches the names it traces here; keep them bound.
 from .invariants import (
-    _volume_vector,
+    _volume_of,
     lattice_height_vector,
     primitive_decomposition,
     volume_vector,
@@ -101,40 +100,19 @@ class CanonicalTriangle(_Value):
         return LatticePolytope(2, ((0, 0), (self.g, 0), (self.a, self.b)))
 
 
-class _Profile:
-    """Decider invariants of one polytope.  Built from its vertices and
-    volume vector, never from the polytope itself: the profile sits in
-    its polytope's record, and a `VolumeVector` holds no reference to its
-    polytope either, so polytope, record and profile form no cycle and
-    reference counting frees them together."""
-
-    def __init__(self, vertices, volume):
-        self.vertices = vertices
-        self.volume = volume
-        primitive = primitive_decomposition(self.volume)
-        self.direction = primitive.direction
-        self.direction_signature = tuple(sorted(map(abs, self.direction)))
-        self.content = abs(primitive.content)
-
-    @cached_property
-    def entry_by_combo(self):
-        return dict(zip(self.volume.combinations(), self.direction))
-
-    @cached_property
-    def anchor(self):
-        """Pruning anchor (combo, |entry|, solve context): the lex-first
-        (d+1)-combination of the vertices whose |primitive entry| is
-        nonzero and rarest in the multiset."""
-        counts = Counter(abs(e) for e in self.direction if e)
-        best = None
-        for combo, entry in zip(self.volume.combinations(), self.direction):
-            if not entry:
-                continue
-            rank = counts[abs(entry)]
-            if best is None or rank < best[0]:
-                best = (rank, combo, abs(entry))
-        _, combo, value = best
-        return combo, value, _solve_context(self.vertices, combo)
+def _anchor(combinations, direction):
+    """Pruning anchor (combo, |entry|): the lex-first (d+1)-combination,
+    among `combinations` in lex order, whose |primitive entry| in
+    `direction` is nonzero and rarest in the multiset."""
+    counts = Counter(abs(e) for e in direction if e)
+    best = None
+    for combo, entry in zip(combinations, direction):
+        if not entry:
+            continue
+        rank = counts[abs(entry)]
+        if best is None or rank < best[0]:
+            best = (rank, combo, abs(entry))
+    return best[1:]
 
 
 def _solve_context(verts, combo):
@@ -152,18 +130,6 @@ def _solve_context(verts, combo):
         (i, linalg.row_times_matrix(linalg.vec_sub(v, base), adj))
         for i, v in enumerate(verts) if i not in combo)
     return combo, base, linalg.int_det(m), adj, coords
-
-
-def _profile(p):
-    """The profile of `p`: from dimension 3 on, the one its record holds,
-    built on first use from the record's volume vector.  Segments have
-    no record, so each call builds theirs anew."""
-    if p.dim < 3:
-        return _Profile(p.vertices, volume_vector(p.vertices, p.dim))
-    record = p._record
-    if record[3] is None:
-        record[3] = _Profile(p.vertices, record[0])
-    return record[3]
 
 
 def _attempt(p, q, context, image, mode, scaled_targets):
@@ -310,13 +276,14 @@ def decide(p, q, mode):
         return NotEquivalent("vertex counts differ")
     if p.dim == 2:
         return _by_frames(p, q, mode)
-    pp, qp = _profile(p), _profile(q)
-    if pp.direction_signature != qp.direction_signature:
+    pw, qw = _volume_of(p), _volume_of(q)
+    pp, qp = primitive_decomposition(pw), primitive_decomposition(qw)
+    if sorted(map(abs, pp.direction)) != sorted(map(abs, qp.direction)):
         return NotEquivalent("primitive volume vectors differ as multisets")
     if mode != "affine":
         # With equal direction multisets, the volume vectors are equal as
         # multisets of |entries| exactly when their contents agree in size.
-        if pp.content != qp.content:
+        if abs(pp.content) != abs(qp.content):
             return NotEquivalent("volume vectors differ as multisets")
     elif p.dim >= 3 and (sorted(map(len, p._record[1]))
                          != sorted(map(len, q._record[1]))):
@@ -324,10 +291,13 @@ def decide(p, q, mode):
         # differ only here.  The other modes reject them by content, so
         # there the facet sizes would only cost the positive pairs.
         return NotEquivalent("facet sizes differ")
-    combo, value, context = pp.anchor
-    images = _candidate_images(qp.entry_by_combo, combo, value)
-    return _search(p, q, mode, context, images) or NotEquivalent(
-        "no vertex correspondence extends to an affine map")
+    # Equal vertex counts and dimensions: both have P's combinations.
+    combinations = pw.combinations()
+    combo, value = _anchor(combinations, pp.direction)
+    images = _candidate_images(
+        dict(zip(combinations, qp.direction)), combo, value)
+    return _search(p, q, mode, _solve_context(p.vertices, combo), images) \
+        or NotEquivalent("no vertex correspondence extends to an affine map")
 
 
 def affine_equivalent(p, q):
@@ -357,8 +327,7 @@ def oracle_equivalent(p, q, mode="affine", caps=None):
             f"oracle handles at most {caps.oracle_vertices} vertices")
     if len(q.vertices) != n:
         return NotEquivalent("vertex counts differ")
-    # The constructor checked the vertices; from dimension 3 on, it kept w.
-    w = p._record[0] if p.dim >= 3 else _volume_vector(p.vertices, p.dim)
+    w = _volume_of(p)
     combo = next(c for c, e in zip(w.combinations(), w.entries) if e)
     images = permutations(range(n), p.dim + 1)
     return _search(p, q, mode, _solve_context(p.vertices, combo), images) \

@@ -215,11 +215,11 @@ class LatticePolytope(_Value):
     endpoints, stored lesser first.  For dim >= 3 the list is stored as
     given once `_hull_of` finds that it spans space and that every point
     is a vertex, and the polytope keeps that hull's record in its
-    `_record` slot: [volume vector, facets, half-spaces, profile], the
-    last two None until `_half_spaces` and `equivalence._profile` fill
-    them on first use.  The 3d `normalized_volume` reads the first two,
-    the affine decider the facets.  A polygon or a segment leaves the
-    slot unset.
+    `_record` slot: [volume vector, facets, half-spaces], the last None
+    until `_half_spaces` fills it on first use.  The 3d
+    `normalized_volume` reads the first two, the deciders the volume
+    vector and the affine decider the facets.  A polygon or a segment
+    leaves the slot unset.
 
     The census path stores cycles it built itself without this check,
     through `_stored_polygon`: in `enumerate_convex_polygons`, in
@@ -259,7 +259,7 @@ class LatticePolytope(_Value):
             if len(corners) != len(verts):
                 raise DegenerateInput("vertices are not in strictly convex position")
             object.__setattr__(
-                self, "_record", [volume, planes, None, None])
+                self, "_record", [volume, planes, None])
 
     def serialize(self):
         """Flat tuple of the vertex coordinates, in stored order."""
@@ -718,5 +718,5 @@ def _hull_polytope(points, d):
     p = object.__new__(LatticePolytope)
     object.__setattr__(p, "dim", d)
     object.__setattr__(p, "vertices", points)
-    object.__setattr__(p, "_record", [volume, planes, None, None])
+    object.__setattr__(p, "_record", [volume, planes, None])
     return p

@@ -180,6 +180,13 @@ def _volume_vector(pts, d):
     return VolumeVector(len(pts), d, entries)
 
 
+def _volume_of(p):
+    """The volume vector of the LatticePolytope `p`, whose constructor
+    checked its vertices: from dimension 3 on the one its record keeps,
+    else computed by `_volume_vector` without a second check."""
+    return p._record[0] if p.dim >= 3 else _volume_vector(p.vertices, p.dim)
+
+
 def primitive_decomposition(w):
     """Split a volume vector as content * direction with primitive direction.
 

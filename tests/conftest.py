@@ -25,9 +25,10 @@ from lattice_equiv import (
     DegenerateInput, HnfResult, LatticePolytope, RationalAffineMap, Region,
     SublatticeInfo, lattice_points, linalg, oracle_equivalent)
 from lattice_equiv.equivalence import (
-    EquivalenceWitness, NotEquivalent, _canonical_cycle, _candidate_images,
-    _profile)
+    EquivalenceWitness, NotEquivalent, _anchor, _canonical_cycle,
+    _candidate_images)
 from lattice_equiv.geometry import _hull_cycle
+from lattice_equiv.invariants import _volume_of, primitive_decomposition
 
 
 # Every ball, box and orthant ball of integer size with at most 16 lattice
@@ -430,13 +431,16 @@ def reference_decide(p, q, mode):
     there this answers no by exhausting its candidates."""
     if len(p.vertices) != len(q.vertices):
         return NotEquivalent("vertex counts differ")
-    pp, qp = _profile(p), _profile(q)
-    if pp.direction_signature != qp.direction_signature:
+    pw, qw = _volume_of(p), _volume_of(q)
+    pp, qp = primitive_decomposition(pw), primitive_decomposition(qw)
+    if sorted(map(abs, pp.direction)) != sorted(map(abs, qp.direction)):
         return NotEquivalent("primitive volume vectors differ as multisets")
-    if mode in ("unimodular", "det_one") and pp.content != qp.content:
+    if mode in ("unimodular", "det_one") and \
+            abs(pp.content) != abs(qp.content):
         return NotEquivalent("volume vectors differ as multisets")
-    combo, value, _ = pp.anchor
-    images = _candidate_images(qp.entry_by_combo, combo, value)
+    combo, value = _anchor(pw.combinations(), pp.direction)
+    images = _candidate_images(
+        dict(zip(qw.combinations(), qp.direction)), combo, value)
     return reference_search(p, q, mode, combo, images) or NotEquivalent(
         "no vertex correspondence extends to an affine map")
 
@@ -445,7 +449,7 @@ def reference_oracle(p, q, mode):
     """oracle_equivalent with its search done by reference_search."""
     if len(q.vertices) != len(p.vertices):
         return NotEquivalent("vertex counts differ")
-    w = _profile(p).volume
+    w = _volume_of(p)
     combo = next(c for c, e in zip(w.combinations(), w.entries) if e)
     images = permutations(range(len(p.vertices)), p.dim + 1)
     return reference_search(p, q, mode, combo, images) or \

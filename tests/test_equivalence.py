@@ -633,7 +633,8 @@ def test_deciding_builds_no_fraction(monkeypatch):
     assert len(positives) == 6 and min(positives.values()) >= 10, positives
 
 
-def test_each_profile_is_built_once_through_the_traced_names(monkeypatch):
+def test_each_decide_reads_its_invariants_through_the_traced_names(
+        monkeypatch):
     # The benchmark's per-layer invariants metrics count calls made
     # through these two module names; a hot path that bypassed them
     # would read 0 there.
@@ -646,7 +647,7 @@ def test_each_profile_is_built_once_through_the_traced_names(monkeypatch):
     p = poly((203, 11), (207, 12), (206, 15), (202, 14), (201, 12))
     q = poly(*apply_int_map(p.vertices, ((1, 0), (3, 1)), (-5, 2)))
     # Polygons, at index 1 and stretched to index 2, are decided by
-    # canonical frames in every mode, which build no profile.
+    # canonical frames in every mode, which read no volume vector.
     p2 = poly(*apply_int_map(p.vertices, ((2, 0), (0, 1)), (0, 0)))
     q2 = poly(*apply_int_map(p2.vertices, ((1, 0), (3, 1)), (-5, 2)))
     for a, b in ((p, q), (p2, q2)):
@@ -655,11 +656,12 @@ def test_each_profile_is_built_once_through_the_traced_names(monkeypatch):
             assert equivalence.decide(b, a, mode)
         assert not hasattr(a, "_record") and not hasattr(b, "_record")
     assert not calls
-    # A 3d pair is searched: one profile each, however often it is asked.
-    # Its volume vector is the one the constructor put in the record,
-    # so none is computed through the traced name, and every volume
-    # vector computed anywhere (`invariants._volume_vector`) is the
-    # constructor's: one per polytope.
+    # A 3d pair is searched: each decide decomposes both volume vectors,
+    # one primitive decomposition per side, however often it is asked.
+    # Its volume vectors are the ones the constructors put in the
+    # records, so none is computed through the traced name, and every
+    # volume vector computed anywhere (`invariants._volume_vector`) is
+    # the constructor's: one per polytope.
     computed = []
     compute = invariants._volume_vector
     monkeypatch.setattr(invariants, "_volume_vector",
@@ -674,11 +676,8 @@ def test_each_profile_is_built_once_through_the_traced_names(monkeypatch):
     for mode in MODES:
         assert equivalence.decide(p3, q3, mode)
         assert equivalence.decide(q3, p3, mode)
-    assert calls == {"primitive_decomposition": 2}
+    assert calls == {"primitive_decomposition": 14}
     assert len(computed) == 2
-    for p in (p3, q3):
-        assert equivalence._profile(p) is p._record[3]
-        assert p._record[3].volume is p._record[0]
 
 
 def test_content_check_and_search_agree_with_oracle_on_box_forms():
@@ -851,12 +850,11 @@ def direct_volume_vector(p):
                      len(verts), p.dim + 1))
 
 
-def test_the_profile_reads_the_volume_vector_of_the_hull_record():
-    # From dimension 3 on, the decider's profile, kept in the polytope's
-    # record, holds the very volume vector of that record, and its
-    # entries are the direct simplex determinants, on the 3d shapes, 4d
-    # prisms over the small ones, seeded 4d simplices, and a unimodular
-    # image of each.
+def test_the_deciders_read_the_direct_volume_vector_of_the_hull_record():
+    # From dimension 3 on, the volume vector the deciders read is the
+    # very one of the polytope's record, and its entries are the direct
+    # simplex determinants, on the 3d shapes, 4d prisms over the small
+    # ones, seeded 4d simplices, and a unimodular image of each.
     rng = seeded(311)
     shapes = shapes_3d(rng)
     solids = list(shapes)
@@ -875,9 +873,9 @@ def test_the_profile_reads_the_volume_vector_of_the_hull_record():
                               tuple(rng.randint(-3, 3) for _ in range(d)))
         for p in (LatticePolytope(d, tuple(verts)),
                   LatticePolytope(d, tuple(image))):
-            profile = equivalence._profile(p)
-            assert profile is p._record[3] and profile.volume is p._record[0]
-            assert profile.volume.entries == direct_volume_vector(p), p
+            volume = invariants._volume_of(p)
+            assert volume is p._record[0]
+            assert volume.entries == direct_volume_vector(p), p
             seen[d] += 1
     assert seen == {3: 48, 4: 46}
 
@@ -887,7 +885,7 @@ def test_deciding_shares_each_polytopes_own_volume_vector(monkeypatch):
     # oracle does, and compute no volume vector beyond their constructors'.
     # Then two equal polytopes: each holds its own record, dropping one
     # leaves the other's as it was, and deciding with the survivor
-    # computes no volume vector: its profile holds its record's.
+    # computes no volume vector: it reads its record's.
     computed = []
     compute = invariants._volume_vector
     monkeypatch.setattr(invariants, "_volume_vector",
@@ -929,8 +927,8 @@ def test_deciding_shares_each_polytopes_own_volume_vector(monkeypatch):
         assert bool(equivalence.decide(second, other, mode)) \
             == bool(oracle_equivalent(second, other, mode))
     assert computed[built:] == []
-    volume = equivalence._profile(second).volume
-    assert volume is record[0] is held[0] and record[3] is not None
+    volume = invariants._volume_of(second)
+    assert volume is record[0] is held[0]
     assert volume.entries == direct_volume_vector(second)
 
 
@@ -1308,7 +1306,7 @@ def test_library_accepts_only_library_mode_names():
 
 def test_deciders_do_not_keep_their_inputs_alive():
     # Deciding or checking a pair adds no reference to either polytope:
-    # no cache outside a polytope holds it, and no profile in a record
+    # no cache outside a polytope holds it, and nothing in a record
     # points back at its polytope.
     p = poly((101, 7), (104, 7), (105, 9), (101, 8))
     q = poly(*apply_int_map(p.vertices, ((1, 0), (2, 1)), (-3, 5)))
@@ -1330,9 +1328,9 @@ def test_deciders_do_not_keep_their_inputs_alive():
 
 def test_records_die_by_reference_counting():
     # With the cycle collector off, a 3d polytope decided in every mode
-    # and by the oracle frees its volume vector and its profile as soon
-    # as the last reference to it goes: polytope, record and profile
-    # form no cycle, and no module-level container holds any of them.
+    # and by the oracle frees its volume vector as soon as the last
+    # reference to it goes: polytope and record form no cycle, and no
+    # module-level container holds either.
     cube = tuple((x, y, z) for x in (80, 81) for y in (0, 1) for z in (0, 2))
     p = LatticePolytope(3, cube)
     q = LatticePolytope(3, tuple(apply_int_map(
@@ -1344,18 +1342,42 @@ def test_records_die_by_reference_counting():
             assert equivalence.decide(p, q, mode)
             assert equivalence.decide(q, p, mode)
             assert oracle_equivalent(p, q, mode)
-        volume, profile = p._record[0], p._record[3]
+        volume = p._record[0]
         assert type(volume) is invariants.VolumeVector
-        assert type(profile) is equivalence._Profile
-        refs = [weakref.ref(volume), weakref.ref(profile)]
-        del volume, profile
-        assert [r() is not None for r in refs] == [True, True]
+        ref = weakref.ref(volume)
+        del volume
+        assert ref() is not None
         del p
-        assert [r() for r in refs] == [None, None]
-        assert q._record[3] is not None
+        assert ref() is None
+        assert type(q._record[0]) is invariants.VolumeVector
     finally:
         if enabled:
             gc.enable()
+
+
+def test_deciding_writes_nothing_into_the_polytopes():
+    # Deciding a 3d pair in every mode and both orders, and checking it
+    # by the oracle, leaves each polytope's record the list its
+    # constructor made, holding the same objects: the half-spaces still
+    # unbuilt, and no decider invariant kept.  The stretched image is
+    # affinely equivalent only, so the other modes reject it by content.
+    cube = tuple((x, y, z) for x in (90, 91) for y in (0, 1) for z in (0, 2))
+    p = LatticePolytope(3, cube)
+    shear = ((1, 0, 0), (1, 1, 0), (0, 0, 1))
+    image = LatticePolytope(3, tuple(apply_int_map(cube, shear, (3, 0, 0))))
+    stretched = LatticePolytope(3, tuple(apply_int_map(
+        [(2 * x, y, z) for x, y, z in cube], shear, (0, 1, 0))))
+    for q in (image, stretched):
+        held = [(x, x._record, list(x._record)) for x in (p, q)]
+        for mode in MODES:
+            for a, b in ((p, q), (q, p)):
+                expect = mode == "affine" or q is image
+                assert bool(equivalence.decide(a, b, mode)) == expect
+                assert bool(oracle_equivalent(a, b, mode)) == expect
+        for x, record, constructed in held:
+            assert x._record is record and len(record) == len(constructed)
+            assert all(y is z for y, z in zip(record, constructed))
+            assert record[2] is None
 
 
 def test_answers_do_not_depend_on_call_history():
@@ -1370,6 +1392,15 @@ def test_answers_do_not_depend_on_call_history():
         else:
             q = random_polygon(rng, span=3)
         pairs.append((p.vertices, q.vertices))
+    # Seeded 3d pairs: each shape against one of its images, or against
+    # another shape.
+    shapes = shapes_3d(rng)
+    for shape in shapes[::2]:
+        q = rng.choice(images_3d(rng, shape) + [rng.choice(shapes)])
+        pairs.append((tuple(shape), tuple(map(tuple, q))))
+
+    def build(verts):
+        return LatticePolytope(len(verts[0]), tuple(verts))
 
     def answers(polys):
         got = {}
@@ -1380,20 +1411,24 @@ def test_answers_do_not_depend_on_call_history():
         return got
 
     # Fresh objects: each pair is built just before it is decided and
-    # dropped right after, so no profile of it outlives the call.
-    fresh = answers((i, (poly(*pv), poly(*qv)))
+    # dropped right after, so nothing derived from it outlives the call.
+    fresh = answers((i, (build(pv), build(qv)))
                     for i, (pv, qv) in enumerate(pairs))
-    # The same objects after every P was decided against every Q.
-    built = [(poly(*pv), poly(*qv)) for pv, qv in pairs]
+    # The same objects after every P was decided against every Q of its
+    # dimension.
+    built = [(build(pv), build(qv)) for pv, qv in pairs]
     for p, _ in built:
         for _, q in built:
-            for mode in MODES:
-                equivalence.decide(p, q, mode)
-                equivalence.decide(q, p, mode)
+            if p.dim == q.dim:
+                for mode in MODES:
+                    equivalence.decide(p, q, mode)
+                    equivalence.decide(q, p, mode)
     assert answers(enumerate(built)) == fresh
-    # Equal copies built separately from the reversed vertex lists and
-    # decided in reverse order.
-    copies = [(i, (poly(*pv[::-1]), poly(*qv[::-1])))
+    # Equal copies built separately, polygons from their reversed cycles
+    # (stored as before) and 3d polytopes from their lists, and decided
+    # in reverse order.
+    copies = [(i, tuple(build(v[::-1] if len(v[0]) == 2 else v)
+                        for v in (pv, qv)))
               for i, (pv, qv) in reversed(list(enumerate(pairs)))]
     assert answers(copies) == fresh
     outcomes = Counter(isinstance(a, tuple) for a in fresh.values())
