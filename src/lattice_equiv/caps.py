@@ -37,7 +37,7 @@ class Caps(_Value):
         for item in filter(None, map(str.strip, raw.split(","))):
             key, _, value = item.partition("=")
             key = key.strip()
-            if key not in cls._fields or not value.strip().isdigit():
+            if key not in cls._fields or not value.strip().isdecimal():
                 raise ValueError(f"bad {ENV_VAR} entry: {item!r}")
             overrides[key] = max(int(value), getattr(_DEFAULT, key))
         return cls(**{name: overrides.get(name, getattr(_DEFAULT, name))

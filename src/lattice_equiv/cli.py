@@ -45,9 +45,10 @@ def parse_polytope(text):
     and `geometry._int_points`, whose errors come back as ParseError.  The
     convex hull is taken in every dimension (from dimension 3 on, the
     vertices by `geometry._hull_of`'s meet rule, in input order,
-    duplicates dropped, through `geometry._hull_polytope`); a True second
-    return value flags input points that were not vertices (dropped with
-    a warning by the CLI).
+    duplicates dropped, through `geometry._hull_polytope`, whose one
+    hull gives the polytope's record); a True second return value flags
+    input points that were not vertices (dropped with a warning by the
+    CLI).
     """
     try:
         doc = json.loads(text)

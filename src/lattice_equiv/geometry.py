@@ -7,7 +7,7 @@ affine maps act on the right: p -> p @ A + v.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, compress, islice
 from math import gcd, isqrt, lcm
 
 from . import linalg
@@ -215,8 +215,9 @@ class LatticePolytope(_Value):
     endpoints, stored lesser first.  For dim >= 3 the list is stored as
     given once `_hull_of` finds that it spans space and that every point
     is a vertex, and the polytope keeps that hull's record in its
-    `_record` slot: [volume vector, facets, half-spaces], the last None
-    until `_half_spaces` fills it on first use.  The 3d
+    `_record` slot: [volume vector, facets (the sorted vertex indices of
+    each), half-spaces], the last None until `_half_spaces` fills it on
+    first use.  The 3d
     `normalized_volume` reads the first two, the deciders the volume
     vector and the affine decider the facets.  A polygon or a segment
     leaves the slot unset.
@@ -605,8 +606,9 @@ def _edge_half_spaces(cycle):
 def _half_spaces(p):
     """The (normal, offset) pairs whose normal . x + offset <= 0 cut out a
     polygon (one per edge) or a 3d polytope (one per facet of its
-    `_record`, its first triple's normal turned toward a vertex off it;
-    built on first use and kept in the record)."""
+    `_record`: the normal of its first three vertices, never collinear in
+    a facet of vertices, turned toward a vertex off it; built on first
+    use and kept in the record)."""
     verts = p.vertices
     if p.dim == 2:
         return _edge_half_spaces(verts)
@@ -615,7 +617,8 @@ def _half_spaces(p):
     record = p._record
     if record[2] is None:
         record[2] = halves = []
-        for on, (i, j, k) in record[1].items():
+        for on in record[1]:
+            i, j, k = on[:3]
             normal = linalg.primitive_normal(
                 (linalg.vec_sub(verts[j], verts[i]),
                  linalg.vec_sub(verts[k], verts[i])))
@@ -707,14 +710,19 @@ def _hull_of(points, d):
 def _hull_polytope(points, d):
     """The LatticePolytope of the vertices of the hull of `points`, in
     their order: distinct points in dimension d >= 3 that have passed
-    `_int_points` (`cli.parse_polytope`'s hull).  When every point is a
-    vertex, the one `_hull_of` that finds so is the polytope's record, as
-    the constructor's would be; otherwise the constructor takes the hull
-    of the vertices anew."""
+    `_int_points` (`cli.parse_polytope`'s hull), whose record is the one
+    `_hull_of`, as the constructor's would be.  When a point is not a
+    vertex, the kept vertices' entries are those at index tuples of kept
+    points alone, and their facets the facets re-indexed to them."""
     volume, planes, corners = _hull_of(points, d)
     if len(corners) < len(points):
-        return LatticePolytope(d, tuple(
-            v for i, v in enumerate(points) if i in corners))
+        # invariants imports geometry, so geometry imports invariants here.
+        from .invariants import VolumeVector, index_combinations
+        new = {old: i for i, old in enumerate(sorted(corners))}
+        volume = VolumeVector(len(new), d, tuple(compress(volume.entries, map(
+            corners.issuperset, index_combinations(len(points), d + 1)))))
+        planes = tuple(tuple(new[i] for i in on if i in new) for on in planes)
+        points = tuple(points[i] for i in new)
     p = object.__new__(LatticePolytope)
     object.__setattr__(p, "dim", d)
     object.__setattr__(p, "vertices", points)

@@ -5,13 +5,13 @@ of an ordered point set; its primitive decomposition splits off the gcd
 content.  The lattice height vector collects, for every point, its exact
 integer heights over the hyperplanes spanned by the remaining points.
 The facets of the points' hull are read from the volume vector's signs
-alone, for `geometry._hull_of`, the one hull routine of the library.
+alone, through `face_positions`, the position table the vector is built
+from, for `geometry._hull_of`, the one hull routine of the library.
 """
 
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from operator import itemgetter
 
 from . import linalg
 from .errors import DegenerateInput, DimensionMismatch, ZeroVector
@@ -34,7 +34,8 @@ def index_positions(n, k):
 def face_positions(n, d):
     """For each (d+1)-subset of range(n), in index_combinations order,
     the positions in index_combinations(n, d) of its faces: those that
-    drop its 0th, 2nd, ... index, then those that drop its 1st, 3rd, ..."""
+    drop its 0th, 2nd, ... index, then those that drop its 1st, 3rd, ...
+    `_volume_vector` sums over it and `facets` reads its signs through it."""
     position = index_positions(n, d)
     out = []
     for combo in index_combinations(n, d + 1):
@@ -43,63 +44,31 @@ def face_positions(n, d):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def side_positions(n, d):
-    """(gather, chunks): where to read the sign of det(S, l), the
-    determinant with l last, for each d-subset S of range(n) (in
-    index_combinations order) and each l in range(n) not in S (in
-    increasing order).
-
-    Moving l from last place to its sorted place in S plus l passes the
-    members of S above l, so det(S, l) is the volume-vector entry of S
-    plus l, negated when that count is odd.  Applied to the entries'
-    signs followed by their negations, `gather` picks for every (S, l) in
-    turn the entry's lex position in index_combinations(n, d + 1),
-    shifted into the negations when the count is odd; `chunks` slices
-    what it picks into one run of n - d per S."""
-    position = index_positions(n, d + 1)
-    flip = len(position)
-    picks = []
-    for sub in index_combinations(n, d):
-        for l in range(n):
-            if l not in sub:
-                above = sum(i > l for i in sub)
-                picks.append(position[tuple(sorted(sub + (l,)))]
-                             + flip * (above % 2))
-    m = n - d
-    return itemgetter(*picks), tuple(
-        slice(k, k + m) for k in range(0, len(picks), m))
-
-
-# Swaps the sign bytes of positive (1) and negative (2) entries.
-_NEGATE_SIGNS = bytes.maketrans(b"\x01\x02", b"\x02\x01")
-
-
-def _sides(entries, n, d):
-    """For each d-subset S of n points, in index_combinations order, the
-    bytes run of the signs of det(S, l) over the other points l in
-    increasing order (0 zero, 1 positive, 2 negative), read from the
-    signs of their volume vector's `entries`."""
-    gather, chunks = side_positions(n, d)
-    signs = bytes((e > 0) + 2 * (e < 0) for e in entries)
-    sides = bytes(gather(signs + signs.translate(_NEGATE_SIGNS)))
-    return map(sides.__getitem__, chunks)
-
-
 def facets(entries, n, d):
     """The facets of the hull of n points in dimension d, read from the
-    signs of their volume vector's `entries`: a dict from the sorted
-    indices of the points on each facet to the first d-subset that spans
-    it.  S spans a facet when det(S, l) has one sign over the other points
-    l, zeros (the other points on it) allowed; an S with every det(S, l)
-    zero spans no hyperplane and is skipped."""
-    out = {}
-    for sub, run in zip(index_combinations(n, d), _sides(entries, n, d)):
-        if (1 not in run or 2 not in run) and run.count(0) < n - d:
-            rest = iter(run)
-            out.setdefault(tuple(
-                l for l in range(n) if l in sub or not next(rest)), sub)
-    return out
+    signs of their volume vector's `entries`: the sorted indices of the
+    points on each facet, ordered by the first d-subset that spans it.
+    The face S of an entry C that drops l = C[k] has det(S, l), with l
+    last, equal to (-1)**(d - k) * entry(C): l passes the d - k indices
+    after it.  S spans a facet when the entries it is a face of give it
+    one sign and not the other (up to the sign (-1)**d shared by all);
+    the facet holds S and each l whose entry is zero."""
+    pos, neg, zeros = [], [], {}
+    for combo, e, (even, odd) in zip(
+            index_combinations(n, d + 1), entries, face_positions(n, d)):
+        if e > 0:
+            pos += even
+            neg += odd
+        elif e < 0:
+            pos += odd
+            neg += even
+        else:
+            for at, l in zip(even + odd, combo[0::2] + combo[1::2]):
+                zeros[at] = zeros.get(at, ()) + (l,)
+    subs = index_combinations(n, d)
+    return tuple(dict.fromkeys(
+        tuple(sorted(subs[at] + zeros.get(at, ())))
+        for at in sorted(set(pos).symmetric_difference(neg))))
 
 
 class VolumeVector(_Value):

@@ -1127,6 +1127,12 @@ def test_caps_env_parsing(monkeypatch):
     monkeypatch.setenv("LATTICE_EQUIV_CAPS", "max_volume=abc")
     with pytest.raises(ValueError):
         Caps.from_env()
+    # A superscript digit passes str.isdigit but not int: it is a bad
+    # entry, named with the variable, not int's own error.
+    monkeypatch.setenv("LATTICE_EQUIV_CAPS", "max_volume=\u00b2")
+    with pytest.raises(ValueError,
+                       match="bad LATTICE_EQUIV_CAPS entry: 'max_volume=\u00b2'"):
+        Caps.from_env()
     monkeypatch.delenv("LATTICE_EQUIV_CAPS")
     # Unset, every call shares one default (the caps are frozen).
     assert Caps.from_env() is Caps.from_env() == Caps()

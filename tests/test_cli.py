@@ -433,8 +433,8 @@ def test_3d_input_is_replaced_by_its_hull(capsys, files):
 def test_each_3d_input_takes_one_volume_vector(capsys, files, monkeypatch):
     # parse_polytope keeps the hull it takes as the polytope's record, and
     # invariants and equiv read the volume vector there: one vector per
-    # input whose points are all vertices.  An input with a point to drop
-    # takes a second, as the constructor hulls the kept vertices anew.
+    # input.  An input with a point to drop takes no second one: the kept
+    # vertices' vector and facets are read off the first hull.
     invariants = import_module("lattice_equiv.invariants")
     calls = []
     real = invariants._volume_vector
@@ -449,7 +449,7 @@ def test_each_3d_input_takes_one_volume_vector(capsys, files, monkeypatch):
     for argv, out, count in (
             (["invariants", cube], None, 1),
             (["equiv", "--mode", "affine", cube, sheared], "equivalent\n", 2),
-            (["invariants", centred], None, 2)):
+            (["invariants", centred], None, 1)):
         calls.clear()
         code, printed, _ = run(capsys, argv)
         assert code == 0 and out in (None, printed)

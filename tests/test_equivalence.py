@@ -771,11 +771,11 @@ def test_facet_sizes_count_the_facets_of_the_hyperplane_routine():
     # No polytope holds a point that is not a vertex, so the raw points
     # go to the facet routine itself: (1, 0, 0) sits on an edge, its triple
     # with that edge's ends spans no plane and is skipped, and it lies on
-    # the two facets through that edge.
+    # the two facets through that edge.  The facets are point sets, in
+    # the order of the first triple that spans each.
     on_edge = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert invariants.facets(volume_vector(on_edge).entries, 5, 3) == {
-        (0, 1, 2, 3): (0, 1, 3), (0, 1, 2, 4): (0, 1, 4),
-        (0, 3, 4): (0, 3, 4), (2, 3, 4): (2, 3, 4)}
+    assert invariants.facets(volume_vector(on_edge).entries, 5, 3) == (
+        (0, 1, 2, 3), (0, 1, 2, 4), (0, 3, 4), (2, 3, 4))
 
 
 def test_facet_sizes_are_kept_by_rational_affine_maps():

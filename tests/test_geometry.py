@@ -869,6 +869,37 @@ def test_meet_rule_matches_caratheodory_on_seeded_point_sets():
                     (4, True): 43, (4, False): 257}
 
 
+def test_hull_polytope_reads_the_kept_vertices_off_the_first_hull():
+    # A raw point set with points that are not vertices takes one hull:
+    # `_hull_polytope` reads the kept vertices' volume vector and facets
+    # off it, and they are what the constructor computes on those
+    # vertices anew: the same polytope, the same entries, the same facets
+    # as point sets, and in 3d the same half-spaces.
+    geometry = import_module("lattice_equiv.geometry")
+    rng = seeded(307)
+    checked = Counter()
+    for d, count, span, most in ((3, 60, 2, 10), (4, 30, 1, 8)):
+        grid = list(product(range(-span, span + 1), repeat=d))
+        while checked[d] < count:
+            points = tuple(rng.sample(grid, rng.randint(d + 2, most)))
+            try:
+                corners = geometry._hull_of(points, d)[2]
+            except DegenerateInput:
+                continue
+            if len(corners) == len(points):
+                continue
+            p = geometry._hull_polytope(points, d)
+            q = LatticePolytope(d, tuple(points[i] for i in sorted(corners)))
+            assert p == q and p.vertices == q.vertices, points
+            assert p._record[0] == q._record[0], points
+            assert set(p._record[1]) == set(q._record[1]), points
+            assert len(p._record[1]) == len(q._record[1]), points
+            if d == 3:
+                assert sorted(geometry._half_spaces(p)) \
+                    == sorted(geometry._half_spaces(q)), points
+            checked[d] += 1
+
+
 def test_the_hull_is_certified_in_the_library():
     # Points that are not all vertices are refused in every dimension from
     # 3 on, so none of these is stored, nor compared by the vertex counts

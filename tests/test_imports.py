@@ -90,6 +90,21 @@ def test_only_geometry_reads_the_facets():
     assert callers == ["geometry"]
 
 
+def test_invariants_keeps_three_position_tables():
+    # The volume vector and its facets read one table of faces,
+    # face_positions, built from index_combinations and index_positions.
+    # Each is held for the life of the process per vertex count, so a
+    # second table of the same faces would be memory no one frees.
+    tree = ast.parse((ROOT / "src" / "lattice_equiv" / "invariants.py")
+                     .read_text())
+    cached = [node.name for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and any("cache" in ast.unparse(deco)
+                      for deco in node.decorator_list)]
+    assert cached == ["index_combinations", "index_positions",
+                      "face_positions"]
+
+
 def module_level_imports(source):
     """Top-level package names that `source` imports when it is loaded:
     every import outside a function body (class bodies and module-level

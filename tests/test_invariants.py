@@ -3,13 +3,16 @@
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from importlib import import_module
+from itertools import combinations, product
 from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import apply_int_map, random_polygon, random_unimodular, seeded
+from conftest import (
+    CUBE, FRUSTUM, OCTAHEDRON, PRISM, SIMPLEX, apply_int_map, random_polygon,
+    random_unimodular, random_unimodular_nd, seeded)
 from lattice_equiv import (
     DegenerateInput,
     DimensionMismatch,
@@ -350,3 +353,62 @@ def test_volume_vector_content_is_hnf_index_on_3d_point_sets():
         assert abs(content) == prod(result.h[i][col] for i, col
                                     in enumerate(result.pivot_columns)), pts
     assert full > 250
+
+
+def reference_facets(points, d):
+    """The facets of the points' hull from `simplex_determinant` alone:
+    for each d-subset S in order, the signs of det(S, l) over the other
+    points l, with l last.  S spans a facet when they hold one sign and
+    not both; the facet, the sorted indices of S and of each l with
+    det(S, l) zero, is kept where it is first found."""
+    out = []
+    for sub in combinations(range(len(points)), d):
+        dets = {l: simplex_determinant([points[i] for i in sub] + [point])
+                for l, point in enumerate(points) if l not in sub}
+        values = set(dets.values())
+        if values == {0} or max(values) > 0 > min(values):
+            continue
+        on = tuple(sorted(sub + tuple(l for l in dets if not dets[l])))
+        if on not in out:
+            out.append(on)
+    return tuple(out)
+
+
+def test_facets_match_the_simplex_determinant_reference_in_3d_and_4d():
+    # The facets read from the volume vector's signs are the reference's,
+    # point sets and order, on the named shapes (the side-2 cube with its
+    # centre and an edge midpoint among them), on seeded 3d sets of up to
+    # 12 points and 4d sets of up to 8, drawn from small grids so that
+    # collinear and coplanar points occur, and on a seeded unimodular
+    # image of each.
+    facets = import_module("lattice_equiv.invariants").facets
+    rng = seeded(311)
+    cube_4d = tuple(product((0, 1), repeat=4))
+    cross_4d = tuple(tuple(s * (i == j) for j in range(4))
+                     for i in range(4) for s in (1, -1))
+    sets = [(shape, 3) for shape in (
+        CUBE, FRUSTUM, OCTAHEDRON, PRISM, SIMPLEX,
+        tuple(product((0, 2), repeat=3)) + ((1, 1, 1), (1, 0, 0)))]
+    sets += [(cube_4d, 4), (cross_4d, 4)]
+    for d, span, most in ((3, 2, 12), (4, 1, 8)):
+        grid = list(product(range(-span, span + 1), repeat=d))
+        full = []
+        while len(full) < 40:
+            points = tuple(rng.sample(grid, rng.randint(d + 1, most)))
+            try:
+                volume_vector(points)
+            except DegenerateInput:
+                continue
+            full.append((points, d))
+        sets += full
+    larger = Counter()
+    for points, d in sets:
+        image = tuple(apply_int_map(
+            points, random_unimodular_nd(rng, d),
+            tuple(rng.randint(-3, 3) for _ in range(d))))
+        expect = reference_facets(points, d)
+        for raw in (points, image):
+            got = facets(volume_vector(raw).entries, len(raw), d)
+            assert got == reference_facets(raw, d) == expect, raw
+        larger[d] += any(len(on) > d for on in expect)
+    assert larger == {3: 28, 4: 24}
