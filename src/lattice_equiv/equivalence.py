@@ -360,13 +360,17 @@ def _canonical_frame(cycle):
     in stored order, and the frames that yield it.
 
     `flipped` says whether `cycle` ran clockwise and was read reversed.
-    The frame (start, step, ox, oy, xx, xy, yx, yy) reads the (reversed,
-    if flipped) cycle c as c[start], c[start + step], ... (indices mod n,
-    step +-1) and maps each p to (p - (ox, oy)) @ ((xx, xy), (yx, yy)),
-    an integer matrix of determinant step, so that the k-th vertex read
-    lands on form[k].  Every frame giving the form is returned, in the
-    kernel's order: these are all the unimodular maps onto the form, each
-    fixed by the least-length edge it sends to (0, 0) -> (g, 0).
+    A frame is a flat 8-tuple (start, step, ox, oy, xx, xy, yx, yy): it
+    reads the (reversed, if flipped) cycle c as c[start], c[start +
+    step], ... (indices mod n, step +-1) and maps each p to
+    (p - (ox, oy)) @ ((xx, xy), (yx, yy)), an integer matrix of
+    determinant step, so that the k-th vertex read lands on form[k].
+    Every frame giving the form is returned: these are all the unimodular
+    maps onto the form, each fixed by the least-length edge it sends to
+    (0, 0) -> (g, 0).  They come in anchor order, the edge c[i] -> c[i + 1]
+    by i, its forward frame (start i, step 1) before its backward one
+    (start i + 1, step -1); `_by_frames` reads the first frame, each
+    frame's (start, step) and, in det_one, the first with a given step.
 
     Each directed boundary edge is an anchor: its start goes to the
     origin, the edge to (g, 0) with g its lattice length, and the
@@ -374,13 +378,18 @@ def _canonical_frame(cycle):
     0 <= a < b, so the cycle starts at its lex-least vertex and runs
     counterclockwise.  A clockwise cycle is reversed once, so forward
     frames keep the orientation, backward frames reflect, and no frame
-    tests a sign.  Only anchors of least g are framed, both directions
-    of an edge in one step, and vertex 2's image is taken in that same
-    step: a frame is kept only while it ties the least image so far.
-    From vertex 3 on, vertex k is mapped only for the frames still tied
-    before it, and the one left is mapped in full.  Tied frames frame
-    the same cycle, so the representative is the one a full comparison
-    of all 2n framed cycles picks.
+    tests a sign.  One pass over the cycle gives the edges, their
+    lattice lengths and the least length g.  Only anchors of least g are
+    framed, both directions of an edge in one step, and vertex 2's image
+    is taken in that same step, compared as two scalars (its x, then its
+    height) with no tuple built: a frame is kept only while it ties the
+    least image so far.  The Bezout pair that starts each anchor's map
+    is read off at once when the edge's primitive direction has a unit
+    entry, as almost every least edge of a small polygon does; only the
+    rest pay for a modular inverse.  From vertex 3 on, vertex k is mapped
+    only for the frames still tied before it, and the one left is mapped
+    in full.  Tied frames frame the same cycle, so the representative is
+    the one a full comparison of all 2n framed cycles picks.
     """
     n = len(cycle)
     (x0, y0), (x1, y1), (x2, y2) = cycle[:3]
@@ -391,24 +400,37 @@ def _canonical_frame(cycle):
     # ring[start + step * k] with 0 <= start <= n, 0 <= k < n and step
     # +-1, and a negative index counts back from the end of the cycle.
     ring = cycle + cycle
-    edges = [(qx - px, qy - py)
-             for (px, py), (qx, qy) in zip(ring, ring[1:n + 1])]
-    lengths = [gcd(ex, ey) for ex, ey in edges]
-    g = min(lengths)
+    # One pass: each edge ring[i] -> ring[i + 1] with its lattice length,
+    # and the least length g.
+    edges = []
+    px, py = cycle[0]
+    g = 0
+    for qx, qy in ring[1:n + 1]:
+        ex = qx - px
+        ey = qy - py
+        length = gcd(ex, ey)
+        edges.append((ex, ey, length))
+        if length < g or not g:
+            g = length
+        px, py = qx, qy
     # A frame traverses ring[start], ring[start + step], ... and maps
     # p to (p - o) @ ((xx, xy), (yx, yy)), o = ring[start].
-    least = None
-    for i, length in enumerate(lengths):
+    frames = None
+    for i, (ex, ey, length) in enumerate(edges):
         if length != g:
             continue
-        alpha, beta = edges[i][0] // g, edges[i][1] // g
+        alpha = ex // g
+        beta = ey // g
         # Any Bezout pair u*alpha + v*beta = 1 will do: the shear below
-        # makes each frame unique.
-        if beta:
+        # makes each frame unique.  A unit beta or alpha gives one at
+        # once (beta = 0 forces alpha = +-1).
+        if beta == 1 or beta == -1:
+            u, v = 0, beta
+        elif alpha == 1 or alpha == -1:
+            u, v = alpha, 0
+        else:
             u = pow(alpha, -1, abs(beta))
             v = (1 - u * alpha) // beta
-        else:
-            u, v = alpha, 0
         # p -> (p.(u, v), alpha*py - beta*px) has determinant 1 and
         # takes the edge e to (g, 0).  The edges a before e and b after
         # it turn left, so the previous vertex o - a lands at height
@@ -417,34 +439,39 @@ def _canonical_frame(cycle):
         # o + e + b) shears by ta, which puts the last vertex's x in
         # [0, ha); the backward frame (origin o + e, step -1, last vertex
         # o + e + b, vertex 2 o - a) reflects by negating (u, v) and
-        # shears by tb.  Vertex 2's x is g + pb - ta*hb forward and
-        # g + pa - tb*ha backward; every frame shares the g, so the
-        # images compared leave it out.
-        (ax, ay), (bx, by) = edges[i - 1], edges[i + 1 - n]
+        # shears by tb.  Vertex 2's image is (g + pb - ta*hb, hb) forward
+        # and (g + pa - tb*ha, ha) backward; every frame shares the g, so
+        # the images are compared without it, as two scalars: the x,
+        # then the height.
+        ax, ay, _ = edges[i - 1]
+        bx, by, _ = edges[i + 1 - n]
         ha = ax * beta - ay * alpha
         hb = by * alpha - bx * beta
         pa = ax * u + ay * v
         pb = bx * u + by * v
         ta = -pa // ha
         tb = -pb // hb
-        (ox, oy), (px, py) = ring[i], ring[i + 1]
-        image = (pb - ta * hb, hb)
-        if least is None or image < least:
-            least = image
+        x = pb - ta * hb
+        if frames is None or x < least_x or x == least_x and hb < least_h:
+            least_x, least_h = x, hb
+            ox, oy = ring[i]
             frames = [(i, 1, ox, oy,
                        u + ta * beta, -beta, v - ta * alpha, alpha)]
-        elif image == least:
+        elif x == least_x and hb == least_h:
+            ox, oy = ring[i]
             frames.append((i, 1, ox, oy,
                            u + ta * beta, -beta, v - ta * alpha, alpha))
-        image = (pa - tb * ha, ha)
-        if image < least:
-            least = image
-            frames = [(i + 1, -1, px, py,
+        x = pa - tb * ha
+        if x < least_x or x == least_x and ha < least_h:
+            least_x, least_h = x, ha
+            ox, oy = ring[i + 1]
+            frames = [(i + 1, -1, ox, oy,
                        tb * beta - u, -beta, -v - tb * alpha, alpha)]
-        elif image == least:
-            frames.append((i + 1, -1, px, py,
+        elif x == least_x and ha == least_h:
+            ox, oy = ring[i + 1]
+            frames.append((i + 1, -1, ox, oy,
                            tb * beta - u, -beta, -v - tb * alpha, alpha))
-    out = [(0, 0), (g, 0), (g + least[0], least[1])]
+    out = [(0, 0), (g, 0), (g + least_x, least_h)]
     k = 3
     while len(frames) > 1 and k < n:
         # One pass: the least image of vertex k and the frames tied on it.

@@ -8,7 +8,7 @@ affine maps act on the right: p -> p @ A + v.
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, compress, islice
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
 from . import linalg
 from .errors import (
@@ -279,6 +279,12 @@ class LatticePolytope(_Value):
                    for normal, offset in _half_spaces(self))
 
 
+# The unchecked builds' setters: the slots' own descriptors, bound once.
+_set_dim = LatticePolytope.dim.__set__
+_set_vertices = LatticePolytope.vertices.__set__
+_set_record = LatticePolytope._record.__set__
+
+
 def _stored_polygon(cycle):
     """The polygon LatticePolytope(2, cycle), built without running its
     check: `vertices` is `cycle` itself.
@@ -295,11 +301,14 @@ def _stored_polygon(cycle):
 
     Call it by this name.  bench/tracing.py replaces `LatticePolytope`
     in the census and equivalence namespaces by a plain function, which
-    has no `__new__` to build through."""
+    has no `__new__` to build through.  The slots are set through their
+    member descriptors' setters, bound once above, which skip the lookup
+    by name that `object.__setattr__` makes on every call."""
     p = object.__new__(LatticePolytope)
-    object.__setattr__(p, "dim", 2)
-    object.__setattr__(p, "vertices", cycle)
+    _set_dim(p, 2)
+    _set_vertices(p, cycle)
     return p
+
 
 
 class RationalAffineMap(_Value):
@@ -478,10 +487,11 @@ def normalized_volume(p):
 
     Computed by fan triangulation from the first vertex (dim 2), by the
     simplex determinant (other dimensions, d+1 vertices), or (dim 3) as
-    entries of the volume vector in the polytope's `_record`, read by lex
-    position: vertex 0 over the fan of each facet without it from the
-    facet's first vertex, along its edges (pairs of its vertices on a
-    second facet)."""
+    entries of the volume vector in the polytope's `_record`: vertex 0
+    over the fan of each facet without it from the facet's first vertex,
+    along its edges (pairs of its vertices on a second facet).  Each
+    entry is read at the lex rank of its sorted index quadruple, a sum of
+    binomial coefficients, so no table of positions is built or kept."""
     verts = p.vertices
     if p.dim == 2:
         v0 = verts[0]
@@ -490,13 +500,16 @@ def normalized_volume(p):
     if len(verts) == p.dim + 1:
         return abs(simplex_determinant(verts))
     if p.dim == 3:
-        # invariants imports geometry, so geometry imports invariants here.
-        from .invariants import index_positions
         volume, planes = p._record[:2]
-        entries, at = volume.entries, index_positions(len(verts), 4)
+        entries, last = volume.entries, len(verts) - 1
         edges = Counter(chain.from_iterable(
             combinations(on, 2) for on in planes))
-        return sum(abs(entries[at[0, apex, a, b]])
+        # Among the 4-subsets of range(n) in lex order, the sorted
+        # (c0, c1, c2, c3) has rank C(n, 4) - 1 - sum_i C(n - 1 - ci, 4 - i);
+        # with c0 = 0, C(n, 4) - C(n - 1, 4) leaves C(n - 1, 3).
+        top = comb(last, 3) - 1
+        return sum(abs(entries[top - comb(last - apex, 3)
+                               - comb(last - a, 2) - (last - b)])
                    for apex, *rest in planes if apex
                    for a, b in combinations(rest, 2) if edges[a, b] == 2)
     raise DimensionMismatch(
@@ -724,7 +737,7 @@ def _hull_polytope(points, d):
         planes = tuple(tuple(new[i] for i in on if i in new) for on in planes)
         points = tuple(points[i] for i in new)
     p = object.__new__(LatticePolytope)
-    object.__setattr__(p, "dim", d)
-    object.__setattr__(p, "vertices", points)
-    object.__setattr__(p, "_record", [volume, planes, None])
+    _set_dim(p, d)
+    _set_vertices(p, points)
+    _set_record(p, [volume, planes, None])
     return p

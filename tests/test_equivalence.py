@@ -1098,18 +1098,23 @@ def framed_cycles(cycle):
     traversals = [tuple(cycle[(i + k) % n] for k in range(n)) for i in range(n)]
     traversals += [tuple(rev[(i + k) % n] for k in range(n)) for i in range(n)]
     for tr in traversals:
-        (ox, oy), (ex, ey) = tr[0], tr[1]
-        g = gcd(ex - ox, ey - oy)
-        alpha, beta = (ex - ox) // g, (ey - oy) // g
-        _, x, y = linalg.egcd(alpha, beta)
-        pts = [((px - ox) * x + (py - oy) * y,
-                (py - oy) * alpha - (px - ox) * beta) for px, py in tr]
-        ref_y = pts[-1][1]
-        if ref_y < 0:
-            pts = [(x, -y) for x, y in pts]
-            ref_y = -ref_y
-        shear = pts[-1][0] // ref_y
-        yield [(x - shear * y, y) for x, y in pts]
+        yield framed_traversal(tr)
+
+
+def framed_traversal(tr):
+    """The framed cycle of one traversal `tr` of a polygon's vertices."""
+    (ox, oy), (ex, ey) = tr[0], tr[1]
+    g = gcd(ex - ox, ey - oy)
+    alpha, beta = (ex - ox) // g, (ey - oy) // g
+    _, x, y = linalg.egcd(alpha, beta)
+    pts = [((px - ox) * x + (py - oy) * y,
+            (py - oy) * alpha - (px - ox) * beta) for px, py in tr]
+    ref_y = pts[-1][1]
+    if ref_y < 0:
+        pts = [(x, -y) for x, y in pts]
+        ref_y = -ref_y
+    shear = pts[-1][0] // ref_y
+    return [(x - shear * y, y) for x, y in pts]
 
 
 def eager_canonical_cycle(cycle):
@@ -1257,9 +1262,10 @@ def large_unimodular(rng, bound=10 ** 6):
     return m if rng.random() < 0.5 else (m[1], m[0])
 
 
-def test_canonical_cycle_matches_eager_loop_on_large_images():
-    # Unimodular images with entries and shifts up to 10**6, so the
-    # kernel's Bezout step works modulo large |beta|.
+def large_images():
+    """Seeded unimodular images of growth cycles with entries and shifts
+    up to 10**6, so the kernel's Bezout step works modulo large |beta|,
+    each read from a random vertex in both orientations."""
     rng = seeded(23)
     cycles = sorted(growth_cycles(14))
     for cycle in rng.sample(cycles, 1500):
@@ -1269,9 +1275,118 @@ def test_canonical_cycle_matches_eager_loop_on_large_images():
         assert max(abs(c) for p in image for c in p) > 10 ** 4
         start = rng.randrange(len(image))
         image = tuple(image[start:] + image[:start])
-        for c in (image, image[::-1]):
-            assert equivalence._canonical_cycle(c) == \
-                eager_canonical_cycle(c), c
+        yield image
+        yield image[::-1]
+
+
+def test_canonical_cycle_matches_eager_loop_on_large_images():
+    for c in large_images():
+        assert equivalence._canonical_cycle(c) == eager_canonical_cycle(c), c
+
+
+def eager_frames(cycle):
+    """(flipped, [(start, step), ...]) of `_canonical_frame`, by brute
+    force: the shoelace sign says whether `cycle` runs clockwise, and the
+    pairs are those of the 2n traversals of the counterclockwise cycle c
+    whose framed cycle is the eager form, in anchor order: for each edge
+    c[i] -> c[i + 1] by i, the forward traversal (i, 1) from c[i] before
+    the backward one (i + 1, -1) from c[i + 1]."""
+    n = len(cycle)
+    flipped = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
+                  in zip(cycle, cycle[1:] + cycle[:1])) < 0
+    c = cycle[::-1] if flipped else cycle
+    form = list(eager_canonical_cycle(cycle))
+    return flipped, [
+        (start, step) for i in range(n) for start, step in ((i, 1), (i + 1, -1))
+        if framed_traversal([c[(start + step * k) % n]
+                             for k in range(n)]) == form]
+
+
+def assert_frames_match_eager(cycle):
+    """`_canonical_frame(cycle)` has the eager form, `flipped` and
+    (start, step) order, and each of its frames, an integer matrix of
+    determinant step, maps its traversal of the cycle onto the form."""
+    form, flipped, frames = equivalence._canonical_frame(cycle)
+    assert form == eager_canonical_cycle(cycle), cycle
+    assert (flipped, [frame[:2] for frame in frames]) == \
+        eager_frames(cycle), cycle
+    n, c = len(cycle), cycle[::-1] if flipped else cycle
+    for start, step, ox, oy, xx, xy, yx, yy in frames:
+        assert xx * yy - xy * yx == step, cycle
+        read = [c[(start + step * k) % n] for k in range(n)]
+        assert tuple(((x - ox) * xx + (y - oy) * yx,
+                      (x - ox) * xy + (y - oy) * yy) for x, y in read) \
+            == form, cycle
+
+
+def test_canonical_frame_order_matches_the_eager_traversals():
+    # The 2d deciders' witnesses read the kernel's first frame, each
+    # frame's (start, step) and, in det_one, the first frame of a given
+    # step, so the order is pinned: on box:4 cycles and their reversals,
+    # on unimodular images read from a random vertex in both
+    # orientations, and on the large images.
+    root_polygons = import_module("lattice_equiv.census")._root_polygons
+    pts = lattice_points(Region.box(4))
+    cycles = sorted(c for i in range(len(pts))
+                    for c in root_polygons(pts, i, None))
+    rng = seeded(29)
+    ties = Counter()
+    for cycle in rng.sample(cycles, 2500):
+        image = apply_int_map(cycle, random_unimodular(rng),
+                              (rng.randint(-9, 9), rng.randint(-9, 9)))
+        start = rng.randrange(len(image))
+        image = tuple(image[start:] + image[:start])
+        for c in (cycle, cycle[::-1], image, image[::-1]):
+            assert_frames_match_eager(c)
+        ties[len(equivalence._canonical_frame(cycle)[2])] += 1
+    for c in large_images():
+        assert_frames_match_eager(c)
+    # Symmetric forms keep several frames, so the order is exercised.
+    assert set(ties) >= {1, 2, 4, 6, 8}
+
+
+def bezout_branch(alpha, beta):
+    """Which Bezout pair the kernel takes for a primitive least edge."""
+    if abs(beta) == 1:
+        return "|beta| = 1"
+    if abs(alpha) == 1:
+        return "beta = 0" if beta == 0 else "|alpha| = 1"
+    return "pow"
+
+
+def test_canonical_frame_on_each_bezout_branch():
+    # Hand-picked triangles and quadrilaterals whose least edges all take
+    # one branch of the kernel's Bezout step, each at g = 1 and, doubled,
+    # at g = 2: every rotation and reversal has the eager form and frame
+    # order.
+    cycles = {
+        "|beta| = 1": ((0, 0), (2, 1), (0, 1)),
+        "|alpha| = 1": ((0, 0), (2, 0), (1, 2)),
+        "beta = 0": ((0, 0), (1, 0), (3, 6)),
+        "pow": ((0, 0), (5, -2), (2, 3)),
+    }
+    quads = {
+        "|beta| = 1": ((0, 0), (1, -1), (1, 0), (0, 1)),
+        "|alpha| = 1": ((0, 0), (1, -2), (2, 0), (1, 2)),
+        "beta = 0": ((0, 0), (1, 0), (1, 2), (0, 2)),
+        "pow": ((0, 0), (2, -3), (4, 0), (2, 3)),
+    }
+    seen = set()
+    for branch, cycle in chain(cycles.items(), quads.items()):
+        for k in (1, 2):
+            scaled = tuple((k * x, k * y) for x, y in cycle)
+            n = len(scaled)
+            edges = [(scaled[(i + 1) % n][0] - scaled[i][0],
+                      scaled[(i + 1) % n][1] - scaled[i][1])
+                     for i in range(n)]
+            g = min(gcd(ex, ey) for ex, ey in edges)
+            assert g == k, scaled
+            assert {bezout_branch(ex // g, ey // g) for ex, ey in edges
+                    if gcd(ex, ey) == g} == {branch}, scaled
+            seen.add((branch, g))
+            for c in rotations_and_reversals(scaled):
+                assert_frames_match_eager(c)
+    assert len(seen) == 8
 
 
 def test_canonical_polygon_matches_reference_representative():

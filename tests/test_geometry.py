@@ -900,6 +900,62 @@ def test_hull_polytope_reads_the_kept_vertices_off_the_first_hull():
             checked[d] += 1
 
 
+def test_3d_volume_reads_entries_by_lex_rank_without_a_table():
+    # The 3d normalized volume reads each volume-vector entry at the lex
+    # rank of its sorted index quadruple, a sum of binomial coefficients:
+    # it equals the frozen projection volume on seeded point sets (hulled
+    # to their vertices), and on a polytope of a vertex count the process
+    # has not seen, it adds no index_positions entry to those the
+    # constructor's volume vector made.
+    geometry = import_module("lattice_equiv.geometry")
+    invariants = import_module("lattice_equiv.invariants")
+    rng = seeded(331)
+    for points in seeded_point_sets_3d(rng, 300, 3):
+        corners = geometry._hull_of(points, 3)[2]
+        q = LatticePolytope(3, tuple(points[i] for i in sorted(corners)))
+        assert normalized_volume(q) == reference_volume_3d(points), points
+    ring = tuple((x, y, z) for x, y in ((3, 0), (2, 2), (0, 3), (-2, 2),
+                                        (-3, 0), (-2, -2), (0, -3), (2, -2))
+                 for z in (0, 1))
+    invariants.index_positions.cache_clear()
+    prism = LatticePolytope(3, ring)
+    made = invariants.index_positions.cache_info().currsize
+    assert normalized_volume(prism) == reference_volume_3d(ring) == 6 * 24
+    assert invariants.index_positions.cache_info().currsize == made
+
+
+def test_unchecked_builds_match_the_checked_constructor():
+    # `_stored_polygon` and `_hull_polytope` set the slots through their
+    # descriptors' setters, without the constructor's check.  What they
+    # build equals and hashes as the checked polytope, survives a pickle
+    # round trip, refuses every assignment, and keeps the record the
+    # constructor would: none for a polygon, the hull's in 3d.
+    geometry = import_module("lattice_equiv.geometry")
+    rng = seeded(337)
+    built = []
+    for p in rng.sample(enumerate_convex_polygons(Region.box(3)), 200):
+        stored = _stored_polygon(p.vertices)
+        assert not hasattr(stored, "_record")
+        built.append((stored, LatticePolytope(2, p.vertices[::-1])))
+    for points in seeded_point_sets_3d(rng, 100, 2):
+        corners = geometry._hull_of(points, 3)[2]
+        hulled = geometry._hull_polytope(points, 3)
+        checked = LatticePolytope(3, tuple(points[i] for i in sorted(corners)))
+        assert hulled._record[0] == checked._record[0], points
+        assert sorted(hulled._record[1]) == sorted(checked._record[1])
+        built.append((hulled, checked))
+    for unchecked, checked in built:
+        assert type(unchecked) is LatticePolytope
+        assert unchecked == checked and hash(unchecked) == hash(checked)
+        assert unchecked.vertices == checked.vertices
+        clone = pickle.loads(pickle.dumps(unchecked))
+        assert clone == checked and clone.vertices == checked.vertices
+        for name in ("dim", "vertices", "_record"):
+            with pytest.raises(AttributeError):
+                setattr(unchecked, name, None)
+        assert unchecked == checked
+
+
 def test_the_hull_is_certified_in_the_library():
     # Points that are not all vertices are refused in every dimension from
     # 3 on, so none of these is stored, nor compared by the vertex counts

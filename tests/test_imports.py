@@ -105,6 +105,76 @@ def test_invariants_keeps_three_position_tables():
                       "face_positions"]
 
 
+def framing_graph(sources):
+    """({function: names it calls}, framers) over the functions defined
+    in `sources`: a call is recorded by its bare name or attribute name,
+    and a framer is a function that takes a modular inverse
+    pow(a, -1, m), the Bezout step that lays a cycle's edge on (g, 0)."""
+    calls, framers = {}, set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            called = calls.setdefault(node.name, set())
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                called.add(name)
+                if name == "pow" and len(call.args) == 3:
+                    framers.add(node.name)
+    return calls, framers
+
+
+def framers_reached(calls, framers, entry):
+    """The framers that `entry` reaches through functions that frame
+    nothing themselves."""
+    reached, seen, pending = set(), set(), [entry]
+    while pending:
+        name = pending.pop()
+        for callee in calls.get(name, ()):
+            if callee in framers:
+                reached.add(callee)
+            elif callee in calls and callee not in seen:
+                seen.add(callee)
+                pending.append(callee)
+    return reached
+
+
+def test_framing_graph_finds_a_forked_kernel():
+    source = ("def _canonical_frame(c):\n    return pow(c, -1, 7)\n"
+              "def _canonical_cycle(c):\n    return _canonical_frame(c)[0]\n"
+              "def _fast_form(c):\n    return pow(c, -1, 5)\n"
+              "def key(p):\n    return _canonical_cycle(p) + g.h(p)\n"
+              "def canonical_polygon(p):\n    return _fast_form(key(p))\n")
+    calls, framers = framing_graph([source])
+    assert framers == {"_canonical_frame", "_fast_form"}
+    assert framers_reached(calls, framers, "key") == {"_canonical_frame"}
+    assert framers_reached(calls, framers, "canonical_polygon") == {
+        "_canonical_frame", "_fast_form"}
+
+
+def test_one_kernel_frames_every_cycle():
+    # _canonical_frame is the only function of the package that frames a
+    # cycle, and the form-keyed entry points reach it only through
+    # _canonical_cycle, which calls nothing else: a form-only copy made to
+    # speed one of them up would be a second kernel, free to drift from
+    # the frames the 2d deciders read their witnesses off.
+    calls, framers = framing_graph(
+        path.read_text()
+        for path in sorted((ROOT / "src" / "lattice_equiv").glob("*.py")))
+    assert framers == {"_canonical_frame"}
+    assert calls["_canonical_cycle"] == {"_canonical_frame"}
+    assert {name for name, called in calls.items()
+            if "_canonical_frame" in called} == {"_canonical_cycle",
+                                                 "_by_frames"}
+    for entry in ("_canonical_cycle", "canonical_polygon", "affine_key",
+                  "_form_key"):
+        assert framers_reached(calls, framers, entry) \
+            == {"_canonical_frame"}, entry
+
+
 def module_level_imports(source):
     """Top-level package names that `source` imports when it is loaded:
     every import outside a function body (class bodies and module-level
